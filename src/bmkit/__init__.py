@@ -30,13 +30,12 @@ from .catalog import (CATALOG, AmplitudePair, BeltramiForm, CatalogEntry,
                       traveling_wave)
 from .verify import (CheckReport, SampleGrid, beltrami_residual,
                      conservation_along, constitutive_residuals,
-                     contact_margin, energy_forms, maxwell_residuals,
-                     parallel_check, poynting_form, reeb_like_check, shs_check,
-                     symplectic_margin)
+                     contact_margin, maxwell_residuals, parallel_check,
+                     reeb_like_check, shs_check, symplectic_margin)
 from .reeb import (ReebField, SHSPair, field_line_generator, omega_components,
                    normalization_residuals, reeb_closed_form_beltrami,
                    reeb_for_maxwell, reeb_from_shs, reeb_parallel_ratio,
-                   reeb_vector_field, verify_reeb_like)
+                   reeb_vector_field)
 from .orbits import (ClosureResult, CrossingSequence, OrbitTrace, SurveyResult,
                      closed_orbit_survey, detect_closure, integrate,
                      integrate_batch, poincare_section, write_orbit_csv,

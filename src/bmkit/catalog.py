@@ -28,10 +28,9 @@ import numpy as np
 from .bessel import j0_field, j1_field
 from .charts import Chart, euclidean3, solid_torus, spacetime, torus3
 from .errors import BmkitError, ConfigError, SingularFieldError
-from .forms import DifferentialForm, dx, make_form, wedge
-from .metrics import (MetricField, euclidean_metric, hodge_star,
-                      lorentzian_product, norm_sq_field, solid_torus_metric,
-                      spatial_hodge)
+from .forms import DifferentialForm, _rk4_step, dx, make_form, wedge
+from .metrics import (MetricField, euclidean_metric, lorentzian_product,
+                      norm_sq_field, solid_torus_metric, spatial_hodge)
 from .scalars import (constant, lift_spatial, monomial, restrict_time,
                       sin_wave, wave)
 
@@ -75,23 +74,8 @@ class BeltramiForm:
                 f"(min norm^2 = {self.norm_margin:.3e})")
 
 
-def _scan_lattice(chart: Chart, n: int = 32) -> np.ndarray:
-    """Regular lattice for singularity scans (periodic axes drop the endpoint)."""
-    axes_pts = []
-    for ax in chart.axes:
-        if ax.is_periodic:
-            axes_pts.append(np.linspace(0.0, ax.period, n, endpoint=False))
-        else:
-            lo = ax.lo if np.isfinite(ax.lo) else 0.0
-            hi = ax.hi if np.isfinite(ax.hi) else 2.0 * math.pi
-            axes_pts.append(np.linspace(lo, hi, n))
-    mesh = np.meshgrid(*axes_pts, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def _beltrami(name, params, form, k, chart, metric, scan_n=32) -> BeltramiForm:
-    pts = _scan_lattice(chart, scan_n)
-    norms = norm_sq_field(metric, form)(pts)
+    norms = norm_sq_field(metric, form)(chart.lattice((scan_n,) * chart.dim))
     margin = float(np.min(norms))
     return BeltramiForm(name, dict(params), form, float(k), chart, metric,
                         margin, nonsingular=margin > 1e-9)
@@ -164,6 +148,14 @@ def solid_torus_mode(k_c: float = 2.0, beta: float = 1.0, sign: str = "minus",
 # -- Maxwell field sets -------------------------------------------------------
 
 
+def _energy_forms(metric3: MetricField, constants: Constants, e: DifferentialForm,
+                  h: DifferentialForm) -> tuple[DifferentialForm, DifferentialForm]:
+    """(eps0/2) e ^ *3 e and (mu0/2) h ^ *3 h, on a 3-chart or fibrewise on spacetime."""
+    ee = (0.5 * constants.eps0) * wedge(e, spatial_hodge(metric3, e))
+    eh = (0.5 * constants.mu0) * wedge(h, spatial_hodge(metric3, h))
+    return ee, eh
+
+
 @dataclass(frozen=True)
 class MaxwellSlice:
     """A Maxwell field set restricted to the hypersurface x0 = const."""
@@ -178,9 +170,8 @@ class MaxwellSlice:
     constants: Constants
 
     def energy_forms(self) -> tuple[DifferentialForm, DifferentialForm]:
-        ee = (0.5 * self.constants.eps0) * wedge(self.e, hodge_star(self.metric, self.e))
-        eh = (0.5 * self.constants.mu0) * wedge(self.h, hodge_star(self.metric, self.h))
-        return ee, eh
+        """Vacuum energy density 3-forms on the slice."""
+        return _energy_forms(self.metric, self.constants, self.e, self.h)
 
 
 @dataclass(frozen=True)
@@ -237,9 +228,7 @@ class MaxwellFieldSet:
 
     def energy_forms(self) -> tuple[DifferentialForm, DifferentialForm]:
         """Vacuum energy density 3-forms (eps0/2) e ^ *3 e and (mu0/2) h ^ *3 h."""
-        ee = (0.5 * self.eps0) * wedge(self.e, spatial_hodge(self.metric3, self.e))
-        eh = (0.5 * self.mu0) * wedge(self.h, spatial_hodge(self.metric3, self.h))
-        return ee, eh
+        return _energy_forms(self.metric3, self.constants, self.e, self.h)
 
     def energy_forms_kappa(self) -> tuple[DifferentialForm, DifferentialForm]:
         """Media-form energies (1/2) e ^ D and (1/2) h ^ B (equal to vacuum ones here)."""
@@ -457,11 +446,7 @@ def amplitude_ode(k: float, eps0: float, mu0: float, f_e0: float, f_h0: float,
         n = max(1, int(math.ceil(abs(span) / h_max)))
         h = span / n
         for _ in range(n):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            y = _rk4_step(rhs, y, h)
         x = target
         out.append(AmplitudePair(float(y[0]), float(y[1]), x))
     return out
@@ -552,9 +537,12 @@ def build_catalog_field(name: str, params: dict | None = None,
 def _coerce_param(name, pname, ptype, raw, constants):
     if ptype == "int":
         try:
-            return int(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}.{pname}: expected an integer, got {raw!r}")
+            value = int(raw)
+            if isinstance(raw, str) or value == raw:  # 2.0 is 2; 1.7 is not
+                return value
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ConfigError(f"{name}.{pname}: expected an integer, got {raw!r}")
     if ptype == "float":
         try:
             return float(raw)

@@ -1,4 +1,4 @@
-"""Coordinate charts: axis descriptors, periodic wrapping, and chart distances.
+"""Coordinate charts: axis descriptors, periodic wrapping, minimal images, lattices.
 
 A chart is a box of coordinates, each axis either periodic (circle of given
 period) or an interval (possibly unbounded).  Charts carry no metric; see
@@ -45,6 +45,20 @@ class AxisSpec:
     def fd_scale(self) -> float:
         """Finite-difference step scale: period / 2pi on circles, 1 elsewhere."""
         return self.period / TWO_PI if self.is_periodic else 1.0
+
+    def minimal_image(self, u):
+        """Coordinate difference u reduced to [-period/2, period/2) on a circle."""
+        if not self.is_periodic:
+            return u
+        return (u + 0.5 * self.period) % self.period - 0.5 * self.period
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """Default sampling window: the period, or the interval with [0, 2pi] ends."""
+        if self.is_periodic:
+            return 0.0, self.period
+        return (self.lo if math.isfinite(self.lo) else 0.0,
+                self.hi if math.isfinite(self.hi) else TWO_PI)
 
 
 def periodic_axis(label: str, period: float = TWO_PI) -> AxisSpec:
@@ -116,14 +130,25 @@ class Chart:
             bad = np.asarray(pts)[~ok]
             raise DomainError(f"point outside chart domain: {bad[0].tolist()}")
 
+    def lattice(self, counts, bounds: dict | None = None) -> np.ndarray:
+        """Regular lattice, one count per axis, as a (prod(counts), dim) array.
+
+        Each axis spans its window; periodic axes omit the duplicate
+        endpoint.  bounds: optional {axis_index: (lo, hi)} window overrides.
+        """
+        bounds = bounds or {}
+        axes_pts = [np.linspace(*bounds.get(i, ax.window), c, endpoint=not ax.is_periodic)
+                    for i, (ax, c) in enumerate(zip(self.axes, counts))]
+        mesh = np.meshgrid(*axes_pts, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
     def delta(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Coordinate difference p - q under the minimal-image convention."""
         d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-        out = np.array(d, copy=True)
         for i, ax in enumerate(self.axes):
             if ax.is_periodic:
-                out[..., i] = (d[..., i] + 0.5 * ax.period) % ax.period - 0.5 * ax.period
-        return out
+                d[..., i] = ax.minimal_image(d[..., i])
+        return d
 
     def distance(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Euclidean coordinate distance with periodic minimal images."""

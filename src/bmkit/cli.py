@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -27,10 +26,10 @@ from . import __version__
 from .catalog import (CATALOG, BeltramiForm, MaxwellFieldSet, NONDIMENSIONAL,
                       SI, build_catalog_field)
 from .errors import BmkitError, ConfigError, DegenerateInstantError
-from .metrics import hodge_star, metric_sharp
+from .metrics import hodge_star
 from .orbits import closed_orbit_survey, detect_closure, integrate, write_orbit_csv, \
     write_vector_field_csv
-from .reeb import reeb_closed_form_beltrami, reeb_for_maxwell
+from .reeb import field_line_generator, reeb_closed_form_beltrami, reeb_for_maxwell
 from .verify import (SampleGrid, beltrami_residual, conservation_along,
                      constitutive_residuals, contact_margin, maxwell_residuals,
                      parallel_check, shs_check, symplectic_margin)
@@ -107,6 +106,11 @@ def build_field(spec_text: str, constants):
     return build_catalog_field(name, params, constants)
 
 
+def _build_target(args):
+    """The --field target under the --constants preset."""
+    return build_field(args.field, SI if args.constants == "si" else NONDIMENSIONAL)
+
+
 # -- verify orchestration --------------------------------------------------------
 
 
@@ -133,8 +137,7 @@ def _applicable_checks(target) -> tuple[str, ...]:
 
 
 def _run_verify(args) -> int:
-    constants = SI if args.constants == "si" else NONDIMENSIONAL
-    target = build_field(args.field, constants)
+    target = _build_target(args)
     requested = _applicable_checks(target) if args.checks == ["all"] else tuple(args.checks)
     for c in requested:
         if c not in _applicable_checks(target):
@@ -289,14 +292,6 @@ def _run_catalog(args) -> int:
     return 0
 
 
-def _field_line_vector(target, which: str, x0: float):
-    if isinstance(target, BeltramiForm):
-        return metric_sharp(target.metric, target.form), target.chart
-    sl = target.at_time(x0)
-    lam = sl.e if which == "e" else sl.h
-    return metric_sharp(sl.metric, lam), sl.chart
-
-
 def _parse_seeds(args, chart):
     if args.seeds:
         rows = []
@@ -319,11 +314,16 @@ def _parse_seeds(args, chart):
     return SampleGrid.regular(chart, counts).points
 
 
+def _field_lines(args):
+    """Field-line generator, seeds and report config shared by trace and survey."""
+    Y = field_line_generator(_build_target(args), args.which, args.x0)
+    config = {"field": args.field, "which": args.which, "x0": args.x0,
+              "step": args.step, "s_max": args.s_max, "tol": args.tol}
+    return Y, _parse_seeds(args, Y.chart), config
+
+
 def _run_trace(args) -> int:
-    constants = SI if args.constants == "si" else NONDIMENSIONAL
-    target = build_field(args.field, constants)
-    Y, chart = _field_line_vector(target, args.which, args.x0)
-    seeds = _parse_seeds(args, chart)
+    Y, seeds, config = _field_lines(args)
     n_steps = max(100, int(math.ceil(args.s_max / args.step)))
     results = []
     for i, seed in enumerate(seeds):
@@ -341,8 +341,7 @@ def _run_trace(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "trace",
-        "config": {"field": args.field, "which": args.which, "x0": args.x0,
-                   "step": args.step, "s_max": args.s_max, "tol": args.tol},
+        "config": config,
         "orbits": results,
         "summary": {"n_seeds": len(results), "closed_count": n_closed},
     }
@@ -353,16 +352,12 @@ def _run_trace(args) -> int:
 
 
 def _run_survey(args) -> int:
-    constants = SI if args.constants == "si" else NONDIMENSIONAL
-    target = build_field(args.field, constants)
-    Y, chart = _field_line_vector(target, args.which, args.x0)
-    seeds = _parse_seeds(args, chart)
+    Y, seeds, config = _field_lines(args)
     survey = closed_orbit_survey(Y, seeds, args.step, args.s_max, args.tol)
     report = {
         "schema": SCHEMA,
         "command": "survey",
-        "config": {"field": args.field, "which": args.which, "x0": args.x0,
-                   "step": args.step, "s_max": args.s_max, "tol": args.tol},
+        "config": config,
         "survey": survey.to_json_dict(),
     }
     _emit(args, report)
@@ -372,8 +367,7 @@ def _run_survey(args) -> int:
 
 
 def _run_reeb(args) -> int:
-    constants = SI if args.constants == "si" else NONDIMENSIONAL
-    target = build_field(args.field, constants)
+    target = _build_target(args)
     if isinstance(target, BeltramiForm):
         variant = "normalized" if args.which in ("y", "y0", "y1") else "unnormalized"
         rb = reeb_closed_form_beltrami(target, variant)
@@ -480,12 +474,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     args._t0 = time.time()
-    if os.environ.get("BMK_THREADS", "").strip():
-        try:
-            int(os.environ["BMK_THREADS"])
-        except ValueError:
-            print("error: BMK_THREADS must be an integer", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -45,11 +45,6 @@ def merge_indices(left: MultiIndex, right: MultiIndex):
     return (-1.0 if inversions % 2 else 1.0), merged
 
 
-def insert_index(j: int, idx: MultiIndex):
-    """Sign and result of dx^j ^ dx^idx, or None if j already appears."""
-    return merge_indices((j,), idx)
-
-
 @dataclass(frozen=True)
 class DifferentialForm:
     """Degree-k form: coefficients over strictly increasing multi-indices."""
@@ -303,7 +298,7 @@ def exterior_derivative(a: DifferentialForm, axes: tuple[int, ...] | None = None
     out: dict[MultiIndex, ScalarField] = {}
     for idx, c in a.coeffs.items():
         for j in axes:
-            ins = insert_index(j, idx)
+            ins = merge_indices((j,), idx)
             if ins is None:
                 continue
             sign, new_idx = ins
@@ -362,21 +357,22 @@ def lie_derivative(X: VectorField, a: DifferentialForm, mode: str = "auto",
             + interior_product(X, exterior_derivative(a, mode=mode, step=step)))
 
 
-# -- flow-pullback cross-check ------------------------------------------------
+# -- RK4 and the flow-pullback cross-check ------------------------------------
 
 
-def _flow_rk4(X: VectorField, pts: np.ndarray, tau: float) -> np.ndarray:
-    """One classical RK4 step of the flow of X."""
+def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of y' = f(y)."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _flow_rhs(X: VectorField):
+    """p -> X at the wrapped p: the flow of X in unwrapped coordinates."""
     chart = X.chart
-
-    def f(p):
-        return X.evaluate(chart.wrap(p))
-
-    k1 = f(pts)
-    k2 = f(pts + 0.5 * tau * k1)
-    k3 = f(pts + 0.5 * tau * k2)
-    k4 = f(pts + tau * k3)
-    return pts + (tau / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return lambda p: X.evaluate(chart.wrap(p))
 
 
 def lie_derivative_flow(X: VectorField, a: DifferentialForm, pts: np.ndarray,
@@ -390,12 +386,14 @@ def lie_derivative_flow(X: VectorField, a: DifferentialForm, pts: np.ndarray,
     chart = a.chart
     pts = chart.as_points(pts)
     n, dim = pts.shape
-    phi = _flow_rk4(X, pts, tau)
+    flow = _flow_rhs(X)
+    phi = _rk4_step(flow, pts, tau)
     jac = np.empty((n, dim, dim))
     for i in range(dim):
         dp = np.zeros(dim)
         dp[i] = jac_step
-        jac[:, :, i] = (_flow_rk4(X, pts + dp, tau) - _flow_rk4(X, pts - dp, tau)) / (2 * jac_step)
+        jac[:, :, i] = (_rk4_step(flow, pts + dp, tau)
+                        - _rk4_step(flow, pts - dp, tau)) / (2 * jac_step)
 
     indices = a.indices
     a_at_phi = {idx: a.coefficient(idx)(chart.wrap(phi)) for idx in a.coeffs}

@@ -18,7 +18,7 @@ D = eps0 *3 e and B = mu0 *3 h are evaluated for time-dependent fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,42 +38,18 @@ class MetricField:
     signature: str  # "riemannian" | "lorentzian"
     inv_entries: dict[tuple[int, int], ScalarField]
     sqrt_det: ScalarField  # sqrt(|det g|)
-    matrix_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
     name: str = ""
 
     def inv_entry(self, i: int, j: int) -> ScalarField:
         key = (min(i, j), max(i, j))
         return self.inv_entries.get(key, ZERO)
 
-    def matrix_at(self, pts: np.ndarray) -> np.ndarray:
-        """Forward metric matrices, shape (N, dim, dim)."""
-        pts = self.chart.as_points(pts)
-        if self.matrix_fn is not None:
-            return self.matrix_fn(pts)
-        return np.linalg.inv(self.inverse_at(pts))
-
-    def inverse_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = self.chart.as_points(pts)
-        n, d = pts.shape[0], self.chart.dim
-        out = np.zeros((n, d, d))
-        for i in range(d):
-            for j in range(i, d):
-                vals = self.inv_entry(i, j)(pts)
-                out[:, i, j] = vals
-                out[:, j, i] = vals
-        return out
-
 
 def euclidean_metric(chart: Chart) -> MetricField:
     """Identity metric on any chart (Riemannian)."""
     d = chart.dim
     entries = {(i, i): constant(1.0) for i in range(d)}
-
-    def matrix(pts):
-        return np.broadcast_to(np.eye(d), (pts.shape[0], d, d)).copy()
-
-    return MetricField(chart, "riemannian", entries, constant(1.0), matrix,
-                       name="euclidean")
+    return MetricField(chart, "riemannian", entries, constant(1.0), name="euclidean")
 
 
 def solid_torus_metric(chart: Chart) -> MetricField:
@@ -85,17 +61,7 @@ def solid_torus_metric(chart: Chart) -> MetricField:
         (1, 1): monomial(0, -2),  # 1 / r^2
         (2, 2): constant(1.0),
     }
-
-    def matrix(pts):
-        n = pts.shape[0]
-        out = np.zeros((n, 3, 3))
-        out[:, 0, 0] = 1.0
-        out[:, 1, 1] = pts[:, 0] ** 2
-        out[:, 2, 2] = 1.0
-        return out
-
-    return MetricField(chart, "riemannian", entries, monomial(0, 1), matrix,
-                       name="solid_torus")
+    return MetricField(chart, "riemannian", entries, monomial(0, 1), name="solid_torus")
 
 
 def lorentzian_product(spatial: MetricField, chart4: Chart) -> MetricField:
@@ -107,16 +73,7 @@ def lorentzian_product(spatial: MetricField, chart4: Chart) -> MetricField:
     entries = {(0, 0): constant(-1.0)}
     for (i, j), sf in spatial.inv_entries.items():
         entries[(i + 1, j + 1)] = lift_spatial(sf)
-
-    def matrix(pts):
-        n, d = pts.shape[0], chart4.dim
-        out = np.zeros((n, d, d))
-        out[:, 0, 0] = -1.0
-        out[:, 1:, 1:] = spatial.matrix_at(pts[:, 1:])
-        return out
-
-    return MetricField(chart4, "lorentzian", entries,
-                       lift_spatial(spatial.sqrt_det), matrix,
+    return MetricField(chart4, "lorentzian", entries, lift_spatial(spatial.sqrt_det),
                        name=f"lorentzian({spatial.name})")
 
 
@@ -139,7 +96,7 @@ def metric_from_matrix(chart: Chart, matrix_fn: Callable[[np.ndarray], np.ndarra
                 lambda pts, i=i, j=j: inverse(pts)[:, i, j])
     sqrt_det = from_function(
         lambda pts: np.sqrt(np.abs(np.linalg.det(matrix_fn(chart.as_points(pts))))))
-    return MetricField(chart, signature, entries, sqrt_det, matrix_fn, name=name)
+    return MetricField(chart, signature, entries, sqrt_det, name=name)
 
 
 # -- sharps and norms -------------------------------------------------------

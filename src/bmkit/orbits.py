@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .charts import Chart
 from .errors import BmkitError
-from .forms import VectorField
+from .forms import VectorField, _flow_rhs, _rk4_step
 
 NONE_FOUND = "none found within budget"
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -78,17 +76,12 @@ class ClosureResult:
         }
 
 
-def _rk4_stages(Y: VectorField, state: np.ndarray, step: float):
-    chart = Y.chart
-
-    def f(p):
-        return Y.evaluate(chart.wrap(p))
-
-    k1 = f(state)
-    k2 = f(state + 0.5 * step * k1)
-    k3 = f(state + 0.5 * step * k2)
-    k4 = f(state + step * k3)
-    return state + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), k1
+def _trace_of(Y: VectorField, seed: np.ndarray, step: float, traj: np.ndarray,
+              status: str) -> OrbitTrace:
+    """Wrap committed samples as an OrbitTrace, recording the speed range along them."""
+    speeds = np.linalg.norm(Y.evaluate(Y.chart.wrap(traj)), axis=-1)
+    return OrbitTrace(Y.chart, seed, step, traj, step * np.arange(len(traj)),
+                      status, float(np.min(speeds)), float(np.max(speeds)))
 
 
 def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int):
@@ -108,10 +101,11 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
     lengths = np.full(n, n_steps + 1, dtype=int)
     active = np.arange(n)
     state = seeds.copy()
+    f = _flow_rhs(Y)
     for i in range(1, n_steps + 1):
         if active.size == 0:
             break
-        new_state, _ = _rk4_stages(Y, state, step)
+        new_state = _rk4_step(f, state, step)
         inside = chart.contains(new_state)
         if not np.all(inside):
             lengths[active[~inside]] = i
@@ -130,11 +124,7 @@ def integrate(Y: VectorField, seed, step: float, n_steps: int) -> OrbitTrace:
     chart = Y.chart
     seed = chart.as_points(seed)[0]
     samples, lengths, statuses = integrate_batch(Y, seed[None, :], step, n_steps)
-    m = int(lengths[0])
-    traj = samples[:m, 0, :]
-    speeds = np.linalg.norm(Y.evaluate(chart.wrap(traj)), axis=-1)
-    return OrbitTrace(chart, seed, step, traj, step * np.arange(m),
-                      statuses[0], float(np.min(speeds)), float(np.max(speeds)))
+    return _trace_of(Y, seed, step, samples[:int(lengths[0]), 0, :], statuses[0])
 
 
 def _position_at(Y: VectorField, base: np.ndarray, ds: float, step: float) -> np.ndarray:
@@ -143,9 +133,10 @@ def _position_at(Y: VectorField, base: np.ndarray, ds: float, step: float) -> np
         return base.copy()
     n = max(1, int(math.ceil(abs(ds) / step)))
     h = ds / n
+    f = _flow_rhs(Y)
     state = base[None, :].copy()
     for _ in range(n):
-        state, _ = _rk4_stages(Y, state, h)
+        state = _rk4_step(f, state, h)
     return state[0]
 
 
@@ -291,10 +282,7 @@ def _points_to_polyline(chart: Chart, pts: np.ndarray, line: np.ndarray) -> floa
     """
     seg_a = line[:-1]
     seg_v = line[1:] - seg_a
-    delta = pts[:, None, :] - seg_a[None, :, :]
-    for i, ax in enumerate(chart.axes):
-        if ax.is_periodic:
-            delta[..., i] = (delta[..., i] + 0.5 * ax.period) % ax.period - 0.5 * ax.period
+    delta = chart.delta(pts[:, None, :], seg_a[None, :, :])
     vv = np.einsum("sd,sd->s", seg_v, seg_v)
     vv = np.where(vv > 0, vv, 1.0)
     t = np.clip(np.einsum("psd,sd->ps", delta, seg_v) / vv, 0.0, 1.0)
@@ -309,58 +297,29 @@ def _same_orbit(chart: Chart, a: np.ndarray, b: np.ndarray, tol: float) -> bool:
             and _points_to_polyline(chart, b, a) < tol)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("BMK_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise BmkitError(f"BMK_THREADS must be an integer, got {env!r}")
-    return 1
-
-
 def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
-                        tol: float = 1e-5, threads: int | None = None) -> SurveyResult:
+                        tol: float = 1e-5) -> SurveyResult:
     """Integrate every seed, detect closures, and deduplicate coinciding orbits.
 
-    Seeds may be a SampleGrid or an (N, dim) array.  Results are ordered by
-    seed index regardless of the worker count (BMK_THREADS caps workers when
-    threads is None).  Failures to find a return are reported as
-    "none found within budget", never as nonexistence.
+    Seeds may be a SampleGrid or an (N, dim) array; all of them are
+    integrated in lockstep and results are ordered by seed index.  Failures
+    to find a return are reported as "none found within budget", never as
+    nonexistence.
     """
     chart = Y.chart
     pts = getattr(seeds, "points", seeds)
     pts = chart.as_points(pts)
     n_steps = max(100, int(math.ceil(s_max / step)))
-    threads = _worker_count() if threads is None else max(1, threads)
-
-    def run_chunk(idx):
-        samples, lengths, statuses = integrate_batch(Y, pts[idx], step, n_steps)
-        out = []
-        for col, j in enumerate(idx):
-            m = int(lengths[col])
-            traj = samples[:m, col, :]
-            speeds = np.linalg.norm(Y.evaluate(chart.wrap(traj)), axis=-1)
-            trace = OrbitTrace(chart, pts[j], step, traj, step * np.arange(m),
-                               statuses[col], float(speeds.min()), float(speeds.max()))
-            result = (detect_closure(trace, tol, Y) if m >= 100 else
-                      ClosureResult(False, math.nan, math.inf,
-                                    tuple(0 for _ in range(chart.dim)),
-                                    note="trace too short: " + statuses[col]))
-            out.append((j, trace, result))
-        return out
-
-    indices = np.arange(len(pts))
-    if threads > 1 and len(pts) > 1:
-        chunks = np.array_split(indices, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, [c for c in chunks if len(c)]))
-        flat = [item for part in parts for item in part]
-    else:
-        flat = run_chunk(indices)
-    flat.sort(key=lambda t: t[0])
-    traces = [t for _, t, _ in flat]
-    results = [r for _, _, r in flat]
+    samples, lengths, statuses = integrate_batch(Y, pts, step, n_steps)
+    traces, results = [], []
+    for j, seed in enumerate(pts):
+        m = int(lengths[j])
+        trace = _trace_of(Y, seed, step, samples[:m, j, :], statuses[j])
+        traces.append(trace)
+        results.append(detect_closure(trace, tol, Y) if m >= 100 else
+                       ClosureResult(False, math.nan, math.inf,
+                                     tuple(0 for _ in range(chart.dim)),
+                                     note="trace too short: " + statuses[j]))
 
     # Deduplicate closed orbits whose sampled curves coincide within 2 * tol.
     reps: list[int] = []
@@ -396,14 +355,6 @@ class CrossingSequence:
     warnings: list[str]
 
 
-def _section_delta(chart: Chart, coords: np.ndarray, axis: int, value: float) -> np.ndarray:
-    u = coords - value
-    ax = chart.axes[axis]
-    if ax.is_periodic:
-        u = (u + 0.5 * ax.period) % ax.period - 0.5 * ax.period
-    return u
-
-
 def poincare_section(Y: VectorField, axis: int, value: float, seeds,
                      s_max: float, step: float = 1e-2,
                      transversality_tol: float = 1e-8) -> list[CrossingSequence]:
@@ -417,19 +368,21 @@ def poincare_section(Y: VectorField, axis: int, value: float, seeds,
     pts = getattr(seeds, "points", seeds)
     pts = chart.as_points(pts)
     n_steps = int(math.ceil(s_max / step))
+    ax = chart.axes[axis]
+    span = ax.period if ax.is_periodic else math.inf
     out = []
     for seed in pts:
         trace = integrate(Y, seed, step, n_steps)
-        u = _section_delta(chart, trace.samples[:, axis], axis, value)
+        u = ax.minimal_image(trace.samples[:, axis] - value)
         cross = np.where((u[:-1] * u[1:] < 0)
-                         & (np.abs(u[1:] - u[:-1]) < 0.45 * _axis_span(chart, axis)))[0]
+                         & (np.abs(u[1:] - u[:-1]) < 0.45 * span))[0]
         s_list, x_list, dir_list, trans_list, warns = [], [], [], [], []
         for i in cross:
             s1, f1 = trace.s[i], u[i]
             f2 = u[i + 1]
             s_lin = s1 + trace.step * f1 / (f1 - f2)
             x_lin = _position_at(Y, trace.samples[i], s_lin - s1, step)
-            f_lin = float(_section_delta(chart, np.atleast_1d(x_lin[axis]), axis, value)[0])
+            f_lin = float(ax.minimal_image(x_lin[axis] - value))
             if f_lin != f1:
                 s_ref = s_lin - f_lin * (s_lin - s1) / (f_lin - f1)
             else:
@@ -447,13 +400,6 @@ def poincare_section(Y: VectorField, axis: int, value: float, seeds,
             np.array(x_list) if x_list else np.zeros((0, chart.dim)),
             np.array(dir_list), np.array(trans_list), warns))
     return out
-
-
-def _axis_span(chart: Chart, axis: int) -> float:
-    ax = chart.axes[axis]
-    if ax.is_periodic:
-        return ax.period
-    return math.inf
 
 
 # -- export ---------------------------------------------------------------------

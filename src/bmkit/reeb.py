@@ -32,12 +32,12 @@ from .errors import BmkitError, DegenerateInstantError, DegeneratePointError
 from .forms import DifferentialForm, VectorField, interior_product, vector_field
 from .metrics import hodge_star, metric_sharp, norm_sq_field
 from .scalars import constant
-from .verify import SampleGrid, reeb_like_check as verify_reeb_like
+from .verify import SampleGrid
 
 __all__ = ["SHSPair", "ReebField", "omega_components", "reeb_from_shs",
            "reeb_vector_field", "normalization_residuals",
            "reeb_closed_form_beltrami", "reeb_for_maxwell",
-           "reeb_parallel_ratio", "field_line_generator", "verify_reeb_like"]
+           "reeb_parallel_ratio", "field_line_generator"]
 
 DEGENERACY_TOL = 1e-10
 
@@ -186,16 +186,19 @@ def reeb_parallel_ratio(M: MaxwellFieldSet, x0: float,
     return float(np.max(np.abs(diff)))
 
 
-def field_line_generator(M: MaxwellFieldSet, which: str = "e",
+def field_line_generator(M: MaxwellFieldSet | BeltramiForm, which: str = "e",
                          x0: float = 0.0) -> VectorField:
     """The unnormalized metric dual sharp(e) or sharp(h) on the slice x0.
 
-    Field lines are integral curves of these vector fields; closure is
-    invariant under the (positive) reparameterization relating them to the
-    normalized Reeb fields.
+    A BeltramiForm v gives sharp(v) on its own chart (which and x0 are then
+    unused).  Field lines are integral curves of these vector fields;
+    closure is invariant under the (positive) reparameterization relating
+    them to the normalized Reeb fields.
     """
     if which not in ("e", "h"):
         raise BmkitError("which must be 'e' or 'h'")
+    if isinstance(M, BeltramiForm):
+        return metric_sharp(M.metric, M.form)
     sl = M.at_time(x0)
     lam = sl.e if which == "e" else sl.h
     return metric_sharp(sl.metric, lam)

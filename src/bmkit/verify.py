@@ -14,7 +14,6 @@ and returns a :class:`CheckReport`.  Conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -45,17 +44,6 @@ class SampleGrid:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @staticmethod
-    def _axis_values(ax, count, bounds):
-        if bounds is not None:
-            lo, hi = bounds
-            return np.linspace(lo, hi, count, endpoint=not ax.is_periodic)
-        if ax.is_periodic:
-            return np.linspace(0.0, ax.period, count, endpoint=False)
-        lo = ax.lo if math.isfinite(ax.lo) else 0.0
-        hi = ax.hi if math.isfinite(ax.hi) else 2.0 * math.pi
-        return np.linspace(lo, hi, count)
-
     @classmethod
     def regular(cls, chart: Chart, counts, bounds: dict | None = None) -> "SampleGrid":
         """Regular lattice; periodic axes omit the duplicate endpoint.
@@ -69,13 +57,8 @@ class SampleGrid:
         counts = tuple(int(c) for c in counts)
         if len(counts) != chart.dim or any(c < 2 for c in counts):
             raise BmkitError("grid needs >= 2 points per axis")
-        bounds = bounds or {}
-        axes_pts = [cls._axis_values(ax, c, bounds.get(i))
-                    for i, (ax, c) in enumerate(zip(chart.axes, counts))]
-        mesh = np.meshgrid(*axes_pts, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        return cls(chart, pts, {"kind": "regular", "counts": list(counts),
-                                "chart": chart.name})
+        return cls(chart, chart.lattice(counts, bounds),
+                   {"kind": "regular", "counts": list(counts), "chart": chart.name})
 
     @classmethod
     def random(cls, chart: Chart, n: int, seed: int = 0,
@@ -83,17 +66,8 @@ class SampleGrid:
         """Uniform random points (seeded), same default windows as regular()."""
         rng = np.random.default_rng(seed)
         bounds = bounds or {}
-        cols = []
-        for i, ax in enumerate(chart.axes):
-            if i in bounds:
-                lo, hi = bounds[i]
-            elif ax.is_periodic:
-                lo, hi = 0.0, ax.period
-            else:
-                lo = ax.lo if math.isfinite(ax.lo) else 0.0
-                hi = ax.hi if math.isfinite(ax.hi) else 2.0 * math.pi
-            cols.append(rng.uniform(lo, hi, n))
-        pts = np.stack(cols, axis=-1)
+        pts = np.stack([rng.uniform(*bounds.get(i, ax.window), n)
+                        for i, ax in enumerate(chart.axes)], axis=-1)
         return cls(chart, pts, {"kind": "random", "n": int(n), "seed": int(seed),
                                 "chart": chart.name})
 
@@ -404,28 +378,18 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
                        [witness], grid4.spec, details)
 
 
-def poynting_form(M: MaxwellFieldSet) -> DifferentialForm:
-    """The Poynting 2-form e ^ h."""
-    return wedge(M.e, M.h)
-
-
 def parallel_check(M: MaxwellFieldSet, grid4: SampleGrid,
                    tol: float | None = None) -> CheckReport:
     """max |e ^ h| over the grid; passes when the fields are parallel."""
     pts = grid4.points
     mode, auto_tol = _mode_tol(M.e, M.h)
     tol = auto_tol if tol is None else tol
-    s = poynting_form(M)
+    s = M.poynting()
     max_res, witness = _max_abs(s, pts)
     scale = max(1.0, _max_abs(M.e, pts)[0] * _max_abs(M.h, pts)[0])
     return CheckReport("parallel", max_res <= tol * scale, max_res, None,
                        {"residual": tol}, [witness], grid4.spec,
                        {"mode": mode, "scale": scale})
-
-
-def energy_forms(M: MaxwellFieldSet) -> tuple[DifferentialForm, DifferentialForm]:
-    """Vacuum energy 3-forms; the media variants (e^D/2, h^B/2) coincide in vacuo."""
-    return M.energy_forms()
 
 
 def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None,

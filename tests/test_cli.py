@@ -133,6 +133,22 @@ def test_verify_beltrami_form_checks(tmp_path):
     assert {c["check"] for c in report["checks"]} == {"beltrami", "contact", "shs"}
 
 
+@pytest.mark.parametrize("n", ["1.7", "0.5", "2.5e0", "inf", "nan"])
+def test_verify_non_integral_int_param_exit_2(n, capsys):
+    code = run_cli(["verify", "--field", f"beltrami_maxwell{{v=t3_mode{{n={n},c=1}}}}"])
+    assert code == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
+def test_verify_integral_float_int_param_accepted(tmp_path):
+    out = tmp_path / "r.json"
+    code = run_cli(["verify", "--field", "t3_mode{n=2.0,c=1}", "--grid", "4",
+                    "--checks", "beltrami", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["checks"][0]["details"]["k"] == -2.0
+
+
 def test_unknown_flag_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "--field", BM_SPEC, "--bogus"])
@@ -224,6 +240,16 @@ def test_survey_witnesses_recorded(tmp_path):
     assert len(ws) == 2
     assert all(abs(w["period"] - 2 * math.pi) < 1e-4 for w in ws)
     assert all(w["winding"] == [1, 0, 0] for w in ws)
+
+
+def test_survey_beltrami_form_closes(tmp_path):
+    out = tmp_path / "survey.json"
+    code = run_cli(["survey", "--field", "t3_mode{n=1,c=1}", "--seeds", "0,0,0",
+                    "--s-max", "10", "--out", str(out)])
+    assert code == 0
+    (res,) = json.loads(out.read_text())["survey"]["results"]
+    assert res["closed"] and res["winding"] == [1, 0, 0]
+    assert abs(res["period_estimate"] - 2 * math.pi) < 1e-4
 
 
 def test_reeb_csv_output(tmp_path):
