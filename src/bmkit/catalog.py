@@ -545,9 +545,12 @@ def _coerce_param(name, pname, ptype, raw, constants):
         raise ConfigError(f"{name}.{pname}: expected an integer, got {raw!r}")
     if ptype == "float":
         try:
-            return float(raw)
+            value = float(raw)
         except (TypeError, ValueError):
-            raise ConfigError(f"{name}.{pname}: expected a number, got {raw!r}")
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(f"{name}.{pname}: expected a finite number, got {raw!r}")
+        return value
     if ptype.startswith("choice:"):
         choices = ptype.split(":", 1)[1].split(",")
         if str(raw) not in choices:

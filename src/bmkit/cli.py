@@ -27,8 +27,7 @@ from .catalog import (CATALOG, BeltramiForm, MaxwellFieldSet, NONDIMENSIONAL,
                       SI, build_catalog_field)
 from .errors import BmkitError, ConfigError, DegenerateInstantError
 from .metrics import hodge_star
-from .orbits import closed_orbit_survey, detect_closure, integrate, write_orbit_csv, \
-    write_vector_field_csv
+from .orbits import closed_orbit_survey, write_orbit_csv, write_vector_field_csv
 from .reeb import field_line_generator, reeb_closed_form_beltrami, reeb_for_maxwell
 from .verify import (SampleGrid, beltrami_residual, conservation_along,
                      constitutive_residuals, contact_margin, maxwell_residuals,
@@ -303,6 +302,8 @@ def _parse_seeds(args, chart):
                 row = [float(x) for x in block.split(",")]
             except ValueError:
                 raise ConfigError(f"malformed seed {block!r}")
+            if not all(map(math.isfinite, row)):
+                raise ConfigError(f"seed {block!r} has a non-finite coordinate")
             if len(row) != chart.dim:
                 raise ConfigError(
                     f"seed {block!r} has {len(row)} coordinates, chart needs {chart.dim}")
@@ -324,29 +325,25 @@ def _field_lines(args):
 
 def _run_trace(args) -> int:
     Y, seeds, config = _field_lines(args)
-    n_steps = max(100, int(math.ceil(args.s_max / args.step)))
+    survey = closed_orbit_survey(Y, seeds, args.step, args.s_max, args.tol)
     results = []
-    for i, seed in enumerate(seeds):
-        trace = integrate(Y, seed, args.step, n_steps)
-        closure = detect_closure(trace, args.tol, Y) if trace.n_samples >= 100 else None
+    for i, (trace, closure) in enumerate(zip(survey.traces, survey.results)):
         if args.out_prefix:
-            path = f"{args.out_prefix}_{i:03d}.csv"
-            write_orbit_csv(trace, path)
+            write_orbit_csv(trace, f"{args.out_prefix}_{i:03d}.csv")
         results.append({
-            "seed": [float(x) for x in seed],
+            "seed": [float(x) for x in trace.seed],
             "status": trace.status,
-            "closure": closure.to_json_dict() if closure else None,
+            "closure": closure.to_json_dict() if trace.n_samples >= 100 else None,
         })
-    n_closed = sum(1 for r in results if r["closure"] and r["closure"]["closed"])
     report = {
         "schema": SCHEMA,
         "command": "trace",
         "config": config,
         "orbits": results,
-        "summary": {"n_seeds": len(results), "closed_count": n_closed},
+        "summary": {"n_seeds": len(results), "closed_count": survey.n_closed},
     }
     _emit(args, report)
-    print(f"traced {len(results)} field lines; {n_closed} closed "
+    print(f"traced {len(results)} field lines; {survey.n_closed} closed "
           f"(tol={args.tol:g}, s_max={args.s_max:g})", file=sys.stderr)
     return 0
 
@@ -404,6 +401,25 @@ def _emit(args, report: dict) -> None:
         print(text)
 
 
+def _checked(convert, ok, what):
+    """argparse type: convert(text) if it is finite and ok, else a usage error (exit 2)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_POSITIVE = _checked(float, lambda v: v > 0, "a finite positive number")
+_NONNEGATIVE = _checked(float, lambda v: v >= 0, "a finite non-negative number")
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def _add_common(p, out_default=None):
     p.add_argument("--constants", choices=("nondim", "si"), default="nondim",
                    help="physical constants preset (default nondimensional)")
@@ -427,11 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run structure checks")
     p.add_argument("--field", required=True, help="catalog spec, e.g. "
                    "beltrami_maxwell{v=t3_mode{n=1,c=1},e0=1}")
-    p.add_argument("--x0", action="append", default=[], type=float,
+    p.add_argument("--x0", action="append", default=[], type=_FINITE,
                    help="instant(s) for slice checks (default pi/4)")
     p.add_argument("--grid", default="8", help="spatial grid counts, e.g. 8 or 8,8,8")
-    p.add_argument("--tgrid", type=int, default=6, help="time samples per instant")
-    p.add_argument("--t-window", type=float, default=0.35,
+    p.add_argument("--tgrid", type=_COUNT, default=6, help="time samples per instant")
+    p.add_argument("--t-window", type=_NONNEGATIVE, default=0.35,
                    help="half-width of the time window around each instant")
     p.add_argument("--checks", nargs="+", default=["all"],
                    help=f"subset of: {', '.join(MAXWELL_CHECKS)} (or 'all')")
@@ -444,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--which", choices=("y0", "y1", "y", "z"), default="y0",
                    help="y0/y1 for Maxwell sets; y (normalized) or z for Beltrami forms")
-    p.add_argument("--x0", type=float, default=0.0)
+    p.add_argument("--x0", type=_FINITE, default=0.0)
     p.add_argument("--grid", default="6")
     _add_common(p, out_default="reeb.csv")
     p.set_defaults(func=_run_reeb)
@@ -454,14 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd, help=helptext)
         p.add_argument("--field", required=True)
         p.add_argument("--which", choices=("e", "h"), default="e")
-        p.add_argument("--x0", type=float, default=0.0)
+        p.add_argument("--x0", type=_FINITE, default=0.0)
         p.add_argument("--seeds", default="",
                        help="semicolon-separated points, e.g. '0,0,0;1,2,3'")
         p.add_argument("--seed-grid", default="3",
                        help="regular seed lattice counts (used when --seeds is empty)")
-        p.add_argument("--step", type=float, default=1e-2)
-        p.add_argument("--s-max", type=float, default=50.0)
-        p.add_argument("--tol", type=float, default=1e-5)
+        p.add_argument("--step", type=_POSITIVE, default=1e-2)
+        p.add_argument("--s-max", type=_POSITIVE, default=50.0)
+        p.add_argument("--tol", type=_POSITIVE, default=1e-5)
         if cmd == "trace":
             p.add_argument("--out-prefix", default="",
                            help="write one CSV per seed: PREFIX_###.csv")

@@ -7,15 +7,17 @@ coordinates (fields are evaluated at wrapped points), so winding numbers on
 periodic axes fall out of plain coordinate differences.
 
 Closure detection scans a trace for returns to its seed in the minimal-image
-chart distance, then sharpens each candidate with a golden-section
-minimization of the distance along re-integrated sub-steps.  A survey that
-finds no return only ever reports "none found within budget": absence of a
-numerical witness decides nothing.
+chart distance, then sharpens each candidate with a few Newton steps on the
+stationarity condition of that distance along re-integrated RK4 sub-steps.
+A survey that finds no return only ever reports "none found within budget":
+absence of a numerical witness decides nothing.  `bmk trace` and `bmk survey`
+share one pipeline; only the survey reads the deduplicated orbit list.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +28,6 @@ from .errors import BmkitError
 from .forms import VectorField, _flow_rhs, _rk4_step
 
 NONE_FOUND = "none found within budget"
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -140,49 +141,43 @@ def _position_at(Y: VectorField, base: np.ndarray, ds: float, step: float) -> np
     return state[0]
 
 
-def _refine_return(Y: VectorField, trace: OrbitTrace, j: int, tol: float):
-    """Golden-section minimize the seed distance over [s_{j-1}, s_{j+1}]."""
+def _refine_return(Y: VectorField, trace: OrbitTrace, j: int):
+    """Newton-solve (x(s) - seed) . Y(x(s)) = 0 for s in [s_{j-1}, s_{j+1}].
+
+    That is the stationarity condition of the seed distance along the curve;
+    its derivative is taken as |Y|^2, exact where the curve meets the seed.
+    x(s) is re-integrated from sample j, so a step costs one field
+    evaluation and one RK4 sub-step.
+    """
     chart = trace.chart
     seed = trace.samples[0]
-    base = trace.samples[j - 1]
-    s_lo = trace.s[j - 1]
-    s_hi = trace.s[min(j + 1, trace.n_samples - 1)]
-    if s_hi <= s_lo:
-        s_hi = s_lo + trace.step
-
-    def dist(s):
-        x = _position_at(Y, base, s - s_lo, trace.step)
-        return float(chart.distance(x, seed)), x
-
-    a, b = s_lo, s_hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, _ = dist(c)
-    fd, _ = dist(d)
-    for _ in range(60):
-        if b - a < 1e-13 * max(1.0, abs(b)):
+    base = trace.samples[j]
+    s_lo, s_j, s_hi = trace.s[j - 1], trace.s[j], trace.s[j + 1]
+    f = _flow_rhs(Y)
+    s, x = s_j, base
+    for _ in range(8):
+        y = f(x[None, :])[0]
+        yy = float(y @ y)
+        if yy == 0.0:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc, _ = dist(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd, _ = dist(d)
-    s_star = 0.5 * (a + b)
-    f_star, x_star = dist(s_star)
-    return s_star, f_star, x_star
+        s_new = min(max(s - float(chart.delta(x, seed) @ y) / yy, s_lo), s_hi)
+        if abs(s_new - s) < 1e-13 * max(1.0, abs(s)):
+            break
+        s, x = s_new, _position_at(Y, base, s_new - s_j, trace.step)
+    return s, float(chart.distance(x, seed)), x
 
 
 def detect_closure(trace: OrbitTrace, tol: float = 1e-5,
                    Y: VectorField | None = None) -> ClosureResult:
     """Scan a trace for a return to its seed within tol (chart distance).
 
-    The first candidate with refined return distance < tol and parameter
-    > 10 * step wins; its per-axis winding numbers certify closure on tori.
-    Y re-integrates sub-steps during refinement; omit it to accept the
-    sampled minimum without refinement.
+    Candidates are the sampled local minima of the seed distance within
+    max(tol, 1.5 * step * speed_max).  The first candidate with refined
+    return distance < tol and parameter > 10 * step wins; its per-axis
+    winding numbers certify closure on tori.  With Y, each candidate is
+    refined by at most 8 Newton steps on the stationarity of the distance,
+    each re-integrating one RK4 sub-step from the candidate sample; omit Y
+    to accept the sampled minimum without refinement.
     """
     if trace.n_samples < 100:
         raise BmkitError("detect_closure needs at least 100 samples")
@@ -196,16 +191,12 @@ def detect_closure(trace: OrbitTrace, tol: float = 1e-5,
     min_period = 10.0 * trace.step
     coarse = max(tol, 1.5 * trace.step * trace.speed_max)
     best_dist = math.inf
-    m = trace.n_samples
-    candidates = []
-    for j in range(1, m - 1):
-        if trace.s[j] <= min_period:
-            continue
-        if d[j] <= coarse and d[j] <= d[j - 1] and d[j] <= d[j + 1]:
-            candidates.append(j)
+    mid = d[1:-1]
+    candidates = 1 + np.flatnonzero((trace.s[1:-1] > min_period) & (mid <= coarse)
+                                    & (mid <= d[:-2]) & (mid <= d[2:]))
     for j in candidates:
         if Y is not None:
-            s_star, dist_star, x_star = _refine_return(Y, trace, j, tol)
+            s_star, dist_star, x_star = _refine_return(Y, trace, j)
         else:
             s_star, dist_star, x_star = trace.s[j], float(d[j]), trace.samples[j]
         best_dist = min(best_dist, dist_star)
@@ -229,8 +220,29 @@ class SurveyResult:
     seeds: np.ndarray
     results: list[ClosureResult]
     traces: list[OrbitTrace] = field(repr=False, default_factory=list)
-    unique_orbits: list[int] = field(default_factory=list)  # representative seed indices
     params: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def unique_orbits(self) -> list[int]:
+        """Representative seed indices of the distinct closed orbits.
+
+        Closed orbits whose sampled curves coincide within 2 * tol are merged
+        into the first of them.  Computed on first read only.
+        """
+        tol = self.params["tol"]
+        reps: list[int] = []
+        rep_sets: list[np.ndarray] = []
+        for j, (trace, result) in enumerate(zip(self.traces, self.results)):
+            if not result.closed:
+                continue
+            pset = _orbit_point_set(trace, result)
+            for rset in rep_sets:
+                if _same_orbit(trace.chart, pset, rset, 2.0 * tol):
+                    break
+            else:
+                reps.append(j)
+                rep_sets.append(pset)
+        return reps
 
     @property
     def n_closed(self) -> int:
@@ -299,16 +311,17 @@ def _same_orbit(chart: Chart, a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
                         tol: float = 1e-5) -> SurveyResult:
-    """Integrate every seed, detect closures, and deduplicate coinciding orbits.
+    """Integrate every seed and detect closures; deduplicate orbits on demand.
 
     Seeds may be a SampleGrid or an (N, dim) array; all of them are
-    integrated in lockstep and results are ordered by seed index.  Failures
-    to find a return are reported as "none found within budget", never as
-    nonexistence.
+    integrated in lockstep and results are ordered by seed index.  Coinciding
+    orbits are merged only when `unique_orbits` is first read, so callers
+    that want per-seed results alone (`bmk trace`) never pay for it.
+    Failures to find a return are reported as "none found within budget",
+    never as nonexistence.
     """
     chart = Y.chart
-    pts = getattr(seeds, "points", seeds)
-    pts = chart.as_points(pts)
+    pts = chart.as_points(getattr(seeds, "points", seeds))
     n_steps = max(100, int(math.ceil(s_max / step)))
     samples, lengths, statuses = integrate_batch(Y, pts, step, n_steps)
     traces, results = [], []
@@ -320,22 +333,7 @@ def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
                        ClosureResult(False, math.nan, math.inf,
                                      tuple(0 for _ in range(chart.dim)),
                                      note="trace too short: " + statuses[j]))
-
-    # Deduplicate closed orbits whose sampled curves coincide within 2 * tol.
-    reps: list[int] = []
-    rep_sets: list[np.ndarray] = []
-    for j, (trace, result) in enumerate(zip(traces, results)):
-        if not result.closed:
-            continue
-        pset = _orbit_point_set(trace, result)
-        for rep_i, rset in zip(reps, rep_sets):
-            if _same_orbit(chart, pset, rset, 2.0 * tol):
-                break
-        else:
-            reps.append(j)
-            rep_sets.append(pset)
-
-    return SurveyResult(pts, results, traces, reps,
+    return SurveyResult(pts, results, traces,
                         {"step": step, "s_max": s_max, "tol": tol,
                          "n_seeds": int(len(pts))})
 
@@ -365,29 +363,28 @@ def poincare_section(Y: VectorField, axis: int, value: float, seeds,
     Tangential crossings (|Y^axis| < tol) are kept but flagged.
     """
     chart = Y.chart
-    pts = getattr(seeds, "points", seeds)
-    pts = chart.as_points(pts)
-    n_steps = int(math.ceil(s_max / step))
+    pts = chart.as_points(getattr(seeds, "points", seeds))
+    samples, lengths, _ = integrate_batch(Y, pts, step, int(math.ceil(s_max / step)))
     ax = chart.axes[axis]
     span = ax.period if ax.is_periodic else math.inf
     out = []
-    for seed in pts:
-        trace = integrate(Y, seed, step, n_steps)
-        u = ax.minimal_image(trace.samples[:, axis] - value)
+    for k, seed in enumerate(pts):
+        traj = samples[:int(lengths[k]), k, :]
+        u = ax.minimal_image(traj[:, axis] - value)
         cross = np.where((u[:-1] * u[1:] < 0)
                          & (np.abs(u[1:] - u[:-1]) < 0.45 * span))[0]
         s_list, x_list, dir_list, trans_list, warns = [], [], [], [], []
         for i in cross:
-            s1, f1 = trace.s[i], u[i]
+            s1, f1 = step * i, u[i]
             f2 = u[i + 1]
-            s_lin = s1 + trace.step * f1 / (f1 - f2)
-            x_lin = _position_at(Y, trace.samples[i], s_lin - s1, step)
+            s_lin = s1 + step * f1 / (f1 - f2)
+            x_lin = _position_at(Y, traj[i], s_lin - s1, step)
             f_lin = float(ax.minimal_image(x_lin[axis] - value))
             if f_lin != f1:
                 s_ref = s_lin - f_lin * (s_lin - s1) / (f_lin - f1)
             else:
                 s_ref = s_lin
-            x_ref = _position_at(Y, trace.samples[i], s_ref - s1, step)
+            x_ref = _position_at(Y, traj[i], s_ref - s1, step)
             y_axis = float(Y.evaluate(chart.wrap(x_ref[None, :]))[0, axis])
             if abs(y_axis) < transversality_tol:
                 warns.append(f"tangential crossing at s = {s_ref:.6g}")

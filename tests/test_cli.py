@@ -3,12 +3,15 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from bmkit.cli import main, parse_field_spec
+import bmkit
+from bmkit import NONDIMENSIONAL, field_line_generator, integrate, write_orbit_csv
+from bmkit.cli import build_field, main, parse_field_spec
 from bmkit.errors import ConfigError
 
 BM_SPEC = "beltrami_maxwell{v=t3_mode{n=1,c=1},e0=1}"
@@ -140,6 +143,17 @@ def test_verify_non_integral_int_param_exit_2(n, capsys):
     assert "expected an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec,check", [
+    ("t3_mode{n=1,c=inf}", "beltrami"),
+    ("t3_mode{n=1,c=-inf}", "beltrami"),
+    ("beltrami_maxwell{e0=inf}", "maxwell"),
+    ("beltrami_maxwell{e0=nan}", "maxwell"),
+])
+def test_verify_non_finite_float_param_exit_2(spec, check, capsys):
+    assert run_cli(["verify", "--field", spec, "--checks", check]) == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
 def test_verify_integral_float_int_param_accepted(tmp_path):
     out = tmp_path / "r.json"
     code = run_cli(["verify", "--field", "t3_mode{n=2.0,c=1}", "--grid", "4",
@@ -153,6 +167,31 @@ def test_unknown_flag_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "--field", BM_SPEC, "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["trace", "--step", "nan"],
+    ["trace", "--step", "0"],
+    ["survey", "--s-max", "inf"],
+    ["survey", "--s-max", "nan"],
+    ["survey", "--tol", "nan"],
+    ["survey", "--tol", "-1"],
+    ["trace", "--x0", "nan"],
+    ["survey", "--seeds", "nan,0,0"],
+    ["trace", "--seeds", "0,inf,0"],
+    ["verify", "--tgrid", "0"],
+    ["verify", "--t-window", "-0.1"],
+    ["verify", "--t-window", "inf"],
+    ["verify", "--x0", "nan"],
+])
+def test_bad_numeric_flag_exit_2(args, capsys):
+    argv = args[:1] + ["--field", "constant_field"] + args[1:]
+    try:
+        code = run_cli(argv)
+    except SystemExit as exc:  # argparse rejects the flag itself
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_byte_determinism_with_no_meta(tmp_path):
@@ -229,6 +268,25 @@ def test_trace_seed_grid_finds_closed_orbits(tmp_path):
     assert report["summary"]["closed_count"] >= 1
 
 
+def test_trace_agrees_with_survey(tmp_path):
+    # one closed line, one with winding (2, 1, 0), one irrational slope
+    seeds = "0,0,0;0,0,0.4636476090008061;0,0,0.9553166181245093"
+    common = ["--field", BM_SPEC, "--which", "e", "--x0", "0", "--seeds", seeds,
+              "--step", "0.01", "--s-max", "16", "--tol", "1e-4", "--no-meta"]
+    trace_out, survey_out = tmp_path / "trace.json", tmp_path / "survey.json"
+    assert run_cli(["trace", *common, "--out", str(trace_out),
+                    "--out-prefix", str(tmp_path / "orbit")]) == 0
+    assert run_cli(["survey", *common, "--out", str(survey_out)]) == 0
+    orbits = json.loads(trace_out.read_text())["orbits"]
+    results = json.loads(survey_out.read_text())["survey"]["results"]
+    assert [o["closure"] for o in orbits] == results
+    assert [r["closed"] for r in results] == [True, True, False]
+
+    Y = field_line_generator(build_field(BM_SPEC, NONDIMENSIONAL), "e", 0.0)
+    write_orbit_csv(integrate(Y, [0.0, 0.0, 0.0], 0.01, 1600), str(tmp_path / "ref.csv"))
+    assert (tmp_path / "orbit_000.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_survey_witnesses_recorded(tmp_path):
     out = tmp_path / "survey.json"
     code = run_cli(["survey", "--field", BM_SPEC, "--which", "e", "--x0", "0",
@@ -269,9 +327,12 @@ def test_reeb_degenerate_instant_exit_2():
 
 
 def test_cli_as_subprocess():
-    # entry point behaves identically when spawned as a process
+    # entry point behaves identically when spawned as a process; the child
+    # imports the same bmkit as this process, installed or not
+    src = os.path.dirname(os.path.dirname(bmkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bmkit.cli", "catalog"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "t3_mode" in proc.stdout

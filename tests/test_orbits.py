@@ -156,6 +156,46 @@ def test_min_period_rejects_trivial_self_match():
     assert res.note == "stationary point"
 
 
+def _loop_candidates(trace, d, tol):
+    """Reference for the vectorized candidate scan of detect_closure."""
+    coarse = max(tol, 1.5 * trace.step * trace.speed_max)
+    return [j for j in range(1, trace.n_samples - 1)
+            if trace.s[j] > 10 * trace.step and d[j] <= coarse
+            and d[j] <= d[j - 1] and d[j] <= d[j + 1]]
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-5])
+def test_unrefined_closure_matches_loop_scan(tol):
+    # the (2, 1, 0) line has two sampled returns; they close only at tol = 1e-2
+    Z = field_line_generator(beltrami_maxwell(t3_mode(1, 1.0)), "e", 0.0)
+    tr = integrate(Z, [0.0, 0.0, math.atan(0.5)], 0.01, 3000)
+    d = T3.distance(tr.samples, tr.samples[0])
+    cands = _loop_candidates(tr, d, tol)
+    assert len(cands) == 2
+    res = detect_closure(tr, tol)
+    closing = [j for j in cands if d[j] < tol]
+    if closing:
+        assert res.closed and res.period_estimate == tr.s[closing[0]]
+        assert res.return_distance == d[closing[0]]
+    else:
+        assert not res.closed and res.return_distance == min(d[j] for j in cands)
+
+
+def test_newton_refinement_reaches_round_off():
+    # field constant along the line, so RK4 is exact and so is the period 2 pi sqrt 5
+    Z = field_line_generator(beltrami_maxwell(t3_mode(1, 1.0)), "e", 0.0)
+    res = closure_of(Z, [0.0, 0.0, math.atan(0.5)], 0.01, 15.0, 1e-5)
+    assert res.closed and res.winding == (2, 1, 0)
+    assert abs(res.period_estimate - 2 * math.pi * math.sqrt(5.0)) < 1e-10
+    assert res.return_distance < 1e-10
+    # speed 1 + sin(x1) / 2 along x1: g' = |Y|^2 is inexact, so one step is not enough
+    Y = vector_field(T3, {0: constant(1.0) + 0.5 * sin_wave({0: 1})})
+    res = closure_of(Y, [0.0, 0.0, 0.0], 0.01, 10.0, 1e-5)
+    assert res.closed and res.winding == (1, 0, 0)
+    assert abs(res.period_estimate - 2 * math.pi / math.sqrt(0.75)) < 1e-9
+    assert res.return_distance < 1e-9
+
+
 # -- survey -------------------------------------------------------------------------
 
 
