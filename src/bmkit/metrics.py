@@ -180,8 +180,5 @@ def spatial_hodge(g3: MetricField, a: DifferentialForm) -> DifferentialForm:
         raise DegreeError("expected a spatial form over the metric's chart")
     if not a.is_spatial:
         raise DegreeError("spatial Hodge dual of a form with dx0 components")
-    lifted_entries = {(i + 1, j + 1): lift_spatial(sf)
-                      for (i, j), sf in g3.inv_entries.items()}
-    lifted = MetricField(chart4, "riemannian", lifted_entries,
-                         lift_spatial(g3.sqrt_det), name=f"lift({g3.name})")
-    return _hodge_core(chart4, (1, 2, 3), lifted, lifted.sqrt_det, a)
+    g4 = lorentzian_product(g3, chart4)
+    return _hodge_core(chart4, (1, 2, 3), g4, g4.sqrt_det, a)

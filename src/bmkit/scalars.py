@@ -1,49 +1,55 @@
-"""Scalar coefficient fields with optional analytic partial derivatives.
+"""Scalar coefficient fields: one expression tree with analytic partials.
 
 Every differential-form coefficient, metric entry, and vector-field component
-in this package is a :class:`ScalarField`: a vectorized map from points of
-shape (N, dim) to values of shape (N,).  A field may know its own partial
-derivatives (again as ScalarFields, lazily built and cached), in which case
-exterior derivatives downstream come out at round-off accuracy; otherwise the
-form operations fall back to chart-aware finite differences.
-
-Sums, products, quotients, and negation propagate analytic partials through
-the usual calculus rules, so composite quantities (Hodge duals, interior
-products, Reeb normalizations) stay analytic whenever their ingredients are.
+in this package is a :class:`ScalarField`, a vectorized map from points of
+shape (N, dim) to values of shape (N,).  Each field is a tree node: its
+``op`` is ``const``, ``leaf``, ``fn`` (a plain function, no partials), or
+``add``/``neg``/``mul``/``div`` of the fields in ``args``.  A leaf is
+amplitude * k(phase + sum_a coeffs[a] * x_a) for a kernel k: cos (wave),
+u**p (monomial) or J0/J1 (:mod:`bmkit.bessel`).  The partial of a leaf is
+another leaf or a constant, and composites follow the calculus rules, so
+derived quantities (Hodge duals, Reeb normalizations) stay analytic whenever
+their ingredients are; otherwise the form operations fall back to
+chart-aware finite differences.  ``lift_spatial`` and ``restrict_time``
+rewrite the leaves (re-indexed axes; x0 folded into the phase) and rebuild
+composites through the operators, so a field sliced at x0 is the same few
+leaves as one built on the slice.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+import operator
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 ValueFn = Callable[[np.ndarray], np.ndarray]
-# maker(axis) -> ScalarField for d/dx_axis, or None if unavailable
-PartialMaker = Callable[[int], Optional["ScalarField"]]
+
+
+class Kernel(NamedTuple):
+    """k(u), and derivative(coeffs, phase, amplitude, c) = d/dx_a of the leaf when c = du/dx_a."""
+
+    value: ValueFn
+    derivative: Callable[..., "ScalarField"]
 
 
 class ScalarField:
-    """A pointwise scalar with value function and optional partials."""
+    """A node of the expression tree; ``fn`` evaluates it from its children's values."""
 
-    __slots__ = ("fn", "partial_maker", "const", "_partial_cache")
+    __slots__ = ("op", "args", "fn", "const", "has_partials", "_partial_cache")
 
-    def __init__(self, fn: ValueFn, partial_maker: PartialMaker | None = None,
-                 const: float | None = None):
+    def __init__(self, op: str, args: tuple, fn: ValueFn, const: float | None = None):
+        self.op = op
+        self.args = args
         self.fn = fn
-        self.partial_maker = partial_maker
         self.const = const
-        self._partial_cache: dict[int, ScalarField | None] = {}
-
-    # -- evaluation ------------------------------------------------------
+        self.has_partials = op in ("const", "leaf") or (
+            op != "fn" and all(a.has_partials for a in args))
+        self._partial_cache: dict[int, ScalarField] = {}
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.const is not None:
-            return np.full(pts.shape[:-1], self.const)
-        out = self.fn(pts)
-        return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1])
+        return self.fn(np.asarray(pts, dtype=float))
 
     # -- analytic structure ------------------------------------------------
 
@@ -51,19 +57,30 @@ class ScalarField:
     def is_zero(self) -> bool:
         return self.const == 0.0
 
-    @property
-    def has_partials(self) -> bool:
-        return self.const is not None or self.partial_maker is not None
-
     def partial(self, axis: int) -> Optional["ScalarField"]:
         """Analytic d(self)/dx_axis as a ScalarField, or None if unknown."""
         if self.const is not None:
             return ZERO
-        if self.partial_maker is None:
+        if not self.has_partials:
             return None
         if axis not in self._partial_cache:
-            self._partial_cache[axis] = self.partial_maker(axis)
+            self._partial_cache[axis] = self._derive(axis)
         return self._partial_cache[axis]
+
+    def _derive(self, axis: int) -> "ScalarField":
+        if self.op == "leaf":
+            kernel, coeffs, phase, amplitude = self.args
+            c = coeffs.get(axis)
+            return ZERO if c is None else kernel.derivative(coeffs, phase, amplitude, c)
+        if self.op == "neg":
+            return -self.args[0].partial(axis)
+        a, b = self.args
+        pa, pb = a.partial(axis), b.partial(axis)
+        if self.op == "add":
+            return pa + pb
+        if self.op == "mul":
+            return pa * b + a * pb
+        return (pa * b - a * pb) / (b * b)
 
     # -- algebra -----------------------------------------------------------
 
@@ -77,30 +94,14 @@ class ScalarField:
             return self
         if self.const is not None and other.const is not None:
             return constant(self.const + other.const)
-        a, b = self, other
-
-        def maker(axis):
-            pa, pb = a.partial(axis), b.partial(axis)
-            if pa is None or pb is None:
-                return None
-            return pa + pb
-
-        if not (a.has_partials and b.has_partials):
-            maker = None
-        return ScalarField(lambda pts: a(pts) + b(pts), maker)
+        return ScalarField("add", (self, other), lambda pts: self(pts) + other(pts))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.const is not None:
             return constant(-self.const)
-        a = self
-
-        def maker(axis):
-            pa = a.partial(axis)
-            return None if pa is None else -pa
-
-        return ScalarField(lambda pts: -a(pts), maker if a.has_partials else None)
+        return ScalarField("neg", (self,), lambda pts: -self(pts))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -126,17 +127,7 @@ class ScalarField:
             return other
         if other.const == 1.0:
             return self
-        a, b = self, other
-
-        def maker(axis):
-            pa, pb = a.partial(axis), b.partial(axis)
-            if pa is None or pb is None:
-                return None
-            return pa * b + a * pb
-
-        if not (a.has_partials and b.has_partials):
-            maker = None
-        return ScalarField(lambda pts: a(pts) * b(pts), maker)
+        return ScalarField("mul", (self, other), lambda pts: self(pts) * other(pts))
 
     __rmul__ = __mul__
 
@@ -148,17 +139,7 @@ class ScalarField:
             return self * (1.0 / other.const)
         if self.is_zero:
             return ZERO
-        a, b = self, other
-
-        def maker(axis):
-            pa, pb = a.partial(axis), b.partial(axis)
-            if pa is None or pb is None:
-                return None
-            return (pa * b - a * pb) / (b * b)
-
-        if not (a.has_partials and b.has_partials):
-            maker = None
-        return ScalarField(lambda pts: a(pts) / b(pts), maker)
+        return ScalarField("div", (self, other), lambda pts: self(pts) / other(pts))
 
 
 def _coerce(x):
@@ -171,16 +152,51 @@ def _coerce(x):
 
 def constant(c: float) -> ScalarField:
     c = float(c)
-    return ScalarField(lambda pts: np.full(pts.shape[:-1], c), None, const=c)
+    return ScalarField("const", (), lambda pts: np.full(pts.shape[:-1], c), c)
 
 
 ZERO = constant(0.0)
-ONE = constant(1.0)
 
 
 def from_function(fn: ValueFn) -> ScalarField:
     """Wrap a plain numeric function; derivatives fall back to finite differences."""
-    return ScalarField(fn, None)
+    return ScalarField("fn", (fn,), lambda pts: np.broadcast_to(
+        np.asarray(fn(pts), dtype=float), pts.shape[:-1]))
+
+
+def leaf(kernel: Kernel, coeffs: dict[int, float], phase: float = 0.0,
+         amplitude: float = 1.0) -> ScalarField:
+    """amplitude * kernel.value(phase + sum_a coeffs[a] * x_a); a constant if no axis is left."""
+    coeffs = {int(a): float(c) for a, c in coeffs.items() if c != 0.0}
+    phase, amplitude = float(phase), float(amplitude)
+    if amplitude == 0.0:
+        return ZERO
+    if not coeffs:
+        return constant(amplitude * kernel.value(np.float64(phase)))
+    terms = tuple(coeffs.items())
+
+    def value(pts):
+        u = phase
+        for a, c in terms:
+            u = u + c * pts[..., a]
+        return amplitude * kernel.value(u)
+
+    return ScalarField("leaf", (kernel, coeffs, phase, amplitude), value)
+
+
+COS = Kernel(np.cos, lambda coeffs, phase, amplitude, c:
+             leaf(COS, coeffs, phase + 0.5 * math.pi, amplitude * c))
+
+
+def power_kernel(p: int) -> Kernel:
+    """u**p; the derivative of a leaf of u**1 is a constant."""
+
+    def derivative(coeffs, phase, amplitude, c):
+        if p == 1:
+            return constant(amplitude * c)
+        return leaf(power_kernel(p - 1), coeffs, phase, amplitude * p * c)
+
+    return Kernel(lambda u: u ** p, derivative)
 
 
 def wave(coeffs: dict[int, float], phase: float = 0.0, amplitude: float = 1.0) -> ScalarField:
@@ -190,25 +206,7 @@ def wave(coeffs: dict[int, float], phase: float = 0.0, amplitude: float = 1.0) -
     fields carry exact partials to every order.  ``sin`` is the phase shift
     -pi/2: sin(u) = cos(u - pi/2).
     """
-    coeffs = {int(a): float(c) for a, c in coeffs.items() if c != 0.0}
-    amplitude = float(amplitude)
-    phase = float(phase)
-    if amplitude == 0.0:
-        return ZERO
-
-    def value(pts):
-        u = np.full(pts.shape[:-1], phase)
-        for a, c in coeffs.items():
-            u = u + c * pts[..., a]
-        return amplitude * np.cos(u)
-
-    def maker(axis):
-        c = coeffs.get(axis, 0.0)
-        if c == 0.0:
-            return ZERO
-        return wave(coeffs, phase + 0.5 * math.pi, amplitude * c)
-
-    return ScalarField(value, maker)
+    return leaf(COS, coeffs, phase, amplitude)
 
 
 def sin_wave(coeffs: dict[int, float], phase: float = 0.0, amplitude: float = 1.0) -> ScalarField:
@@ -217,62 +215,63 @@ def sin_wave(coeffs: dict[int, float], phase: float = 0.0, amplitude: float = 1.
 
 def monomial(axis: int, power: int = 1, amplitude: float = 1.0) -> ScalarField:
     """amplitude * x_axis**power, with exact partials (power may be negative)."""
-    axis = int(axis)
     power = int(power)
-    amplitude = float(amplitude)
-    if amplitude == 0.0:
-        return ZERO
     if power == 0:
         return constant(amplitude)
-
-    def value(pts):
-        return amplitude * pts[..., axis] ** power
-
-    def maker(ax):
-        if ax != axis:
-            return ZERO
-        return monomial(axis, power - 1, amplitude * power)
-
-    return ScalarField(value, maker)
+    return leaf(power_kernel(power), {axis: 1.0}, 0.0, amplitude)
 
 
 def coordinate(axis: int) -> ScalarField:
     return monomial(axis, 1, 1.0)
 
 
+_REBUILD = {"add": operator.add, "neg": operator.neg, "mul": operator.mul, "div": operator.truediv}
+
+
+def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
+    """Rebuild sf with on_leaf(*leaf.args) for each leaf; an fn node sees pull(pts).
+
+    Each shared subtree is rebuilt once.
+    """
+    memo: dict[int, ScalarField] = {}
+
+    def go(node):
+        if id(node) not in memo:
+            if node.op == "leaf":
+                out = on_leaf(*node.args)
+            elif node.op == "fn":
+                out = from_function(lambda pts: node(pull(pts)))
+            elif node.op == "const":
+                out = node
+            else:
+                out = _REBUILD[node.op](*map(go, node.args))
+            memo[id(node)] = out
+        return memo[id(node)]
+
+    return go(sf)
+
+
 def lift_spatial(sf: ScalarField) -> ScalarField:
     """View a 3-d field as a field on the spacetime chart (x0 prepended).
 
-    The lifted field is x0-independent; spatial partials shift by one axis.
+    The lifted field is x0-independent; every leaf axis shifts up by one.
     """
-    if sf.const is not None:
-        return sf
-
-    def value(pts):
-        return sf(pts[..., 1:])
-
-    def maker(axis):
-        if axis == 0:
-            return ZERO
-        p = sf.partial(axis - 1)
-        return None if p is None else lift_spatial(p)
-
-    return ScalarField(value, maker if sf.has_partials else None)
+    return _rewrite(sf, lambda kernel, coeffs, phase, amplitude: leaf(
+        kernel, {a + 1: c for a, c in coeffs.items()}, phase, amplitude),
+        lambda pts: pts[..., 1:])
 
 
 def restrict_time(sf: ScalarField, x0: float) -> ScalarField:
-    """Freeze the x0 coordinate of a spacetime field, yielding a 3-d field."""
-    if sf.const is not None:
-        return sf
+    """Freeze the x0 coordinate of a spacetime field, yielding a 3-d field.
+
+    Each leaf takes coeffs[0] * x0 into its phase; a leaf of x0 alone is a constant.
+    """
     x0 = float(x0)
 
-    def value(pts):
-        full = np.concatenate(
-            [np.full(pts.shape[:-1] + (1,), x0), pts], axis=-1)
-        return sf(full)
+    def on_leaf(kernel, coeffs, phase, amplitude):
+        if 0 in coeffs:
+            phase = phase + coeffs[0] * x0
+        return leaf(kernel, {a - 1: c for a, c in coeffs.items() if a != 0}, phase, amplitude)
 
-    def maker(axis):
-        p = sf.partial(axis + 1)
-        return None if p is None else restrict_time(p, x0)
-
-    return ScalarField(value, maker if sf.has_partials else None)
+    return _rewrite(sf, on_leaf, lambda pts: np.concatenate(
+        [np.full(pts.shape[:-1] + (1,), x0), pts], axis=-1))

@@ -54,6 +54,8 @@ def test_out_of_range():
     with pytest.raises(DomainError):
         bessel_j(0, 51.0)
     with pytest.raises(DomainError):
+        bessel_j(0, float("nan"))
+    with pytest.raises(DomainError):
         bessel_j(2, 1.0)
 
 

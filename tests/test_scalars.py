@@ -1,0 +1,106 @@
+"""Scalar expression trees: slicing at x0 and lifting to spacetime rewrite the leaves."""
+
+import numpy as np
+import pytest
+
+from bmkit import j0_field, j1_field
+from bmkit.scalars import (constant, from_function, lift_spatial, monomial,
+                           restrict_time, sin_wave, wave)
+
+X0 = 0.3
+RNG = np.random.default_rng(7)
+PTS3 = np.column_stack([RNG.uniform(0.2, 0.9, 64), RNG.uniform(-3, 3, 64),
+                        RNG.uniform(-3, 3, 64)])
+PTS4 = np.column_stack([np.full(64, X0), PTS3])
+
+
+def with_x0(pts3):
+    return np.column_stack([np.full(len(pts3), X0), pts3])
+
+
+def spacetime_fields():
+    """Fields on (x0, x1, x2, x3), with x1 kept in [0.2, 0.9] for the Bessel leaves."""
+    w = wave({0: 1.5, 3: 2.0}, 0.4, 0.7)
+    m = monomial(1, 3, -1.2)
+    j = j1_field(1, 2.0)
+    tree = (w + m) * j0_field(1, 3.0) / (sin_wave({0: 1.0, 2: 1.0}) + 2.5) - w * m
+    return {"wave": w, "wave_x0_last": wave({2: -1.1, 0: 0.9}), "monomial": m,
+            "j0": j0_field(1, 3.0), "j1": j, "tree": tree}
+
+
+def spatial_fields():
+    w = wave({2: 2.0, 1: 1.0}, 0.4, 0.7)
+    m = monomial(0, -2, 1.5)
+    tree = (w + m) * j1_field(0, 2.0) / (sin_wave({1: 1.0}) + 2.5) - w * m
+    return {"wave": w, "monomial": m, "j0": j0_field(0, 3.0), "j1": j1_field(0, 2.0),
+            "tree": tree}
+
+
+@pytest.mark.parametrize("name", sorted(spacetime_fields()))
+def test_restrict_time_matches_field_at_x0(name):
+    sf = spacetime_fields()[name]
+    got, want = restrict_time(sf, X0)(PTS3), sf(PTS4)
+    if name == "wave":
+        # the x0 term comes first in the phase sum, so slicing keeps the arithmetic
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", sorted(spatial_fields()))
+def test_lift_spatial_ignores_x0(name):
+    sf = spatial_fields()[name]
+    lifted = lift_spatial(sf)
+    pts4 = np.column_stack([RNG.uniform(-5, 5, len(PTS3)), PTS3])
+    assert np.array_equal(lifted(pts4), sf(PTS3))
+    assert lifted.partial(0).is_zero
+
+
+@pytest.mark.parametrize("name", sorted(spatial_fields()))
+def test_lift_then_restrict_is_identity(name):
+    sf = spatial_fields()[name]
+    assert np.array_equal(restrict_time(lift_spatial(sf), X0)(PTS3), sf(PTS3))
+
+
+def test_field_of_x0_alone_restricts_to_constant():
+    for sf in (wave({0: 2.0}, 0.1, 3.0), monomial(0, 2, 0.5), wave({0: 1.0}) * monomial(0, -1)):
+        r = restrict_time(sf, X0)
+        assert r.const is not None
+        assert r.const == pytest.approx(float(sf(np.array([[X0, 0.0, 0.0, 0.0]]))[0]),
+                                        rel=1e-15, abs=0.0)
+        assert all(r.partial(a).is_zero for a in range(3))
+
+
+@pytest.mark.parametrize("name", sorted(spacetime_fields()))
+def test_partial_of_restriction_is_restricted_partial(name):
+    sf = spacetime_fields()[name]
+    r = restrict_time(sf, X0)
+    for axis in range(3):
+        got = r.partial(axis)(PTS3)
+        want = restrict_time(sf.partial(axis + 1), X0)(PTS3)
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+
+
+def test_restricted_field_is_as_small_as_one_built_on_the_slice():
+    sf = wave({0: 1.0}) * lift_spatial(wave({2: 2.0}, 0.0, 0.5))
+    r = restrict_time(sf, 0.0)
+    assert r.op == "leaf"
+    assert np.array_equal(r(PTS3), wave({2: 2.0}, 0.0, 0.5)(PTS3))
+
+
+def test_shared_subtree_is_rebuilt_once():
+    w = wave({0: 1.0, 1: 1.0})
+    r = restrict_time(w * w + w, X0)
+    product, w_again = r.args
+    assert product.args[0] is product.args[1] is w_again
+
+
+def test_from_function_lifts_and_restricts():
+    f = from_function(lambda p: p[..., 0] * p[..., 2])
+    lifted = lift_spatial(f)
+    assert not lifted.has_partials and lifted.partial(1) is None
+    assert np.array_equal(lifted(with_x0(PTS3)), f(PTS3))
+    g = from_function(lambda p: np.sin(p[..., 0]) + p[..., 3])
+    r = restrict_time(g * constant(2.0), X0)
+    assert np.array_equal(r(PTS3), (g * 2.0)(with_x0(PTS3)))
+    assert np.array_equal(restrict_time(lift_spatial(f), X0)(PTS3), f(PTS3))
