@@ -92,7 +92,7 @@ def _j1_derivative(coeffs, phase, amplitude, c):
 
 
 # bessel_j is looked up at evaluation time, so a wrapper installed on the
-# module attribute sees every leaf evaluation
+# module attribute sees every kernel evaluation
 J0 = Kernel(lambda u: bessel_j(0, u),
             lambda coeffs, phase, amplitude, c: leaf(J1, coeffs, phase, -(amplitude * c)))
 J1 = Kernel(lambda u: bessel_j(1, u), _j1_derivative)

@@ -3,7 +3,8 @@
 Forms are stored in the canonical antisymmetric representation: one
 :class:`~bmkit.scalars.ScalarField` coefficient per strictly increasing
 multi-index, zero coefficients omitted.  All operations are pure and the
-objects are immutable after construction, so evaluation is thread-safe.
+objects are immutable after construction, so evaluation is thread-safe: the
+leaf memo of an evaluation call (one ``coefficient_table``) is local to it.
 
 Exterior derivatives use analytic coefficient partials when present and
 otherwise fall back to 4th-order finite differences that wrap periodic axes
@@ -21,7 +22,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import ChartMismatchError, DegreeError, DomainError
-from .scalars import ScalarField, ZERO, constant, from_function
+from .scalars import ScalarField, ZERO, constant, from_function, value_table
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -77,10 +78,12 @@ class DifferentialForm:
         return increasing_indices(self.chart.dim, self.degree)
 
     def coefficient_table(self, pts: np.ndarray) -> np.ndarray:
-        """Values of every canonical coefficient at pts, shape (N, n_indices)."""
-        pts = self.chart.as_points(pts)
-        cols = [self.coefficient(idx)(pts) for idx in self.indices]
-        return np.stack(cols, axis=-1) if cols else np.zeros(pts.shape[:-1] + (0,))
+        """Values of every canonical coefficient at pts, shape (N, n_indices).
+
+        One evaluation call: a leaf shared by several coefficients runs once.
+        """
+        return value_table([self.coefficient(idx) for idx in self.indices],
+                           self.chart.as_points(pts))
 
     def max_abs(self, pts: np.ndarray) -> float:
         table = self.coefficient_table(pts)

@@ -14,10 +14,20 @@ chart-aware finite differences.  ``lift_spatial`` and ``restrict_time``
 rewrite the leaves (re-indexed axes; x0 folded into the phase) and rebuild
 composites through the operators, so a field sliced at x0 is the same few
 leaves as one built on the slice.
+
+One recursive method, ``ScalarField._eval``, evaluates a tree.  One
+evaluation call (``field(pts)``, or :func:`value_table` for several fields)
+shares a memo of leaf kernel values keyed by (kernel, axis terms, phase), so
+leaves that differ only in amplitude (the J0 and -c*J1 leaves spread over a
+Bessel field's coefficients and partials) run their kernel once; the amplitude
+is applied after the lookup, so values are bitwise those of each leaf alone.
+A kernel value is kept only until the last leaf that needs it in the call,
+and no value survives from one call to the next.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Callable, NamedTuple, Optional
@@ -35,21 +45,54 @@ class Kernel(NamedTuple):
 
 
 class ScalarField:
-    """A node of the expression tree; ``fn`` evaluates it from its children's values."""
+    """A node of the expression tree; a call evaluates it with one leaf memo."""
 
-    __slots__ = ("op", "args", "fn", "const", "has_partials", "_partial_cache")
+    __slots__ = ("op", "args", "const", "has_partials", "_partial_cache")
 
-    def __init__(self, op: str, args: tuple, fn: ValueFn, const: float | None = None):
+    def __init__(self, op: str, args: tuple, const: float | None = None):
         self.op = op
         self.args = args
-        self.fn = fn
         self.const = const
         self.has_partials = op in ("const", "leaf") or (
             op != "fn" and all(a.has_partials for a in args))
         self._partial_cache: dict[int, ScalarField] = {}
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return self.fn(np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
+        op = self.op
+        if op == "leaf":
+            # a root leaf has nothing to share its kernel value with
+            kernel, coeffs, phase, amplitude = self.args
+            return amplitude * kernel.value(_argument(pts, coeffs, phase))
+        if op == "const":
+            return np.full(pts.shape[:-1], self.const)
+        return self._eval(pts, _leaf_memo([self]))
+
+    def _eval(self, pts: np.ndarray, memo: dict):
+        """Value at pts, sharing leaf kernel values through memo; a const gives its float."""
+        op = self.op
+        if op == "leaf":
+            kernel, coeffs, phase, amplitude = self.args
+            entry = memo[_leaf_key(self.args)]
+            value = entry[1]
+            if value is None:
+                value = kernel.value(_argument(pts, coeffs, phase))
+            entry[0] -= 1
+            entry[1] = value if entry[0] else None   # dropped after its last visit
+            return amplitude * value
+        if op == "const":
+            return self.const
+        if op == "fn":
+            return np.broadcast_to(np.asarray(self.args[0](pts), dtype=float), pts.shape[:-1])
+        if op == "neg":
+            return -self.args[0]._eval(pts, memo)
+        left, right = self.args
+        a, b = left._eval(pts, memo), right._eval(pts, memo)
+        if op == "add":
+            return a + b
+        if op == "mul":
+            return a * b
+        return a / b
 
     # -- analytic structure ------------------------------------------------
 
@@ -94,14 +137,14 @@ class ScalarField:
             return self
         if self.const is not None and other.const is not None:
             return constant(self.const + other.const)
-        return ScalarField("add", (self, other), lambda pts: self(pts) + other(pts))
+        return ScalarField("add", (self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.const is not None:
             return constant(-self.const)
-        return ScalarField("neg", (self,), lambda pts: -self(pts))
+        return ScalarField("neg", (self,))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -127,7 +170,7 @@ class ScalarField:
             return other
         if other.const == 1.0:
             return self
-        return ScalarField("mul", (self, other), lambda pts: self(pts) * other(pts))
+        return ScalarField("mul", (self, other))
 
     __rmul__ = __mul__
 
@@ -139,7 +182,7 @@ class ScalarField:
             return self * (1.0 / other.const)
         if self.is_zero:
             return ZERO
-        return ScalarField("div", (self, other), lambda pts: self(pts) / other(pts))
+        return ScalarField("div", (self, other))
 
 
 def _coerce(x):
@@ -151,8 +194,7 @@ def _coerce(x):
 
 
 def constant(c: float) -> ScalarField:
-    c = float(c)
-    return ScalarField("const", (), lambda pts: np.full(pts.shape[:-1], c), c)
+    return ScalarField("const", (), float(c))
 
 
 ZERO = constant(0.0)
@@ -160,8 +202,52 @@ ZERO = constant(0.0)
 
 def from_function(fn: ValueFn) -> ScalarField:
     """Wrap a plain numeric function; derivatives fall back to finite differences."""
-    return ScalarField("fn", (fn,), lambda pts: np.broadcast_to(
-        np.asarray(fn(pts), dtype=float), pts.shape[:-1]))
+    return ScalarField("fn", (fn,))
+
+
+def value_table(fields, pts: np.ndarray) -> np.ndarray:
+    """Values of several fields at pts, shape (N, len(fields)), in one evaluation call.
+
+    A leaf kernel shared by several fields runs once; each column is bitwise
+    what calling its field alone gives.
+    """
+    pts = np.asarray(pts, dtype=float)
+    memo = _leaf_memo(fields)
+    table = np.empty(pts.shape[:-1] + (len(fields),))
+    for col, f in enumerate(fields):
+        table[..., col] = f._eval(pts, memo)
+    return table
+
+
+def _argument(pts: np.ndarray, coeffs: dict[int, float], phase: float):
+    """phase + sum_a coeffs[a] * x_a, summed in the order of coeffs."""
+    u = phase
+    for a, c in coeffs.items():
+        u = u + c * pts[..., a]
+    return u
+
+
+def _leaf_key(args: tuple) -> tuple:
+    # the phase's sign is part of the key: -0.0 + c*x and 0.0 + c*x differ where c*x is -0.0
+    kernel, coeffs, phase, _ = args
+    return kernel, tuple(coeffs.items()), phase, math.copysign(1.0, phase)
+
+
+def _leaf_memo(fields) -> dict:
+    """The memo of one evaluation call: leaf key -> [visits left, kernel value or None].
+
+    ``_eval`` visits a shared subtree once per path to it, so visits are
+    counted per path; a value is kept from its first visit to its last.
+    """
+    memo: dict = {}
+    stack = list(fields)
+    while stack:
+        node = stack.pop()
+        if node.op == "leaf":
+            memo.setdefault(_leaf_key(node.args), [0, None])[0] += 1
+        elif node.op != "fn":
+            stack.extend(node.args)
+    return memo
 
 
 def leaf(kernel: Kernel, coeffs: dict[int, float], phase: float = 0.0,
@@ -173,23 +259,19 @@ def leaf(kernel: Kernel, coeffs: dict[int, float], phase: float = 0.0,
         return ZERO
     if not coeffs:
         return constant(amplitude * kernel.value(np.float64(phase)))
-    terms = tuple(coeffs.items())
-
-    def value(pts):
-        u = phase
-        for a, c in terms:
-            u = u + c * pts[..., a]
-        return amplitude * kernel.value(u)
-
-    return ScalarField("leaf", (kernel, coeffs, phase, amplitude), value)
+    return ScalarField("leaf", (kernel, coeffs, phase, amplitude))
 
 
 COS = Kernel(np.cos, lambda coeffs, phase, amplitude, c:
              leaf(COS, coeffs, phase + 0.5 * math.pi, amplitude * c))
 
 
+@functools.cache
 def power_kernel(p: int) -> Kernel:
-    """u**p; the derivative of a leaf of u**1 is a constant."""
+    """u**p, one kernel per p so that equal leaves share a memo key.
+
+    The derivative of a leaf of u**1 is a constant.
+    """
 
     def derivative(coeffs, phase, amplitude, c):
         if p == 1:

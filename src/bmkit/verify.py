@@ -113,7 +113,10 @@ class CheckReport:
 
 def _max_abs(form: DifferentialForm, pts: np.ndarray):
     """(max |coeff|, witness point). Zero forms report 0 at the first point."""
-    table = form.coefficient_table(pts)
+    return _table_max_abs(form.coefficient_table(pts), pts)
+
+
+def _table_max_abs(table: np.ndarray, pts: np.ndarray):
     if table.size == 0:
         return 0.0, pts[0].tolist()
     flat = np.abs(table)
@@ -181,27 +184,29 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
     d_f0 = exterior_derivative(M.F0)
     d_f1 = exterior_derivative(M.F1)
 
-    parts = {
-        "faraday": _max_abs(faraday, pts),
-        "gauss_magnetic": _max_abs(gauss_b, pts),
-        "gauss_electric": _max_abs(gauss_d, pts),
-        "ampere": _max_abs(ampere, pts),
-        "dF0": _max_abs(d_f0, pts),
-        "dF1": _max_abs(d_f1, pts),
-    }
-
     # Appendix-style split: dF0 = -(faraday) ^ dx0 - c0 d_spatial B, and
-    # dF1 = -(ampere)/c0 ^ dx0 + d_spatial D.  Compare signed coefficients.
-    agree = 0.0
-    for idx in d_f0.indices:
-        if 0 in idx:
-            spatial_idx = tuple(i for i in idx if i != 0)
-            a = d_f0.coefficient(idx)(pts) + faraday.coefficient(spatial_idx)(pts)
-            b = d_f1.coefficient(idx)(pts) + ampere.coefficient(spatial_idx)(pts) / c0
-        else:
-            a = d_f0.coefficient(idx)(pts) + c0 * gauss_b.coefficient(idx)(pts)
-            b = d_f1.coefficient(idx)(pts) - gauss_d.coefficient(idx)(pts)
-        agree = max(agree, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    # dF1 = -(ampere)/c0 ^ dx0 + d_spatial D.  Compare signed coefficients:
+    # the 2-form piece on the dx0 indices, the 3-form piece on the others.
+    # Each table is built once; one 4-d table and one piece table are held at
+    # a time, which bounds the check's peak memory.
+    found, agree = {}, 0.0
+    for name4, form4, pieces in (
+            ("dF0", d_f0, (("faraday", faraday, lambda d, p: d + p),
+                           ("gauss_magnetic", gauss_b, lambda d, p: d + c0 * p))),
+            ("dF1", d_f1, (("ampere", ampere, lambda d, p: d + p / c0),
+                           ("gauss_electric", gauss_d, lambda d, p: d - p)))):
+        table4 = form4.coefficient_table(pts)
+        for name, form, join in pieces:
+            table = form.coefficient_table(pts)
+            for col, idx in enumerate(form4.indices):
+                if (0 in idx) == (form.degree < form4.degree):
+                    piece = table[:, form.indices.index(tuple(i for i in idx if i != 0))]
+                    agree = max(agree, float(np.max(np.abs(join(table4[:, col], piece)))))
+            found[name] = _table_max_abs(table, pts)
+            del table
+        found[name4] = _table_max_abs(table4, pts)
+    parts = {name: found[name] for name in
+             ("faraday", "gauss_magnetic", "gauss_electric", "ampere", "dF0", "dF1")}
 
     max_res = max(v for v, _ in parts.values())
     worst = max(parts.items(), key=lambda kv: kv[1][0])

