@@ -4,17 +4,23 @@ Forms are stored in the canonical antisymmetric representation: one
 :class:`~bmkit.scalars.ScalarField` coefficient per strictly increasing
 multi-index, zero coefficients omitted.  All operations are pure and the
 objects are immutable after construction, so evaluation is thread-safe: the
-leaf memo of an evaluation call (one ``coefficient_table``) is local to it.
+memo of an evaluation call (one ``coefficient_table``), its stencil grids and
+the values on them are local to it.
 
 Exterior derivatives use analytic coefficient partials when present and
 otherwise fall back to 4th-order finite differences that wrap periodic axes
 and switch to one-sided stencils within two steps of interval endpoints.
+A finite-difference partial is an ``fd`` node of the coefficient's tree; its
+stencil plan, shared by every partial of one (chart, axis, step), gives the
+shifted grids, and one evaluation call evaluates each grid once for all the
+partials that read it (one table of all their inner fields per grid).
 On spacetime charts the derivative splits as d = d_spatial + dx0 ^ d/dx0;
 both pieces are exposed separately.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -22,7 +28,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import ChartMismatchError, DegreeError, DomainError
-from .scalars import ScalarField, ZERO, constant, from_function, value_table
+from .scalars import ScalarField, ZERO, constant, value_table
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -230,42 +236,55 @@ _FORWARD = ((0, -25.0 / 12), (1, 48.0 / 12), (2, -36.0 / 12), (3, 16.0 / 12), (4
 _BACKWARD = tuple((-o, -w) for o, w in _FORWARD)
 
 
-def _stencil_eval(chart: Chart, fn, pts, axis, h, stencil):
-    total = np.zeros(pts.shape[:-1])
-    for offset, weight in stencil:
-        shifted = np.array(pts, copy=True)
-        shifted[..., axis] += offset * h
-        total += weight * fn(chart.wrap(shifted))
-    return total / h
+class _FDPlan:
+    """The stencil grids of d/dx_axis with step h, shared by every fd node of (chart, axis, h)."""
+
+    def __init__(self, chart: Chart, axis: int, h: float):
+        self.chart, self.axis, self.h = chart, axis, h
+
+    def __call__(self, table, pts: np.ndarray, n: int) -> np.ndarray:
+        """FD partials of the n columns of table(grid) at pts, shape (n, N).
+
+        Points outside the chart domain raise DomainError.
+        """
+        self.chart.require_inside(pts)
+        ax = self.chart.axes[self.axis]
+        if ax.is_periodic or (np.isinf(ax.lo) and np.isinf(ax.hi)):
+            return self._stencil(table, pts, n, _CENTRAL)
+        x = pts[..., self.axis]
+        out = np.empty((n,) + pts.shape[:-1])
+        near_lo = x < ax.lo + 2 * self.h
+        near_hi = x > ax.hi - 2 * self.h
+        mid = ~(near_lo | near_hi)
+        for mask, stencil in ((mid, _CENTRAL), (near_lo, _FORWARD), (near_hi, _BACKWARD)):
+            if np.any(mask):
+                out[:, mask] = self._stencil(table, pts[mask], n, stencil)
+        return out
+
+    def _stencil(self, table, pts, n, stencil):
+        total = np.zeros((n,) + pts.shape[:-1])
+        for offset, weight in stencil:
+            shifted = np.array(pts, copy=True)
+            shifted[..., self.axis] += offset * self.h
+            total += weight * table(self.chart.wrap(shifted)).T
+        return total / self.h
+
+
+_fd_plan = functools.cache(_FDPlan)
 
 
 def fd_partial(chart: Chart, sf: ScalarField, axis: int,
                base_step: float = DEFAULT_FD_STEP) -> ScalarField:
-    """Finite-difference d(sf)/dx_axis as a numeric-only ScalarField.
+    """Finite-difference d(sf)/dx_axis as a numeric-only ScalarField (an ``fd`` node).
 
     Periodic axes wrap stencil points; within 2h of a finite interval
     endpoint the stencil clamps to the one-sided 4th-order formula.
-    Points outside the chart domain raise DomainError.
+    Points outside the chart domain raise DomainError.  An evaluation call
+    evaluates each stencil grid once for all its fd nodes of one chart,
+    axis and step.
     """
-    ax = chart.axes[axis]
-    h = base_step * ax.fd_scale()
-
-    def value(pts):
-        pts = np.asarray(pts, dtype=float)
-        chart.require_inside(pts)
-        x = pts[..., axis]
-        if ax.is_periodic or (np.isinf(ax.lo) and np.isinf(ax.hi)):
-            return _stencil_eval(chart, sf, pts, axis, h, _CENTRAL)
-        out = np.empty(pts.shape[:-1])
-        near_lo = x < ax.lo + 2 * h
-        near_hi = x > ax.hi - 2 * h
-        mid = ~(near_lo | near_hi)
-        for mask, stencil in ((mid, _CENTRAL), (near_lo, _FORWARD), (near_hi, _BACKWARD)):
-            if np.any(mask):
-                out[mask] = _stencil_eval(chart, sf, pts[mask], axis, h, stencil)
-        return out
-
-    return from_function(value)
+    h = base_step * chart.axes[axis].fd_scale()
+    return ScalarField("fd", (sf, _fd_plan(chart, axis, h)))
 
 
 def partial_field(chart: Chart, sf: ScalarField, axis: int, mode: str = "auto",

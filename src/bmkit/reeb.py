@@ -31,7 +31,7 @@ from .charts import Chart
 from .errors import BmkitError, DegenerateInstantError, DegeneratePointError
 from .forms import DifferentialForm, VectorField, interior_product, vector_field
 from .metrics import hodge_star, metric_sharp, norm_sq_field
-from .scalars import constant
+from .scalars import constant, value_table
 from .verify import SampleGrid
 
 __all__ = ["SHSPair", "ReebField", "omega_components", "reeb_from_shs",
@@ -110,13 +110,13 @@ def reeb_vector_field(pair: SHSPair) -> VectorField:
 
 def normalization_residuals(Y: VectorField, pair: SHSPair,
                             grid: SampleGrid) -> tuple[float, float]:
-    """(max |i_Y Omega|, max |i_Y lambda - 1|) over the grid."""
-    pts = grid.points
-    contracted = interior_product(Y, pair.Omega)
-    m_omega = max((float(np.max(np.abs(c(pts)))) for c in contracted.coeffs.values()),
+    """(max |i_Y Omega|, max |i_Y lambda - 1|) over the grid, from one evaluation call."""
+    contracted = list(interior_product(Y, pair.Omega).coeffs.values())
+    pairing = interior_product(Y, pair.lam).coefficient(())
+    table = value_table(contracted + [pairing], grid.points)
+    m_omega = max((float(np.max(np.abs(table[:, j]))) for j in range(len(contracted))),
                   default=0.0)
-    pairing = interior_product(Y, pair.lam).coefficient(())(pts)
-    m_lam = float(np.max(np.abs(pairing - 1.0)))
+    m_lam = float(np.max(np.abs(table[:, -1] - 1.0)))
     return m_omega, m_lam
 
 

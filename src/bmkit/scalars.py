@@ -2,9 +2,11 @@
 
 Every differential-form coefficient, metric entry, and vector-field component
 in this package is a :class:`ScalarField`, a vectorized map from points of
-shape (N, dim) to values of shape (N,).  Each field is a tree node: its
-``op`` is ``const``, ``leaf``, ``fn`` (a plain function, no partials), or
-``add``/``neg``/``mul``/``div`` of the fields in ``args``.  A leaf is
+shape (N, dim) to values of shape (N,).  Each field is a node of a DAG: its
+``op`` is ``const``, ``leaf``, ``fn`` (a plain function, no partials), ``fd``
+(a finite-difference partial of the field in ``args[0]``, see
+:func:`bmkit.forms.fd_partial`), or ``add``/``neg``/``mul``/``div`` of the
+fields in ``args``.  A leaf is
 amplitude * k(phase + sum_a coeffs[a] * x_a) for a kernel k: cos (wave),
 u**p (monomial) or J0/J1 (:mod:`bmkit.bessel`).  The partial of a leaf is
 another leaf or a constant, and composites follow the calculus rules, so
@@ -15,14 +17,19 @@ rewrite the leaves (re-indexed axes; x0 folded into the phase) and rebuild
 composites through the operators, so a field sliced at x0 is the same few
 leaves as one built on the slice.
 
-One recursive method, ``ScalarField._eval``, evaluates a tree.  One
-evaluation call (``field(pts)``, or :func:`value_table` for several fields)
-shares a memo of leaf kernel values keyed by (kernel, axis terms, phase), so
-leaves that differ only in amplitude (the J0 and -c*J1 leaves spread over a
-Bessel field's coefficients and partials) run their kernel once; the amplitude
-is applied after the lookup, so values are bitwise those of each leaf alone.
-A kernel value is kept only until the last leaf that needs it in the call,
-and no value survives from one call to the next.
+One evaluation call (``field(pts)``, or :func:`value_table` for several
+fields) starts with a pre-pass that walks the DAG once per node and counts
+each node's parent edges.  Evaluation (``ScalarField._eval``) then computes
+each node once: a composite or ``fn`` node with several parents keeps its
+value until its last parent has read it.  Leaves share a memo of kernel
+values keyed by (kernel, axis terms, phase), so leaves that differ only in
+amplitude (the J0 and -c*J1 leaves spread over a Bessel field's coefficients
+and partials) run their kernel once; the amplitude is applied after the
+lookup, so values are bitwise those of each leaf alone.  The pre-pass also
+groups the ``fd`` nodes by stencil plan and evaluates each group with one
+table of all its inner fields per stencil grid, so every grid is evaluated
+once per call.  Every value is dropped after its last use in the call, and
+no value survives from one call to the next.
 """
 
 from __future__ import annotations
@@ -30,11 +37,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import Counter
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 ValueFn = Callable[[np.ndarray], np.ndarray]
+
+_COMPOSITE = ("add", "neg", "mul", "div")
 
 
 class Kernel(NamedTuple):
@@ -45,7 +55,7 @@ class Kernel(NamedTuple):
 
 
 class ScalarField:
-    """A node of the expression tree; a call evaluates it with one leaf memo."""
+    """A node of the expression tree; a call evaluates it with one memo."""
 
     __slots__ = ("op", "args", "const", "has_partials", "_partial_cache")
 
@@ -54,7 +64,7 @@ class ScalarField:
         self.args = args
         self.const = const
         self.has_partials = op in ("const", "leaf") or (
-            op != "fn" and all(a.has_partials for a in args))
+            op in _COMPOSITE and all(a.has_partials for a in args))
         self._partial_cache: dict[int, ScalarField] = {}
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -66,11 +76,13 @@ class ScalarField:
             return amplitude * kernel.value(_argument(pts, coeffs, phase))
         if op == "const":
             return np.full(pts.shape[:-1], self.const)
-        return self._eval(pts, _leaf_memo([self]))
+        return self._eval(pts, _memo(_walk([self]), pts))
 
     def _eval(self, pts: np.ndarray, memo: dict):
-        """Value at pts, sharing leaf kernel values through memo; a const gives its float."""
+        """Value at pts, sharing values through memo; a const gives its float."""
         op = self.op
+        if op == "const":
+            return self.const
         if op == "leaf":
             kernel, coeffs, phase, amplitude = self.args
             entry = memo[_leaf_key(self.args)]
@@ -80,8 +92,18 @@ class ScalarField:
             entry[0] -= 1
             entry[1] = value if entry[0] else None   # dropped after its last visit
             return amplitude * value
-        if op == "const":
-            return self.const
+        entry = memo.get(_fd_key(self.args) if op == "fd" else id(self))
+        if entry is None:   # a node with one parent in the call
+            return self._compute(pts, memo)
+        value = entry[1]
+        if value is None:   # an fd value is filled in by the pre-pass
+            value = self._compute(pts, memo)
+        entry[0] -= 1
+        entry[1] = value if entry[0] else None
+        return value
+
+    def _compute(self, pts: np.ndarray, memo: dict):
+        op = self.op
         if op == "fn":
             return np.broadcast_to(np.asarray(self.args[0](pts), dtype=float), pts.shape[:-1])
         if op == "neg":
@@ -208,15 +230,11 @@ def from_function(fn: ValueFn) -> ScalarField:
 def value_table(fields, pts: np.ndarray) -> np.ndarray:
     """Values of several fields at pts, shape (N, len(fields)), in one evaluation call.
 
-    A leaf kernel shared by several fields runs once; each column is bitwise
-    what calling its field alone gives.
+    A leaf kernel, a shared subtree or a stencil grid used by several fields
+    is evaluated once; each column is bitwise what calling its field alone gives.
     """
-    pts = np.asarray(pts, dtype=float)
-    memo = _leaf_memo(fields)
-    table = np.empty(pts.shape[:-1] + (len(fields),))
-    for col, f in enumerate(fields):
-        table[..., col] = f._eval(pts, memo)
-    return table
+    fields = list(fields)
+    return _table(fields, _walk(fields), np.asarray(pts, dtype=float))
 
 
 def _argument(pts: np.ndarray, coeffs: dict[int, float], phase: float):
@@ -233,21 +251,68 @@ def _leaf_key(args: tuple) -> tuple:
     return kernel, tuple(coeffs.items()), phase, math.copysign(1.0, phase)
 
 
-def _leaf_memo(fields) -> dict:
-    """The memo of one evaluation call: leaf key -> [visits left, kernel value or None].
+def _fd_key(args: tuple) -> tuple:
+    inner, plan = args
+    return plan, id(inner)
 
-    ``_eval`` visits a shared subtree once per path to it, so visits are
-    counted per path; a value is kept from its first visit to its last.
+
+def _walk(fields) -> tuple[dict, list]:
+    """The point-independent half of an evaluation call's pre-pass: (visits, fd groups).
+
+    The DAG is walked once per node, counting parent edges (a column is one);
+    evaluation then computes each node once and visits it once per edge.
+    visits maps a memo key to its visits: a leaf shares its entry with the
+    leaves of its kernel key, an fd node with the fd nodes of its (plan,
+    inner field), and a composite or fn node with several parents has its
+    own.  The fd groups hold one (plan, inner fields, their walk, memo keys)
+    per stencil plan.
     """
-    memo: dict = {}
+    edges = Counter(map(id, fields))
+    nodes: dict[int, ScalarField] = {}
     stack = list(fields)
     while stack:
         node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            if node.op in _COMPOSITE:
+                edges.update(map(id, node.args))
+                stack.extend(node.args)
+    visits: Counter = Counter()
+    groups: dict = {}
+    for i, node in nodes.items():
         if node.op == "leaf":
-            memo.setdefault(_leaf_key(node.args), [0, None])[0] += 1
-        elif node.op != "fn":
-            stack.extend(node.args)
+            visits[_leaf_key(node.args)] += edges[i]
+        elif node.op == "fd":
+            inner, plan = node.args
+            groups.setdefault(plan, {})[id(inner)] = inner
+            visits[_fd_key(node.args)] += edges[i]
+        elif node.op != "const" and edges[i] > 1:
+            visits[i] = edges[i]
+    return visits, [(plan, list(inner.values()), _walk(inner.values()),
+                     [(plan, i) for i in inner]) for plan, inner in groups.items()]
+
+
+def _memo(walk: tuple[dict, list], pts: np.ndarray) -> dict:
+    """The memo of one evaluation at pts: key -> [visits left, value or None].
+
+    Every fd group is evaluated here: its plan runs one table of all the
+    group's inner fields per stencil grid.
+    """
+    visits, fd_groups = walk
+    memo = {key: [n, None] for key, n in visits.items()}
+    for plan, inner, inner_walk, keys in fd_groups:
+        rows = plan(lambda grid: _table(inner, inner_walk, grid), pts, len(inner))
+        for key, row in zip(keys, rows):
+            memo[key][1] = row
     return memo
+
+
+def _table(fields: list, walk: tuple[dict, list], pts: np.ndarray) -> np.ndarray:
+    memo = _memo(walk, pts)
+    table = np.empty(pts.shape[:-1] + (len(fields),))
+    for col, f in enumerate(fields):
+        table[..., col] = f._eval(pts, memo)
+    return table
 
 
 def leaf(kernel: Kernel, coeffs: dict[int, float], phase: float = 0.0,
@@ -311,7 +376,7 @@ _REBUILD = {"add": operator.add, "neg": operator.neg, "mul": operator.mul, "div"
 
 
 def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
-    """Rebuild sf with on_leaf(*leaf.args) for each leaf; an fn node sees pull(pts).
+    """Rebuild sf with on_leaf(*leaf.args) for each leaf; an fn or fd node sees pull(pts).
 
     Each shared subtree is rebuilt once.
     """
@@ -321,7 +386,7 @@ def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
         if id(node) not in memo:
             if node.op == "leaf":
                 out = on_leaf(*node.args)
-            elif node.op == "fn":
+            elif node.op in ("fn", "fd"):
                 out = from_function(lambda pts: node(pull(pts)))
             elif node.op == "const":
                 out = node

@@ -25,6 +25,7 @@ from .forms import (DifferentialForm, VectorField, exterior_derivative,
                     interior_product, lie_derivative,
                     spatial_exterior_derivative, time_derivative, wedge)
 from .metrics import MetricField, hodge_star, spatial_hodge
+from .scalars import value_table
 
 TOL_RESIDUAL_ANALYTIC = 1e-10
 TOL_RESIDUAL_FD = 1e-6
@@ -116,6 +117,14 @@ def _max_abs(form: DifferentialForm, pts: np.ndarray):
     return _table_max_abs(form.coefficient_table(pts), pts)
 
 
+def _tables(forms, pts: np.ndarray) -> list[np.ndarray]:
+    """Each form's coefficient table at pts, from one evaluation call for all of them."""
+    fields = [f.coefficient(idx) for f in forms for idx in f.indices]
+    table = value_table(fields, pts)
+    bounds = np.cumsum([0] + [len(f.indices) for f in forms])
+    return [table[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _table_max_abs(table: np.ndarray, pts: np.ndarray):
     if table.size == 0:
         return 0.0, pts[0].tolist()
@@ -125,8 +134,8 @@ def _table_max_abs(table: np.ndarray, pts: np.ndarray):
     return float(per_point[i]), pts[i].tolist()
 
 
-def _min_abs_coeff(form: DifferentialForm, idx, pts: np.ndarray):
-    vals = np.abs(form.coefficient(tuple(idx))(pts))
+def _min_abs(values: np.ndarray, pts: np.ndarray):
+    vals = np.abs(values)
     i = int(np.argmin(vals))
     return float(vals[i]), pts[i].tolist()
 
@@ -236,8 +245,8 @@ def constitutive_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
         {"D_vs_star_e": m_d, "B_vs_star_h": m_b, "F1_plus_eps0_star_F0": m_4})
 
 
-def _numerically_zero(form: DifferentialForm, pts, zero_scale) -> bool:
-    """True when the form's grid maximum is round-off dust next to zero_scale.
+def _numerically_zero(max_abs: float, zero_scale) -> bool:
+    """True when a form's grid maximum max_abs is round-off dust next to zero_scale.
 
     Rescaling a field and its reference together leaves this invariant, so
     pass/fail stays scale-covariant; what it catches is a structurally
@@ -246,7 +255,7 @@ def _numerically_zero(form: DifferentialForm, pts, zero_scale) -> bool:
     """
     if zero_scale is None or zero_scale <= 0.0:
         return False
-    return _max_abs(form, pts)[0] <= 1e-12 * zero_scale
+    return max_abs <= 1e-12 * zero_scale
 
 
 def contact_margin(lam: DifferentialForm, grid: SampleGrid,
@@ -263,14 +272,15 @@ def contact_margin(lam: DifferentialForm, grid: SampleGrid,
     if chart.dim != 3:
         raise DegreeError("contact_margin works on 3-d forms")
     pts = grid.points
-    if _numerically_zero(lam, pts, zero_scale):
+    dlam = exterior_derivative(lam)
+    lam_tab, dlam_tab, w_tab = _tables([lam, dlam, wedge(lam, dlam)], pts)
+    lam_max = _table_max_abs(lam_tab, pts)[0]
+    if _numerically_zero(lam_max, zero_scale):
         return CheckReport("contact", False, 0.0, 0.0, {"margin": tol_margin},
                            [pts[0].tolist()], grid.spec,
                            {"normalized_margin": 0.0, "degenerate_zero_form": True})
-    dlam = exterior_derivative(lam)
-    w = wedge(lam, dlam)
-    raw, witness = _min_abs_coeff(w, _vol_index(chart), pts)
-    scale = _max_abs(lam, pts)[0] * _max_abs(dlam, pts)[0]
+    raw, witness = _min_abs(w_tab[:, 0], pts)
+    scale = lam_max * _table_max_abs(dlam_tab, pts)[0]
     normalized = raw / scale if scale > 0 else 0.0
     return CheckReport(
         "contact", normalized >= tol_margin, 0.0, raw,
@@ -297,25 +307,24 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
     pts = grid.points
     mode, auto_tol = _mode_tol(Omega, lam)
     tol = auto_tol if tol is None else tol
+    omega_tab, lam_tab, d_omega_tab, pairing_tab, dlam_tab = _tables(
+        [Omega, lam, exterior_derivative(Omega), wedge(lam, Omega), exterior_derivative(lam)],
+        pts)
+    omega_abs_max = _table_max_abs(omega_tab, pts)[0]
+    lam_max = _table_max_abs(lam_tab, pts)[0]
     if zero_scales is not None and (
-            _numerically_zero(Omega, pts, zero_scales[0])
-            or _numerically_zero(lam, pts, zero_scales[1])):
+            _numerically_zero(omega_abs_max, zero_scales[0])
+            or _numerically_zero(lam_max, zero_scales[1])):
         return CheckReport("shs", False, 0.0, 0.0,
                            {"residual": tol, "margin": tol_margin},
                            [pts[0].tolist()], grid.spec,
                            {"normalized_margin": 0.0, "degenerate_zero_form": True})
 
-    d_omega = exterior_derivative(Omega)
-    closure, _ = _max_abs(d_omega, pts)
-
-    pairing = wedge(lam, Omega)
-    raw_margin, w_margin = _min_abs_coeff(pairing, _vol_index(chart), pts)
-    scale = _max_abs(lam, pts)[0] * _max_abs(Omega, pts)[0]
+    closure, _ = _table_max_abs(d_omega_tab, pts)
+    raw_margin, w_margin = _min_abs(pairing_tab[:, 0], pts)
+    scale = lam_max * omega_abs_max
     normalized = raw_margin / scale if scale > 0 else 0.0
 
-    dlam = exterior_derivative(lam)
-    omega_tab = Omega.coefficient_table(pts)
-    dlam_tab = dlam.coefficient_table(pts)
     omega_max = np.max(np.abs(omega_tab), axis=1)
     global_max = float(np.max(omega_max)) if omega_max.size else 0.0
     well_posed = omega_max > 1e-8 * max(global_max, 1e-300)
@@ -340,7 +349,7 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
         details["f_min"] = float(np.min(f_vals))
         details["f_max"] = float(np.max(f_vals))
         details["f_spread"] = float(np.max(f_vals) - np.min(f_vals))
-    resid_scale = max(1.0, _max_abs(dlam, pts)[0])
+    resid_scale = max(1.0, _table_max_abs(dlam_tab, pts)[0])
     passed = (closure <= tol and normalized >= tol_margin
               and prop_resid <= tol * resid_scale and not np.any(~well_posed))
     return CheckReport("shs", passed, max(closure, prop_resid), raw_margin,
@@ -364,7 +373,7 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
     mode, auto_tol = _mode_tol(F)
     tol = auto_tol if tol is None else tol
     ff = wedge(F, F)
-    raw, witness = _min_abs_coeff(ff, _vol_index(chart), pts)
+    raw, witness = _min_abs(ff.coefficient(_vol_index(chart))(pts), pts)
     f_max = _max_abs(F, pts)[0]
     normalized = raw / (f_max * f_max) if f_max > 0 else 0.0
     d_f = exterior_derivative(F)
@@ -375,7 +384,7 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
         two, one = companion
         prod = wedge(two, one)
         spatial_vol = tuple(i for i in range(chart.dim) if i != chart.time_axis)
-        m3, _ = _min_abs_coeff(prod, spatial_vol, pts)
+        m3, _ = _min_abs(prod.coefficient(spatial_vol)(pts), pts)
         details["companion_margin"] = m3
     passed = normalized >= tol_margin and closure <= tol
     return CheckReport(f"symplectic_{label}", passed, closure, raw,
@@ -403,16 +412,17 @@ def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None,
 
     Lie derivatives use the Cartan formula; mode="fd" forces finite-difference
     coefficient partials (the independent evaluation path), mode="auto" uses
-    analytic partials when available.
+    analytic partials when available.  The coefficients of every L_Y(form)
+    go through one evaluation call, so the forms share stencil grids.
     """
     forms = list(forms)
     names = list(names) if names is not None else [f"form{i}" for i in range(len(forms))]
     tol = (TOL_RESIDUAL_FD if mode == "fd" else TOL_RESIDUAL_ANALYTIC) if tol is None else tol
+    tables = _tables([lie_derivative(Y, f, mode=mode) for f in forms], grid.points)
     per = {}
     worst = (0.0, grid.points[0].tolist())
-    for name, f in zip(names, forms):
-        lf = lie_derivative(Y, f, mode=mode)
-        m, w = _max_abs(lf, grid.points)
+    for name, table in zip(names, tables):
+        m, w = _table_max_abs(table, grid.points)
         per[name] = m
         if m >= worst[0]:
             worst = (m, w)

@@ -121,8 +121,10 @@ def test_verify_conservation_at_degenerate_instant_is_config_error(tmp_path):
 def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
     """Equal J0/J1 leaves run bessel_j once per evaluation call.
 
-    The count does not depend on the grid: 906 calls with per-call sharing,
-    4565 when every leaf is evaluated on its own.
+    The count does not depend on the grid: 162 calls when each stencil grid
+    of the finite-difference partials is one call for all of a check's
+    forms, 882 with one call per partial, stencil offset and residual form,
+    and 4565 when every leaf is evaluated on its own.
     """
     import bmkit.bessel
 
@@ -139,7 +141,7 @@ def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
                     "--checks", "all", "--allow-degenerate", "--no-meta",
                     "--grid", "6", "--tgrid", "3", "--out", str(tmp_path / "r.json")])
     assert code == 0
-    assert 0 < len(calls) <= 906
+    assert 0 < len(calls) <= 162
 
 
 def test_verify_unknown_field_exit_2():

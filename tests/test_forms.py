@@ -220,3 +220,156 @@ def test_lie_derivative_top_degree():
     want = sin_wave({1: 1})(PTS) * sin_wave({0: 1}, 0.0, -1.0)(PTS)
     got = out.coefficient((0, 1, 2))(PTS)
     assert np.allclose(got, want, atol=1e-12)
+
+
+# -- FD nodes: one table per stencil grid ----------------------------------------
+
+_CENTRAL = ((-2, 1.0 / 12), (-1, -8.0 / 12), (1, 8.0 / 12), (2, -1.0 / 12))
+_FORWARD = ((0, -25.0 / 12), (1, 48.0 / 12), (2, -36.0 / 12), (3, 16.0 / 12), (4, -3.0 / 12))
+_BACKWARD = tuple((-o, -w) for o, w in _FORWARD)
+
+
+def per_node_fd(chart, sf, axis, base_step=1e-4):
+    """The FD partial evaluated node by node, each stencil offset in its own call."""
+    ax = chart.axes[axis]
+    h = base_step * ax.fd_scale()
+
+    def stencil_eval(pts, stencil):
+        total = np.zeros(pts.shape[:-1])
+        for offset, weight in stencil:
+            shifted = np.array(pts, copy=True)
+            shifted[..., axis] += offset * h
+            total += weight * sf(chart.wrap(shifted))
+        return total / h
+
+    def value(pts):
+        pts = np.asarray(pts, dtype=float)
+        chart.require_inside(pts)
+        x = pts[..., axis]
+        if ax.is_periodic or (np.isinf(ax.lo) and np.isinf(ax.hi)):
+            return stencil_eval(pts, _CENTRAL)
+        out = np.empty(pts.shape[:-1])
+        near_lo = x < ax.lo + 2 * h
+        near_hi = x > ax.hi - 2 * h
+        mid = ~(near_lo | near_hi)
+        for mask, stencil in ((mid, _CENTRAL), (near_lo, _FORWARD), (near_hi, _BACKWARD)):
+            if np.any(mask):
+                out[mask] = stencil_eval(pts[mask], stencil)
+        return out
+
+    return from_function(value)
+
+
+def fd_cases():
+    from bmkit import coordinate, solid_torus_mode
+    c4 = spacetime(CHART)
+    st = solid_torus_mode(k_c=2.0, beta=1.0, sign="minus")
+    r_lo, r_hi = st.chart.axes[0].lo, st.chart.axes[0].hi
+    r = np.array([r_lo, r_lo + 1e-4, r_lo + 3e-4, 0.5, r_hi - 3e-4, r_hi - 1e-4, r_hi])
+    st_pts = np.column_stack([np.repeat(r, 3), np.tile([0.1, 2.0, 6.2], len(r)),
+                              np.tile([6.28, 3.0, 0.0], len(r))])
+    r3 = euclidean3()
+    r3_form = make_form(r3, 1, {(0,): wave({0: 1.0, 2: 0.5}) * coordinate(1),
+                                (2,): sin_wave({1: 2.0}, 0.3)})
+    t4 = make_form(c4, 1, {(0,): wave({0: 1.0, 2: 1.0}),
+                           (1,): wave({0: 1.0}) * sin_wave({3: 2.0}),
+                           (3,): sin_wave({0: 2.0, 1: 1.0}, 0.2, 1.5)})
+    pts4 = np.column_stack([RNG.uniform(-1, 1, 40), PTS])
+    return {"T3": (rand_form(CHART, 1, 3, seed=3), PTS),
+            "R3": (r3_form, RNG.uniform(-4, 4, (40, 3))),
+            "spacetime": (t4, pts4),
+            "solid_torus": (st.form, st_pts)}
+
+
+@pytest.mark.parametrize("case", ["T3", "R3", "spacetime", "solid_torus"])
+def test_fd_derivative_table_equals_per_node_stencils(case, monkeypatch):
+    import bmkit.forms
+    form, pts = fd_cases()[case]
+    batched = exterior_derivative(form, mode="fd").coefficient_table(pts)
+    monkeypatch.setattr(bmkit.forms, "fd_partial", per_node_fd)
+    reference = exterior_derivative(form, mode="fd").coefficient_table(pts)
+    assert np.array_equal(batched, reference)
+
+
+def test_fd_time_derivative_equals_per_node_stencils(monkeypatch):
+    import bmkit.forms
+    form, pts = fd_cases()["spacetime"]
+    batched = time_derivative(form, mode="fd").coefficient_table(pts)
+    monkeypatch.setattr(bmkit.forms, "fd_partial", per_node_fd)
+    assert np.array_equal(batched, time_derivative(form, mode="fd").coefficient_table(pts))
+
+
+def test_fd_node_has_no_analytic_partials():
+    df = exterior_derivative(rand_form(CHART, 1, seed=4), mode="fd")
+    coeff = next(iter(df.coeffs.values()))
+    assert not df.has_analytic_partials
+    assert coeff.partial(0) is None
+
+
+def test_fd_table_outside_domain_raises():
+    from bmkit import DomainError, solid_torus
+    chart = solid_torus(a=1.0, r_min=0.1)
+    f = make_form(chart, 1, {(1,): wave({2: 1.0}) * from_function(lambda p: p[..., 0] ** 2)})
+    df = exterior_derivative(f, mode="fd")
+    inside = np.array([[0.5, 0.0, 0.0], [0.7, 1.0, 2.0]])
+    df.coefficient_table(inside)
+    with pytest.raises(DomainError, match="outside chart domain"):
+        df.coefficient_table(np.vstack([inside, [[1.5, 0.0, 0.0]]]))
+
+
+def test_fd_of_from_function_and_fd_of_fd(monkeypatch):
+    import bmkit.forms
+    from bmkit.forms import partial_field
+    from bmkit.scalars import value_table
+    f = from_function(lambda p: np.sin(p[..., 0]) * np.cos(2.0 * p[..., 1]))
+    d0 = partial_field(CHART, f, 0, mode="fd")
+    d01 = partial_field(CHART, d0, 1, mode="fd")
+    d00 = partial_field(CHART, d0, 0, mode="fd")
+    fields = [d0, d01, d00, d0 * d01 + f]
+    batched = value_table(fields, PTS)
+    for col, sf in enumerate(fields):
+        assert np.array_equal(batched[:, col], sf(PTS))
+    monkeypatch.setattr(bmkit.forms, "fd_partial", per_node_fd)
+    r0 = partial_field(CHART, f, 0, mode="fd")
+    reference = [r0, partial_field(CHART, r0, 1, mode="fd"),
+                 partial_field(CHART, r0, 0, mode="fd")]
+    for col, sf in enumerate(reference):
+        assert np.array_equal(batched[:, col], sf(PTS))
+    want = -2.0 * np.cos(PTS[:, 0]) * np.sin(2.0 * PTS[:, 1])
+    assert np.max(np.abs(batched[:, 1] - want)) < 1e-6
+
+
+def test_restrict_and_lift_of_fd_derived_field():
+    from bmkit import lift_spatial, restrict_time
+    from bmkit.forms import partial_field
+    c4 = spacetime(CHART)
+    sf4 = partial_field(c4, wave({0: 1.0, 1: 2.0}) * sin_wave({3: 1.0}), 1, mode="fd")
+    x0 = 0.4
+    sliced = restrict_time(sf4, x0)
+    pts4 = np.column_stack([np.full(len(PTS), x0), PTS])
+    assert np.array_equal(sliced(PTS), sf4(pts4))
+    sf3 = partial_field(CHART, wave({0: 1.0, 2: 2.0}), 2, mode="fd") + 1.0
+    lifted = lift_spatial(sf3)
+    pts4 = np.column_stack([RNG.uniform(-3, 3, len(PTS)), PTS])
+    assert np.array_equal(lifted(pts4), sf3(PTS))
+
+
+def test_fd_inner_field_runs_once_per_grid_for_a_whole_derivative():
+    from bmkit import solid_torus
+    runs = []
+
+    def counted(p):
+        runs.append(len(p))
+        return p[..., 0] ** 2 * np.cos(p[..., 1]) + np.sin(p[..., 2])
+
+    f = from_function(counted)
+    chart = solid_torus(a=1.0, r_min=0.1)
+    form = make_form(chart, 1, {(0,): f, (1,): 2.0 * f, (2,): f * f})
+    pts = np.array([[0.1, 0.0, 0.0], [0.5, 1.0, 2.0], [0.7, 3.0, 1.0], [1.0, 6.0, 5.0]])
+    df = exterior_derivative(form, mode="fd")
+    runs.clear()
+    df.coefficient_table(pts)
+    # axis r: central, forward and backward regions (4 + 5 + 5 grids);
+    # periodic phi and x3: one central region (4 grids each)
+    assert len(runs) == 14 + 4 + 4
+    assert sorted(set(runs)) == [1, 2, 4]

@@ -194,3 +194,55 @@ def test_from_function_and_sliced_trees_under_the_memo():
         assert np.array_equal(table3[:, col], sliced[col](PTS3))
         assert np.max(np.abs(table3[:, col] - table[:, col])) <= 1e-15 * max(
             1.0, np.max(np.abs(table[:, col])))
+
+
+def counting_function():
+    runs = []
+
+    def fn(p):
+        runs.append(1)
+        return np.cos(p[..., 0]) + p[..., 1] * p[..., 2]
+
+    return from_function(fn), runs
+
+
+def shared_dag():
+    """Columns over a composite reached by several paths, and a 6-level chain of reuse."""
+    f, runs = counting_function()
+    shared = f * wave({1: 1.0}, 0.2) + j0_field(0, 3.0)
+    chain = shared
+    for _ in range(6):
+        chain = (chain + chain) * 0.5 - chain / (chain * chain + 3.0)
+    fields = [shared * shared, shared + monomial(2, 2), -shared, shared, chain,
+              chain * shared]
+    return fields, runs
+
+
+def test_shared_subtree_runs_once_per_call():
+    fields, runs = shared_dag()
+    value_table(fields, PTS3)
+    assert len(runs) == 1
+    runs.clear()
+    fields[-1](PTS3)
+    assert len(runs) == 1
+
+
+def test_shared_dag_table_equals_columns_alone():
+    fields, _ = shared_dag()
+    table = value_table(fields, PTS3)
+    for col, sf in enumerate(fields):
+        assert np.array_equal(table[:, col], sf(PTS3)), col
+    shared = fields[3](PTS3)
+    assert np.array_equal(table[:, 0], shared * shared)
+    assert np.array_equal(table[:, 2], -shared)
+
+
+def test_shared_dag_sees_mutated_points():
+    fields, runs = shared_dag()
+    pts = PTS3.copy()
+    value_table(fields, pts)
+    pts[:, 1] += 0.25
+    fresh = pts.copy()
+    assert np.array_equal(value_table(fields, pts), value_table(fields, fresh))
+    assert np.array_equal(fields[-1](pts), fields[-1](fresh))
+    assert len(runs) == 5   # once per call
