@@ -29,6 +29,7 @@ from .errors import BmkitError, ConfigError, DegenerateInstantError
 from .metrics import hodge_star
 from .orbits import closed_orbit_survey, write_orbit_csv, write_vector_field_csv
 from .reeb import field_line_generator, reeb_closed_form_beltrami, reeb_for_maxwell
+from .scalars import value_table
 from .verify import (SampleGrid, beltrami_residual, conservation_along,
                      constitutive_residuals, contact_margin, maxwell_residuals,
                      parallel_check, shs_check, symplectic_margin)
@@ -195,13 +196,24 @@ def _run_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _amplitudes(forms: dict, pts: np.ndarray) -> dict:
+    """max |coefficient| of each form over pts, from one table of their stored coefficients."""
+    table = value_table([c for f in forms.values() for c in f.coeffs.values()], pts)
+    col_max = np.abs(table, out=table).max(axis=0, initial=0.0)
+    bounds = np.cumsum([0] + [len(f.coeffs) for f in forms.values()])
+    return {name: float(col_max[a:b].max(initial=0.0))
+            for name, a, b in zip(forms, bounds[:-1], bounds[1:])}
+
+
 def _run_maxwell_checks(M: MaxwellFieldSet, requested, x0_list, args, skipped):
     reports = []
     counts3 = _parse_counts(args.grid, 3)
     grid3 = SampleGrid.regular(M.chart3, counts3)
     w = args.t_window
+    # one time sample per instant is the instant itself
     t_values = np.unique(np.concatenate(
-        [np.linspace(x0 - w, x0 + w, args.tgrid) for x0 in x0_list]))
+        [np.linspace(x0 - w, x0 + w, args.tgrid) if args.tgrid > 1 else [x0]
+         for x0 in x0_list]))
     grid4 = grid3.with_time(M.chart4, t_values)
 
     if "maxwell" in requested:
@@ -221,8 +233,7 @@ def _run_maxwell_checks(M: MaxwellFieldSet, requested, x0_list, args, skipped):
 
     # Global field amplitudes over the window; slice checks use them to tell a
     # degenerate instant (field numerically zero) from a genuinely small field.
-    scales = {name: form.max_abs(grid4.points)
-              for name, form in (("e", M.e), ("h", M.h), ("B", M.B), ("D", M.D))}
+    scales = _amplitudes({"e": M.e, "h": M.h, "B": M.B, "D": M.D}, grid4.points)
 
     for x0 in x0_list:
         sl = M.at_time(x0)

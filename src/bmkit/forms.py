@@ -3,9 +3,10 @@
 Forms are stored in the canonical antisymmetric representation: one
 :class:`~bmkit.scalars.ScalarField` coefficient per strictly increasing
 multi-index, zero coefficients omitted.  All operations are pure and the
-objects are immutable after construction, so evaluation is thread-safe: the
-memo of an evaluation call (one ``coefficient_table``), its stencil grids and
-the values on them are local to it.
+objects are immutable after construction, so evaluation is thread-safe: an
+evaluation plan (:class:`~bmkit.scalars.Plan`, one per ``coefficient_table``
+call and one kept by each vector field) holds no values, and the values of a
+run, its stencil grids included, are local to that run.
 
 Exterior derivatives use analytic coefficient partials when present and
 otherwise fall back to 4th-order finite differences that wrap periodic axes
@@ -13,7 +14,7 @@ and switch to one-sided stencils within two steps of interval endpoints.
 A finite-difference partial is an ``fd`` node of the coefficient's tree; its
 stencil plan, shared by every partial of one (chart, axis, step), gives the
 shifted grids, and one evaluation call evaluates each grid once for all the
-partials that read it (one table of all their inner fields per grid).
+partials that read it (one sub-plan of all their inner fields per grid).
 On spacetime charts the derivative splits as d = d_spatial + dx0 ^ d/dx0;
 both pieces are exposed separately.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import ChartMismatchError, DegreeError, DomainError
-from .scalars import ScalarField, ZERO, constant, value_table
+from .scalars import Plan, ScalarField, ZERO, constant, value_table
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -146,9 +147,13 @@ class VectorField:
     def component(self, axis: int) -> ScalarField:
         return self.components[axis]
 
+    @functools.cached_property
+    def _plan(self) -> Plan:
+        return Plan(self.components)
+
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        pts = self.chart.as_points(pts)
-        return np.stack([c(pts) for c in self.components], axis=-1)
+        """Components at pts, shape (N, dim), from one run of the field's plan."""
+        return self._plan(self.chart.as_points(pts))
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, tuple(-c for c in self.components))
@@ -418,11 +423,11 @@ def lie_derivative_flow(X: VectorField, a: DifferentialForm, pts: np.ndarray,
                         - _rk4_step(flow, pts - dp, tau)) / (2 * jac_step)
 
     indices = a.indices
-    a_at_phi = {idx: a.coefficient(idx)(chart.wrap(phi)) for idx in a.coeffs}
+    at_phi = value_table(a.coeffs.values(), chart.wrap(phi))
     pulled = np.zeros((n, len(indices)))
     for col, idx_out in enumerate(indices):
         total = np.zeros(n)
-        for idx_in, vals in a_at_phi.items():
+        for idx_in, vals in zip(a.coeffs, at_phi.T):
             sub = jac[:, idx_in, :][:, :, idx_out]
             total += vals * np.linalg.det(sub)
         pulled[:, col] = total

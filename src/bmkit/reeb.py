@@ -69,12 +69,10 @@ class ReebField:
 
 def omega_components(Omega: DifferentialForm, pts: np.ndarray) -> np.ndarray:
     """(Omega_1, Omega_2, Omega_3) in the dx2^dx3, dx3^dx1, dx1^dx2 ordering."""
-    pts = Omega.chart.as_points(pts)
-    return np.stack([
-        Omega.coefficient((1, 2))(pts),       # Omega_1 on dx2 ^ dx3
-        -Omega.coefficient((0, 2))(pts),      # Omega_2 on dx3 ^ dx1 = -dx1 ^ dx3
-        Omega.coefficient((0, 1))(pts),       # Omega_3 on dx1 ^ dx2
-    ], axis=-1)
+    return value_table([Omega.coefficient((1, 2)),     # Omega_1 on dx2 ^ dx3
+                        -Omega.coefficient((0, 2)),    # Omega_2 on dx3 ^ dx1 = -dx1 ^ dx3
+                        Omega.coefficient((0, 1))],    # Omega_3 on dx1 ^ dx2
+                       Omega.chart.as_points(pts))
 
 
 def reeb_from_shs(pair: SHSPair, x) -> np.ndarray:
@@ -85,7 +83,7 @@ def reeb_from_shs(pair: SHSPair, x) -> np.ndarray:
     """
     pts = pair.chart.as_points(x)
     ov = omega_components(pair.Omega, pts)
-    lam_tab = np.stack([pair.lam.coefficient((i,))(pts) for i in range(3)], axis=-1)
+    lam_tab = pair.lam.coefficient_table(pts)
     den = np.einsum("ni,ni->n", lam_tab, ov)
     scale = np.linalg.norm(lam_tab, axis=-1) * np.linalg.norm(ov, axis=-1)
     bad = np.abs(den) <= DEGENERACY_TOL * np.maximum(scale, 1e-300)
@@ -176,11 +174,11 @@ def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,
 def reeb_parallel_ratio(M: MaxwellFieldSet, x0: float,
                         grid: SampleGrid | None = None) -> float:
     """max componentwise |Y1 - (f_e / f_h) Y0| on the slice (both must exist)."""
+    if M.f_e is None or M.f_h is None:
+        raise BmkitError("field set does not expose amplitude profiles")
     y0 = reeb_for_maxwell(M, "Y0", x0, grid)
     y1 = reeb_for_maxwell(M, "Y1", x0, grid)
     grid = grid or _default_grid(M.chart3)
-    if M.f_e is None or M.f_h is None:
-        raise BmkitError("field set does not expose amplitude profiles")
     ratio = M.f_e(x0) / M.f_h(x0)
     diff = y1.Y.evaluate(grid.points) - ratio * y0.Y.evaluate(grid.points)
     return float(np.max(np.abs(diff)))

@@ -17,19 +17,19 @@ rewrite the leaves (re-indexed axes; x0 folded into the phase) and rebuild
 composites through the operators, so a field sliced at x0 is the same few
 leaves as one built on the slice.
 
-One evaluation call (``field(pts)``, or :func:`value_table` for several
-fields) starts with a pre-pass that walks the DAG once per node and counts
-each node's parent edges.  Evaluation (``ScalarField._eval``) then computes
-each node once: a composite or ``fn`` node with several parents keeps its
-value until its last parent has read it.  Leaves share a memo of kernel
-values keyed by (kernel, axis terms, phase), so leaves that differ only in
-amplitude (the J0 and -c*J1 leaves spread over a Bessel field's coefficients
-and partials) run their kernel once; the amplitude is applied after the
-lookup, so values are bitwise those of each leaf alone.  The pre-pass also
-groups the ``fd`` nodes by stencil plan and evaluates each group with one
-table of all its inner fields per stencil grid, so every grid is evaluated
-once per call.  Every value is dropped after its last use in the call, and
-no value survives from one call to the next.
+Every evaluation runs a :class:`Plan`, a straight-line program built from a
+list of root fields: ``field(pts)`` is the one-column case of
+:func:`value_table`, and a vector field keeps the plan of its components.
+A plan holds structure only.  A node reached by several parents is one step,
+except a leaf: the leaves of one (kernel, axis terms, phase) share one kernel
+step, and each applies its amplitude once per parent, so only the kernel
+value waits for later readers.  The J0 and -c*J1 leaves spread over a Bessel
+field's coefficients and partials thus run their kernel once.  The ``fd``
+nodes of one stencil plan share a step that evaluates a sub-plan of all their
+inner fields once per stencil grid.  Arithmetic is that of each field alone,
+so every column is bitwise what its field gives by itself.  Values live in the
+slots of one run, each dropped after its last reader, so a plan is safe to
+share between threads and no value survives from one call to the next.
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import Counter
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 ValueFn = Callable[[np.ndarray], np.ndarray]
 
-_COMPOSITE = ("add", "neg", "mul", "div")
+_OPS = {"add": operator.add, "neg": operator.neg, "mul": operator.mul, "div": operator.truediv}
 
 
 class Kernel(NamedTuple):
@@ -55,7 +54,7 @@ class Kernel(NamedTuple):
 
 
 class ScalarField:
-    """A node of the expression tree; a call evaluates it with one memo."""
+    """A node of the expression tree; a call evaluates it with a one-column plan."""
 
     __slots__ = ("op", "args", "const", "has_partials", "_partial_cache")
 
@@ -64,57 +63,11 @@ class ScalarField:
         self.args = args
         self.const = const
         self.has_partials = op in ("const", "leaf") or (
-            op in _COMPOSITE and all(a.has_partials for a in args))
+            op in _OPS and all(a.has_partials for a in args))
         self._partial_cache: dict[int, ScalarField] = {}
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        op = self.op
-        if op == "leaf":
-            # a root leaf has nothing to share its kernel value with
-            kernel, coeffs, phase, amplitude = self.args
-            return amplitude * kernel.value(_argument(pts, coeffs, phase))
-        if op == "const":
-            return np.full(pts.shape[:-1], self.const)
-        return self._eval(pts, _memo(_walk([self]), pts))
-
-    def _eval(self, pts: np.ndarray, memo: dict):
-        """Value at pts, sharing values through memo; a const gives its float."""
-        op = self.op
-        if op == "const":
-            return self.const
-        if op == "leaf":
-            kernel, coeffs, phase, amplitude = self.args
-            entry = memo[_leaf_key(self.args)]
-            value = entry[1]
-            if value is None:
-                value = kernel.value(_argument(pts, coeffs, phase))
-            entry[0] -= 1
-            entry[1] = value if entry[0] else None   # dropped after its last visit
-            return amplitude * value
-        entry = memo.get(_fd_key(self.args) if op == "fd" else id(self))
-        if entry is None:   # a node with one parent in the call
-            return self._compute(pts, memo)
-        value = entry[1]
-        if value is None:   # an fd value is filled in by the pre-pass
-            value = self._compute(pts, memo)
-        entry[0] -= 1
-        entry[1] = value if entry[0] else None
-        return value
-
-    def _compute(self, pts: np.ndarray, memo: dict):
-        op = self.op
-        if op == "fn":
-            return np.broadcast_to(np.asarray(self.args[0](pts), dtype=float), pts.shape[:-1])
-        if op == "neg":
-            return -self.args[0]._eval(pts, memo)
-        left, right = self.args
-        a, b = left._eval(pts, memo), right._eval(pts, memo)
-        if op == "add":
-            return a + b
-        if op == "mul":
-            return a * b
-        return a / b
+        return value_table([self], pts)[..., 0]
 
     # -- analytic structure ------------------------------------------------
 
@@ -233,8 +186,113 @@ def value_table(fields, pts: np.ndarray) -> np.ndarray:
     A leaf kernel, a shared subtree or a stencil grid used by several fields
     is evaluated once; each column is bitwise what calling its field alone gives.
     """
-    fields = list(fields)
-    return _table(fields, _walk(fields), np.asarray(pts, dtype=float))
+    return Plan(fields)(pts)
+
+
+class Plan:
+    """A straight-line program for the values of several root fields.
+
+    ``plan(pts)`` is the (N, len(fields)) table of their values.  The plan
+    holds structure only: each step reads slots and writes one, and every
+    value lives in the slots of one run, each dropped after its last reader.
+    """
+
+    __slots__ = ("_slots", "_steps")
+
+    def __init__(self, fields):
+        fields = list(fields)
+        slots: list = [None, None]  # the points, the table; a constant's slot holds its float
+        steps: list = []            # (out, fn, ins)
+        done: dict = {}             # node id, kernel key or (stencils, inner id) -> slot
+        groups: dict = {}           # stencils -> (slot of their rows, {inner id: inner})
+
+        def step(fn, *ins):
+            slots.append(None)
+            steps.append((len(slots) - 1, fn, ins))
+            return len(slots) - 1
+
+        def visit(node):
+            op = node.op
+            if op == "leaf":   # a product per parent edge: only the kernel value waits for readers
+                kernel, coeffs, phase, amplitude = node.args
+                # the phase's sign is in the key: -0.0 + c*x and 0.0 + c*x differ where c*x is -0.0
+                key = kernel, tuple(coeffs.items()), phase, math.copysign(1.0, phase)
+                if key not in done:
+                    done[key] = step(_kernel_step(kernel, coeffs, phase), 0)
+                return step(functools.partial(operator.mul, amplitude), done[key])
+            if id(node) in done:
+                return done[id(node)]
+            if op == "const":
+                slots.append(node.const)
+                out = len(slots) - 1
+            elif op == "fd":
+                inner, stencils = node.args
+                if stencils not in groups:
+                    slots.append(None)
+                    groups[stencils] = (len(slots) - 1, {})
+                rows, inner_fields = groups[stencils]
+                key = stencils, id(inner)
+                if key not in done:
+                    done[key] = step(operator.itemgetter(len(inner_fields)), rows)
+                    inner_fields[id(inner)] = inner
+                out = done[key]
+            elif op == "fn":
+                out = step(_fn_step(node.args[0]), 0)
+            else:
+                out = step(_OPS[op], *map(visit, node.args))
+            done[id(node)] = out
+            return out
+
+        for col, f in enumerate(fields):
+            steps.append((_TABLE, _column(col), (_TABLE, visit(f))))
+        # the stencil groups run first, each one sub-plan of its inner fields per
+        # grid, and then the table is made
+        steps[:0] = [(rows, _fd_step(stencils, inner), (0,))
+                     for stencils, (rows, inner) in groups.items()]
+        steps.insert(len(groups), (_TABLE, functools.partial(_empty_table, len(fields)), (0,)))
+        last = {slot: i for i, (_, _, ins) in enumerate(steps) for slot in ins if slot != _TABLE}
+        dead: list[list[int]] = [[] for _ in steps]
+        for slot, i in last.items():
+            dead[i].append(slot)
+        self._slots = slots
+        self._steps = [(out, fn, ins, tuple(d)) for (out, fn, ins), d in zip(steps, dead)]
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        vals = self._slots.copy()
+        vals[0] = np.asarray(pts, dtype=float)
+        for out, fn, ins, dead in self._steps:
+            vals[out] = fn(*[vals[i] for i in ins])
+            for i in dead:
+                vals[i] = None
+        return vals[_TABLE]
+
+
+_TABLE = 1   # the slot of a plan's output table
+
+
+def _empty_table(width: int, pts: np.ndarray) -> np.ndarray:
+    return np.empty(pts.shape[:-1] + (width,))
+
+
+def _column(col: int):
+    def put(table: np.ndarray, value) -> np.ndarray:
+        table[..., col] = value
+        return table
+
+    return put
+
+
+def _kernel_step(kernel: Kernel, coeffs: dict[int, float], phase: float):
+    return lambda pts: kernel.value(_argument(pts, coeffs, phase))
+
+
+def _fn_step(fn: ValueFn):
+    return lambda pts: np.broadcast_to(np.asarray(fn(pts), dtype=float), pts.shape[:-1])
+
+
+def _fd_step(stencils, inner: dict):
+    plan, n = Plan(inner.values()), len(inner)
+    return lambda pts: stencils(plan, pts, n)
 
 
 def _argument(pts: np.ndarray, coeffs: dict[int, float], phase: float):
@@ -243,76 +301,6 @@ def _argument(pts: np.ndarray, coeffs: dict[int, float], phase: float):
     for a, c in coeffs.items():
         u = u + c * pts[..., a]
     return u
-
-
-def _leaf_key(args: tuple) -> tuple:
-    # the phase's sign is part of the key: -0.0 + c*x and 0.0 + c*x differ where c*x is -0.0
-    kernel, coeffs, phase, _ = args
-    return kernel, tuple(coeffs.items()), phase, math.copysign(1.0, phase)
-
-
-def _fd_key(args: tuple) -> tuple:
-    inner, plan = args
-    return plan, id(inner)
-
-
-def _walk(fields) -> tuple[dict, list]:
-    """The point-independent half of an evaluation call's pre-pass: (visits, fd groups).
-
-    The DAG is walked once per node, counting parent edges (a column is one);
-    evaluation then computes each node once and visits it once per edge.
-    visits maps a memo key to its visits: a leaf shares its entry with the
-    leaves of its kernel key, an fd node with the fd nodes of its (plan,
-    inner field), and a composite or fn node with several parents has its
-    own.  The fd groups hold one (plan, inner fields, their walk, memo keys)
-    per stencil plan.
-    """
-    edges = Counter(map(id, fields))
-    nodes: dict[int, ScalarField] = {}
-    stack = list(fields)
-    while stack:
-        node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            if node.op in _COMPOSITE:
-                edges.update(map(id, node.args))
-                stack.extend(node.args)
-    visits: Counter = Counter()
-    groups: dict = {}
-    for i, node in nodes.items():
-        if node.op == "leaf":
-            visits[_leaf_key(node.args)] += edges[i]
-        elif node.op == "fd":
-            inner, plan = node.args
-            groups.setdefault(plan, {})[id(inner)] = inner
-            visits[_fd_key(node.args)] += edges[i]
-        elif node.op != "const" and edges[i] > 1:
-            visits[i] = edges[i]
-    return visits, [(plan, list(inner.values()), _walk(inner.values()),
-                     [(plan, i) for i in inner]) for plan, inner in groups.items()]
-
-
-def _memo(walk: tuple[dict, list], pts: np.ndarray) -> dict:
-    """The memo of one evaluation at pts: key -> [visits left, value or None].
-
-    Every fd group is evaluated here: its plan runs one table of all the
-    group's inner fields per stencil grid.
-    """
-    visits, fd_groups = walk
-    memo = {key: [n, None] for key, n in visits.items()}
-    for plan, inner, inner_walk, keys in fd_groups:
-        rows = plan(lambda grid: _table(inner, inner_walk, grid), pts, len(inner))
-        for key, row in zip(keys, rows):
-            memo[key][1] = row
-    return memo
-
-
-def _table(fields: list, walk: tuple[dict, list], pts: np.ndarray) -> np.ndarray:
-    memo = _memo(walk, pts)
-    table = np.empty(pts.shape[:-1] + (len(fields),))
-    for col, f in enumerate(fields):
-        table[..., col] = f._eval(pts, memo)
-    return table
 
 
 def leaf(kernel: Kernel, coeffs: dict[int, float], phase: float = 0.0,
@@ -372,9 +360,6 @@ def coordinate(axis: int) -> ScalarField:
     return monomial(axis, 1, 1.0)
 
 
-_REBUILD = {"add": operator.add, "neg": operator.neg, "mul": operator.mul, "div": operator.truediv}
-
-
 def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
     """Rebuild sf with on_leaf(*leaf.args) for each leaf; an fn or fd node sees pull(pts).
 
@@ -391,7 +376,7 @@ def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
             elif node.op == "const":
                 out = node
             else:
-                out = _REBUILD[node.op](*map(go, node.args))
+                out = _OPS[node.op](*map(go, node.args))
             memo[id(node)] = out
         return memo[id(node)]
 

@@ -112,13 +112,13 @@ class CheckReport:
 # -- helpers -----------------------------------------------------------------
 
 
-def _max_abs(form: DifferentialForm, pts: np.ndarray):
-    """(max |coeff|, witness point). Zero forms report 0 at the first point."""
-    return _table_max_abs(form.coefficient_table(pts), pts)
-
-
 def _tables(forms, pts: np.ndarray) -> list[np.ndarray]:
-    """Each form's coefficient table at pts, from one evaluation call for all of them."""
+    """Each form's coefficient table at pts, from one evaluation call for all of them.
+
+    The order of forms sets only the peak memory: a value two forms share is
+    held from the first reader to the last, so the checks list their forms in
+    the order that measured lowest.
+    """
     fields = [f.coefficient(idx) for f in forms for idx in f.indices]
     table = value_table(fields, pts)
     bounds = np.cumsum([0] + [len(f.indices) for f in forms])
@@ -126,10 +126,14 @@ def _tables(forms, pts: np.ndarray) -> list[np.ndarray]:
 
 
 def _table_max_abs(table: np.ndarray, pts: np.ndarray):
+    """(max |coeff|, witness point). Zero forms report 0 at the first point."""
     if table.size == 0:
         return 0.0, pts[0].tolist()
-    flat = np.abs(table)
-    per_point = flat.max(axis=1)
+    # column by column: no table-sized temporary, and far faster than a reduction
+    # along a table's short rows
+    per_point = np.abs(table[:, 0])
+    for col in table.T[1:]:
+        np.maximum(per_point, np.abs(col), out=per_point)
     i = int(np.argmax(per_point))
     return float(per_point[i]), pts[i].tolist()
 
@@ -147,10 +151,6 @@ def _mode_tol(*forms: DifferentialForm) -> tuple[str, float]:
     return "fd", TOL_RESIDUAL_FD
 
 
-def _vol_index(chart: Chart) -> tuple[int, ...]:
-    return tuple(range(chart.dim))
-
-
 # -- checks -------------------------------------------------------------------
 
 
@@ -162,9 +162,10 @@ def beltrami_residual(v: DifferentialForm, k: float, g: MetricField,
     mode, auto_tol = _mode_tol(v)
     tol = auto_tol if tol is None else tol
     resid = hodge_star(g, exterior_derivative(v)) - float(k) * v
-    max_res, witness = _max_abs(resid, grid.points)
     div = hodge_star(g, exterior_derivative(hodge_star(g, v)))
-    max_div, _ = _max_abs(div, grid.points)
+    resid_tab, div_tab = _tables([resid, div], grid.points)
+    max_res, witness = _table_max_abs(resid_tab, grid.points)
+    max_div, _ = _table_max_abs(div_tab, grid.points)
     return CheckReport(
         "beltrami", max_res <= tol, max_res, None,
         {"residual": tol}, [witness], grid.spec,
@@ -235,9 +236,10 @@ def constitutive_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
     r_d = M.D - M.eps0 * spatial_hodge(M.metric3, M.e)
     r_b = M.B - M.mu0 * spatial_hodge(M.metric3, M.h)
     r_4d = M.F1 + M.eps0 * hodge_star(M.metric4, M.F0)
-    m_d, w_d = _max_abs(r_d, pts)
-    m_b, _ = _max_abs(r_b, pts)
-    m_4, _ = _max_abs(r_4d, pts)
+    b_tab, tab_4d, d_tab = _tables([r_b, r_4d, r_d], pts)
+    m_d, w_d = _table_max_abs(d_tab, pts)
+    m_b, _ = _table_max_abs(b_tab, pts)
+    m_4, _ = _table_max_abs(tab_4d, pts)
     max_res = max(m_d, m_b)
     return CheckReport(
         "constitutive", max_res <= tol and m_4 <= 1e-10, max_res, None,
@@ -372,19 +374,19 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
     pts = grid4.points
     mode, auto_tol = _mode_tol(F)
     tol = auto_tol if tol is None else tol
-    ff = wedge(F, F)
-    raw, witness = _min_abs(ff.coefficient(_vol_index(chart))(pts), pts)
-    f_max = _max_abs(F, pts)[0]
+    forms = [exterior_derivative(F), F, wedge(F, F)]
+    if companion is not None:
+        forms.append(wedge(*companion))
+    tables = _tables(forms, pts)
+    closure, _ = _table_max_abs(tables[0], pts)
+    f_max = _table_max_abs(tables[1], pts)[0]
+    raw, witness = _min_abs(tables[2][:, 0], pts)   # the one coefficient of a 4-form
     normalized = raw / (f_max * f_max) if f_max > 0 else 0.0
-    d_f = exterior_derivative(F)
-    closure, _ = _max_abs(d_f, pts)
     details = {"normalized_margin": normalized, "closure_residual": closure,
                "mode": mode}
     if companion is not None:
-        two, one = companion
-        prod = wedge(two, one)
         spatial_vol = tuple(i for i in range(chart.dim) if i != chart.time_axis)
-        m3, _ = _min_abs(prod.coefficient(spatial_vol)(pts), pts)
+        m3, _ = _min_abs(tables[3][:, forms[3].indices.index(spatial_vol)], pts)
         details["companion_margin"] = m3
     passed = normalized >= tol_margin and closure <= tol
     return CheckReport(f"symplectic_{label}", passed, closure, raw,
@@ -398,9 +400,9 @@ def parallel_check(M: MaxwellFieldSet, grid4: SampleGrid,
     pts = grid4.points
     mode, auto_tol = _mode_tol(M.e, M.h)
     tol = auto_tol if tol is None else tol
-    s = M.poynting()
-    max_res, witness = _max_abs(s, pts)
-    scale = max(1.0, _max_abs(M.e, pts)[0] * _max_abs(M.h, pts)[0])
+    e_tab, h_tab, s_tab = _tables([M.e, M.h, M.poynting()], pts)
+    max_res, witness = _table_max_abs(s_tab, pts)
+    scale = max(1.0, _table_max_abs(e_tab, pts)[0] * _table_max_abs(h_tab, pts)[0])
     return CheckReport("parallel", max_res <= tol * scale, max_res, None,
                        {"residual": tol}, [witness], grid4.spec,
                        {"mode": mode, "scale": scale})
@@ -438,10 +440,10 @@ def reeb_like_check(Z: VectorField, lam: DifferentialForm, grid: SampleGrid,
     pts = grid.points
     mode, auto_tol = _mode_tol(lam)
     tol = auto_tol if tol is None else tol
-    dlam = exterior_derivative(lam)
-    contracted = interior_product(Z, dlam)
-    max_res, w_res = _max_abs(contracted, pts)
-    pairing = interior_product(Z, lam).coefficient(())(pts)
+    contracted, pairing_tab = _tables(
+        [interior_product(Z, exterior_derivative(lam)), interior_product(Z, lam)], pts)
+    max_res, w_res = _table_max_abs(contracted, pts)
+    pairing = pairing_tab[:, 0]
     i = int(np.argmin(pairing))
     min_pair = float(pairing[i])
     passed = max_res <= tol and min_pair > tol_margin

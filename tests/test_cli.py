@@ -86,6 +86,16 @@ def test_verify_full_suite_passes(tmp_path, capsys):
     assert any(c.startswith("shs_be") for c in names)
 
 
+def test_verify_single_time_sample_is_the_instant(tmp_path):
+    out = tmp_path / "r.json"
+    code = run_cli(["verify", "--field", BM_SPEC, "--x0", "0.5", "--tgrid", "1",
+                    "--checks", "maxwell", "--grid", "4", "--no-meta", "--out", str(out)])
+    assert code == 0
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["grid"]["x0"] == [0.5]
+    assert check["witness"][0][0] == 0.5
+
+
 def test_verify_degenerate_instant_fails_shs(tmp_path):
     code = run_cli(["verify", "--field", BM_SPEC, "--x0", "0",
                     "--checks", "shs_be", "shs_dh", "--grid", "5", "--tgrid", "3",
@@ -121,10 +131,10 @@ def test_verify_conservation_at_degenerate_instant_is_config_error(tmp_path):
 def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
     """Equal J0/J1 leaves run bessel_j once per evaluation call.
 
-    The count does not depend on the grid: 162 calls when each stencil grid
-    of the finite-difference partials is one call for all of a check's
-    forms, 882 with one call per partial, stencil offset and residual form,
-    and 4565 when every leaf is evaluated on its own.
+    The count does not depend on the grid: 134 calls when every check reads
+    all its forms through one evaluation call, 162 when some checks made one
+    call per form, 882 with one call per finite-difference partial, stencil
+    offset and residual form, and 4565 when every leaf is evaluated on its own.
     """
     import bmkit.bessel
 
@@ -141,7 +151,7 @@ def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
                     "--checks", "all", "--allow-degenerate", "--no-meta",
                     "--grid", "6", "--tgrid", "3", "--out", str(tmp_path / "r.json")])
     assert code == 0
-    assert 0 < len(calls) <= 162
+    assert 0 < len(calls) <= 134
 
 
 def test_verify_unknown_field_exit_2():

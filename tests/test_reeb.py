@@ -175,6 +175,21 @@ def test_parallel_reeb_ratio():
     assert reeb_parallel_ratio(M, 1.1) < 1e-8
 
 
+def test_parallel_reeb_ratio_needs_profiles_before_extraction(monkeypatch):
+    import bmkit.reeb
+    from bmkit import BmkitError, constant_field, parallel_nonbeltrami
+
+    # Y0 of parallel_nonbeltrami is degenerate at x0 = 0.3; the missing profiles come first
+    with pytest.raises(BmkitError, match="does not expose amplitude profiles"):
+        reeb_parallel_ratio(parallel_nonbeltrami(), 0.3)
+    extractions = []
+    monkeypatch.setattr(bmkit.reeb, "reeb_for_maxwell",
+                        lambda *args: extractions.append(args))
+    with pytest.raises(BmkitError, match="does not expose amplitude profiles"):
+        reeb_parallel_ratio(constant_field(), 0.3)
+    assert extractions == []
+
+
 def test_degenerate_instants_hard_error():
     M = beltrami_maxwell(t3_mode(1, 1.0))
     with pytest.raises(DegenerateInstantError):

@@ -1,14 +1,17 @@
 """Scalar expression trees: slicing at x0 and lifting to spacetime rewrite the leaves;
-one evaluation call runs each distinct leaf kernel once."""
+one evaluation plan runs each distinct leaf kernel once and matches a naive evaluator."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bmkit import (SampleGrid, exterior_derivative, hodge_star, j0_field, j1_field,
-                   solid_torus_mode)
-from bmkit.scalars import (ZERO, Kernel, constant, from_function, leaf, lift_spatial,
-                           monomial, power_kernel, restrict_time, sin_wave, value_table,
-                           wave)
+from bmkit import (SampleGrid, VectorField, exterior_derivative, hodge_star, j0_field,
+                   j1_field, solid_torus_mode, torus3)
+from bmkit.bessel import J0
+from bmkit.forms import fd_partial
+from bmkit.scalars import (COS, ZERO, Kernel, ScalarField, constant, from_function, leaf,
+                           lift_spatial, monomial, power_kernel, restrict_time, sin_wave,
+                           value_table, wave)
 
 X0 = 0.3
 RNG = np.random.default_rng(7)
@@ -109,7 +112,7 @@ def test_from_function_lifts_and_restricts():
     assert np.array_equal(restrict_time(lift_spatial(f), X0)(PTS3), f(PTS3))
 
 
-# -- one leaf memo per evaluation call -------------------------------------------
+# -- one kernel step per distinct leaf kernel in an evaluation call ------------------
 
 
 def counting_kernel():
@@ -246,3 +249,111 @@ def test_shared_dag_sees_mutated_points():
     assert np.array_equal(value_table(fields, pts), value_table(fields, fresh))
     assert np.array_equal(fields[-1](pts), fields[-1](fresh))
     assert len(runs) == 5   # once per call
+
+
+# -- the evaluation plan against a naive recursive evaluator ---------------------
+
+T3 = torus3()
+# exact zeros make c*x a signed zero, where leaves of phase 0.0 and -0.0 differ under u**3
+PTS_T3 = np.vstack([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 5.5],
+                    RNG.uniform(0.0, 2 * np.pi, (13, 3))])
+NAIVE_OPS = {"add": lambda a, b: a + b, "neg": lambda a: -a,
+             "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
+FNS = (from_function(lambda p: np.cos(p[..., 0]) + p[..., 1] * p[..., 2]),
+       from_function(lambda p: 2.0))   # a point-independent function broadcasts
+
+
+def naive(node: ScalarField, pts: np.ndarray):
+    """Value of node at pts by plain recursion: nothing shared, a node once per path."""
+    op = node.op
+    if op == "const":
+        return node.const
+    if op == "leaf":
+        kernel, coeffs, phase, amplitude = node.args
+        u = phase
+        for a, c in coeffs.items():
+            u = u + c * pts[..., a]
+        return amplitude * kernel.value(u)
+    if op == "fn":
+        return np.broadcast_to(np.asarray(node.args[0](pts), dtype=float), pts.shape[:-1])
+    if op == "fd":
+        inner, stencils = node.args
+        return stencils(lambda grid: np.broadcast_to(naive(inner, grid), grid.shape[:-1])[:, None],
+                        pts, 1)[0]
+    return NAIVE_OPS[op](*(naive(a, pts) for a in node.args))
+
+
+def bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+@st.composite
+def dags(draw):
+    """Root fields over a random DAG of leaves, constants, fn, fd and arithmetic nodes.
+
+    Each leaf group holds leaves that share a kernel key only in part: amplitude
+    variants (one key), the phases 0.0 and -0.0 and the axis terms in reverse
+    order (other keys).
+    """
+    pool = [constant(draw(st.sampled_from([0.7, -3.0])))]
+    for _ in range(draw(st.integers(1, 3))):
+        kernel = draw(st.sampled_from([COS, power_kernel(1), power_kernel(3), J0]))
+        axes = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True))
+        coeffs = {a: draw(st.sampled_from([1.0, -1.0, 0.3, -2.0])) for a in axes}
+        amplitudes = draw(st.lists(st.sampled_from([1.0, -2.0, 0.75]), min_size=1, max_size=2))
+        for terms in (coeffs, dict(reversed(coeffs.items()))):
+            for phase in (0.0, -0.0, 0.3):
+                pool += [leaf(kernel, terms, phase, amplitude) for amplitude in amplitudes]
+    for _ in range(draw(st.integers(0, 14))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(["add", "sub", "mul", "div", "neg", "const", "fn", "fd", "fd"]))
+        if kind == "fd":   # of any node, an fd node included
+            pool.append(fd_partial(T3, a, draw(st.integers(0, 1))))
+        else:
+            pool.append({"add": lambda: a + b, "sub": lambda: a - b, "mul": lambda: a * b,
+                         "div": lambda: a / (b * b + 1.5), "neg": lambda: -a,
+                         "const": lambda: 2.5 * a + 1.25,
+                         "fn": lambda: draw(st.sampled_from(FNS)) * a}[kind]())
+    return pool[-4:] + draw(st.lists(st.sampled_from(pool), max_size=6))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dags())
+def test_plan_matches_naive_evaluator(roots):
+    with np.errstate(all="ignore"):
+        table = value_table(roots, PTS_T3)
+        assert table.shape == (len(PTS_T3), len(roots))
+        for col, root in enumerate(roots):
+            want = np.broadcast_to(naive(root, PTS_T3), PTS_T3.shape[:-1])
+            assert np.array_equal(bits(table[:, col]), bits(want)), col
+            assert np.array_equal(bits(root(PTS_T3)), bits(want)), col
+        comps = (roots * 3)[:3]
+        got = VectorField(T3, tuple(comps)).evaluate(PTS_T3)
+        assert np.array_equal(bits(got), bits(np.column_stack([c(PTS_T3) for c in comps])))
+
+
+def test_vector_field_builds_its_plan_once(monkeypatch):
+    import bmkit.forms
+
+    built = []
+
+    class CountingPlan(bmkit.forms.Plan):
+        __slots__ = ()
+
+        def __init__(self, fields):
+            built.append(1)
+            super().__init__(fields)
+
+    monkeypatch.setattr(bmkit.forms, "Plan", CountingPlan)
+    fields, runs = shared_dag()
+    Y = VectorField(T3, (fields[0], fd_partial(T3, fields[4], 1), fields[2]))
+    pts = PTS_T3.copy()
+    first = Y.evaluate(pts)
+    pts[:, 1] += 0.25
+    fresh = pts.copy()
+    second = Y.evaluate(pts)
+    assert built == [1]
+    assert len(runs) == 2 * 5   # one run per stencil grid and the base points, per call
+    assert not np.array_equal(first, second)
+    assert np.array_equal(second, Y.evaluate(fresh))
+    assert np.array_equal(second, np.column_stack([c(fresh) for c in Y.components]))
