@@ -368,7 +368,7 @@ def _run_survey(args) -> int:
         "config": config,
         "survey": survey.to_json_dict(),
     }
-    _emit(args, report)
+    _emit(args, report, dedup=survey.dedup_counts)
     print(f"survey: {survey.n_closed}/{len(survey.results)} seeds closed, "
           f"{len(survey.unique_orbits)} distinct orbits", file=sys.stderr)
     return 0
@@ -397,12 +397,14 @@ def _run_reeb(args) -> int:
 # -- entry point ---------------------------------------------------------------------
 
 
-def _emit(args, report: dict) -> None:
+def _emit(args, report: dict, **meta) -> None:
+    """Write the report; unless --no-meta, with versions, timing and the given meta entries."""
     if not getattr(args, "no_meta", False):
         report["meta"] = {
             "bmkit": __version__,
             "numpy": np.__version__,
             "elapsed_s": round(time.time() - args._t0, 3),
+            **meta,
         }
     text = json.dumps(report, indent=2, sort_keys=True)
     if getattr(args, "out", None):

@@ -12,6 +12,14 @@ stationarity condition of that distance along re-integrated RK4 sub-steps.
 A survey that finds no return only ever reports "none found within budget":
 absence of a numerical witness decides nothing.  `bmk trace` and `bmk survey`
 share one pipeline; only the survey reads the deduplicated orbit list.
+
+Two closed orbits are one when the samples of each lie within 2 * tol of the
+other's polyline.  Each direction of that test is decided exactly in three
+steps: the first point against every segment, where a miss rejects the pair;
+then each point against a few segments around where it should fall, counted
+on from the first point's nearest segment; then every segment for the points
+whose window had no hit.  Every (point, segment) distance is computed with
+the same arithmetic as a full point x segment sweep.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,13 +232,9 @@ class SurveyResult:
     params: dict = field(default_factory=dict)
 
     @functools.cached_property
-    def unique_orbits(self) -> list[int]:
-        """Representative seed indices of the distinct closed orbits.
-
-        Closed orbits whose sampled curves coincide within 2 * tol are merged
-        into the first of them.  Computed on first read only.
-        """
+    def _dedup(self) -> tuple[list[int], dict]:
         tol = self.params["tol"]
+        counts = Counter(pairs_compared=0, first_point_rejects=0, fallback_points=0)
         reps: list[int] = []
         rep_sets: list[np.ndarray] = []
         for j, (trace, result) in enumerate(zip(self.traces, self.results)):
@@ -237,12 +242,30 @@ class SurveyResult:
                 continue
             pset = _orbit_point_set(trace, result)
             for rset in rep_sets:
-                if _same_orbit(trace.chart, pset, rset, 2.0 * tol):
+                counts["pairs_compared"] += 1
+                if (_covers(trace.chart, pset, rset, 2.0 * tol, counts)
+                        and _covers(trace.chart, rset, pset, 2.0 * tol, counts)):
                     break
             else:
                 reps.append(j)
                 rep_sets.append(pset)
-        return reps
+        return reps, dict(counts)
+
+    @property
+    def unique_orbits(self) -> list[int]:
+        """Representative seed indices of the distinct closed orbits.
+
+        Closed orbits whose sampled curves coincide within 2 * tol, each
+        covering the other's polyline (see `_covers`), are merged into the
+        first of them.  Computed on first read only.
+        """
+        return self._dedup[0]
+
+    @property
+    def dedup_counts(self) -> dict:
+        """Work of computing `unique_orbits`: candidate pairs compared, pairs
+        rejected by the first-point test, and points given the full scan."""
+        return self._dedup[1]
 
     @property
     def n_closed(self) -> int:
@@ -274,39 +297,65 @@ class SurveyResult:
 
 
 def _orbit_point_set(trace: OrbitTrace, result: ClosureResult, cap: int = 256) -> np.ndarray:
-    """Unwrapped samples over one period, subsampled for curve comparisons."""
-    if result.closed and math.isfinite(result.period_estimate):
-        m = min(trace.n_samples, int(result.period_estimate / trace.step) + 2)
-    else:
-        m = trace.n_samples
-    pts = trace.samples[:m]
+    """Unwrapped samples over one period of a closed orbit, subsampled for curve comparisons."""
+    pts = trace.samples[:min(trace.n_samples, int(result.period_estimate / trace.step) + 2)]
     if len(pts) > cap:
         pts = pts[np.linspace(0, len(pts) - 1, cap).astype(int)]
     return pts
 
 
-def _points_to_polyline(chart: Chart, pts: np.ndarray, line: np.ndarray) -> float:
-    """sup over pts of the minimal-image distance to the sampled polyline.
+# Segments on either side of a point's expected match.  Two point sets of one
+# orbit sampled alike advance one segment per point, so a merge is confirmed
+# within this window and the full scan is left for sets sampled otherwise.
+_WINDOW = 3
 
-    Each point is shifted to its nearest periodic image of the segment start
-    before projecting, which is exact for segments much shorter than the
-    periods (RK4 steps are).
+
+def _segment_distances(chart: Chart, pts: np.ndarray, seg_a: np.ndarray,
+                       seg_v: np.ndarray, vv: np.ndarray) -> np.ndarray:
+    """Distances from pts to the segments seg_a + t seg_v, t in [0, 1], paired by broadcasting.
+
+    vv is |seg_v|^2, with 1 in place of 0.  Each point is shifted to its
+    nearest periodic image of the segment start before projecting, which is
+    exact for segments much shorter than the periods (RK4 steps are).  A
+    (point, segment) pair gets the same bits whatever else is broadcast with it.
     """
+    delta = chart.delta(pts, seg_a)
+    t = np.clip(np.einsum("...d,...d->...", delta, seg_v) / vv, 0.0, 1.0)
+    return np.linalg.norm(delta - t[..., None] * seg_v, axis=-1)
+
+
+def _covers(chart: Chart, pts: np.ndarray, line: np.ndarray, tol: float,
+            counts: Counter | None = None) -> bool:
+    """Every point of pts lies within tol of the polyline through line.
+
+    That is sup over pts of the minimal-image distance to the polyline < tol,
+    decided exactly in three steps:
+
+    1. pts[0] against every segment; a minimum >= tol alone decides False.
+    2. Point i against the segments (k0 + i + j) mod S for |j| <= _WINDOW,
+       where k0 is the segment nearest pts[0] and S the number of segments.
+    3. Each point with no segment within tol in its window, against every
+       segment.
+
+    counts, if given, tallies first_point_rejects and fallback_points.
+    """
+    counts = Counter() if counts is None else counts
     seg_a = line[:-1]
     seg_v = line[1:] - seg_a
-    delta = chart.delta(pts[:, None, :], seg_a[None, :, :])
     vv = np.einsum("sd,sd->s", seg_v, seg_v)
     vv = np.where(vv > 0, vv, 1.0)
-    t = np.clip(np.einsum("psd,sd->ps", delta, seg_v) / vv, 0.0, 1.0)
-    closest = delta - t[..., None] * seg_v[None, :, :]
-    d = np.linalg.norm(closest, axis=-1)
-    return float(d.min(axis=1).max())
-
-
-def _same_orbit(chart: Chart, a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Curves coincide: symmetric point-to-polyline distance below tol."""
-    return (_points_to_polyline(chart, a, b) < tol
-            and _points_to_polyline(chart, b, a) < tol)
+    d0 = _segment_distances(chart, pts[0], seg_a, seg_v, vv)
+    if d0.min() >= tol:
+        counts["first_point_rejects"] += 1
+        return False
+    window = ((int(np.argmin(d0)) + np.arange(len(pts))[:, None]
+               + np.arange(-_WINDOW, _WINDOW + 1)) % len(seg_a))
+    near = _segment_distances(chart, pts[:, None, :], seg_a[window], seg_v[window],
+                              vv[window]).min(axis=1) < tol
+    missed = pts[~near]
+    counts["fallback_points"] += len(missed)
+    return bool(np.all(_segment_distances(chart, missed[:, None, :], seg_a, seg_v,
+                                          vv).min(axis=1) < tol))
 
 
 def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,

@@ -363,7 +363,8 @@ def coordinate(axis: int) -> ScalarField:
 def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
     """Rebuild sf with on_leaf(*leaf.args) for each leaf; an fn or fd node sees pull(pts).
 
-    Each shared subtree is rebuilt once.
+    Each shared subtree is rebuilt once, and each fn or fd node is compiled
+    into its one-column plan once, when it is rebuilt.
     """
     memo: dict[int, ScalarField] = {}
 
@@ -372,7 +373,8 @@ def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
             if node.op == "leaf":
                 out = on_leaf(*node.args)
             elif node.op in ("fn", "fd"):
-                out = from_function(lambda pts: node(pull(pts)))
+                plan = Plan([node])
+                out = from_function(lambda pts: plan(pull(pts))[..., 0])
             elif node.op == "const":
                 out = node
             else:

@@ -336,6 +336,22 @@ def test_survey_witnesses_recorded(tmp_path):
     assert all(w["winding"] == [1, 0, 0] for w in ws)
 
 
+def test_survey_meta_counts_dedup_and_no_meta_strips_it(tmp_path):
+    # (1, 0, 0) lies on the line of (0, 0, 0) and merges with it; the first
+    # point of (1, 1, 0) rejects its pair
+    common = ["survey", "--field", BM_SPEC, "--which", "e", "--x0", "0",
+              "--seeds", "0,0,0;1,0,0;1,1,0", "--step", "0.01", "--s-max", "10"]
+    with_meta, bare = tmp_path / "meta.json", tmp_path / "bare.json"
+    assert run_cli([*common, "--out", str(with_meta)]) == 0
+    assert run_cli([*common, "--no-meta", "--out", str(bare)]) == 0
+    report = json.loads(with_meta.read_text())
+    assert report["survey"]["unique_orbits"] == [0, 2]
+    assert report["meta"]["dedup"] == {"pairs_compared": 2, "first_point_rejects": 1,
+                                       "fallback_points": 0}
+    del report["meta"]
+    assert bare.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_survey_beltrami_form_closes(tmp_path):
     out = tmp_path / "survey.json"
     code = run_cli(["survey", "--field", "t3_mode{n=1,c=1}", "--seeds", "0,0,0",

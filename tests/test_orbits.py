@@ -1,17 +1,19 @@
 """Field-line integration, closure detection, surveys, Poincare sections."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmkit import (BmkitError, SampleGrid, abc_flow, beltrami_maxwell,
                    closed_orbit_survey, detect_closure, euclidean3,
                    euclidean_metric, field_line_generator, integrate,
                    metric_sharp, poincare_section, solid_torus, t3_mode,
                    torus3, vector_field, write_orbit_csv)
-from bmkit.orbits import NONE_FOUND
+from bmkit.orbits import NONE_FOUND, SurveyResult, _covers
 from bmkit.scalars import constant, coordinate, sin_wave, wave
 
 T3 = torus3()
@@ -229,6 +231,82 @@ def test_survey_deduplicates_same_orbit():
     seeds2 = np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 2.0]])
     sv2 = closed_orbit_survey(Y, seeds2, 0.01, 10.0, 1e-5)
     assert len(sv2.unique_orbits) == 2
+
+
+def test_doubled_period_closure_merges_with_its_one_loop_orbit():
+    # a closure caught at its second return has twice the period and twice the
+    # winding; its two-loop samples are not matched by the segment window
+    Z = field_line_generator(beltrami_maxwell(t3_mode(1, 1.0)), "e", 0.0)
+    x3 = math.atan(0.5)   # direction (2, 1, 0) / sqrt(5)
+    seeds = np.array([[0.0, 0.0, x3], [1.0, 0.5, x3]])
+    sv = closed_orbit_survey(Z, seeds, 0.01, 30.0, 1e-4)
+    one, two = sv.results
+    assert one.closed and two.closed and one.winding == two.winding == (2, 1, 0)
+    doubled = dataclasses.replace(two, period_estimate=2.0 * two.period_estimate,
+                                  winding=(4, 2, 0))
+    merged = SurveyResult(sv.seeds, [one, doubled], sv.traces, sv.params)
+    assert merged.unique_orbits == [0]
+    counts = merged.dedup_counts
+    assert counts["pairs_compared"] == 1 and counts["first_point_rejects"] == 0
+    assert counts["fallback_points"] > 0
+
+
+def _points_to_polyline(chart, pts, line):
+    """The full point x segment sweep that `_covers` must agree with."""
+    seg_a = line[:-1]
+    seg_v = line[1:] - seg_a
+    delta = chart.delta(pts[:, None, :], seg_a[None, :, :])
+    vv = np.einsum("sd,sd->s", seg_v, seg_v)
+    vv = np.where(vv > 0, vv, 1.0)
+    t = np.clip(np.einsum("psd,sd->ps", delta, seg_v) / vv, 0.0, 1.0)
+    closest = delta - t[..., None] * seg_v[None, :, :]
+    d = np.linalg.norm(closest, axis=-1)
+    return float(d.min(axis=1).max())
+
+
+@st.composite
+def cover_cases(draw):
+    """A closed loop sampled as a polyline, and points along it.
+
+    The points start at a cyclic offset along the loop, sit in a random
+    periodic image, run over one or two loops at their own density, and may
+    have one point (the last included) moved by more than tol.
+    """
+    chart = draw(st.sampled_from([T3, solid_torus()]))
+    periodic = np.array([ax.is_periodic for ax in chart.axes])
+    winding = np.where(periodic, draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3)), 0)
+    base = np.array([draw(st.floats(0.0, 2.0 * math.pi)) if p else 0.5 for p in periodic])
+    wiggle = draw(st.floats(0.0, 0.3))
+    harmonic = draw(st.integers(1, 3))
+    phases = np.array(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3)))
+
+    def loop(theta):   # theta in units of the period
+        return (base + np.outer(theta, 2.0 * math.pi * winding)
+                + wiggle * np.sin(2.0 * math.pi * harmonic * theta[:, None] + phases))
+
+    n_line = draw(st.integers(8, 120))
+    line = loop(np.linspace(0.0, 1.0, n_line + 1))
+    loops = draw(st.sampled_from([1, 1, 2]))
+    n_pts = draw(st.integers(2, 120))
+    pts = loop(draw(st.floats(0.0, 1.0)) + np.linspace(0.0, loops, n_pts, endpoint=False))
+    pts += np.where(periodic, 2.0 * math.pi * np.array(
+        draw(st.lists(st.integers(-1, 1), min_size=3, max_size=3))), 0.0)
+    tol = 10.0 ** draw(st.floats(-4.0, -0.5))
+    moved = draw(st.one_of(st.none(), st.just(n_pts - 1), st.integers(0, n_pts - 1)))
+    if moved is not None:
+        direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        norm = np.linalg.norm(direction)
+        if norm > 1e-3:
+            pts[moved] += draw(st.floats(1.01, 3.0)) * tol * direction / norm
+    return chart, pts, line, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_cases())
+def test_covers_decides_as_the_full_sweep(case):
+    chart, pts, line, tol = case
+    assert _covers(chart, pts, line, tol) == (_points_to_polyline(chart, pts, line) < tol)
+    assert _covers(chart, line, pts, tol) == (_points_to_polyline(chart, line, pts) < tol)
 
 
 def test_survey_batch_independence():

@@ -357,3 +357,26 @@ def test_vector_field_builds_its_plan_once(monkeypatch):
     assert not np.array_equal(first, second)
     assert np.array_equal(second, Y.evaluate(fresh))
     assert np.array_equal(second, np.column_stack([c(fresh) for c in Y.components]))
+
+
+def test_sliced_function_field_compiles_its_plan_once(monkeypatch):
+    import bmkit.scalars
+
+    built = []
+
+    class CountingPlan(bmkit.scalars.Plan):
+        __slots__ = ()
+
+        def __init__(self, fields):
+            built.append(1)
+            super().__init__(fields)
+
+    monkeypatch.setattr(bmkit.scalars, "Plan", CountingPlan)
+    f = from_function(lambda p: np.sin(p[..., 0]) + p[..., 1] * p[..., 3])
+    want = f(PTS4)
+    sliced = restrict_time(f, X0)
+    built.clear()
+    values = [sliced(PTS3) for _ in range(5)]
+    assert len(built) == 5   # each call's one-column plan; the sliced node's was built once, above
+    for got in values:
+        assert np.array_equal(bits(got), bits(want))
