@@ -47,7 +47,7 @@ print("i_Y(*3 v) should vanish:",
       bk.interior_product(Y, bk.hodge_star(g3, v)).max_abs(pts))
 print("L_Y v (Cartan) should vanish:", bk.lie_derivative(Y, v).max_abs(pts))
 
-flow = bk.lie_derivative_flow(Y, v, pts, tau=1e-4)
+flow = bk.lie_derivative_flow(Y, v, pts)
 cartan = bk.lie_derivative(Y, v).coefficient_table(pts)
 print("Cartan vs flow-pullback difference:", np.max(np.abs(cartan - flow)))
 

@@ -58,9 +58,9 @@ sl = M.at_time(x0)
 grid3 = bk.SampleGrid.regular(M.chart3, 8)
 ee, eh = sl.energy_forms()
 r0 = bk.conservation_along(y0.Y, [sl.e, sl.B, ee, eh], grid3,
-                           ["e", "B", "E_e", "E_h"], mode="fd")
+                           ["e", "B", "E_e", "E_h"])
 r1 = bk.conservation_along(y1.Y, [sl.h, sl.D, ee, eh], grid3,
-                           ["h", "D", "E_e", "E_h"], mode="fd")
+                           ["h", "D", "E_e", "E_h"])
 print("conserved along Y0:", {k: f"{v:.1e}" for k, v in r0.details["per_form"].items()})
 print("conserved along Y1:", {k: f"{v:.1e}" for k, v in r1.details["per_form"].items()})
 

@@ -28,7 +28,7 @@ import numpy as np
 from .bessel import j0_field, j1_field
 from .charts import Chart, euclidean3, solid_torus, spacetime, torus3
 from .errors import BmkitError, ConfigError, SingularFieldError
-from .forms import DifferentialForm, _rk4_step, dx, make_form, wedge
+from .forms import DifferentialForm, _rk4_advance, dx, make_form, wedge
 from .metrics import (MetricField, euclidean_metric, lorentzian_product,
                       norm_sq_field, solid_torus_metric, spatial_hodge)
 from .scalars import (constant, lift_spatial, monomial, restrict_time,
@@ -442,11 +442,7 @@ def amplitude_ode(k: float, eps0: float, mu0: float, f_e0: float, f_h0: float,
         raise BmkitError("x0 grid must be non-decreasing")
     out.append(AmplitudePair(y[0], y[1], x))
     for target in grid[1:]:
-        span = target - x
-        n = max(1, int(math.ceil(abs(span) / h_max)))
-        h = span / n
-        for _ in range(n):
-            y = _rk4_step(rhs, y, h)
+        y = _rk4_advance(rhs, y, target - x, h_max)
         x = target
         out.append(AmplitudePair(float(y[0]), float(y[1]), x))
     return out

@@ -130,15 +130,14 @@ class Chart:
             bad = np.asarray(pts)[~ok]
             raise DomainError(f"point outside chart domain: {bad[0].tolist()}")
 
-    def lattice(self, counts, bounds: dict | None = None) -> np.ndarray:
+    def lattice(self, counts) -> np.ndarray:
         """Regular lattice, one count per axis, as a (prod(counts), dim) array.
 
         Each axis spans its window; periodic axes omit the duplicate
-        endpoint.  bounds: optional {axis_index: (lo, hi)} window overrides.
+        endpoint.
         """
-        bounds = bounds or {}
-        axes_pts = [np.linspace(*bounds.get(i, ax.window), c, endpoint=not ax.is_periodic)
-                    for i, (ax, c) in enumerate(zip(self.axes, counts))]
+        axes_pts = [np.linspace(*ax.window, c, endpoint=not ax.is_periodic)
+                    for ax, c in zip(self.axes, counts)]
         mesh = np.meshgrid(*axes_pts, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -167,18 +166,18 @@ class Chart:
 # -- standard charts ----------------------------------------------------
 
 
-def torus3(period: float = TWO_PI, name: str = "T3") -> Chart:
-    """Flat 3-torus chart with equal periods (default 2pi)."""
-    return Chart(name, tuple(periodic_axis(f"x{i}", period) for i in (1, 2, 3)))
+def torus3() -> Chart:
+    """Flat 3-torus chart "T3" with periods 2pi."""
+    return Chart("T3", tuple(periodic_axis(f"x{i}") for i in (1, 2, 3)))
 
 
-def euclidean3(name: str = "R3") -> Chart:
-    """Unbounded Cartesian chart for R^3."""
-    return Chart(name, tuple(interval_axis(f"x{i}") for i in (1, 2, 3)))
+def euclidean3() -> Chart:
+    """Unbounded Cartesian chart "R3" for R^3."""
+    return Chart("R3", tuple(interval_axis(f"x{i}") for i in (1, 2, 3)))
 
 
-def solid_torus(a: float = 1.0, r_min: float | None = None, name: str = "D2xS1") -> Chart:
-    """Solid torus D^2 x S^1 in (r, phi, x3) coordinates.
+def solid_torus(a: float = 1.0, r_min: float | None = None) -> Chart:
+    """Solid torus "D2xS1", D^2 x S^1 in (r, phi, x3) coordinates.
 
     The radial axis is the interval [r_min, a]; the floor r_min (default
     1e-3 * a) keeps evaluations away from the coordinate singularity at r=0.
@@ -190,7 +189,7 @@ def solid_torus(a: float = 1.0, r_min: float | None = None, name: str = "D2xS1")
     if not 0 < r_min < a:
         raise BmkitError("need 0 < r_min < a")
     return Chart(
-        name,
+        "D2xS1",
         (
             interval_axis("r", r_min, a),
             periodic_axis("phi", TWO_PI),
@@ -199,12 +198,12 @@ def solid_torus(a: float = 1.0, r_min: float | None = None, name: str = "D2xS1")
     )
 
 
-def spacetime(spatial: Chart, name: str | None = None) -> Chart:
-    """Extend a 3-d chart by an unbounded x0 axis placed first."""
+def spacetime(spatial: Chart) -> Chart:
+    """Extend a 3-d chart by an unbounded x0 axis placed first, named "IxR_" + its name."""
     if spatial.time_axis is not None:
         raise BmkitError("chart already has a time axis")
     axes = (interval_axis("x0"),) + spatial.axes
-    return Chart(name or f"IxR_{spatial.name}", axes, time_axis=0)
+    return Chart(f"IxR_{spatial.name}", axes, time_axis=0)
 
 
 def spatial_chart(chart4: Chart) -> Chart:

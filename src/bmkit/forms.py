@@ -8,13 +8,16 @@ evaluation plan (:class:`~bmkit.scalars.Plan`, one per ``coefficient_table``
 call and one kept by each vector field) holds no values, and the values of a
 run, its stencil grids included, are local to that run.
 
-Exterior derivatives use analytic coefficient partials when present and
-otherwise fall back to 4th-order finite differences that wrap periodic axes
-and switch to one-sided stencils within two steps of interval endpoints.
-A finite-difference partial is an ``fd`` node of the coefficient's tree; its
-stencil plan, shared by every partial of one (chart, axis, step), gives the
-shifted grids, and one evaluation call evaluates each grid once for all the
-partials that read it (one sub-plan of all their inner fields per grid).
+Exterior derivatives use analytic coefficient partials when present (mode
+"auto") and otherwise, or always with mode "fd", 4th-order finite
+differences that wrap periodic axes and switch to one-sided stencils within
+two steps of interval endpoints.  The step is fixed: 1e-4 * period / 2pi on
+a circle and 1e-4 on an interval (``DEFAULT_FD_STEP`` times
+``AxisSpec.fd_scale``).  A finite-difference partial is an ``fd`` node of
+the coefficient's tree; its stencil plan, shared by every partial of one
+(chart, axis), gives the shifted grids, and one evaluation call evaluates
+each grid once for all the partials that read it (one sub-plan of all their
+inner fields per grid).
 On spacetime charts the derivative splits as d = d_spatial + dx0 ^ d/dx0;
 both pieces are exposed separately.
 """
@@ -23,12 +26,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .charts import Chart
-from .errors import ChartMismatchError, DegreeError, DomainError
+from .errors import ChartMismatchError, DegreeError
 from .scalars import Plan, ScalarField, ZERO, constant, value_table
 
 DEFAULT_FD_STEP = 1e-4
@@ -242,10 +246,14 @@ _BACKWARD = tuple((-o, -w) for o, w in _FORWARD)
 
 
 class _FDPlan:
-    """The stencil grids of d/dx_axis with step h, shared by every fd node of (chart, axis, h)."""
+    """The stencil grids of d/dx_axis, shared by every fd node of (chart, axis).
 
-    def __init__(self, chart: Chart, axis: int, h: float):
-        self.chart, self.axis, self.h = chart, axis, h
+    The step is DEFAULT_FD_STEP scaled by the axis (period / 2pi on a circle).
+    """
+
+    def __init__(self, chart: Chart, axis: int):
+        self.chart, self.axis = chart, axis
+        self.h = DEFAULT_FD_STEP * chart.axes[axis].fd_scale()
 
     def __call__(self, table, pts: np.ndarray, n: int) -> np.ndarray:
         """FD partials of the n columns of table(grid) at pts, shape (n, N).
@@ -278,40 +286,34 @@ class _FDPlan:
 _fd_plan = functools.cache(_FDPlan)
 
 
-def fd_partial(chart: Chart, sf: ScalarField, axis: int,
-               base_step: float = DEFAULT_FD_STEP) -> ScalarField:
+def fd_partial(chart: Chart, sf: ScalarField, axis: int) -> ScalarField:
     """Finite-difference d(sf)/dx_axis as a numeric-only ScalarField (an ``fd`` node).
 
     Periodic axes wrap stencil points; within 2h of a finite interval
     endpoint the stencil clamps to the one-sided 4th-order formula.
     Points outside the chart domain raise DomainError.  An evaluation call
-    evaluates each stencil grid once for all its fd nodes of one chart,
-    axis and step.
+    evaluates each stencil grid once for all its fd nodes of one chart and
+    axis.
     """
-    h = base_step * chart.axes[axis].fd_scale()
-    return ScalarField("fd", (sf, _fd_plan(chart, axis, h)))
+    return ScalarField("fd", (sf, _fd_plan(chart, axis)))
 
 
-def partial_field(chart: Chart, sf: ScalarField, axis: int, mode: str = "auto",
-                  step: float = DEFAULT_FD_STEP) -> ScalarField:
-    """d(sf)/dx_axis: analytic when available (per mode), else finite differences."""
-    if mode not in ("auto", "analytic", "fd"):
+def partial_field(chart: Chart, sf: ScalarField, axis: int, mode: str = "auto") -> ScalarField:
+    """d(sf)/dx_axis: analytic when available and mode is "auto", else finite differences."""
+    if mode not in ("auto", "fd"):
         raise ValueError(f"unknown differentiation mode {mode!r}")
-    if mode != "fd":
+    if mode == "auto":
         p = sf.partial(axis)
         if p is not None:
             return p
-        if mode == "analytic":
-            raise DomainError("analytic partials requested but not available")
-    return fd_partial(chart, sf, axis, step)
+    return fd_partial(chart, sf, axis)
 
 
 # -- exterior derivative ----------------------------------------------------
 
 
 def exterior_derivative(a: DifferentialForm, axes: tuple[int, ...] | None = None,
-                        mode: str = "auto",
-                        step: float = DEFAULT_FD_STEP) -> DifferentialForm:
+                        mode: str = "auto") -> DifferentialForm:
     """Exterior derivative of a, optionally restricted to a subset of axes.
 
     With axes = spatial axes of a spacetime chart this is the spatial part
@@ -329,27 +331,25 @@ def exterior_derivative(a: DifferentialForm, axes: tuple[int, ...] | None = None
             if ins is None:
                 continue
             sign, new_idx = ins
-            dcj = partial_field(chart, c, j, mode, step)
+            dcj = partial_field(chart, c, j, mode)
             term = dcj if sign > 0 else -dcj
             out[new_idx] = out[new_idx] + term if new_idx in out else term
     return make_form(chart, a.degree + 1, out)
 
 
-def spatial_exterior_derivative(a: DifferentialForm, mode: str = "auto",
-                                step: float = DEFAULT_FD_STEP) -> DifferentialForm:
+def spatial_exterior_derivative(a: DifferentialForm, mode: str = "auto") -> DifferentialForm:
     """The d_spatial piece on a spacetime chart (plain d on 3-d charts)."""
-    return exterior_derivative(a, axes=a.chart.spatial_axes, mode=mode, step=step)
+    return exterior_derivative(a, axes=a.chart.spatial_axes, mode=mode)
 
 
-def time_derivative(a: DifferentialForm, mode: str = "auto",
-                    step: float = DEFAULT_FD_STEP) -> DifferentialForm:
+def time_derivative(a: DifferentialForm, mode: str = "auto") -> DifferentialForm:
     """Coefficient-wise d/dx0: the Lie derivative along the time translation."""
     t = a.chart.time_axis
     if t is None:
         raise DegreeError("chart has no time axis")
     return make_form(
         a.chart, a.degree,
-        {idx: partial_field(a.chart, c, t, mode, step) for idx, c in a.coeffs.items()})
+        {idx: partial_field(a.chart, c, t, mode) for idx, c in a.coeffs.items()})
 
 
 # -- interior product and Lie derivative -------------------------------------
@@ -372,16 +372,15 @@ def interior_product(X: VectorField, a: DifferentialForm) -> DifferentialForm:
     return make_form(a.chart, a.degree - 1, out)
 
 
-def lie_derivative(X: VectorField, a: DifferentialForm, mode: str = "auto",
-                   step: float = DEFAULT_FD_STEP) -> DifferentialForm:
+def lie_derivative(X: VectorField, a: DifferentialForm, mode: str = "auto") -> DifferentialForm:
     """Cartan formula: L_X a = d(i_X a) + i_X(d a)."""
     _require_same_chart(X, a)
     if a.degree == 0:
-        return interior_product(X, exterior_derivative(a, mode=mode, step=step))
+        return interior_product(X, exterior_derivative(a, mode=mode))
     if a.degree == a.chart.dim:
-        return exterior_derivative(interior_product(X, a), mode=mode, step=step)
-    return (exterior_derivative(interior_product(X, a), mode=mode, step=step)
-            + interior_product(X, exterior_derivative(a, mode=mode, step=step)))
+        return exterior_derivative(interior_product(X, a), mode=mode)
+    return (exterior_derivative(interior_product(X, a), mode=mode)
+            + interior_product(X, exterior_derivative(a, mode=mode)))
 
 
 # -- RK4 and the flow-pullback cross-check ------------------------------------
@@ -396,20 +395,35 @@ def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _rk4_advance(f, y: np.ndarray, span: float, h_max: float) -> np.ndarray:
+    """Advance y' = f(y) by span in ceil(|span| / h_max) equal RK4 sub-steps.
+
+    A zero span returns a copy of y without evaluating f.
+    """
+    if span == 0.0:
+        return y.copy()
+    n = max(1, int(math.ceil(abs(span) / h_max)))
+    h = span / n
+    for _ in range(n):
+        y = _rk4_step(f, y, h)
+    return y
+
+
 def _flow_rhs(X: VectorField):
     """p -> X at the wrapped p: the flow of X in unwrapped coordinates."""
     chart = X.chart
     return lambda p: X.evaluate(chart.wrap(p))
 
 
-def lie_derivative_flow(X: VectorField, a: DifferentialForm, pts: np.ndarray,
-                        tau: float = 1e-4, jac_step: float = 1e-5) -> np.ndarray:
-    """(flow_tau^* a - a) / tau, coefficient table at pts.
+def lie_derivative_flow(X: VectorField, a: DifferentialForm, pts: np.ndarray) -> np.ndarray:
+    """(flow_tau^* a - a) / tau with tau = 1e-4, coefficient table at pts.
 
-    Independent of the Cartan-formula path: the flow map is integrated with
-    RK4 and its Jacobian taken by central differences.  Used to cross-check
-    lie_derivative; returns an array matching a.coefficient_table(pts).
+    Independent of the Cartan-formula path: the flow map is one RK4 step of
+    length tau and its Jacobian is taken by central differences of half-width
+    1e-5.  Used to cross-check lie_derivative; returns an array matching
+    a.coefficient_table(pts).
     """
+    tau, jac_step = 1e-4, 1e-5
     chart = a.chart
     pts = chart.as_points(pts)
     n, dim = pts.shape

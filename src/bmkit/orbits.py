@@ -34,7 +34,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import BmkitError
-from .forms import VectorField, _flow_rhs, _rk4_step
+from .forms import VectorField, _flow_rhs, _rk4_advance, _rk4_step
 
 NONE_FOUND = "none found within budget"
 
@@ -137,19 +137,6 @@ def integrate(Y: VectorField, seed, step: float, n_steps: int) -> OrbitTrace:
     return _trace_of(Y, seed, step, samples[:int(lengths[0]), 0, :], statuses[0])
 
 
-def _position_at(Y: VectorField, base: np.ndarray, ds: float, step: float) -> np.ndarray:
-    """Advance a single unwrapped state by parameter ds with RK4 sub-steps <= step."""
-    if ds == 0.0:
-        return base.copy()
-    n = max(1, int(math.ceil(abs(ds) / step)))
-    h = ds / n
-    f = _flow_rhs(Y)
-    state = base[None, :].copy()
-    for _ in range(n):
-        state = _rk4_step(f, state, h)
-    return state[0]
-
-
 def _refine_return(Y: VectorField, trace: OrbitTrace, j: int):
     """Newton-solve (x(s) - seed) . Y(x(s)) = 0 for s in [s_{j-1}, s_{j+1}].
 
@@ -172,7 +159,7 @@ def _refine_return(Y: VectorField, trace: OrbitTrace, j: int):
         s_new = min(max(s - float(chart.delta(x, seed) @ y) / yy, s_lo), s_hi)
         if abs(s_new - s) < 1e-13 * max(1.0, abs(s)):
             break
-        s, x = s_new, _position_at(Y, base, s_new - s_j, trace.step)
+        s, x = s_new, _rk4_advance(f, base[None, :], s_new - s_j, trace.step)[0]
     return s, float(chart.distance(x, seed)), x
 
 
@@ -296,11 +283,11 @@ class SurveyResult:
         }
 
 
-def _orbit_point_set(trace: OrbitTrace, result: ClosureResult, cap: int = 256) -> np.ndarray:
-    """Unwrapped samples over one period of a closed orbit, subsampled for curve comparisons."""
+def _orbit_point_set(trace: OrbitTrace, result: ClosureResult) -> np.ndarray:
+    """Unwrapped samples over one period of a closed orbit, at most 256 for curve comparisons."""
     pts = trace.samples[:min(trace.n_samples, int(result.period_estimate / trace.step) + 2)]
-    if len(pts) > cap:
-        pts = pts[np.linspace(0, len(pts) - 1, cap).astype(int)]
+    if len(pts) > 256:
+        pts = pts[np.linspace(0, len(pts) - 1, 256).astype(int)]
     return pts
 
 
@@ -403,39 +390,43 @@ class CrossingSequence:
 
 
 def poincare_section(Y: VectorField, axis: int, value: float, seeds,
-                     s_max: float, step: float = 1e-2,
-                     transversality_tol: float = 1e-8) -> list[CrossingSequence]:
+                     s_max: float, step: float = 1e-2) -> list[CrossingSequence]:
     """Crossings of trajectories through the plane x_axis = value.
 
-    Crossing parameters come from linear interpolation sharpened by one
-    secant step; each crossing records its direction and |Y^axis| there.
-    Tangential crossings (|Y^axis| < tol) are kept but flagged.
+    A crossing is a change of side between consecutive samples, where a
+    sample on the plane counts with the x_axis >= value side; a sample on
+    the plane is thus one crossing at its own parameter.  Crossing
+    parameters come from linear interpolation sharpened by one secant step;
+    each crossing records its direction and |Y^axis| there.  Tangential
+    crossings (|Y^axis| < 1e-8) are kept but flagged.
     """
     chart = Y.chart
     pts = chart.as_points(getattr(seeds, "points", seeds))
     samples, lengths, _ = integrate_batch(Y, pts, step, int(math.ceil(s_max / step)))
     ax = chart.axes[axis]
     span = ax.period if ax.is_periodic else math.inf
+    f = _flow_rhs(Y)
     out = []
     for k, seed in enumerate(pts):
         traj = samples[:int(lengths[k]), k, :]
         u = ax.minimal_image(traj[:, axis] - value)
-        cross = np.where((u[:-1] * u[1:] < 0)
+        side = u >= 0
+        cross = np.where((side[:-1] != side[1:])
                          & (np.abs(u[1:] - u[:-1]) < 0.45 * span))[0]
         s_list, x_list, dir_list, trans_list, warns = [], [], [], [], []
         for i in cross:
             s1, f1 = step * i, u[i]
             f2 = u[i + 1]
             s_lin = s1 + step * f1 / (f1 - f2)
-            x_lin = _position_at(Y, traj[i], s_lin - s1, step)
+            x_lin = _rk4_advance(f, traj[i][None, :], s_lin - s1, step)[0]
             f_lin = float(ax.minimal_image(x_lin[axis] - value))
             if f_lin != f1:
                 s_ref = s_lin - f_lin * (s_lin - s1) / (f_lin - f1)
             else:
                 s_ref = s_lin
-            x_ref = _position_at(Y, traj[i], s_ref - s1, step)
+            x_ref = _rk4_advance(f, traj[i][None, :], s_ref - s1, step)[0]
             y_axis = float(Y.evaluate(chart.wrap(x_ref[None, :]))[0, axis])
-            if abs(y_axis) < transversality_tol:
+            if abs(y_axis) < 1e-8:
                 warns.append(f"tangential crossing at s = {s_ref:.6g}")
             s_list.append(s_ref)
             x_list.append(chart.wrap(x_ref))

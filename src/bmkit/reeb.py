@@ -30,8 +30,8 @@ from .catalog import BeltramiForm, MaxwellFieldSet
 from .charts import Chart
 from .errors import BmkitError, DegenerateInstantError, DegeneratePointError
 from .forms import DifferentialForm, VectorField, interior_product, vector_field
-from .metrics import hodge_star, metric_sharp, norm_sq_field
-from .scalars import constant, value_table
+from .metrics import MetricField, hodge_star, metric_sharp, norm_sq_field
+from .scalars import ScalarField, constant, value_table
 from .verify import SampleGrid
 
 __all__ = ["SHSPair", "ReebField", "omega_components", "reeb_from_shs",
@@ -118,8 +118,13 @@ def normalization_residuals(Y: VectorField, pair: SHSPair,
     return m_omega, m_lam
 
 
-def _default_grid(chart: Chart, n: int = 8) -> SampleGrid:
-    return SampleGrid.regular(chart, n)
+def _normalized_reeb(metric: MetricField, lam: DifferentialForm, omega: DifferentialForm,
+                     norm2: ScalarField, grid: SampleGrid) -> ReebField:
+    """Y = sharp(lam) / |lam|^2 for the pair (omega, lam), with its residuals on grid."""
+    sharp = metric_sharp(metric, lam)
+    Y = vector_field(lam.chart, {i: c / norm2 for i, c in enumerate(sharp.components)})
+    pair = SHSPair(omega, lam, lam.chart)
+    return ReebField(Y, "shs", normalization_residuals(Y, pair, grid), pair)
 
 
 def reeb_closed_form_beltrami(v: BeltramiForm, variant: str = "normalized",
@@ -132,17 +137,13 @@ def reeb_closed_form_beltrami(v: BeltramiForm, variant: str = "normalized",
     if variant not in ("normalized", "unnormalized"):
         raise BmkitError("variant must be 'normalized' or 'unnormalized'")
     v.require_nonsingular()
-    grid = grid or _default_grid(v.chart)
+    grid = grid or SampleGrid.regular(v.chart, 8)
     omega = hodge_star(v.metric, v.form)
     norm2 = norm_sq_field(v.metric, v.form)
-    sharp = metric_sharp(v.metric, v.form)
     if variant == "normalized":
-        Y = vector_field(v.chart, {i: c / norm2 for i, c in enumerate(sharp.components)})
-        pair = SHSPair(omega, v.form, v.chart)
-    else:
-        Y = sharp
-        lam = v.form * (constant(1.0) / norm2)
-        pair = SHSPair(omega, lam, v.chart)
+        return _normalized_reeb(v.metric, v.form, omega, norm2, grid)
+    Y = metric_sharp(v.metric, v.form)
+    pair = SHSPair(omega, v.form * (constant(1.0) / norm2), v.chart)
     return ReebField(Y, "shs", normalization_residuals(Y, pair, grid), pair)
 
 
@@ -157,7 +158,7 @@ def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,
     if which not in ("Y0", "Y1"):
         raise BmkitError("which must be 'Y0' or 'Y1'")
     sl = M.at_time(x0)
-    grid = grid or _default_grid(sl.chart)
+    grid = grid or SampleGrid.regular(sl.chart, 8)
     lam, omega = (sl.e, sl.B) if which == "Y0" else (sl.h, sl.D)
     norm2 = norm_sq_field(sl.metric, lam)
     norms = norm2(grid.points)
@@ -165,10 +166,7 @@ def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,
         raise DegenerateInstantError(
             f"{which}: defining 1-form vanishes at x0 = {x0} "
             f"(min norm^2 = {float(np.min(norms)):.3e})")
-    sharp = metric_sharp(sl.metric, lam)
-    Y = vector_field(sl.chart, {i: c / norm2 for i, c in enumerate(sharp.components)})
-    pair = SHSPair(omega, lam, sl.chart)
-    return ReebField(Y, "shs", normalization_residuals(Y, pair, grid), pair)
+    return _normalized_reeb(sl.metric, lam, omega, norm2, grid)
 
 
 def reeb_parallel_ratio(M: MaxwellFieldSet, x0: float,
@@ -178,7 +176,7 @@ def reeb_parallel_ratio(M: MaxwellFieldSet, x0: float,
         raise BmkitError("field set does not expose amplitude profiles")
     y0 = reeb_for_maxwell(M, "Y0", x0, grid)
     y1 = reeb_for_maxwell(M, "Y1", x0, grid)
-    grid = grid or _default_grid(M.chart3)
+    grid = grid or SampleGrid.regular(M.chart3, 8)
     ratio = M.f_e(x0) / M.f_h(x0)
     diff = y1.Y.evaluate(grid.points) - ratio * y0.Y.evaluate(grid.points)
     return float(np.max(np.abs(diff)))

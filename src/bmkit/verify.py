@@ -46,29 +46,25 @@ class SampleGrid:
         return self.points.shape[0]
 
     @classmethod
-    def regular(cls, chart: Chart, counts, bounds: dict | None = None) -> "SampleGrid":
-        """Regular lattice; periodic axes omit the duplicate endpoint.
+    def regular(cls, chart: Chart, counts) -> "SampleGrid":
+        """Regular lattice over each axis' window; periodic axes omit the duplicate endpoint.
 
-        counts: one integer per axis or a single integer for all.
-        bounds: optional {axis_index: (lo, hi)} overrides (used to pick a
-        window on unbounded axes; the default window is [0, 2pi]).
+        counts: one integer per axis or a single integer for all.  An
+        unbounded interval end is replaced by 0 (below) or 2pi (above).
         """
         if isinstance(counts, int):
             counts = (counts,) * chart.dim
         counts = tuple(int(c) for c in counts)
         if len(counts) != chart.dim or any(c < 2 for c in counts):
             raise BmkitError("grid needs >= 2 points per axis")
-        return cls(chart, chart.lattice(counts, bounds),
+        return cls(chart, chart.lattice(counts),
                    {"kind": "regular", "counts": list(counts), "chart": chart.name})
 
     @classmethod
-    def random(cls, chart: Chart, n: int, seed: int = 0,
-               bounds: dict | None = None) -> "SampleGrid":
-        """Uniform random points (seeded), same default windows as regular()."""
+    def random(cls, chart: Chart, n: int, seed: int = 0) -> "SampleGrid":
+        """Uniform random points (seeded) over the same windows as regular()."""
         rng = np.random.default_rng(seed)
-        bounds = bounds or {}
-        pts = np.stack([rng.uniform(*bounds.get(i, ax.window), n)
-                        for i, ax in enumerate(chart.axes)], axis=-1)
+        pts = np.stack([rng.uniform(*ax.window, n) for ax in chart.axes], axis=-1)
         return cls(chart, pts, {"kind": "random", "n": int(n), "seed": int(seed),
                                 "chart": chart.name})
 
@@ -261,7 +257,6 @@ def _numerically_zero(max_abs: float, zero_scale) -> bool:
 
 
 def contact_margin(lam: DifferentialForm, grid: SampleGrid,
-                   tol_margin: float = TOL_MARGIN,
                    zero_scale: float | None = None) -> CheckReport:
     """min |volume coefficient of lambda ^ d lambda| over the grid.
 
@@ -278,20 +273,20 @@ def contact_margin(lam: DifferentialForm, grid: SampleGrid,
     lam_tab, dlam_tab, w_tab = _tables([lam, dlam, wedge(lam, dlam)], pts)
     lam_max = _table_max_abs(lam_tab, pts)[0]
     if _numerically_zero(lam_max, zero_scale):
-        return CheckReport("contact", False, 0.0, 0.0, {"margin": tol_margin},
+        return CheckReport("contact", False, 0.0, 0.0, {"margin": TOL_MARGIN},
                            [pts[0].tolist()], grid.spec,
                            {"normalized_margin": 0.0, "degenerate_zero_form": True})
     raw, witness = _min_abs(w_tab[:, 0], pts)
     scale = lam_max * _table_max_abs(dlam_tab, pts)[0]
     normalized = raw / scale if scale > 0 else 0.0
     return CheckReport(
-        "contact", normalized >= tol_margin, 0.0, raw,
-        {"margin": tol_margin}, [witness], grid.spec,
+        "contact", normalized >= TOL_MARGIN, 0.0, raw,
+        {"margin": TOL_MARGIN}, [witness], grid.spec,
         {"normalized_margin": normalized, "scale": scale})
 
 
 def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
-              tol: float | None = None, tol_margin: float = TOL_MARGIN,
+              tol: float | None = None,
               zero_scales: tuple[float, float] | None = None) -> CheckReport:
     """Stable-Hamiltonian-structure check for a pair (Omega, lambda).
 
@@ -318,7 +313,7 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
             _numerically_zero(omega_abs_max, zero_scales[0])
             or _numerically_zero(lam_max, zero_scales[1])):
         return CheckReport("shs", False, 0.0, 0.0,
-                           {"residual": tol, "margin": tol_margin},
+                           {"residual": tol, "margin": TOL_MARGIN},
                            [pts[0].tolist()], grid.spec,
                            {"normalized_margin": 0.0, "degenerate_zero_form": True})
 
@@ -352,17 +347,16 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
         details["f_max"] = float(np.max(f_vals))
         details["f_spread"] = float(np.max(f_vals) - np.min(f_vals))
     resid_scale = max(1.0, _table_max_abs(dlam_tab, pts)[0])
-    passed = (closure <= tol and normalized >= tol_margin
+    passed = (closure <= tol and normalized >= TOL_MARGIN
               and prop_resid <= tol * resid_scale and not np.any(~well_posed))
     return CheckReport("shs", passed, max(closure, prop_resid), raw_margin,
-                       {"residual": tol, "margin": tol_margin},
+                       {"residual": tol, "margin": TOL_MARGIN},
                        [w_margin], grid.spec, details)
 
 
 def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
                       companion: tuple[DifferentialForm, DifferentialForm] | None = None,
-                      tol: float | None = None,
-                      tol_margin: float = TOL_MARGIN, label: str = "F") -> CheckReport:
+                      tol: float | None = None, label: str = "F") -> CheckReport:
     """min |F ^ F| and max |dF| on a 4-d grid (plus a 2-form ^ 1-form margin).
 
     companion, when given, is the (two-form, one-form) pair whose 3-form
@@ -388,39 +382,42 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
         spatial_vol = tuple(i for i in range(chart.dim) if i != chart.time_axis)
         m3, _ = _min_abs(tables[3][:, forms[3].indices.index(spatial_vol)], pts)
         details["companion_margin"] = m3
-    passed = normalized >= tol_margin and closure <= tol
+    passed = normalized >= TOL_MARGIN and closure <= tol
     return CheckReport(f"symplectic_{label}", passed, closure, raw,
-                       {"residual": tol, "margin": tol_margin},
+                       {"residual": tol, "margin": TOL_MARGIN},
                        [witness], grid4.spec, details)
 
 
 def parallel_check(M: MaxwellFieldSet, grid4: SampleGrid,
                    tol: float | None = None) -> CheckReport:
-    """max |e ^ h| over the grid; passes when the fields are parallel."""
+    """max |e ^ h| over the grid; passes when it is at most tol * max|e| * max|h|.
+
+    The scale has no floor, so the decision does not change when e or h is
+    rescaled.
+    """
     pts = grid4.points
     mode, auto_tol = _mode_tol(M.e, M.h)
     tol = auto_tol if tol is None else tol
     e_tab, h_tab, s_tab = _tables([M.e, M.h, M.poynting()], pts)
     max_res, witness = _table_max_abs(s_tab, pts)
-    scale = max(1.0, _table_max_abs(e_tab, pts)[0] * _table_max_abs(h_tab, pts)[0])
+    scale = _table_max_abs(e_tab, pts)[0] * _table_max_abs(h_tab, pts)[0]
     return CheckReport("parallel", max_res <= tol * scale, max_res, None,
                        {"residual": tol}, [witness], grid4.spec,
                        {"mode": mode, "scale": scale})
 
 
 def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None,
-                       mode: str = "fd", tol: float | None = None) -> CheckReport:
+                       tol: float = TOL_RESIDUAL_FD) -> CheckReport:
     """max coefficient of L_Y(form) over the grid, per form.
 
-    Lie derivatives use the Cartan formula; mode="fd" forces finite-difference
-    coefficient partials (the independent evaluation path), mode="auto" uses
-    analytic partials when available.  The coefficients of every L_Y(form)
-    go through one evaluation call, so the forms share stencil grids.
+    Lie derivatives use the Cartan formula with finite-difference coefficient
+    partials throughout (the independent evaluation path).  The coefficients
+    of every L_Y(form) go through one evaluation call, so the forms share
+    stencil grids.
     """
     forms = list(forms)
     names = list(names) if names is not None else [f"form{i}" for i in range(len(forms))]
-    tol = (TOL_RESIDUAL_FD if mode == "fd" else TOL_RESIDUAL_ANALYTIC) if tol is None else tol
-    tables = _tables([lie_derivative(Y, f, mode=mode) for f in forms], grid.points)
+    tables = _tables([lie_derivative(Y, f, mode="fd") for f in forms], grid.points)
     per = {}
     worst = (0.0, grid.points[0].tolist())
     for name, table in zip(names, tables):
@@ -430,12 +427,11 @@ def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None,
             worst = (m, w)
     return CheckReport("conservation", worst[0] <= tol, worst[0], None,
                        {"residual": tol}, [worst[1]], grid.spec,
-                       {"per_form": per, "mode": mode})
+                       {"per_form": per, "mode": "fd"})
 
 
 def reeb_like_check(Z: VectorField, lam: DifferentialForm, grid: SampleGrid,
-                    tol: float | None = None,
-                    tol_margin: float = TOL_MARGIN) -> CheckReport:
+                    tol: float | None = None) -> CheckReport:
     """max |i_Z d lambda| and min i_Z lambda over the grid (Reeb-like conditions)."""
     pts = grid.points
     mode, auto_tol = _mode_tol(lam)
@@ -446,7 +442,7 @@ def reeb_like_check(Z: VectorField, lam: DifferentialForm, grid: SampleGrid,
     pairing = pairing_tab[:, 0]
     i = int(np.argmin(pairing))
     min_pair = float(pairing[i])
-    passed = max_res <= tol and min_pair > tol_margin
+    passed = max_res <= tol and min_pair > TOL_MARGIN
     return CheckReport("reeb_like", passed, max_res, min_pair,
-                       {"residual": tol, "margin": tol_margin},
+                       {"residual": tol, "margin": TOL_MARGIN},
                        [w_res, pts[i].tolist()], grid.spec, {"mode": mode})

@@ -216,13 +216,11 @@ def test_criterion_6_conservation():
         ee, eh = sl.energy_forms()
         y0 = bk.reeb_for_maxwell(M, "Y0", x0)
         r0 = bk.conservation_along(y0.Y, [sl.e, sl.B, ee, eh], grid3,
-                                   ["e", "B", "E_e", "E_h"],
-                                   mode="fd", tol=1e-6)
+                                   ["e", "B", "E_e", "E_h"], tol=1e-6)
         assert r0.passed, r0.details
         y1 = bk.reeb_for_maxwell(M, "Y1", x0)
         r1 = bk.conservation_along(y1.Y, [sl.h, sl.D, ee, eh], grid3,
-                                   ["h", "D", "E_e", "E_h"],
-                                   mode="fd", tol=1e-6)
+                                   ["h", "D", "E_e", "E_h"], tol=1e-6)
         assert r1.passed, r1.details
 
 

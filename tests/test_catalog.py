@@ -309,6 +309,36 @@ def test_amplitude_sign_flip_symmetry():
         assert abs(p.f_h + m.f_h) < 1e-12
 
 
+def _amplitude_ode_reference(k, eps0, mu0, f_e0, f_h0, grid):
+    """(f_e, f_h) at each x0 of grid: RK4 in ceil(|span| / h_max) equal sub-steps per span."""
+    from bmkit.forms import _rk4_step
+
+    def rhs(y):
+        return np.array([(k / eps0) * y[1], -(k / mu0) * y[0]])
+
+    h_max = (2.0 * math.pi / (abs(k) / math.sqrt(eps0 * mu0))) / 1024.0
+    y = np.array([f_e0, f_h0], dtype=float)
+    out = [(y[0], y[1], grid[0])]
+    for x, target in zip(grid, grid[1:]):
+        span = target - x
+        n = max(1, int(math.ceil(abs(span) / h_max)))
+        for _ in range(n):
+            y = _rk4_step(rhs, y, span / n)
+        out.append((float(y[0]), float(y[1]), target))
+    return out
+
+
+@pytest.mark.parametrize("k, eps0, mu0, f_e0, f_h0, x_unit", [
+    (1.0, 1.0, 1.0, 1.0, 0.0, 1.0),
+    (-1.5, 2.0, 1.0, 0.8, -0.3, 1.0),
+    (3.0, 8.8541878128e-12, 1.25663706212e-6, 0.2, 1e-4, 1e-9),   # SI: period ~2e-9
+])
+def test_amplitude_ode_matches_sub_step_reference_bitwise(k, eps0, mu0, f_e0, f_h0, x_unit):
+    grid = [x * x_unit for x in (0.0, 1e-3, 0.1, 0.35, 1.0, 2.5, 2.5001, 7.0)]
+    got = [(p.f_e, p.f_h, p.x0) for p in amplitude_ode(k, eps0, mu0, f_e0, f_h0, grid)]
+    assert got == _amplitude_ode_reference(k, eps0, mu0, f_e0, f_h0, grid)
+
+
 def test_amplitude_ode_validation():
     with pytest.raises(BmkitError):
         amplitude_ode(0.0, 1.0, 1.0, 1.0, 0.0, [0.0, 1.0])

@@ -51,12 +51,12 @@ def test_solid_torus_rmin_floor():
 
 
 def test_spacetime_round_trip():
-    c3 = torus3()
-    c4 = spacetime(c3)
-    assert c4.dim == 4
-    assert c4.time_axis == 0
-    assert c4.spatial_axes == (1, 2, 3)
-    assert spatial_chart(c4) == c3
+    for c3 in (torus3(), euclidean3(), solid_torus(a=1.0)):
+        c4 = spacetime(c3)
+        assert c4.dim == 4
+        assert c4.time_axis == 0
+        assert c4.spatial_axes == (1, 2, 3)
+        assert spatial_chart(c4) == c3
 
 
 def test_r3_chart_unbounded():

@@ -355,6 +355,31 @@ def test_poincare_no_crossing_when_frozen():
     assert len(out.s_values) == 0
 
 
+@pytest.mark.parametrize("sign, seed_x1", [(1.0, 0.25), (-1.0, 0.75)])
+def test_poincare_sample_on_the_plane_is_one_crossing(sign, seed_x1):
+    # step 0.125 puts the sample at s = 0.25 exactly on x1 = 0.5; it counts
+    # with the x1 >= 0.5 side, so the crossing is found once, at that sample
+    Y = const_field(T3, {0: sign})
+    out = poincare_section(Y, 0, 0.5, np.array([[seed_x1, 1.0, 2.0]]),
+                           s_max=0.5, step=0.125)[0]
+    assert out.s_values.tolist() == [0.25]
+    assert out.directions.tolist() == [sign]
+    assert out.points[:, 0].tolist() == [0.5]
+    off = poincare_section(Y, 0, 0.5, np.array([[seed_x1 - 0.01 * sign, 1.0, 2.0]]),
+                           s_max=0.5, step=0.125)[0]
+    assert np.allclose(off.s_values, [0.26])
+
+
+def test_poincare_tangential_crossing_kept_and_flagged():
+    Y = const_field(T3, {0: 1e-9, 1: 1.0})
+    out = poincare_section(Y, 0, 0.5, np.array([[0.5 - 5.05e-10, 0.0, 0.0]]),
+                           s_max=1.0)[0]
+    assert len(out.s_values) == 1
+    assert abs(out.s_values[0] - 0.505) < 1e-6
+    assert out.transversality.tolist() == [1e-9]
+    assert out.warnings == [f"tangential crossing at s = {out.s_values[0]:.6g}"]
+
+
 def test_poincare_abc_level_set_and_golden_run():
     # A = B = 1, C = 0 flow conserves I = cos x3 + sin x1; every crossing of
     # x3 = pi/2 must satisfy sin(x1) = I(seed).  The first crossings of a

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from bmkit import (SampleGrid, beltrami_maxwell, beltrami_residual,
-                   constant_field, conservation_along, constitutive_residuals,
-                   contact_margin, euclidean_metric, maxwell_residuals,
-                   parallel_check, parallel_nonbeltrami, shs_check,
-                   symplectic_margin, t3_mode, torus3, traveling_wave, wedge)
+from bmkit import (SampleGrid, beltrami_maxwell, beltrami_nonparallel,
+                   beltrami_residual, constant_field, conservation_along,
+                   constitutive_residuals, contact_margin, euclidean_metric,
+                   maxwell_from_eh, maxwell_residuals, parallel_check,
+                   parallel_nonbeltrami, shs_check, symplectic_margin, t3_mode,
+                   torus3, traveling_wave, wedge)
 from bmkit import hodge_star, make_form
 from bmkit.reeb import reeb_for_maxwell
 from bmkit.scalars import constant
@@ -208,6 +209,27 @@ def test_parallel_check_results():
     assert abs(r.max_residual - 1.0) < 1e-12
 
 
+def test_parallel_check_tiny_nonparallel_fails():
+    # the Poynting residual is measured against max|e| * max|h| with no floor,
+    # so scaling e and h down does not turn a non-parallel pair into a PASS
+    M = beltrami_nonparallel()
+    tiny = maxwell_from_eh(M.name, M.params, M.chart3, M.metric3, 1e-6 * M.e,
+                           1e-6 * M.h, M.constants, M.chart4)
+    grid = grid4_for(M, [0.2, 0.9])
+    for field_set in (M, tiny):
+        r = parallel_check(field_set, grid)
+        assert not r.passed
+        assert r.max_residual > r.tolerance["residual"] * r.details["scale"]
+
+
+@pytest.mark.parametrize("e0", [1e-8, 1.0, 1e8])
+def test_parallel_check_beltrami_maxwell_any_amplitude(e0):
+    M = beltrami_maxwell(t3_mode(1, 1.0), e0=e0)
+    r = parallel_check(M, grid4_for(M, [0.2, 0.9]))
+    assert r.passed
+    assert 0.5 * e0 * e0 < r.details["scale"] <= e0 * e0   # max|e| * max|h|, no floor
+
+
 # -- conservation -------------------------------------------------------------------------
 
 
@@ -218,11 +240,11 @@ def test_conservation_along_reeb_fields():
     ee, eh = sl.energy_forms()
     y0 = reeb_for_maxwell(M, "Y0", x0)
     r0 = conservation_along(y0.Y, [sl.e, sl.B, ee, eh], GRID3,
-                            ["e", "B", "E_e", "E_h"], mode="fd")
+                            ["e", "B", "E_e", "E_h"])
     assert r0.passed and r0.max_residual < 1e-6
     y1 = reeb_for_maxwell(M, "Y1", x0)
     r1 = conservation_along(y1.Y, [sl.h, sl.D, ee, eh], GRID3,
-                            ["h", "D", "E_e", "E_h"], mode="fd")
+                            ["h", "D", "E_e", "E_h"])
     assert r1.passed and r1.max_residual < 1e-6
 
 
@@ -231,7 +253,7 @@ def test_conservation_zero_field_exact():
     M = beltrami_maxwell(t3_mode(1, 1.0))
     sl = M.at_time(0.3)
     zero = vector_field(T3, {})
-    r = conservation_along(zero, [sl.e, sl.B], GRID3, ["e", "B"], mode="fd")
+    r = conservation_along(zero, [sl.e, sl.B], GRID3, ["e", "B"])
     assert r.max_residual == 0.0
 
 
