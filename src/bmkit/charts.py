@@ -8,6 +8,7 @@ first, so spatial axes of a 4-d chart are 1..3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -107,12 +108,17 @@ class Chart:
             )
         return pts
 
+    @functools.cached_property
+    def _wrap_args(self) -> tuple[np.ndarray, np.ndarray]:
+        """(periods, periodic mask) per axis; an interval axis has period 1, masked out."""
+        return (np.array([ax.period if ax.is_periodic else 1.0 for ax in self.axes]),
+                np.array([ax.is_periodic for ax in self.axes]))
+
     def wrap(self, pts: np.ndarray) -> np.ndarray:
         """Map periodic coordinates into their fundamental domain [0, period)."""
+        periods, periodic = self._wrap_args
         out = np.array(pts, dtype=float, copy=True)
-        for i, ax in enumerate(self.axes):
-            if ax.is_periodic:
-                out[..., i] %= ax.period
+        np.remainder(out, periods, out=out, where=periodic)
         return out
 
     def contains(self, pts: np.ndarray) -> np.ndarray:

@@ -353,7 +353,7 @@ def _run_trace(args) -> int:
         "orbits": results,
         "summary": {"n_seeds": len(results), "closed_count": survey.n_closed},
     }
-    _emit(args, report)
+    _emit(args, report, integration=survey.integration_counts)
     print(f"traced {len(results)} field lines; {survey.n_closed} closed "
           f"(tol={args.tol:g}, s_max={args.s_max:g})", file=sys.stderr)
     return 0
@@ -368,7 +368,7 @@ def _run_survey(args) -> int:
         "config": config,
         "survey": survey.to_json_dict(),
     }
-    _emit(args, report, dedup=survey.dedup_counts)
+    _emit(args, report, dedup=survey.dedup_counts, integration=survey.integration_counts)
     print(f"survey: {survey.n_closed}/{len(survey.results)} seeds closed, "
           f"{len(survey.unique_orbits)} distinct orbits", file=sys.stderr)
     return 0

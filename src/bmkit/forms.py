@@ -410,9 +410,12 @@ def _rk4_advance(f, y: np.ndarray, span: float, h_max: float) -> np.ndarray:
 
 
 def _flow_rhs(X: VectorField):
-    """p -> X at the wrapped p: the flow of X in unwrapped coordinates."""
-    chart = X.chart
-    return lambda p: X.evaluate(chart.wrap(p))
+    """p -> X at the wrapped p: the flow of X in unwrapped coordinates.
+
+    p must already be an (N, dim) float array; it goes to the field's plan unchecked.
+    """
+    chart, plan = X.chart, X._plan
+    return lambda p: plan(chart.wrap(p))
 
 
 def lie_derivative_flow(X: VectorField, a: DifferentialForm, pts: np.ndarray) -> np.ndarray:

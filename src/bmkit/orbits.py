@@ -112,17 +112,17 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
     active = np.arange(n)
     state = seeds.copy()
     f = _flow_rhs(Y)
+    bounded = not all(ax.is_periodic for ax in chart.axes)  # else every point is inside
     for i in range(1, n_steps + 1):
         if active.size == 0:
             break
-        new_state = _rk4_step(f, state, step)
-        inside = chart.contains(new_state)
-        if not np.all(inside):
-            lengths[active[~inside]] = i
-            active = active[inside]
-            state = new_state[inside]
-        else:
-            state = new_state
+        state = _rk4_step(f, state, step)
+        if bounded:
+            inside = chart.contains(state)
+            if not np.all(inside):
+                lengths[active[~inside]] = i
+                active = active[inside]
+                state = state[inside]
         samples[i, active] = state
     statuses = ["completed" if lengths[j] == n_steps + 1 else "exited_domain"
                 for j in range(n)]
@@ -253,6 +253,13 @@ class SurveyResult:
         """Work of computing `unique_orbits`: candidate pairs compared, pairs
         rejected by the first-point test, and points given the full scan."""
         return self._dedup[1]
+
+    @property
+    def integration_counts(self) -> dict:
+        """RK4 steps of the lockstep integration: steps of the batch, and steps summed
+        over seeds.  A seed that left the domain also took the step that left it."""
+        steps = [t.n_samples - (t.status == "completed") for t in self.traces]
+        return {"lockstep_steps": max(steps, default=0), "seed_steps": sum(steps)}
 
     @property
     def n_closed(self) -> int:

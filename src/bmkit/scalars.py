@@ -20,11 +20,13 @@ leaves as one built on the slice.
 Every evaluation runs a :class:`Plan`, a straight-line program built from a
 list of root fields: ``field(pts)`` is the one-column case of
 :func:`value_table`, and a vector field keeps the plan of its components.
-A plan holds structure only.  A node reached by several parents is one step,
+A plan holds structure only: each step applies one function to one or two
+slots and writes one.  A node reached by several parents is one step,
 except a leaf: the leaves of one (kernel, axis terms, phase) share one kernel
-step, and each applies its amplitude once per parent, so only the kernel
-value waits for later readers.  The J0 and -c*J1 leaves spread over a Bessel
-field's coefficients and partials thus run their kernel once.  The ``fd``
+step, which sums the phase and axis terms and applies the kernel, and each
+applies its amplitude once per parent, so only the kernel value waits for
+later readers.  The J0 and -c*J1 leaves spread over a Bessel field's
+coefficients and partials thus run their kernel once.  The ``fd``
 nodes of one stencil plan share a step that evaluates a sub-plan of all their
 inner fields once per stencil grid.  Arithmetic is that of each field alone,
 so every column is bitwise what its field gives by itself.  Values live in the
@@ -193,8 +195,8 @@ class Plan:
     """A straight-line program for the values of several root fields.
 
     ``plan(pts)`` is the (N, len(fields)) table of their values.  The plan
-    holds structure only: each step reads slots and writes one, and every
-    value lives in the slots of one run, each dropped after its last reader.
+    holds structure only: each step reads one or two slots and writes one, and
+    every value lives in the slots of one run, each dropped after its last reader.
     """
 
     __slots__ = ("_slots", "_steps")
@@ -202,13 +204,13 @@ class Plan:
     def __init__(self, fields):
         fields = list(fields)
         slots: list = [None, None]  # the points, the table; a constant's slot holds its float
-        steps: list = []            # (out, fn, ins)
+        steps: list = []            # (out, fn, a, b): fn(vals[a]) or fn(vals[a], vals[b])
         done: dict = {}             # node id, kernel key or (stencils, inner id) -> slot
         groups: dict = {}           # stencils -> (slot of their rows, {inner id: inner})
 
-        def step(fn, *ins):
+        def step(fn, a, b=None):
             slots.append(None)
-            steps.append((len(slots) - 1, fn, ins))
+            steps.append((len(slots) - 1, fn, a, b))
             return len(slots) - 1
 
         def visit(node):
@@ -244,24 +246,25 @@ class Plan:
             return out
 
         for col, f in enumerate(fields):
-            steps.append((_TABLE, _column(col), (_TABLE, visit(f))))
+            steps.append((_TABLE, _column(col), _TABLE, visit(f)))
         # the stencil groups run first, each one sub-plan of its inner fields per
         # grid, and then the table is made
-        steps[:0] = [(rows, _fd_step(stencils, inner), (0,))
+        steps[:0] = [(rows, _fd_step(stencils, inner), 0, None)
                      for stencils, (rows, inner) in groups.items()]
-        steps.insert(len(groups), (_TABLE, functools.partial(_empty_table, len(fields)), (0,)))
-        last = {slot: i for i, (_, _, ins) in enumerate(steps) for slot in ins if slot != _TABLE}
+        steps.insert(len(groups), (_TABLE, functools.partial(_empty_table, len(fields)), 0, None))
+        last = {slot: i for i, (_, _, a, b) in enumerate(steps) for slot in (a, b)
+                if slot is not None and slot != _TABLE}
         dead: list[list[int]] = [[] for _ in steps]
         for slot, i in last.items():
             dead[i].append(slot)
         self._slots = slots
-        self._steps = [(out, fn, ins, tuple(d)) for (out, fn, ins), d in zip(steps, dead)]
+        self._steps = [(*st, tuple(d)) for st, d in zip(steps, dead)]
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         vals = self._slots.copy()
         vals[0] = np.asarray(pts, dtype=float)
-        for out, fn, ins, dead in self._steps:
-            vals[out] = fn(*[vals[i] for i in ins])
+        for out, fn, a, b, dead in self._steps:
+            vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
             for i in dead:
                 vals[i] = None
         return vals[_TABLE]
@@ -283,7 +286,16 @@ def _column(col: int):
 
 
 def _kernel_step(kernel: Kernel, coeffs: dict[int, float], phase: float):
-    return lambda pts: kernel.value(_argument(pts, coeffs, phase))
+    """pts -> kernel.value(phase + sum_a coeffs[a] * x_a), summed in the order of coeffs."""
+    value, terms = kernel.value, tuple(coeffs.items())
+
+    def run(pts: np.ndarray) -> np.ndarray:
+        u = phase
+        for a, c in terms:
+            u = u + c * pts[..., a]
+        return value(u)
+
+    return run
 
 
 def _fn_step(fn: ValueFn):
@@ -293,14 +305,6 @@ def _fn_step(fn: ValueFn):
 def _fd_step(stencils, inner: dict):
     plan, n = Plan(inner.values()), len(inner)
     return lambda pts: stencils(plan, pts, n)
-
-
-def _argument(pts: np.ndarray, coeffs: dict[int, float], phase: float):
-    """phase + sum_a coeffs[a] * x_a, summed in the order of coeffs."""
-    u = phase
-    for a, c in coeffs.items():
-        u = u + c * pts[..., a]
-    return u
 
 
 def leaf(kernel: Kernel, coeffs: dict[int, float], phase: float = 0.0,

@@ -297,6 +297,9 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
     flagged as ill-posed for the estimate and excluded from the f statistics.
     zero_scales = (scale_Omega, scale_lambda) are global field amplitudes;
     a member that is round-off dust next to its scale fails with margin 0.
+    The residuals are measured with no floor, max |d Omega| against
+    tol * max |Omega| and the proportionality residual against
+    tol * max |d lambda|, so rescaling Omega or lambda keeps the decision.
     """
     chart = lam.chart
     if chart.dim != 3:
@@ -346,9 +349,10 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
         details["f_min"] = float(np.min(f_vals))
         details["f_max"] = float(np.max(f_vals))
         details["f_spread"] = float(np.max(f_vals) - np.min(f_vals))
-    resid_scale = max(1.0, _table_max_abs(dlam_tab, pts)[0])
-    passed = (closure <= tol and normalized >= TOL_MARGIN
-              and prop_resid <= tol * resid_scale and not np.any(~well_posed))
+    dlam_max = _table_max_abs(dlam_tab, pts)[0]
+    details.update(closure_scale=omega_abs_max, proportionality_scale=dlam_max)
+    passed = (closure <= tol * omega_abs_max and normalized >= TOL_MARGIN
+              and prop_resid <= tol * dlam_max and not np.any(~well_posed))
     return CheckReport("shs", passed, max(closure, prop_resid), raw_margin,
                        {"residual": tol, "margin": TOL_MARGIN},
                        [w_margin], grid.spec, details)

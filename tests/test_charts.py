@@ -59,6 +59,37 @@ def test_spacetime_round_trip():
         assert spatial_chart(c4) == c3
 
 
+def _wrap_per_axis(chart, pts):
+    """Reference: each periodic axis reduced on its own by the float remainder."""
+    out = np.array(pts, dtype=float, copy=True)
+    for i, ax in enumerate(chart.axes):
+        if ax.is_periodic:
+            out[..., i] %= ax.period
+    return out
+
+
+@pytest.mark.parametrize("chart", [torus3(), solid_torus(), euclidean3(), spacetime(torus3())],
+                         ids=lambda c: c.name)
+def test_wrap_is_bitwise_the_per_axis_remainder(chart):
+    rng = np.random.default_rng(7)
+    dim = chart.dim
+    multiples = 2 * math.pi * np.arange(-3.0, 4.0)
+    special = np.concatenate([multiples, [-0.0, 0.0, -1e-17, 1e-17, -math.pi, math.pi]])
+    batches = [
+        rng.normal(0.0, 20.0, (50, dim)),                       # negative and far values
+        np.resize(special, (len(special), dim)),               # exact period multiples, -0.0
+        np.roll(np.resize(special, (len(special), dim)), 1, axis=1),
+        np.full((3, dim), -0.0),
+        rng.normal(0.0, 20.0, dim),                            # one point, shape (dim,)
+        rng.normal(0.0, 20.0, (2, 4, dim)),                    # a stack of batches
+    ]
+    for pts in batches:
+        got, want = chart.wrap(pts), _wrap_per_axis(chart, pts)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()   # bitwise: the sign of -0.0 included
+        assert got is not pts
+
+
 def test_r3_chart_unbounded():
     chart = euclidean3()
     far = np.array([[1e6, -1e6, 0.0]])

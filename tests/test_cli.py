@@ -352,6 +352,21 @@ def test_survey_meta_counts_dedup_and_no_meta_strips_it(tmp_path):
     assert bare.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("command", ["survey", "trace"])
+def test_meta_counts_rk4_steps_and_no_meta_strips_them(tmp_path, command):
+    # s_max / step = 100 lockstep steps; the second seed leaves the solid torus
+    # on its 9th step, which it computes but does not commit
+    common = [command, "--field", "solid_torus_mode", "--seeds", "0.5,4,5;0.9,2,1",
+              "--step", "0.05", "--s-max", "5"]
+    with_meta, bare = tmp_path / "meta.json", tmp_path / "bare.json"
+    assert run_cli([*common, "--out", str(with_meta)]) == 0
+    assert run_cli([*common, "--no-meta", "--out", str(bare)]) == 0
+    report = json.loads(with_meta.read_text())
+    assert report["meta"]["integration"] == {"lockstep_steps": 100, "seed_steps": 109}
+    del report["meta"]
+    assert bare.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_survey_beltrami_form_closes(tmp_path):
     out = tmp_path / "survey.json"
     code = run_cli(["survey", "--field", "t3_mode{n=1,c=1}", "--seeds", "0,0,0",

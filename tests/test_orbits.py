@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from bmkit import (BmkitError, SampleGrid, abc_flow, beltrami_maxwell,
                    closed_orbit_survey, detect_closure, euclidean3,
                    euclidean_metric, field_line_generator, integrate,
-                   metric_sharp, poincare_section, solid_torus, t3_mode,
-                   torus3, vector_field, write_orbit_csv)
-from bmkit.orbits import NONE_FOUND, SurveyResult, _covers
+                   metric_sharp, poincare_section, solid_torus, solid_torus_mode,
+                   t3_mode, torus3, vector_field, write_orbit_csv)
+from bmkit.forms import _rk4_step
+from bmkit.orbits import NONE_FOUND, SurveyResult, _covers, integrate_batch
 from bmkit.scalars import constant, coordinate, sin_wave, wave
 
 T3 = torus3()
@@ -95,6 +96,59 @@ def test_interval_axis_exit():
     assert tr.status == "exited_domain"
     assert tr.n_samples < 201
     assert np.all(tr.samples[:, 0] <= 1.0 + 1e-12)
+
+
+def _integrate_batch_reference(Y, seeds, step, n_steps):
+    """The lockstep loop before the flow read the plan directly: the field is
+    evaluated through VectorField.evaluate and the domain tested on every step."""
+    chart = Y.chart
+    seeds = chart.as_points(seeds)
+    n = seeds.shape[0]
+    samples = np.full((n_steps + 1, n, chart.dim), np.nan)
+    samples[0] = seeds
+    lengths = np.full(n, n_steps + 1, dtype=int)
+    active = np.arange(n)
+    state = seeds.copy()
+
+    def f(p):
+        return Y.evaluate(chart.wrap(p))
+
+    for i in range(1, n_steps + 1):
+        if active.size == 0:
+            break
+        new_state = _rk4_step(f, state, step)
+        inside = chart.contains(new_state)
+        if not np.all(inside):
+            lengths[active[~inside]] = i
+            active = active[inside]
+            state = new_state[inside]
+        else:
+            state = new_state
+        samples[i, active] = state
+    statuses = ["completed" if lengths[j] == n_steps + 1 else "exited_domain"
+                for j in range(n)]
+    return samples, lengths, statuses
+
+
+def test_integrate_batch_matches_reference_loop_on_t3():
+    Y = metric_sharp(euclidean_metric(T3), abc_flow(1.0, 0.7, 0.4).form)
+    seeds = np.random.default_rng(3).uniform(-2.0, 8.0, (20, 3))
+    samples, lengths, statuses = integrate_batch(Y, seeds, 0.02, 300)
+    want = _integrate_batch_reference(Y, seeds, 0.02, 300)
+    assert samples.tobytes() == want[0].tobytes()
+    assert lengths.tolist() == want[1].tolist() == [301] * 20
+    assert statuses == want[2]
+
+
+def test_integrate_batch_matches_reference_loop_with_an_exit():
+    # on the solid torus the third seed leaves the r interval at its 9th step
+    Y = field_line_generator(solid_torus_mode(), "e")
+    seeds = np.array([[0.3, 0.1, 0.2], [0.6, 1.0, 2.0], [0.9, 2.0, 1.0], [0.5, 4.0, 5.0]])
+    samples, lengths, statuses = integrate_batch(Y, seeds, 0.05, 20)
+    want = _integrate_batch_reference(Y, seeds, 0.05, 20)
+    assert lengths.tolist() == want[1].tolist() == [21, 21, 9, 21]
+    assert statuses == want[2] == ["completed", "completed", "exited_domain", "completed"]
+    assert samples.tobytes() == want[0].tobytes()
 
 
 def test_step_must_be_positive():

@@ -10,11 +10,11 @@ from bmkit import (SampleGrid, beltrami_maxwell, beltrami_nonparallel,
                    beltrami_residual, constant_field, conservation_along,
                    constitutive_residuals, contact_margin, euclidean_metric,
                    maxwell_from_eh, maxwell_residuals, parallel_check,
-                   parallel_nonbeltrami, shs_check, symplectic_margin, t3_mode,
-                   torus3, traveling_wave, wedge)
+                   parallel_nonbeltrami, shs_check, solid_torus_mode,
+                   symplectic_margin, t3_mode, torus3, traveling_wave, wedge)
 from bmkit import hodge_star, make_form
 from bmkit.reeb import reeb_for_maxwell
-from bmkit.scalars import constant
+from bmkit.scalars import constant, wave
 
 T3 = torus3()
 G3 = euclidean_metric(T3)
@@ -162,6 +162,36 @@ def test_shs_flags_illposed_points():
     r = shs_check(omega, lam, GRID3)
     assert r.details["n_illposed"] > 0
     assert not r.passed
+
+
+def test_shs_tiny_pair_without_proportionality_fails():
+    # d lambda is not proportional to Omega (residual 0.3 max|d lambda| at scale 1);
+    # with no floor on the scale, shrinking lambda does not turn that into a PASS
+    v = t3_mode(1, 1.0)
+    omega = hodge_star(v.metric, v.form)
+    lam = v.form + make_form(T3, 1, {(2,): wave({0: 1}, amplitude=0.3)})
+    for scale in (1.0, 1e-6, 1e-12):
+        r = shs_check(omega, scale * lam, GRID3)
+        assert not r.passed
+        assert (r.details["proportionality_residual"]
+                > r.tolerance["residual"] * r.details["proportionality_scale"])
+
+
+@pytest.mark.parametrize("e0", [1e-8, 1.0, 5e6, 1e8])
+def test_shs_bessel_maxwell_any_amplitude(e0):
+    # the pairs (B, e) and (D, h) of a Bessel mode are stable Hamiltonian at every
+    # amplitude; both residuals are measured against the pair's own scales
+    M = beltrami_maxwell(solid_torus_mode(), e0=e0)
+    grid3 = SampleGrid.regular(M.chart3, 10)
+    x0 = 0.3512407365520363
+    sl = M.at_time(x0)
+    for omega, lam in ((sl.B, sl.e), (sl.D, sl.h)):
+        r = shs_check(omega, lam, grid3)
+        assert r.passed
+        assert (r.details["closure_residual"]
+                <= r.tolerance["residual"] * r.details["closure_scale"])
+        assert r.details["closure_scale"] == omega.max_abs(grid3.points)
+        assert r.details["proportionality_scale"] > 0.0
 
 
 # -- symplectic ----------------------------------------------------------------------
