@@ -165,8 +165,8 @@ def test_shs_flags_illposed_points():
 
 
 def test_shs_tiny_pair_without_proportionality_fails():
-    # d lambda is not proportional to Omega (residual 0.3 max|d lambda| at scale 1);
-    # with no floor on the scale, shrinking lambda does not turn that into a PASS
+    # d lambda is not proportional to Omega; with no floor on the scale,
+    # shrinking lambda does not turn that into a PASS
     v = t3_mode(1, 1.0)
     omega = hodge_star(v.metric, v.form)
     lam = v.form + make_form(T3, 1, {(2,): wave({0: 1}, amplitude=0.3)})
