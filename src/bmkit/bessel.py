@@ -2,9 +2,10 @@
 
 Two regimes:
 
-* |z| < 8: the ascending power series.  Worst-case cancellation at z = 8
-  amplifies round-off by about the largest term over J0(8), keeping the
-  relative error near 1e-13.
+* |z| < 8: the ascending power series, 36 terms in w = z^2 summed by
+  Horner's rule over coefficients computed once at import.  Worst-case
+  cancellation at z = 8 amplifies round-off by about the largest term over
+  J0(8), keeping the absolute error near 2e-14.
 * 8 <= |z| <= 50: the integral representation
   J_n(z) = (1/pi) int_0^pi cos(n t - z sin t) dt evaluated with the
   composite trapezoid rule.  For these integrands the trapezoid sum is
@@ -24,6 +25,8 @@ slice and differentiate like any other leaf.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -39,24 +42,30 @@ _QUAD_W = np.full(_QUAD_NODES + 1, 1.0 / _QUAD_NODES)
 _QUAD_W[0] = _QUAD_W[-1] = 0.5 / _QUAD_NODES
 
 
+# J0(z) = sum_m a_m w^m and J1(z) = z sum_m b_m w^m in w = z^2, with
+# a_m = (-1/4)^m / m!^2 and b_m = a_m / (2 (m + 1)), each rounded once from
+# its exact value (a quotient of Python ints is correctly rounded); stored
+# highest power first for Horner's rule
+_J0_COEFFS = tuple((-1) ** m / (4 ** m * math.factorial(m) ** 2)
+                   for m in reversed(range(_SERIES_TERMS)))
+_J1_COEFFS = tuple((-1) ** m / (2 * 4 ** m * math.factorial(m) * math.factorial(m + 1))
+                   for m in reversed(range(_SERIES_TERMS)))
+
+
+def _horner(coeffs, w):
+    out = np.full_like(w, coeffs[0])
+    for a in coeffs[1:]:
+        out *= w
+        out += a
+    return out
+
+
 def _series_j0(z):
-    q = -0.25 * z * z
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    for m in range(1, _SERIES_TERMS):
-        term = term * q / (m * m)
-        total = total + term
-    return total
+    return _horner(_J0_COEFFS, z * z)
 
 
 def _series_j1(z):
-    q = -0.25 * z * z
-    term = np.full_like(z, 0.5)
-    total = np.full_like(z, 0.5)
-    for m in range(1, _SERIES_TERMS):
-        term = term * q / (m * (m + 1))
-        total = total + term
-    return z * total
+    return z * _horner(_J1_COEFFS, z * z)
 
 
 def _quad_j(order, z):

@@ -15,6 +15,7 @@ fixed config when --no-meta strips versions and timings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -443,7 +444,9 @@ def _add_common(p, out_default=None):
                    help="omit versions/timing for byte-deterministic reports")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bmk parser, built on first use and shared by later main calls."""
     ap = argparse.ArgumentParser(
         prog="bmk",
         description="Beltrami-Maxwell exterior-calculus toolkit")

@@ -8,12 +8,12 @@ evaluation plan (:class:`~bmkit.scalars.Plan`, one per ``coefficient_table``
 call and one kept by each vector field) holds no values, and the values of a
 run, its stencil grids included, are local to that run.
 
-Exterior derivatives use analytic coefficient partials when present (mode
-"auto") and otherwise, or always with mode "fd", 4th-order finite
-differences that wrap periodic axes and switch to one-sided stencils within
-two steps of interval endpoints.  The step is fixed: 1e-4 * period / 2pi on
-a circle and 1e-4 on an interval (``DEFAULT_FD_STEP`` times
-``AxisSpec.fd_scale``).  A finite-difference partial is an ``fd`` node of
+Exterior derivatives use a coefficient's analytic partials, and fall back
+to 4th-order finite differences only for a coefficient that has none (one
+reading an ``fn`` or ``fd`` node); no option forces them.  The stencils wrap
+periodic axes and switch to one-sided stencils within two steps of interval
+endpoints.  The step is fixed: 1e-4 * period / 2pi on a circle and 1e-4 on
+an interval (``DEFAULT_FD_STEP`` times ``AxisSpec.fd_scale``).  A finite-difference partial is an ``fd`` node of
 the coefficient's tree; its stencil plan, shared by every partial of one
 (chart, axis), gives the shifted grids, and one evaluation call evaluates
 each grid once for all the partials that read it (one sub-plan of all their
@@ -298,22 +298,17 @@ def fd_partial(chart: Chart, sf: ScalarField, axis: int) -> ScalarField:
     return ScalarField("fd", (sf, _fd_plan(chart, axis)))
 
 
-def partial_field(chart: Chart, sf: ScalarField, axis: int, mode: str = "auto") -> ScalarField:
-    """d(sf)/dx_axis: analytic when available and mode is "auto", else finite differences."""
-    if mode not in ("auto", "fd"):
-        raise ValueError(f"unknown differentiation mode {mode!r}")
-    if mode == "auto":
-        p = sf.partial(axis)
-        if p is not None:
-            return p
-    return fd_partial(chart, sf, axis)
+def partial_field(chart: Chart, sf: ScalarField, axis: int) -> ScalarField:
+    """d(sf)/dx_axis: analytic when sf has partials, else finite differences."""
+    p = sf.partial(axis)
+    return fd_partial(chart, sf, axis) if p is None else p
 
 
 # -- exterior derivative ----------------------------------------------------
 
 
-def exterior_derivative(a: DifferentialForm, axes: tuple[int, ...] | None = None,
-                        mode: str = "auto") -> DifferentialForm:
+def exterior_derivative(a: DifferentialForm,
+                        axes: tuple[int, ...] | None = None) -> DifferentialForm:
     """Exterior derivative of a, optionally restricted to a subset of axes.
 
     With axes = spatial axes of a spacetime chart this is the spatial part
@@ -331,25 +326,25 @@ def exterior_derivative(a: DifferentialForm, axes: tuple[int, ...] | None = None
             if ins is None:
                 continue
             sign, new_idx = ins
-            dcj = partial_field(chart, c, j, mode)
+            dcj = partial_field(chart, c, j)
             term = dcj if sign > 0 else -dcj
             out[new_idx] = out[new_idx] + term if new_idx in out else term
     return make_form(chart, a.degree + 1, out)
 
 
-def spatial_exterior_derivative(a: DifferentialForm, mode: str = "auto") -> DifferentialForm:
+def spatial_exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     """The d_spatial piece on a spacetime chart (plain d on 3-d charts)."""
-    return exterior_derivative(a, axes=a.chart.spatial_axes, mode=mode)
+    return exterior_derivative(a, axes=a.chart.spatial_axes)
 
 
-def time_derivative(a: DifferentialForm, mode: str = "auto") -> DifferentialForm:
+def time_derivative(a: DifferentialForm) -> DifferentialForm:
     """Coefficient-wise d/dx0: the Lie derivative along the time translation."""
     t = a.chart.time_axis
     if t is None:
         raise DegreeError("chart has no time axis")
     return make_form(
         a.chart, a.degree,
-        {idx: partial_field(a.chart, c, t, mode) for idx, c in a.coeffs.items()})
+        {idx: partial_field(a.chart, c, t) for idx, c in a.coeffs.items()})
 
 
 # -- interior product and Lie derivative -------------------------------------
@@ -372,15 +367,15 @@ def interior_product(X: VectorField, a: DifferentialForm) -> DifferentialForm:
     return make_form(a.chart, a.degree - 1, out)
 
 
-def lie_derivative(X: VectorField, a: DifferentialForm, mode: str = "auto") -> DifferentialForm:
+def lie_derivative(X: VectorField, a: DifferentialForm) -> DifferentialForm:
     """Cartan formula: L_X a = d(i_X a) + i_X(d a)."""
     _require_same_chart(X, a)
     if a.degree == 0:
-        return interior_product(X, exterior_derivative(a, mode=mode))
+        return interior_product(X, exterior_derivative(a))
     if a.degree == a.chart.dim:
-        return exterior_derivative(interior_product(X, a), mode=mode)
-    return (exterior_derivative(interior_product(X, a), mode=mode)
-            + interior_product(X, exterior_derivative(a, mode=mode)))
+        return exterior_derivative(interior_product(X, a))
+    return (exterior_derivative(interior_product(X, a))
+            + interior_product(X, exterior_derivative(a)))
 
 
 # -- RK4 and the flow-pullback cross-check ------------------------------------

@@ -152,20 +152,26 @@ def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,
     """Reeb field Y0 of (B, e) or Y1 of (D, h) on the slice x0 = const.
 
     Hard-errors with DegenerateInstantError when the selected 1-form
-    (e for Y0, h for Y1) vanishes on the slice, which for the Beltrami-
-    Maxwell catalog happens exactly at cos(k x0) = 0 resp. sin(k x0) = 0.
+    lambda (e for Y0, h for Y1) vanishes somewhere on the grid, which for the
+    Beltrami-Maxwell catalog happens exactly at cos(k x0) = 0 resp.
+    sin(k x0) = 0.  Vanishing is measured against the slice's energy density:
+    w min|lambda|^2 <= 1e-18 max(eps0 |e|^2 + mu0 |h|^2) with w = eps0 for Y0
+    and mu0 for Y1, so the test does not change with amplitude or units.
     """
     if which not in ("Y0", "Y1"):
         raise BmkitError("which must be 'Y0' or 'Y1'")
     sl = M.at_time(x0)
     grid = grid or SampleGrid.regular(sl.chart, 8)
-    lam, omega = (sl.e, sl.B) if which == "Y0" else (sl.h, sl.D)
-    norm2 = norm_sq_field(sl.metric, lam)
-    norms = norm2(grid.points)
-    if float(np.min(norms)) <= 1e-18 or float(np.max(norms)) <= 1e-18:
+    norm_e, norm_h = norm_sq_field(sl.metric, sl.e), norm_sq_field(sl.metric, sl.h)
+    e2, h2 = value_table([norm_e, norm_h], grid.points).T
+    e_energy, h_energy = sl.constants.eps0 * e2, sl.constants.mu0 * h2
+    lam, omega, norm2, lam_energy = ((sl.e, sl.B, norm_e, e_energy) if which == "Y0"
+                                     else (sl.h, sl.D, norm_h, h_energy))
+    energy = float(np.max(e_energy + h_energy))
+    if float(np.min(lam_energy)) <= 1e-18 * energy:
         raise DegenerateInstantError(
-            f"{which}: defining 1-form vanishes at x0 = {x0} "
-            f"(min norm^2 = {float(np.min(norms)):.3e})")
+            f"{which}: defining 1-form vanishes at x0 = {x0} (its energy density "
+            f"falls to {float(np.min(lam_energy)):.3e}, max total {energy:.3e})")
     return _normalized_reeb(sl.metric, lam, omega, norm2, grid)
 
 

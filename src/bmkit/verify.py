@@ -4,7 +4,9 @@ Every check evaluates residuals or nondegeneracy margins over a sample grid
 and returns a :class:`CheckReport`.  Conventions:
 
 * residual tolerance: 1e-10 when every involved coefficient has analytic
-  partials, 1e-6 in finite-difference mode;
+  partials, 1e-6 when one falls back to finite differences (an ``fn`` node);
+* conservation along a Reeb field is the Cartan formula on analytic partials,
+  each form's residual compared with the tolerance times max|Y| max|form|;
 * margins ("nonzero anywhere" conditions) are a sampling proxy: the minimum
   over the grid is compared, after normalizing the input forms to unit max
   coefficient, against a 1e-9 floor, and the worst point is reported as a
@@ -109,15 +111,17 @@ class CheckReport:
 
 
 def _tables(forms, pts: np.ndarray) -> list[np.ndarray]:
-    """Each form's coefficient table at pts, from one evaluation call for all of them.
+    """Each form's coefficient table (a vector field's component table) at pts,
+    from one evaluation call for all of them.
 
     The order of forms sets only the peak memory: a value two forms share is
     held from the first reader to the last, so the checks list their forms in
     the order that measured lowest.
     """
-    fields = [f.coefficient(idx) for f in forms for idx in f.indices]
-    table = value_table(fields, pts)
-    bounds = np.cumsum([0] + [len(f.indices) for f in forms])
+    columns = [list(f.components) if isinstance(f, VectorField)
+               else [f.coefficient(idx) for idx in f.indices] for f in forms]
+    table = value_table([c for cols in columns for c in cols], pts)
+    bounds = np.cumsum([0] + [len(cols) for cols in columns])
     return [table[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -410,28 +414,36 @@ def parallel_check(M: MaxwellFieldSet, grid4: SampleGrid,
                        {"mode": mode, "scale": scale})
 
 
-def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None,
-                       tol: float = TOL_RESIDUAL_FD) -> CheckReport:
-    """max coefficient of L_Y(form) over the grid, per form.
+def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None) -> CheckReport:
+    """max coefficient of L_Y(form) over the grid, per form, with a scaled tolerance.
 
-    Lie derivatives use the Cartan formula with finite-difference coefficient
-    partials throughout (the independent evaluation path).  The coefficients
-    of every L_Y(form) go through one evaluation call, so the forms share
-    stencil grids.
+    Lie derivatives use the Cartan formula on analytic coefficient partials;
+    a coefficient without partials (an ``fn`` node) falls back to finite
+    differences, and the tolerance follows (1e-10, or 1e-6 with a
+    finite-difference partial).  Each form passes when its residual is at most
+    tol * max|Y| * max|form|, so rescaling Y or the forms keeps the decision;
+    the scales are reported next to the residuals.  Y, the forms and every
+    L_Y(form) go through one evaluation call.
     """
     forms = list(forms)
     names = list(names) if names is not None else [f"form{i}" for i in range(len(forms))]
-    tables = _tables([lie_derivative(Y, f, mode="fd") for f in forms], grid.points)
-    per = {}
-    worst = (0.0, grid.points[0].tolist())
-    for name, table in zip(names, tables):
-        m, w = _table_max_abs(table, grid.points)
+    lies = [lie_derivative(Y, f) for f in forms]
+    mode, tol = _mode_tol(*lies)
+    pts = grid.points
+    y_tab, *tables = _tables([Y, *forms, *lies], pts)
+    y_max = _table_max_abs(y_tab, pts)[0]
+    per, scales = {}, {}
+    worst = (0.0, pts[0].tolist())
+    for name, form_tab, lie_tab in zip(names, tables[:len(forms)], tables[len(forms):]):
+        m, w = _table_max_abs(lie_tab, pts)
         per[name] = m
+        scales[name] = y_max * _table_max_abs(form_tab, pts)[0]
         if m >= worst[0]:
             worst = (m, w)
-    return CheckReport("conservation", worst[0] <= tol, worst[0], None,
+    passed = all(per[name] <= tol * scales[name] for name in per)
+    return CheckReport("conservation", passed, worst[0], None,
                        {"residual": tol}, [worst[1]], grid.spec,
-                       {"per_form": per, "mode": "fd"})
+                       {"per_form": per, "scales": scales, "mode": mode})
 
 
 def reeb_like_check(Z: VectorField, lam: DifferentialForm, grid: SampleGrid,

@@ -214,14 +214,23 @@ def test_criterion_6_conservation():
         grid3 = bk.SampleGrid.regular(M.chart3, 8)
         sl = M.at_time(x0)
         ee, eh = sl.energy_forms()
-        y0 = bk.reeb_for_maxwell(M, "Y0", x0)
-        r0 = bk.conservation_along(y0.Y, [sl.e, sl.B, ee, eh], grid3,
-                                   ["e", "B", "E_e", "E_h"], tol=1e-6)
-        assert r0.passed, r0.details
-        y1 = bk.reeb_for_maxwell(M, "Y1", x0)
-        r1 = bk.conservation_along(y1.Y, [sl.h, sl.D, ee, eh], grid3,
-                                   ["h", "D", "E_e", "E_h"], tol=1e-6)
-        assert r1.passed, r1.details
+
+        def fn_form(form):   # coefficients without partials: d takes finite differences
+            return bk.make_form(form.chart, form.degree,
+                                {idx: bk.from_function(c) for idx, c in form.coeffs.items()})
+
+        for which, names, forms in (("Y0", ["e", "B", "E_e", "E_h"], [sl.e, sl.B, ee, eh]),
+                                    ("Y1", ["h", "D", "E_e", "E_h"], [sl.h, sl.D, ee, eh])):
+            Y = bk.reeb_for_maxwell(M, which, x0).Y
+            Y_fn = bk.VectorField(Y.chart, tuple(c if c.is_zero else bk.from_function(c)
+                                                 for c in Y.components))
+            for mode, report in (
+                    ("analytic", bk.conservation_along(Y, forms, grid3, names)),
+                    ("fd", bk.conservation_along(Y_fn, [fn_form(f) for f in forms],
+                                                 grid3, names))):
+                assert report.passed and report.details["mode"] == mode, report.details
+                assert all(r < 1e-6 for r in report.details["per_form"].values()), \
+                    report.details
 
 
 def test_criterion_7_closed_field_line_witnesses():

@@ -96,6 +96,27 @@ def test_verify_single_time_sample_is_the_instant(tmp_path):
     assert check["witness"][0][0] == 0.5
 
 
+def test_main_calls_share_one_parser_and_parse_independently(tmp_path, capsys):
+    from bmkit.cli import build_parser
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(["verify", "--field", BM_SPEC, "--x0", "0.5", "--x0", "0.7",
+                    "--tgrid", "1", "--checks", "maxwell", "contact_e", "--grid", "4",
+                    "--no-meta", "--out", str(first)]) == 0
+    assert run_cli(["catalog", "--json"]) == 0
+    assert "catalog" in json.loads(capsys.readouterr().out)
+    # neither the appended instants nor the check list of the first call carry over
+    assert run_cli(["verify", "--field", BM_SPEC, "--tgrid", "1", "--checks", "maxwell",
+                    "--grid", "4", "--no-meta", "--out", str(second)]) == 0
+    assert run_cli(["catalog"]) == 0
+    assert not capsys.readouterr().out.lstrip().startswith("{")
+    checks = json.loads(first.read_text())["checks"]
+    assert [c["check"].split("@")[0] for c in checks] == ["maxwell", "contact_e", "contact_e"]
+    assert checks[0]["grid"]["x0"] == [0.5, 0.7]
+    (check,) = json.loads(second.read_text())["checks"]
+    assert check["check"] == "maxwell" and check["grid"]["x0"] == [0.25 * math.pi]
+
+
 def test_verify_degenerate_instant_fails_shs(tmp_path):
     code = run_cli(["verify", "--field", BM_SPEC, "--x0", "0",
                     "--checks", "shs_be", "shs_dh", "--grid", "5", "--tgrid", "3",
@@ -131,10 +152,11 @@ def test_verify_conservation_at_degenerate_instant_is_config_error(tmp_path):
 def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
     """Equal J0/J1 leaves run bessel_j once per evaluation call.
 
-    The count does not depend on the grid: 134 calls when every check reads
-    all its forms through one evaluation call, 162 when some checks made one
-    call per form, 882 with one call per finite-difference partial, stencil
-    offset and residual form, and 4565 when every leaf is evaluated on its own.
+    The count does not depend on the grid: 46 calls when conservation takes
+    analytic partials, 134 when it took finite-difference partials on 22
+    stencil grids, 162 when some checks made one call per form, 882 with one
+    call per finite-difference partial, stencil offset and residual form, and
+    4565 when every leaf is evaluated on its own.
     """
     import bmkit.bessel
 
@@ -151,7 +173,7 @@ def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
                     "--checks", "all", "--allow-degenerate", "--no-meta",
                     "--grid", "6", "--tgrid", "3", "--out", str(tmp_path / "r.json")])
     assert code == 0
-    assert 0 < len(calls) <= 134
+    assert 0 < len(calls) <= 46
 
 
 def test_verify_unknown_field_exit_2():

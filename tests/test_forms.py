@@ -18,6 +18,12 @@ CHART = torus3()
 PTS = RNG.uniform(0, 2 * math.pi, (40, 3))
 
 
+def fn_form(form):
+    """form with each coefficient behind a plain function: no partials, so d takes FD."""
+    return make_form(form.chart, form.degree,
+                     {idx: from_function(c) for idx, c in form.coeffs.items()})
+
+
 def rand_form(chart, degree, n_terms=2, seed=0):
     rng = np.random.default_rng(seed)
     coeffs = {}
@@ -95,14 +101,14 @@ def test_d_squared_analytic_and_fd():
     f = make_form(CHART, 0, {(): sin_wave({0: 1}) * wave({1: 1})})
     dd_analytic = exterior_derivative(exterior_derivative(f))
     assert dd_analytic.max_abs(PTS) < 1e-12
-    dd_fd = exterior_derivative(exterior_derivative(f, mode="fd"), mode="fd")
+    dd_fd = exterior_derivative(exterior_derivative(fn_form(f)))
     assert dd_fd.max_abs(PTS) < 1e-5
 
 
 def test_fd_matches_analytic_partials():
     a = rand_form(CHART, 1, seed=7)
     d_an = exterior_derivative(a)
-    d_fd = exterior_derivative(a, mode="fd")
+    d_fd = exterior_derivative(fn_form(a))
     diff = (d_an - d_fd).max_abs(PTS)
     assert diff < 1e-10
 
@@ -112,7 +118,7 @@ def test_fd_one_sided_near_interval_boundary():
     from bmkit import solid_torus
     chart = solid_torus(a=1.0, r_min=0.1)
     f = make_form(chart, 0, {(): from_function(lambda p: p[..., 0] ** 3)})
-    df = exterior_derivative(f, mode="fd")
+    df = exterior_derivative(f)
     edge = np.array([[0.1, 0.0, 0.0], [1.0, 0.0, 0.0], [0.55, 0.0, 0.0]])
     got = df.coefficient((0,))(edge)
     assert np.allclose(got, 3 * edge[:, 0] ** 2, atol=1e-9)
@@ -122,7 +128,7 @@ def test_fd_outside_domain_raises():
     from bmkit import DomainError, solid_torus
     chart = solid_torus(a=1.0, r_min=0.1)
     f = make_form(chart, 0, {(): from_function(lambda p: p[..., 0] ** 2)})
-    df = exterior_derivative(f, mode="fd")
+    df = exterior_derivative(f)
     with pytest.raises(DomainError):
         df.coefficient((0,))(np.array([[0.01, 0.0, 0.0]]))
 
@@ -285,22 +291,22 @@ def fd_cases():
 def test_fd_derivative_table_equals_per_node_stencils(case, monkeypatch):
     import bmkit.forms
     form, pts = fd_cases()[case]
-    batched = exterior_derivative(form, mode="fd").coefficient_table(pts)
+    batched = exterior_derivative(fn_form(form)).coefficient_table(pts)
     monkeypatch.setattr(bmkit.forms, "fd_partial", per_node_fd)
-    reference = exterior_derivative(form, mode="fd").coefficient_table(pts)
+    reference = exterior_derivative(fn_form(form)).coefficient_table(pts)
     assert np.array_equal(batched, reference)
 
 
 def test_fd_time_derivative_equals_per_node_stencils(monkeypatch):
     import bmkit.forms
     form, pts = fd_cases()["spacetime"]
-    batched = time_derivative(form, mode="fd").coefficient_table(pts)
+    batched = time_derivative(fn_form(form)).coefficient_table(pts)
     monkeypatch.setattr(bmkit.forms, "fd_partial", per_node_fd)
-    assert np.array_equal(batched, time_derivative(form, mode="fd").coefficient_table(pts))
+    assert np.array_equal(batched, time_derivative(fn_form(form)).coefficient_table(pts))
 
 
 def test_fd_node_has_no_analytic_partials():
-    df = exterior_derivative(rand_form(CHART, 1, seed=4), mode="fd")
+    df = exterior_derivative(fn_form(rand_form(CHART, 1, seed=4)))
     coeff = next(iter(df.coeffs.values()))
     assert not df.has_analytic_partials
     assert coeff.partial(0) is None
@@ -310,7 +316,7 @@ def test_fd_table_outside_domain_raises():
     from bmkit import DomainError, solid_torus
     chart = solid_torus(a=1.0, r_min=0.1)
     f = make_form(chart, 1, {(1,): wave({2: 1.0}) * from_function(lambda p: p[..., 0] ** 2)})
-    df = exterior_derivative(f, mode="fd")
+    df = exterior_derivative(f)
     inside = np.array([[0.5, 0.0, 0.0], [0.7, 1.0, 2.0]])
     df.coefficient_table(inside)
     with pytest.raises(DomainError, match="outside chart domain"):
@@ -322,17 +328,17 @@ def test_fd_of_from_function_and_fd_of_fd(monkeypatch):
     from bmkit.forms import partial_field
     from bmkit.scalars import value_table
     f = from_function(lambda p: np.sin(p[..., 0]) * np.cos(2.0 * p[..., 1]))
-    d0 = partial_field(CHART, f, 0, mode="fd")
-    d01 = partial_field(CHART, d0, 1, mode="fd")
-    d00 = partial_field(CHART, d0, 0, mode="fd")
+    d0 = partial_field(CHART, f, 0)
+    d01 = partial_field(CHART, d0, 1)
+    d00 = partial_field(CHART, d0, 0)
     fields = [d0, d01, d00, d0 * d01 + f]
     batched = value_table(fields, PTS)
     for col, sf in enumerate(fields):
         assert np.array_equal(batched[:, col], sf(PTS))
     monkeypatch.setattr(bmkit.forms, "fd_partial", per_node_fd)
-    r0 = partial_field(CHART, f, 0, mode="fd")
-    reference = [r0, partial_field(CHART, r0, 1, mode="fd"),
-                 partial_field(CHART, r0, 0, mode="fd")]
+    r0 = partial_field(CHART, f, 0)
+    reference = [r0, partial_field(CHART, r0, 1),
+                 partial_field(CHART, r0, 0)]
     for col, sf in enumerate(reference):
         assert np.array_equal(batched[:, col], sf(PTS))
     want = -2.0 * np.cos(PTS[:, 0]) * np.sin(2.0 * PTS[:, 1])
@@ -341,14 +347,14 @@ def test_fd_of_from_function_and_fd_of_fd(monkeypatch):
 
 def test_restrict_and_lift_of_fd_derived_field():
     from bmkit import lift_spatial, restrict_time
-    from bmkit.forms import partial_field
+    from bmkit.forms import fd_partial
     c4 = spacetime(CHART)
-    sf4 = partial_field(c4, wave({0: 1.0, 1: 2.0}) * sin_wave({3: 1.0}), 1, mode="fd")
+    sf4 = fd_partial(c4, wave({0: 1.0, 1: 2.0}) * sin_wave({3: 1.0}), 1)
     x0 = 0.4
     sliced = restrict_time(sf4, x0)
     pts4 = np.column_stack([np.full(len(PTS), x0), PTS])
     assert np.array_equal(sliced(PTS), sf4(pts4))
-    sf3 = partial_field(CHART, wave({0: 1.0, 2: 2.0}), 2, mode="fd") + 1.0
+    sf3 = fd_partial(CHART, wave({0: 1.0, 2: 2.0}), 2) + 1.0
     lifted = lift_spatial(sf3)
     pts4 = np.column_stack([RNG.uniform(-3, 3, len(PTS)), PTS])
     assert np.array_equal(lifted(pts4), sf3(PTS))
@@ -366,7 +372,7 @@ def test_fd_inner_field_runs_once_per_grid_for_a_whole_derivative():
     chart = solid_torus(a=1.0, r_min=0.1)
     form = make_form(chart, 1, {(0,): f, (1,): 2.0 * f, (2,): f * f})
     pts = np.array([[0.1, 0.0, 0.0], [0.5, 1.0, 2.0], [0.7, 3.0, 1.0], [1.0, 6.0, 5.0]])
-    df = exterior_derivative(form, mode="fd")
+    df = exterior_derivative(form)
     runs.clear()
     df.coefficient_table(pts)
     # axis r: central, forward and backward regions (4 + 5 + 5 grids);

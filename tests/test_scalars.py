@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bmkit import (SampleGrid, VectorField, exterior_derivative, hodge_star, j0_field,
                    j1_field, solid_torus_mode, torus3)
-from bmkit.bessel import J0
+from bmkit.bessel import J0, J1
 from bmkit.forms import fd_partial
 from bmkit.scalars import (COS, ZERO, Kernel, ScalarField, constant, from_function, leaf,
                            lift_spatial, monomial, power_kernel, restrict_time, sin_wave,
@@ -380,3 +380,60 @@ def test_sliced_function_field_compiles_its_plan_once(monkeypatch):
     assert len(built) == 5   # each call's one-column plan; the sliced node's was built once, above
     for got in values:
         assert np.array_equal(bits(got), bits(want))
+
+
+# -- analytic partials against finite differences ---------------------------------
+
+PTS_BOX = np.random.default_rng(11).uniform(0.2, 2.5, (48, 3))
+
+
+@st.composite
+def leaf_trees(draw):
+    """Root fields of a random tree of add, mul and div nodes over cos, u, u^2, J0, J1 leaves.
+
+    A division is by a sum of squares plus 0.5, the shape of |lambda|^2 in the
+    Reeb field sharp(lambda) / |lambda|^2.  Bessel arguments stay in [1.2, 11],
+    across the series/quadrature switch at 8 and away from J1's 1/u at 0.
+    """
+    def draw_leaf():
+        kind = draw(st.sampled_from(["cos", "u", "u2", "j0", "j1"]))
+        axes = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True))
+        amplitude = draw(st.sampled_from([1.0, -0.5, 1.5]))
+        if kind == "cos":
+            coeffs = {a: draw(st.sampled_from([1.0, -1.0, 2.0, 0.5])) for a in axes}
+            return leaf(COS, coeffs, draw(st.sampled_from([0.0, 0.3])), amplitude)
+        coeffs = {a: draw(st.sampled_from([0.5, 1.0])) for a in axes}
+        kernel, phase = {"u": (power_kernel(1), -1.0), "u2": (power_kernel(2), -1.0),
+                         "j0": (J0, draw(st.sampled_from([1.0, 6.0]))),
+                         "j1": (J1, draw(st.sampled_from([1.0, 6.0])))}[kind]
+        return leaf(kernel, coeffs, phase, amplitude)
+
+    pool = [draw_leaf() for _ in range(draw(st.integers(2, 5)))]
+    for _ in range(draw(st.integers(1, 6))):
+        a, b, c = (draw(st.sampled_from(pool)) for _ in range(3))
+        kind = draw(st.sampled_from(["add", "mul", "div"]))
+        pool.append({"add": lambda: a + b, "mul": lambda: a * b,
+                     "div": lambda: a / (b * b + c * c + 0.5)}[kind]())
+    return [pool[-1]] + draw(st.lists(st.sampled_from(pool), max_size=2))
+
+
+def stencil_partial(sf: ScalarField, pts: np.ndarray, axis: int, h: float = 2e-4):
+    """4th-order central difference of sf along axis, evaluated point set by point set."""
+    total = np.zeros(len(pts))
+    for offset, weight in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
+        shifted = pts.copy()
+        shifted[:, axis] += offset * h
+        total += weight * sf(shifted)
+    return total / (12.0 * h)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(leaf_trees())
+def test_analytic_partials_match_a_stencil(roots):
+    partials = [root.partial(axis) for root in roots for axis in range(3)]
+    assert all(p is not None for p in partials)
+    table = value_table(partials, PTS_BOX)
+    for col, (root, axis) in enumerate((r, a) for r in roots for a in range(3)):
+        want = stencil_partial(root, PTS_BOX, axis)
+        scale = 1.0 + np.max(np.abs(want)) + np.max(np.abs(root(PTS_BOX)))
+        assert np.max(np.abs(table[:, col] - want)) <= 1e-8 * scale, (col, axis)

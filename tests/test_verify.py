@@ -12,7 +12,7 @@ from bmkit import (SampleGrid, beltrami_maxwell, beltrami_nonparallel,
                    maxwell_from_eh, maxwell_residuals, parallel_check,
                    parallel_nonbeltrami, shs_check, solid_torus_mode,
                    symplectic_margin, t3_mode, torus3, traveling_wave, wedge)
-from bmkit import hodge_star, make_form
+from bmkit import NONDIMENSIONAL, SI, DegenerateInstantError, hodge_star, make_form
 from bmkit.reeb import reeb_for_maxwell
 from bmkit.scalars import constant, wave
 
@@ -276,6 +276,49 @@ def test_conservation_along_reeb_fields():
     r1 = conservation_along(y1.Y, [sl.h, sl.D, ee, eh], GRID3,
                             ["h", "D", "E_e", "E_h"])
     assert r1.passed and r1.max_residual < 1e-6
+
+
+def conservation_decisions(M, x0, grid):
+    """PASS / FAIL / SKIP of conservation along Y0 and Y1, as `bmk verify` decides them."""
+    sl = M.at_time(x0)
+    ee, eh = sl.energy_forms()
+    out = {}
+    for which, forms in (("Y0", [sl.e, sl.B, ee, eh]), ("Y1", [sl.h, sl.D, ee, eh])):
+        try:
+            rb = reeb_for_maxwell(M, which, x0, grid)
+        except DegenerateInstantError:
+            out[which] = "SKIP"
+            continue
+        r = conservation_along(rb.Y, forms, grid)
+        tol, scales = r.tolerance["residual"], r.details["scales"]
+        assert r.details["mode"] == "analytic" and tol == 1e-10
+        assert r.passed == all(res <= tol * scales[name]
+                               for name, res in r.details["per_form"].items())
+        out[which] = "PASS" if r.passed else "FAIL"
+    return out
+
+
+@pytest.mark.parametrize("constants", [NONDIMENSIONAL, SI], ids=["nondim", "si"])
+@pytest.mark.parametrize("e0", [1e-8, 1.0, 1e8])
+def test_conservation_decisions_any_amplitude_and_units(e0, constants):
+    # Beltrami-Maxwell fields conserve e, B (h, D) and both energies along Y0 (Y1)
+    # at every amplitude and in both unit systems
+    bm = beltrami_maxwell(t3_mode(1, 1.0), e0=e0, constants=constants)
+    assert conservation_decisions(bm, 0.25 * math.pi, GRID3) == {"Y0": "PASS", "Y1": "PASS"}
+    st = beltrami_maxwell(solid_torus_mode(), e0=e0, constants=constants)
+    x0 = 0.3512407365520363
+    assert conservation_decisions(st, x0, SampleGrid.regular(st.chart3, 6)) == \
+        {"Y0": "PASS", "Y1": "PASS"}
+    # at cos(k x0) = 0 the field e vanishes: Y0 is undefined and skipped
+    assert conservation_decisions(bm, 0.5 * math.pi, GRID3) == {"Y0": "SKIP", "Y1": "PASS"}
+    # the non-Beltrami parallel field decides as it does at e0 = 1 in nondimensional
+    # units: e = e0 sin(x3) w vanishes on the plane x3 = 0, and h is not conserved
+    grid = SampleGrid.regular(T3, 10)
+    for x0 in (0.0, 0.25 * math.pi, 1.0):
+        reference = conservation_decisions(parallel_nonbeltrami(), x0, grid)
+        assert reference == {"Y0": "SKIP", "Y1": "FAIL"}
+        assert conservation_decisions(parallel_nonbeltrami(e0, constants=constants), x0,
+                                      grid) == reference
 
 
 def test_conservation_zero_field_exact():
