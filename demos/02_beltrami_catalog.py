@@ -48,8 +48,9 @@ print(f"\nwrong-sign control (k=+1 against the n=1 mode): "
 print("\nBessel sanity: J0(0) =", bk.bessel_j(0, 0.0),
       " J1(0) =", bk.bessel_j(1, 0.0))
 z0 = 2.404825557695773
-print(f"J0 at its first zero {z0}: {bk.bessel_j(0, z0):.2e}")
+print(f"J0 at its first zero {z0}: |J0| < 1e-15: {abs(bk.bessel_j(0, z0)) < 1e-15}")
 r = 0.7
 h = 1e-6
 lhs = ((r + h) * bk.bessel_j(1, 2 * (r + h)) - (r - h) * bk.bessel_j(1, 2 * (r - h))) / (2 * h)
-print("d/dr(r J1(2r)) vs 2 r J0(2r):", lhs - 2 * r * bk.bessel_j(0, 2 * r))
+print("d/dr(r J1(2r)) vs 2 r J0(2r), central difference h = 1e-6: |difference| < 1e-9:",
+      abs(lhs - 2 * r * bk.bessel_j(0, 2 * r)) < 1e-9)

@@ -32,7 +32,7 @@ from .verify import (CheckReport, SampleGrid, beltrami_residual,
                      conservation_along, constitutive_residuals,
                      contact_margin, maxwell_residuals, parallel_check,
                      reeb_like_check, shs_check, symplectic_margin)
-from .reeb import (ReebField, SHSPair, field_line_generator, omega_components,
+from .reeb import (ReebField, SHSPair, field_line_generator,
                    normalization_residuals, reeb_closed_form_beltrami,
                    reeb_for_maxwell, reeb_from_shs, reeb_parallel_ratio,
                    reeb_vector_field)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -64,21 +65,23 @@ class BeltramiForm:
     k_expected: float
     chart: Chart
     metric: MetricField
-    norm_margin: float  # min of g^{-1}(v, v) over the singularity scan grid
-    nonsingular: bool
+    scan_n: int  # points per axis of the singularity scan lattice
+
+    @cached_property
+    def norm_margin(self) -> float:
+        """min of g^{-1}(v, v) over the singularity scan lattice, computed on first use."""
+        lattice = self.chart.lattice((self.scan_n,) * self.chart.dim)
+        return float(np.min(norm_sq_field(self.metric, self.form)(lattice)))
+
+    @property
+    def nonsingular(self) -> bool:
+        return self.norm_margin > 1e-9
 
     def require_nonsingular(self):
         if not self.nonsingular:
             raise SingularFieldError(
                 f"{self.name}: form vanishes on the sample grid "
                 f"(min norm^2 = {self.norm_margin:.3e})")
-
-
-def _beltrami(name, params, form, k, chart, metric, scan_n=32) -> BeltramiForm:
-    norms = norm_sq_field(metric, form)(chart.lattice((scan_n,) * chart.dim))
-    margin = float(np.min(norms))
-    return BeltramiForm(name, dict(params), form, float(k), chart, metric,
-                        margin, nonsingular=margin > 1e-9)
 
 
 def t3_mode(n: int = 1, c: float = 1.0) -> BeltramiForm:
@@ -97,8 +100,8 @@ def t3_mode(n: int = 1, c: float = 1.0) -> BeltramiForm:
         (0,): wave({2: n}, 0.0, c),
         (1,): sin_wave({2: n}, 0.0, c),
     })
-    return _beltrami("t3_mode", {"n": n, "c": c}, form, -n, chart,
-                     euclidean_metric(chart))
+    return BeltramiForm("t3_mode", {"n": n, "c": c}, form, float(-n), chart,
+                        euclidean_metric(chart), 32)
 
 
 def abc_flow(A: float = 1.0, B: float = 1.0, C: float = 1.0) -> BeltramiForm:
@@ -115,8 +118,8 @@ def abc_flow(A: float = 1.0, B: float = 1.0, C: float = 1.0) -> BeltramiForm:
         (1,): sin_wave({0: 1}, 0.0, B) + wave({2: 1}, 0.0, A),
         (2,): sin_wave({1: 1}, 0.0, C) + wave({0: 1}, 0.0, B),
     })
-    return _beltrami("abc_flow", {"A": A, "B": B, "C": C}, form, +1.0, chart,
-                     euclidean_metric(chart))
+    return BeltramiForm("abc_flow", {"A": A, "B": B, "C": C}, form, +1.0, chart,
+                        euclidean_metric(chart), 32)
 
 
 def solid_torus_mode(k_c: float = 2.0, beta: float = 1.0, sign: str = "minus",
@@ -140,9 +143,9 @@ def solid_torus_mode(k_c: float = 2.0, beta: float = 1.0, sign: str = "minus",
         (1,): (s * k / k_c) * j1_field(0, k_c) * wave({2: beta}) * monomial(0, 1),
         (2,): j0_field(0, k_c) * wave({2: beta}),
     })
-    return _beltrami("solid_torus_mode",
-                     {"k_c": k_c, "beta": beta, "sign": sign, "a": a},
-                     form, s * k, chart, metric, scan_n=24)
+    return BeltramiForm("solid_torus_mode",
+                        {"k_c": k_c, "beta": beta, "sign": sign, "a": a},
+                        form, s * k, chart, metric, 24)
 
 
 # -- Maxwell field sets -------------------------------------------------------

@@ -30,10 +30,9 @@ from .errors import BmkitError, ConfigError, DegenerateInstantError
 from .metrics import hodge_star
 from .orbits import closed_orbit_survey, write_orbit_csv, write_vector_field_csv
 from .reeb import field_line_generator, reeb_closed_form_beltrami, reeb_for_maxwell
-from .scalars import value_table
 from .verify import (SampleGrid, beltrami_residual, conservation_along,
-                     constitutive_residuals, contact_margin, maxwell_residuals,
-                     parallel_check, shs_check, symplectic_margin)
+                     constitutive_residuals, contact_margin, field_amplitudes,
+                     maxwell_residuals, parallel_check, shs_check, symplectic_margin)
 
 SCHEMA = "bmk-report/1"
 
@@ -197,15 +196,6 @@ def _run_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _amplitudes(forms: dict, pts: np.ndarray) -> dict:
-    """max |coefficient| of each form over pts, from one table of their stored coefficients."""
-    table = value_table([c for f in forms.values() for c in f.coeffs.values()], pts)
-    col_max = np.abs(table, out=table).max(axis=0, initial=0.0)
-    bounds = np.cumsum([0] + [len(f.coeffs) for f in forms.values()])
-    return {name: float(col_max[a:b].max(initial=0.0))
-            for name, a, b in zip(forms, bounds[:-1], bounds[1:])}
-
-
 def _run_maxwell_checks(M: MaxwellFieldSet, requested, x0_list, args, skipped):
     reports = []
     counts3 = _parse_counts(args.grid, 3)
@@ -216,11 +206,15 @@ def _run_maxwell_checks(M: MaxwellFieldSet, requested, x0_list, args, skipped):
         [np.linspace(x0 - w, x0 + w, args.tgrid) if args.tgrid > 1 else [x0]
          for x0 in x0_list]))
     grid4 = grid3.with_time(M.chart4, t_values)
+    # Global field amplitudes over the window, from one pass over the fields: the
+    # maxwell and constitutive scales, and the slice checks' reference for telling
+    # a degenerate instant (field numerically zero) from a genuinely small field.
+    amplitudes = field_amplitudes(M, grid4.points)
 
     if "maxwell" in requested:
-        reports.append(maxwell_residuals(M, grid4))
+        reports.append(maxwell_residuals(M, grid4, amplitudes))
     if "constitutive" in requested:
-        reports.append(constitutive_residuals(M, grid4))
+        reports.append(constitutive_residuals(M, grid4, amplitudes))
     if "parallel" in requested:
         reports.append(parallel_check(M, grid4))
     if "symplectic_f0" in requested:
@@ -232,27 +226,23 @@ def _run_maxwell_checks(M: MaxwellFieldSet, requested, x0_list, args, skipped):
         reports.append(beltrami_residual(M.base.form, M.base.k_expected,
                                          M.base.metric, bgrid))
 
-    # Global field amplitudes over the window; slice checks use them to tell a
-    # degenerate instant (field numerically zero) from a genuinely small field.
-    scales = _amplitudes({"e": M.e, "h": M.h, "B": M.B, "D": M.D}, grid4.points)
-
     for x0 in x0_list:
         sl = M.at_time(x0)
         tag = f"@x0={x0:.6g}"
         if "contact_e" in requested:
-            r = contact_margin(sl.e, grid3, zero_scale=scales["e"])
+            r = contact_margin(sl.e, grid3, zero_scale=amplitudes["e"])
             r.check = f"contact_e{tag}"
             reports.append(r)
         if "contact_h" in requested:
-            r = contact_margin(sl.h, grid3, zero_scale=scales["h"])
+            r = contact_margin(sl.h, grid3, zero_scale=amplitudes["h"])
             r.check = f"contact_h{tag}"
             reports.append(r)
         if "shs_be" in requested:
-            r = shs_check(sl.B, sl.e, grid3, zero_scales=(scales["B"], scales["e"]))
+            r = shs_check(sl.B, sl.e, grid3, zero_scales=(amplitudes["B"], amplitudes["e"]))
             r.check = f"shs_be{tag}"
             reports.append(r)
         if "shs_dh" in requested:
-            r = shs_check(sl.D, sl.h, grid3, zero_scales=(scales["D"], scales["h"]))
+            r = shs_check(sl.D, sl.h, grid3, zero_scales=(amplitudes["D"], amplitudes["h"]))
             r.check = f"shs_dh{tag}"
             reports.append(r)
         for name, which, forms in (("conservation_y0", "Y0", "eB"),

@@ -34,7 +34,7 @@ from .metrics import MetricField, hodge_star, metric_sharp, norm_sq_field
 from .scalars import ScalarField, constant, value_table
 from .verify import SampleGrid
 
-__all__ = ["SHSPair", "ReebField", "omega_components", "reeb_from_shs",
+__all__ = ["SHSPair", "ReebField", "reeb_from_shs",
            "reeb_vector_field", "normalization_residuals",
            "reeb_closed_form_beltrami", "reeb_for_maxwell",
            "reeb_parallel_ratio", "field_line_generator"]
@@ -67,24 +67,26 @@ class ReebField:
     pair: SHSPair
 
 
-def omega_components(Omega: DifferentialForm, pts: np.ndarray) -> np.ndarray:
-    """(Omega_1, Omega_2, Omega_3) in the dx2^dx3, dx3^dx1, dx1^dx2 ordering."""
-    return value_table([Omega.coefficient((1, 2)),     # Omega_1 on dx2 ^ dx3
-                        -Omega.coefficient((0, 2)),    # Omega_2 on dx3 ^ dx1 = -dx1 ^ dx3
-                        Omega.coefficient((0, 1))],    # Omega_3 on dx1 ^ dx2
-                       Omega.chart.as_points(pts))
+def _reeb_parts(pair: SHSPair) -> tuple[ScalarField, ...]:
+    """(o1, o2, o3, l1, l2, l3, den): Omega_vec in the dx2^dx3, dx3^dx1, dx1^dx2
+    ordering, lambda's components, and den = lambda . Omega_vec."""
+    o1 = pair.Omega.coefficient((1, 2))
+    o2 = -pair.Omega.coefficient((0, 2))
+    o3 = pair.Omega.coefficient((0, 1))
+    l1, l2, l3 = (pair.lam.coefficient((i,)) for i in range(3))
+    return o1, o2, o3, l1, l2, l3, l1 * o1 + l2 * o2 + l3 * o3
 
 
 def reeb_from_shs(pair: SHSPair, x) -> np.ndarray:
     """Reeb vector at point(s) x via the uniform formula Y = Omega_vec / (lam . Omega_vec).
 
+    Evaluates the fields reeb_vector_field builds, in one evaluation call.
     Raises DegeneratePointError where |lam . Omega_vec|, normalized by the
     point-wise magnitudes of lambda and Omega, falls below 1e-10.
     """
     pts = pair.chart.as_points(x)
-    ov = omega_components(pair.Omega, pts)
-    lam_tab = pair.lam.coefficient_table(pts)
-    den = np.einsum("ni,ni->n", lam_tab, ov)
+    table = value_table(list(_reeb_parts(pair)), pts)
+    ov, lam_tab, den = table[:, :3], table[:, 3:6], table[:, 6]
     scale = np.linalg.norm(lam_tab, axis=-1) * np.linalg.norm(ov, axis=-1)
     bad = np.abs(den) <= DEGENERACY_TOL * np.maximum(scale, 1e-300)
     if np.any(bad):
@@ -98,11 +100,7 @@ def reeb_from_shs(pair: SHSPair, x) -> np.ndarray:
 
 def reeb_vector_field(pair: SHSPair) -> VectorField:
     """The uniform-formula Reeb field as a VectorField (analytic when inputs are)."""
-    o1 = pair.Omega.coefficient((1, 2))
-    o2 = -pair.Omega.coefficient((0, 2))
-    o3 = pair.Omega.coefficient((0, 1))
-    l1, l2, l3 = (pair.lam.coefficient((i,)) for i in range(3))
-    den = l1 * o1 + l2 * o2 + l3 * o3
+    o1, o2, o3, _, _, _, den = _reeb_parts(pair)
     return vector_field(pair.chart, {0: o1 / den, 1: o2 / den, 2: o3 / den})
 
 

@@ -3,10 +3,12 @@
 Every check evaluates residuals or nondegeneracy margins over a sample grid
 and returns a :class:`CheckReport`.  Conventions:
 
-* residual tolerance: 1e-10 when every involved coefficient has analytic
-  partials, 1e-6 when one falls back to finite differences (an ``fn`` node);
-* conservation along a Reeb field is the Cartan formula on analytic partials,
-  each form's residual compared with the tolerance times max|Y| max|form|;
+* every residual passes when ``residual <= tol * scale``, with the scale taken
+  from the check's inputs (|k| max|v|, max|F|, max|Y| max|form|, ...) and
+  reported in ``details``, so amplitude and units never change a decision;
+* tol is 1e-10 when every involved coefficient has analytic partials, 1e-6
+  when one falls back to finite differences (an ``fn`` node), and 1e-12
+  (1e-10 for the 4-d form) for the constitutive relations;
 * margins ("nonzero anywhere" conditions) are a sampling proxy: the minimum
   over the grid is compared, after normalizing the input forms to unit max
   coefficient, against a 1e-9 floor, and the worst point is reported as a
@@ -31,6 +33,8 @@ from .scalars import value_table
 
 TOL_RESIDUAL_ANALYTIC = 1e-10
 TOL_RESIDUAL_FD = 1e-6
+TOL_CONSTITUTIVE = 1e-12
+TOL_CONSTITUTIVE_4D = 1e-10
 TOL_MARGIN = 1e-9
 TOL_AGREEMENT = 1e-8
 
@@ -151,41 +155,60 @@ def _mode_tol(*forms: DifferentialForm) -> tuple[str, float]:
     return "fd", TOL_RESIDUAL_FD
 
 
+def field_amplitudes(M: MaxwellFieldSet, pts: np.ndarray) -> dict:
+    """max |coefficient| of e, h, B and D over pts, from one table of their stored coefficients.
+
+    The maxwell and constitutive scales derive from these four numbers; a
+    caller running several checks on one grid computes them once for all.
+    """
+    forms = {"e": M.e, "h": M.h, "B": M.B, "D": M.D}
+    table = value_table([c for f in forms.values() for c in f.coeffs.values()], pts)
+    col_max = np.abs(table, out=table).max(axis=0, initial=0.0)
+    bounds = np.cumsum([0] + [len(f.coeffs) for f in forms.values()])
+    return {name: float(col_max[a:b].max(initial=0.0))
+            for name, a, b in zip(forms, bounds[:-1], bounds[1:])}
+
+
 # -- checks -------------------------------------------------------------------
 
 
 def beltrami_residual(v: DifferentialForm, k: float, g: MetricField,
-                      grid: SampleGrid, tol: float | None = None) -> CheckReport:
-    """max |star3 d v - k v| over the grid; also reports |star3 d star3 v|."""
+                      grid: SampleGrid) -> CheckReport:
+    """max |star3 d v - k v| over the grid (scale |k| max|v|); also reports |star3 d star3 v|."""
     if g.chart.dim != 3 or g.signature != "riemannian":
         raise DegreeError("beltrami_residual needs a 3-d Riemannian metric")
-    mode, auto_tol = _mode_tol(v)
-    tol = auto_tol if tol is None else tol
+    mode, tol = _mode_tol(v)
     resid = hodge_star(g, exterior_derivative(v)) - float(k) * v
     div = hodge_star(g, exterior_derivative(hodge_star(g, v)))
-    resid_tab, div_tab = _tables([resid, div], grid.points)
+    resid_tab, div_tab, v_tab = _tables([resid, div, v], grid.points)
     max_res, witness = _table_max_abs(resid_tab, grid.points)
     max_div, _ = _table_max_abs(div_tab, grid.points)
+    scale = abs(float(k)) * _table_max_abs(v_tab, grid.points)[0]
     return CheckReport(
-        "beltrami", max_res <= tol, max_res, None,
+        "beltrami", max_res <= tol * scale, max_res, None,
         {"residual": tol}, [witness], grid.spec,
-        {"k": float(k), "divergence_residual": max_div, "mode": mode})
+        {"k": float(k), "divergence_residual": max_div, "mode": mode, "scale": scale})
 
 
 def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
-                      tol: float | None = None) -> CheckReport:
+                      amplitudes: dict | None = None) -> CheckReport:
     """All four decomposed Maxwell residuals plus the 4-d dF0, dF1 cross-check.
 
     The decomposed and 4-d residuals are compared coefficient-by-coefficient
     (the 4-d derivative splits as d = d_spatial + dx0 ^ d/dx0), and their
-    disagreement is reported and required to stay below 1e-8.
+    disagreement is reported and required to stay below 1e-8 times the 4-d
+    form's scale.  amplitudes is field_amplitudes(M, grid4.points), computed
+    here when not given; the scales of the parts derive from it.
     """
     if grid4.chart.time_axis is None:
         raise DegreeError("maxwell_residuals needs a spacetime grid")
     c0 = M.c0
-    mode, auto_tol = _mode_tol(M.e, M.h, M.B, M.D)
-    tol = auto_tol if tol is None else tol
+    mode, tol = _mode_tol(M.e, M.h, M.B, M.D)
     pts = grid4.points
+    amp = field_amplitudes(M, pts) if amplitudes is None else amplitudes
+    scales = {"faraday": max(amp["e"], c0 * amp["B"]), "gauss_magnetic": amp["B"],
+              "gauss_electric": amp["D"], "ampere": max(amp["h"], c0 * amp["D"]),
+              "dF0": max(amp["e"], c0 * amp["B"]), "dF1": max(amp["D"], amp["h"] * (1.0 / c0))}
 
     faraday = spatial_exterior_derivative(M.e) + c0 * time_derivative(M.B)
     gauss_b = spatial_exterior_derivative(M.B)
@@ -199,7 +222,7 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
     # the 2-form piece on the dx0 indices, the 3-form piece on the others.
     # Each table is built once; one 4-d table and one piece table are held at
     # a time, which bounds the check's peak memory.
-    found, agree = {}, 0.0
+    found, agree = {}, {"dF0": 0.0, "dF1": 0.0}
     for name4, form4, pieces in (
             ("dF0", d_f0, (("faraday", faraday, lambda d, p: d + p),
                            ("gauss_magnetic", gauss_b, lambda d, p: d + c0 * p))),
@@ -211,28 +234,32 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
             for col, idx in enumerate(form4.indices):
                 if (0 in idx) == (form.degree < form4.degree):
                     piece = table[:, form.indices.index(tuple(i for i in idx if i != 0))]
-                    agree = max(agree, float(np.max(np.abs(join(table4[:, col], piece)))))
+                    agree[name4] = max(agree[name4],
+                                       float(np.max(np.abs(join(table4[:, col], piece)))))
             found[name] = _table_max_abs(table, pts)
             del table
         found[name4] = _table_max_abs(table4, pts)
-    parts = {name: found[name] for name in
-             ("faraday", "gauss_magnetic", "gauss_electric", "ampere", "dF0", "dF1")}
+    parts = {name: found[name] for name in scales}   # the order breaks ties for the witness
 
     max_res = max(v for v, _ in parts.values())
     worst = max(parts.items(), key=lambda kv: kv[1][0])
-    passed = max_res <= tol and agree <= TOL_AGREEMENT
+    passed = (all(v <= tol * scales[name] for name, (v, _) in parts.items())
+              and all(a <= TOL_AGREEMENT * scales[name] for name, a in agree.items()))
     return CheckReport(
         "maxwell", passed, max_res, None,
         {"residual": tol, "agreement": TOL_AGREEMENT},
         [worst[1][1]], grid4.spec,
         {"parts": {k: v for k, (v, _) in parts.items()},
-         "decomposed_vs_4d": agree, "mode": mode})
+         "decomposed_vs_4d": max(agree.values()), "agreement": agree,
+         "scales": scales, "mode": mode})
 
 
 def constitutive_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
-                           tol: float = 1e-12) -> CheckReport:
-    """|D - eps0 *3 e|, |B - mu0 *3 h|, and the 4-d check |F1 + eps0 * F0|."""
+                           amplitudes: dict | None = None) -> CheckReport:
+    """|D - eps0 *3 e|, |B - mu0 *3 h|, and the 4-d check |F1 + eps0 * F0|,
+    against max|D|, max|B| and max|F1| from amplitudes (as in maxwell_residuals)."""
     pts = grid4.points
+    amp = field_amplitudes(M, pts) if amplitudes is None else amplitudes
     r_d = M.D - M.eps0 * spatial_hodge(M.metric3, M.e)
     r_b = M.B - M.mu0 * spatial_hodge(M.metric3, M.h)
     r_4d = M.F1 + M.eps0 * hodge_star(M.metric4, M.F0)
@@ -240,11 +267,15 @@ def constitutive_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
     m_d, w_d = _table_max_abs(d_tab, pts)
     m_b, _ = _table_max_abs(b_tab, pts)
     m_4, _ = _table_max_abs(tab_4d, pts)
-    max_res = max(m_d, m_b)
+    scales = {"D_vs_star_e": amp["D"], "B_vs_star_h": amp["B"],
+              "F1_plus_eps0_star_F0": max(amp["D"], amp["h"] * (1.0 / M.c0))}
+    passed = (m_d <= TOL_CONSTITUTIVE * amp["D"] and m_b <= TOL_CONSTITUTIVE * amp["B"]
+              and m_4 <= TOL_CONSTITUTIVE_4D * scales["F1_plus_eps0_star_F0"])
     return CheckReport(
-        "constitutive", max_res <= tol and m_4 <= 1e-10, max_res, None,
-        {"residual": tol, "residual_4d": 1e-10}, [w_d], grid4.spec,
-        {"D_vs_star_e": m_d, "B_vs_star_h": m_b, "F1_plus_eps0_star_F0": m_4})
+        "constitutive", passed, max(m_d, m_b), None,
+        {"residual": TOL_CONSTITUTIVE, "residual_4d": TOL_CONSTITUTIVE_4D}, [w_d], grid4.spec,
+        {"D_vs_star_e": m_d, "B_vs_star_h": m_b, "F1_plus_eps0_star_F0": m_4,
+         "scales": scales})
 
 
 def _numerically_zero(max_abs: float, zero_scale) -> bool:
@@ -290,7 +321,6 @@ def contact_margin(lam: DifferentialForm, grid: SampleGrid,
 
 
 def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
-              tol: float | None = None,
               zero_scales: tuple[float, float] | None = None) -> CheckReport:
     """Stable-Hamiltonian-structure check for a pair (Omega, lambda).
 
@@ -309,8 +339,7 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
     if chart.dim != 3:
         raise DegreeError("shs_check works on 3-d forms")
     pts = grid.points
-    mode, auto_tol = _mode_tol(Omega, lam)
-    tol = auto_tol if tol is None else tol
+    mode, tol = _mode_tol(Omega, lam)
     omega_tab, lam_tab, d_omega_tab, pairing_tab, dlam_tab = _tables(
         [Omega, lam, exterior_derivative(Omega), wedge(lam, Omega), exterior_derivative(lam)],
         pts)
@@ -330,8 +359,7 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
     normalized = raw_margin / scale if scale > 0 else 0.0
 
     omega_max = np.max(np.abs(omega_tab), axis=1)
-    global_max = float(np.max(omega_max)) if omega_max.size else 0.0
-    well_posed = omega_max > 1e-8 * max(global_max, 1e-300)
+    well_posed = omega_max > 1e-8 * max(omega_abs_max, 1e-300)
     pick = np.argmax(np.abs(omega_tab), axis=1)
     rows = np.arange(len(pts))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -364,18 +392,18 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
 
 def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
                       companion: tuple[DifferentialForm, DifferentialForm] | None = None,
-                      tol: float | None = None, label: str = "F") -> CheckReport:
+                      label: str = "F") -> CheckReport:
     """min |F ^ F| and max |dF| on a 4-d grid (plus a 2-form ^ 1-form margin).
 
-    companion, when given, is the (two-form, one-form) pair whose 3-form
-    product margin (B ^ e for F0, D ^ h for F1) is reported alongside.
+    The margin is normalized by max|F|^2, the closure by max|F|.  companion,
+    when given, is the (two-form, one-form) pair whose 3-form product margin
+    (B ^ e for F0, D ^ h for F1) is reported alongside.
     """
     chart = F.chart
     if chart.dim != 4:
         raise DegreeError("symplectic_margin works on 4-d 2-forms")
     pts = grid4.points
-    mode, auto_tol = _mode_tol(F)
-    tol = auto_tol if tol is None else tol
+    mode, tol = _mode_tol(F)
     forms = [exterior_derivative(F), F, wedge(F, F)]
     if companion is not None:
         forms.append(wedge(*companion))
@@ -385,27 +413,25 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
     raw, witness = _min_abs(tables[2][:, 0], pts)   # the one coefficient of a 4-form
     normalized = raw / (f_max * f_max) if f_max > 0 else 0.0
     details = {"normalized_margin": normalized, "closure_residual": closure,
-               "mode": mode}
+               "closure_scale": f_max, "mode": mode}
     if companion is not None:
         spatial_vol = tuple(i for i in range(chart.dim) if i != chart.time_axis)
         m3, _ = _min_abs(tables[3][:, forms[3].indices.index(spatial_vol)], pts)
         details["companion_margin"] = m3
-    passed = normalized >= TOL_MARGIN and closure <= tol
+    passed = normalized >= TOL_MARGIN and closure <= tol * f_max
     return CheckReport(f"symplectic_{label}", passed, closure, raw,
                        {"residual": tol, "margin": TOL_MARGIN},
                        [witness], grid4.spec, details)
 
 
-def parallel_check(M: MaxwellFieldSet, grid4: SampleGrid,
-                   tol: float | None = None) -> CheckReport:
+def parallel_check(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     """max |e ^ h| over the grid; passes when it is at most tol * max|e| * max|h|.
 
     The scale has no floor, so the decision does not change when e or h is
     rescaled.
     """
     pts = grid4.points
-    mode, auto_tol = _mode_tol(M.e, M.h)
-    tol = auto_tol if tol is None else tol
+    mode, tol = _mode_tol(M.e, M.h)
     e_tab, h_tab, s_tab = _tables([M.e, M.h, M.poynting()], pts)
     max_res, witness = _table_max_abs(s_tab, pts)
     scale = _table_max_abs(e_tab, pts)[0] * _table_max_abs(h_tab, pts)[0]
@@ -446,19 +472,25 @@ def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None) -> C
                        {"per_form": per, "scales": scales, "mode": mode})
 
 
-def reeb_like_check(Z: VectorField, lam: DifferentialForm, grid: SampleGrid,
-                    tol: float | None = None) -> CheckReport:
-    """max |i_Z d lambda| and min i_Z lambda over the grid (Reeb-like conditions)."""
+def reeb_like_check(Z: VectorField, lam: DifferentialForm, grid: SampleGrid) -> CheckReport:
+    """max |i_Z d lambda| and min i_Z lambda over the grid (Reeb-like conditions),
+    scaled by max|Z| max|d lambda| and max|Z| max|lambda| respectively."""
     pts = grid.points
-    mode, auto_tol = _mode_tol(lam)
-    tol = auto_tol if tol is None else tol
-    contracted, pairing_tab = _tables(
-        [interior_product(Z, exterior_derivative(lam)), interior_product(Z, lam)], pts)
+    mode, tol = _mode_tol(lam)
+    dlam = exterior_derivative(lam)
+    contracted, pairing_tab, z_tab, lam_tab, dlam_tab = _tables(
+        [interior_product(Z, dlam), interior_product(Z, lam), Z, lam, dlam], pts)
     max_res, w_res = _table_max_abs(contracted, pts)
     pairing = pairing_tab[:, 0]
     i = int(np.argmin(pairing))
     min_pair = float(pairing[i])
-    passed = max_res <= tol and min_pair > TOL_MARGIN
+    z_max = _table_max_abs(z_tab, pts)[0]
+    scale = z_max * _table_max_abs(dlam_tab, pts)[0]
+    margin_scale = z_max * _table_max_abs(lam_tab, pts)[0]
+    normalized = min_pair / margin_scale if margin_scale > 0 else 0.0
+    passed = max_res <= tol * scale and normalized > TOL_MARGIN
     return CheckReport("reeb_like", passed, max_res, min_pair,
                        {"residual": tol, "margin": TOL_MARGIN},
-                       [w_res, pts[i].tolist()], grid.spec, {"mode": mode})
+                       [w_res, pts[i].tolist()], grid.spec,
+                       {"mode": mode, "scale": scale, "normalized_margin": normalized,
+                        "margin_scale": margin_scale})

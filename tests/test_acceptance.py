@@ -96,19 +96,22 @@ def test_criterion_2_beltrami_identities():
         grid_t3 = bk.SampleGrid.regular(T3, 12)
         for n in (1, 2, 3):
             v = bk.t3_mode(n, 1.0)
-            r = bk.beltrami_residual(v.form, -float(n), G3, grid_t3, tol=1e-10)
+            r = bk.beltrami_residual(v.form, -float(n), G3, grid_t3)
             assert r.passed, f"t3 n={n}: {r.max_residual}"
+            assert r.max_residual <= 1e-10, f"t3 n={n}: {r.max_residual}"
         for A, B, C in ((1, 1, 1), (1, 1, 0), (2, 1, 0.5)):
             v = bk.abc_flow(A, B, C)
-            r = bk.beltrami_residual(v.form, 1.0, G3, grid_t3, tol=1e-10)
+            r = bk.beltrami_residual(v.form, 1.0, G3, grid_t3)
             assert r.passed, f"abc {A},{B},{C}: {r.max_residual}"
+            assert r.max_residual <= 1e-10, f"abc {A},{B},{C}: {r.max_residual}"
         grid_st = bk.SampleGrid.regular(ST, 20)
         for k_c, beta in ((2.0, 1.0), (3.0, 0.5)):
             for sign, s in (("minus", -1.0), ("plus", 1.0)):
                 v = bk.solid_torus_mode(k_c, beta, sign)
                 k = s * math.sqrt(beta ** 2 + k_c ** 2)
-                r = bk.beltrami_residual(v.form, k, v.metric, grid_st, tol=1e-7)
+                r = bk.beltrami_residual(v.form, k, v.metric, grid_st)
                 assert r.passed, f"solid torus {k_c},{beta},{sign}: {r.max_residual}"
+                assert r.max_residual <= 1e-7, f"solid torus {k_c},{beta},{sign}"
 
 
 def test_criterion_3_maxwell_suite():
@@ -126,7 +129,7 @@ def test_criterion_3_maxwell_suite():
             grid4 = grid3.with_time(M.chart4, np.linspace(0, 2 * math.pi, 10,
                                                           endpoint=False))
             assert grid4.n == 10_000
-            r = bk.maxwell_residuals(M, grid4, tol=1e-8)
+            r = bk.maxwell_residuals(M, grid4)
             assert r.passed, (M.name, r.max_residual)
             assert r.max_residual < 1e-8, M.name
             assert r.details["decomposed_vs_4d"] < 1e-8, M.name

@@ -2,19 +2,22 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmkit import (SampleGrid, beltrami_maxwell, beltrami_nonparallel,
                    beltrami_residual, constant_field, conservation_along,
-                   constitutive_residuals, contact_margin, euclidean_metric,
-                   maxwell_from_eh, maxwell_residuals, parallel_check,
-                   parallel_nonbeltrami, shs_check, solid_torus_mode,
-                   symplectic_margin, t3_mode, torus3, traveling_wave, wedge)
+                   constitutive_residuals, contact_margin, dx, euclidean_metric,
+                   maxwell_from_eh, maxwell_residuals, metric_sharp, parallel_check,
+                   parallel_nonbeltrami, reeb_like_check, shs_check, solid_torus_mode,
+                   symplectic_margin, t3_mode, torus3, traveling_wave, vector_field, wedge)
 from bmkit import NONDIMENSIONAL, SI, DegenerateInstantError, hodge_star, make_form
 from bmkit.reeb import reeb_for_maxwell
 from bmkit.scalars import constant, wave
+from bmkit.verify import field_amplitudes
 
 T3 = torus3()
 G3 = euclidean_metric(T3)
@@ -43,6 +46,18 @@ def test_beltrami_residual_wrong_sign_fails():
     assert abs(r.max_residual - 2.0) < 1e-12
 
 
+def test_beltrami_residual_tiny_wrong_sign_fails():
+    # the residual 2 max|v| is measured against tol * |k| max|v|, so shrinking v
+    # to round-off size does not turn the wrong sign into a PASS
+    v = t3_mode(1, 1.0)
+    for scale in (1.0, 1e-12):
+        r = beltrami_residual(scale * v.form, +1.0, G3, GRID3)
+        assert not r.passed
+        assert r.details["scale"] == pytest.approx(scale)
+        assert r.max_residual > r.tolerance["residual"] * r.details["scale"]
+    assert beltrami_residual(1e-12 * v.form, -1.0, G3, GRID3).passed
+
+
 # -- maxwell_residuals ------------------------------------------------------------
 
 
@@ -60,18 +75,79 @@ def test_maxwell_residuals_detect_broken_field():
     # doubling D breaks Ampere and electric Gauss but the decomposed and 4-d
     # views must still agree with each other
     M = beltrami_maxwell(t3_mode(1, 1.0))
-    from dataclasses import replace
-    broken = replace(M, D=2.0 * M.D,
-                     F1=2.0 * M.D - (1.0 / M.c0) * wedge(M.h, __import__("bmkit").dx(M.chart4, 0)))
+    broken = doubled_d(M)
     r = maxwell_residuals(broken, grid4_for(M, [0.4, 1.1]))
     assert not r.passed
     assert r.max_residual > 0.1
     assert r.details["decomposed_vs_4d"] < 1e-12
 
 
+def doubled_d(M):
+    """M with D doubled, and F1 rebuilt from it so that dF1 still splits into the pieces."""
+    return replace(M, D=2.0 * M.D, F1=2.0 * M.D - (1.0 / M.c0) * wedge(M.h, dx(M.chart4, 0)))
+
+
+def test_tiny_doubled_d_fails_maxwell_and_constitutive():
+    # doubling D breaks Ampere, electric Gauss and D = eps0 *3 e at any amplitude;
+    # at e0 = 1e-12 every residual is below the tolerance in absolute terms
+    for e0 in (1.0, 1e-12):
+        broken = doubled_d(beltrami_maxwell(t3_mode(1, 1.0), e0=e0))
+        grid = grid4_for(broken, [0.4, 1.1])
+        r = maxwell_residuals(broken, grid)
+        assert not r.passed
+        assert r.details["parts"]["ampere"] > 0.1 * e0
+        assert (r.details["parts"]["ampere"]
+                > r.tolerance["residual"] * r.details["scales"]["ampere"])
+        c = constitutive_residuals(broken, grid)
+        assert not c.passed
+        assert (c.details["D_vs_star_e"]
+                > c.tolerance["residual"] * c.details["scales"]["D_vs_star_e"])
+
+
+def test_maxwell_and_constitutive_scales_from_amplitudes():
+    M = beltrami_maxwell(t3_mode(1, 1.0), e0=3.0, constants=SI)
+    grid = grid4_for(M, [0.4, 1.1])
+    amp = field_amplitudes(M, grid.points)
+    r = maxwell_residuals(M, grid)
+    assert r.passed
+    # max|F0| and max|F1| from the four amplitudes, with no second pass
+    assert r.details["scales"]["dF0"] == M.F0.max_abs(grid.points)
+    assert r.details["scales"]["dF1"] == M.F1.max_abs(grid.points)
+    assert r.details["scales"]["gauss_electric"] == amp["D"]
+    assert maxwell_residuals(M, grid, amp).to_json_dict() == r.to_json_dict()
+    c = constitutive_residuals(M, grid, amp)
+    assert c.passed
+    assert c.details["scales"] == {"D_vs_star_e": amp["D"], "B_vs_star_h": amp["B"],
+                                   "F1_plus_eps0_star_F0": r.details["scales"]["dF1"]}
+
+
+def window_decisions(M, grid4):
+    """Decisions of the checks that `bmk verify` runs on the whole spacetime window."""
+    amplitudes = field_amplitudes(M, grid4.points)
+    reports = [maxwell_residuals(M, grid4, amplitudes),
+               constitutive_residuals(M, grid4, amplitudes), parallel_check(M, grid4),
+               symplectic_margin(M.F0, grid4, companion=(M.B, M.e), label="F0"),
+               symplectic_margin(M.F1, grid4, companion=(M.D, M.h), label="F1")]
+    return {r.check: r.passed for r in reports}
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_e0=st.floats(min_value=-8.0, max_value=8.0),
+       constants=st.sampled_from([NONDIMENSIONAL, SI]))
+def test_window_decisions_do_not_change_with_amplitude_or_units(log_e0, constants):
+    # the identities hold and F0, F1 are symplectic on a window clear of
+    # sin(2 k x0) = 0, whatever the amplitude and the units
+    for base in (t3_mode(1, 1.0), solid_torus_mode()):
+        M = beltrami_maxwell(base, e0=10.0 ** log_e0, constants=constants)
+        grid = SampleGrid.regular(M.chart3, 5).with_time(
+            M.chart4, [theta / M.k for theta in (0.35, 0.6, 0.85)])
+        assert window_decisions(M, grid) == {
+            "maxwell": True, "constitutive": True, "parallel": True,
+            "symplectic_F0": True, "symplectic_F1": True}
+
+
 def test_constitutive_scaled_d_fails():
     M = beltrami_maxwell(t3_mode(1, 1.0))
-    from dataclasses import replace
     broken = replace(M, D=2.0 * M.D)
     r = constitutive_residuals(broken, grid4_for(M, [0.4]))
     assert not r.passed
@@ -224,6 +300,20 @@ def test_symplectic_constant_field():
     assert abs(r.min_margin - 2.0) < 1e-12
 
 
+def test_symplectic_tiny_nonclosed_form_fails():
+    # F = F0 of the constant field plus 0.3 cos(x1) dx2 ^ dx3 is nondegenerate but
+    # not closed; its closure residual is measured against tol * max|F|
+    M = constant_field(1.0, 1.0)
+    F = M.F0 + make_form(M.chart4, 2, {(2, 3): wave({1: 1}, amplitude=0.3)})
+    grid = grid4_for(M, [0.0, 1.0])
+    for scale in (1.0, 1e-12):
+        r = symplectic_margin(scale * F, grid)
+        assert not r.passed
+        assert r.details["normalized_margin"] > 0.1
+        assert r.details["closure_scale"] == pytest.approx(1.3 * scale)
+        assert r.max_residual > r.tolerance["residual"] * r.details["closure_scale"]
+
+
 # -- parallel / energies ----------------------------------------------------------------
 
 
@@ -258,6 +348,25 @@ def test_parallel_check_beltrami_maxwell_any_amplitude(e0):
     r = parallel_check(M, grid4_for(M, [0.2, 0.9]))
     assert r.passed
     assert 0.5 * e0 * e0 < r.details["scale"] <= e0 * e0   # max|e| * max|h|, no floor
+
+
+# -- reeb_like -----------------------------------------------------------------------------
+
+
+def test_reeb_like_tiny_sharp_passes_and_tiny_tilted_field_fails():
+    # sharp(v) is Reeb-like for v at any positive scale; adding d/dx3 keeps the
+    # pairing positive but makes i_Z d lambda nonzero, which fails at any scale
+    v = t3_mode(1, 2.0)
+    Z = metric_sharp(G3, v.form)
+    tilted = vector_field(T3, {0: Z.components[0], 1: Z.components[1], 2: constant(1.0)})
+    for scale in (1.0, 1e-12):
+        r = reeb_like_check(scale * Z, v.form, GRID3)
+        assert r.passed
+        assert r.details["normalized_margin"] == pytest.approx(1.0)
+        bad = reeb_like_check(scale * tilted, v.form, GRID3)
+        assert not bad.passed
+        assert bad.details["normalized_margin"] > 0.1
+        assert bad.max_residual > bad.tolerance["residual"] * bad.details["scale"]
 
 
 # -- conservation -------------------------------------------------------------------------
