@@ -199,7 +199,7 @@ class MaxwellFieldSet:
     F0: DifferentialForm
     F1: DifferentialForm
     constants: Constants
-    base: BeltramiForm | None = None
+    base: BeltramiForm | None = None   # the Beltrami form of e and h, on chart3
     k: float | None = None
     f_e: Callable[[float], float] | None = field(default=None, repr=False)
     f_h: Callable[[float], float] | None = field(default=None, repr=False)

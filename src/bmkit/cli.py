@@ -222,9 +222,8 @@ def _run_maxwell_checks(M: MaxwellFieldSet, requested, x0_list, args, skipped):
     if "symplectic_f1" in requested:
         reports.append(symplectic_margin(M.F1, grid4, companion=(M.D, M.h), label="F1"))
     if "beltrami" in requested and M.base is not None:
-        bgrid = SampleGrid.regular(M.base.chart, counts3)
         reports.append(beltrami_residual(M.base.form, M.base.k_expected,
-                                         M.base.metric, bgrid))
+                                         M.base.metric, grid3))
 
     for x0 in x0_list:
         sl = M.at_time(x0)

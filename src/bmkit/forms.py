@@ -6,18 +6,16 @@ multi-index, zero coefficients omitted.  All operations are pure and the
 objects are immutable after construction, so evaluation is thread-safe: an
 evaluation plan (:class:`~bmkit.scalars.Plan`, one per ``coefficient_table``
 call and one kept by each vector field) holds no values, and the values of a
-run, its stencil grids included, are local to that run.
+run are local to that run.
 
 Exterior derivatives use a coefficient's analytic partials, and fall back
 to 4th-order finite differences only for a coefficient that has none (one
-reading an ``fn`` or ``fd`` node); no option forces them.  The stencils wrap
+reading an ``fn`` node); no option forces them.  The stencils wrap
 periodic axes and switch to one-sided stencils within two steps of interval
 endpoints.  The step is fixed: 1e-4 * period / 2pi on a circle and 1e-4 on
-an interval (``DEFAULT_FD_STEP`` times ``AxisSpec.fd_scale``).  A finite-difference partial is an ``fd`` node of
-the coefficient's tree; its stencil plan, shared by every partial of one
-(chart, axis), gives the shifted grids, and one evaluation call evaluates
-each grid once for all the partials that read it (one sub-plan of all their
-inner fields per grid).
+an interval (``DEFAULT_FD_STEP`` times ``AxisSpec.fd_scale``).  A
+finite-difference partial (:func:`fd_partial`) is an ``fn`` node that
+evaluates its field once per stencil grid.
 On spacetime charts the derivative splits as d = d_spatial + dx0 ^ d/dx0;
 both pieces are exposed separately.
 """
@@ -33,7 +31,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import ChartMismatchError, DegreeError
-from .scalars import Plan, ScalarField, ZERO, constant, value_table
+from .scalars import Plan, ScalarField, ZERO, constant, from_function, value_table
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -245,57 +243,40 @@ _FORWARD = ((0, -25.0 / 12), (1, 48.0 / 12), (2, -36.0 / 12), (3, 16.0 / 12), (4
 _BACKWARD = tuple((-o, -w) for o, w in _FORWARD)
 
 
-class _FDPlan:
-    """The stencil grids of d/dx_axis, shared by every fd node of (chart, axis).
+def fd_partial(chart: Chart, sf: ScalarField, axis: int) -> ScalarField:
+    """Finite-difference d(sf)/dx_axis as a numeric-only ScalarField (an ``fn`` node).
 
     The step is DEFAULT_FD_STEP scaled by the axis (period / 2pi on a circle).
+    Periodic axes wrap stencil points; within 2h of a finite interval
+    endpoint the stencil clamps to the one-sided 4th-order formula.
+    Points outside the chart domain raise DomainError.
     """
+    ax = chart.axes[axis]
+    h = DEFAULT_FD_STEP * ax.fd_scale()
 
-    def __init__(self, chart: Chart, axis: int):
-        self.chart, self.axis = chart, axis
-        self.h = DEFAULT_FD_STEP * chart.axes[axis].fd_scale()
+    def stencil_sum(pts, stencil):
+        total = np.zeros(pts.shape[:-1])
+        for offset, weight in stencil:
+            shifted = np.array(pts, copy=True)
+            shifted[..., axis] += offset * h
+            total += weight * sf(chart.wrap(shifted))
+        return total / h
 
-    def __call__(self, table, pts: np.ndarray, n: int) -> np.ndarray:
-        """FD partials of the n columns of table(grid) at pts, shape (n, N).
-
-        Points outside the chart domain raise DomainError.
-        """
-        self.chart.require_inside(pts)
-        ax = self.chart.axes[self.axis]
+    def value(pts):
+        chart.require_inside(pts)
         if ax.is_periodic or (np.isinf(ax.lo) and np.isinf(ax.hi)):
-            return self._stencil(table, pts, n, _CENTRAL)
-        x = pts[..., self.axis]
-        out = np.empty((n,) + pts.shape[:-1])
-        near_lo = x < ax.lo + 2 * self.h
-        near_hi = x > ax.hi - 2 * self.h
+            return stencil_sum(pts, _CENTRAL)
+        x = pts[..., axis]
+        out = np.empty(pts.shape[:-1])
+        near_lo = x < ax.lo + 2 * h
+        near_hi = x > ax.hi - 2 * h
         mid = ~(near_lo | near_hi)
         for mask, stencil in ((mid, _CENTRAL), (near_lo, _FORWARD), (near_hi, _BACKWARD)):
             if np.any(mask):
-                out[:, mask] = self._stencil(table, pts[mask], n, stencil)
+                out[mask] = stencil_sum(pts[mask], stencil)
         return out
 
-    def _stencil(self, table, pts, n, stencil):
-        total = np.zeros((n,) + pts.shape[:-1])
-        for offset, weight in stencil:
-            shifted = np.array(pts, copy=True)
-            shifted[..., self.axis] += offset * self.h
-            total += weight * table(self.chart.wrap(shifted)).T
-        return total / self.h
-
-
-_fd_plan = functools.cache(_FDPlan)
-
-
-def fd_partial(chart: Chart, sf: ScalarField, axis: int) -> ScalarField:
-    """Finite-difference d(sf)/dx_axis as a numeric-only ScalarField (an ``fd`` node).
-
-    Periodic axes wrap stencil points; within 2h of a finite interval
-    endpoint the stencil clamps to the one-sided 4th-order formula.
-    Points outside the chart domain raise DomainError.  An evaluation call
-    evaluates each stencil grid once for all its fd nodes of one chart and
-    axis.
-    """
-    return ScalarField("fd", (sf, _fd_plan(chart, axis)))
+    return from_function(value)
 
 
 def partial_field(chart: Chart, sf: ScalarField, axis: int) -> ScalarField:

@@ -62,7 +62,6 @@ class ReebField:
     """An extracted Reeb field with its defining residuals on a grid."""
 
     Y: VectorField
-    source: str  # "contact" | "shs"
     normalization_residuals: tuple[float, float]  # (max|i_Y Omega|, max|i_Y lam - 1|)
     pair: SHSPair
 
@@ -122,7 +121,7 @@ def _normalized_reeb(metric: MetricField, lam: DifferentialForm, omega: Differen
     sharp = metric_sharp(metric, lam)
     Y = vector_field(lam.chart, {i: c / norm2 for i, c in enumerate(sharp.components)})
     pair = SHSPair(omega, lam, lam.chart)
-    return ReebField(Y, "shs", normalization_residuals(Y, pair, grid), pair)
+    return ReebField(Y, normalization_residuals(Y, pair, grid), pair)
 
 
 def reeb_closed_form_beltrami(v: BeltramiForm, variant: str = "normalized",
@@ -142,7 +141,7 @@ def reeb_closed_form_beltrami(v: BeltramiForm, variant: str = "normalized",
         return _normalized_reeb(v.metric, v.form, omega, norm2, grid)
     Y = metric_sharp(v.metric, v.form)
     pair = SHSPair(omega, v.form * (constant(1.0) / norm2), v.chart)
-    return ReebField(Y, "shs", normalization_residuals(Y, pair, grid), pair)
+    return ReebField(Y, normalization_residuals(Y, pair, grid), pair)
 
 
 def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,

@@ -3,10 +3,9 @@
 Every differential-form coefficient, metric entry, and vector-field component
 in this package is a :class:`ScalarField`, a vectorized map from points of
 shape (N, dim) to values of shape (N,).  Each field is a node of a DAG: its
-``op`` is ``const``, ``leaf``, ``fn`` (a plain function, no partials), ``fd``
-(a finite-difference partial of the field in ``args[0]``, see
-:func:`bmkit.forms.fd_partial`), or ``add``/``neg``/``mul``/``div`` of the
-fields in ``args``.  A leaf is
+``op`` is ``const``, ``leaf``, ``fn`` (a plain function, no partials; a
+finite-difference partial from :func:`bmkit.forms.fd_partial` is one), or
+``add``/``neg``/``mul``/``div`` of the fields in ``args``.  A leaf is
 amplitude * k(phase + sum_a coeffs[a] * x_a) for a kernel k: cos (wave),
 u**p (monomial) or J0/J1 (:mod:`bmkit.bessel`).  The partial of a leaf is
 another leaf or a constant, and composites follow the calculus rules, so
@@ -26,12 +25,11 @@ except a leaf: the leaves of one (kernel, axis terms, phase) share one kernel
 step, which sums the phase and axis terms and applies the kernel, and each
 applies its amplitude once per parent, so only the kernel value waits for
 later readers.  The J0 and -c*J1 leaves spread over a Bessel field's
-coefficients and partials thus run their kernel once.  The ``fd``
-nodes of one stencil plan share a step that evaluates a sub-plan of all their
-inner fields once per stencil grid.  Arithmetic is that of each field alone,
-so every column is bitwise what its field gives by itself.  Values live in the
-slots of one run, each dropped after its last reader, so a plan is safe to
-share between threads and no value survives from one call to the next.
+coefficients and partials thus run their kernel once.  Arithmetic is that of
+each field alone, so every column is bitwise what its field gives by itself.
+Values live in the slots of one run, each dropped after its last reader, so a
+plan is safe to share between threads and no value survives from one call to
+the next.
 """
 
 from __future__ import annotations
@@ -185,8 +183,8 @@ def from_function(fn: ValueFn) -> ScalarField:
 def value_table(fields, pts: np.ndarray) -> np.ndarray:
     """Values of several fields at pts, shape (N, len(fields)), in one evaluation call.
 
-    A leaf kernel, a shared subtree or a stencil grid used by several fields
-    is evaluated once; each column is bitwise what calling its field alone gives.
+    A leaf kernel or a shared subtree used by several fields is evaluated
+    once; each column is bitwise what calling its field alone gives.
     """
     return Plan(fields)(pts)
 
@@ -205,8 +203,7 @@ class Plan:
         fields = list(fields)
         slots: list = [None, None]  # the points, the table; a constant's slot holds its float
         steps: list = []            # (out, fn, a, b): fn(vals[a]) or fn(vals[a], vals[b])
-        done: dict = {}             # node id, kernel key or (stencils, inner id) -> slot
-        groups: dict = {}           # stencils -> (slot of their rows, {inner id: inner})
+        done: dict = {}             # node id or kernel key -> slot
 
         def step(fn, a, b=None):
             slots.append(None)
@@ -227,17 +224,6 @@ class Plan:
             if op == "const":
                 slots.append(node.const)
                 out = len(slots) - 1
-            elif op == "fd":
-                inner, stencils = node.args
-                if stencils not in groups:
-                    slots.append(None)
-                    groups[stencils] = (len(slots) - 1, {})
-                rows, inner_fields = groups[stencils]
-                key = stencils, id(inner)
-                if key not in done:
-                    done[key] = step(operator.itemgetter(len(inner_fields)), rows)
-                    inner_fields[id(inner)] = inner
-                out = done[key]
             elif op == "fn":
                 out = step(_fn_step(node.args[0]), 0)
             else:
@@ -245,13 +231,9 @@ class Plan:
             done[id(node)] = out
             return out
 
+        steps.append((_TABLE, functools.partial(_empty_table, len(fields)), 0, None))
         for col, f in enumerate(fields):
             steps.append((_TABLE, _column(col), _TABLE, visit(f)))
-        # the stencil groups run first, each one sub-plan of its inner fields per
-        # grid, and then the table is made
-        steps[:0] = [(rows, _fd_step(stencils, inner), 0, None)
-                     for stencils, (rows, inner) in groups.items()]
-        steps.insert(len(groups), (_TABLE, functools.partial(_empty_table, len(fields)), 0, None))
         last = {slot: i for i, (_, _, a, b) in enumerate(steps) for slot in (a, b)
                 if slot is not None and slot != _TABLE}
         dead: list[list[int]] = [[] for _ in steps]
@@ -300,11 +282,6 @@ def _kernel_step(kernel: Kernel, coeffs: dict[int, float], phase: float):
 
 def _fn_step(fn: ValueFn):
     return lambda pts: np.broadcast_to(np.asarray(fn(pts), dtype=float), pts.shape[:-1])
-
-
-def _fd_step(stencils, inner: dict):
-    plan, n = Plan(inner.values()), len(inner)
-    return lambda pts: stencils(plan, pts, n)
 
 
 def leaf(kernel: Kernel, coeffs: dict[int, float], phase: float = 0.0,
@@ -365,10 +342,10 @@ def coordinate(axis: int) -> ScalarField:
 
 
 def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
-    """Rebuild sf with on_leaf(*leaf.args) for each leaf; an fn or fd node sees pull(pts).
+    """Rebuild sf with on_leaf(*leaf.args) for each leaf; an fn node sees pull(pts).
 
-    Each shared subtree is rebuilt once, and each fn or fd node is compiled
-    into its one-column plan once, when it is rebuilt.
+    Each shared subtree is rebuilt once, and each fn node is compiled into its
+    one-column plan once, when it is rebuilt.
     """
     memo: dict[int, ScalarField] = {}
 
@@ -376,7 +353,7 @@ def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
         if id(node) not in memo:
             if node.op == "leaf":
                 out = on_leaf(*node.args)
-            elif node.op in ("fn", "fd"):
+            elif node.op == "fn":
                 plan = Plan([node])
                 out = from_function(lambda pts: plan(pull(pts))[..., 0])
             elif node.op == "const":

@@ -228,7 +228,7 @@ def test_lie_derivative_top_degree():
     assert np.allclose(got, want, atol=1e-12)
 
 
-# -- FD nodes: one table per stencil grid ----------------------------------------
+# -- FD partials: one inner run per stencil grid ---------------------------------
 
 _CENTRAL = ((-2, 1.0 / 12), (-1, -8.0 / 12), (1, 8.0 / 12), (2, -1.0 / 12))
 _FORWARD = ((0, -25.0 / 12), (1, 48.0 / 12), (2, -36.0 / 12), (3, 16.0 / 12), (4, -3.0 / 12))
@@ -360,7 +360,7 @@ def test_restrict_and_lift_of_fd_derived_field():
     assert np.array_equal(lifted(pts4), sf3(PTS))
 
 
-def test_fd_inner_field_runs_once_per_grid_for_a_whole_derivative():
+def test_fd_inner_field_runs_once_per_grid_per_partial():
     from bmkit import solid_torus
     runs = []
 
@@ -375,7 +375,8 @@ def test_fd_inner_field_runs_once_per_grid_for_a_whole_derivative():
     df = exterior_derivative(form)
     runs.clear()
     df.coefficient_table(pts)
-    # axis r: central, forward and backward regions (4 + 5 + 5 grids);
-    # periodic phi and x3: one central region (4 grids each)
-    assert len(runs) == 14 + 4 + 4
+    # 2 partials along r, each over central, forward and backward regions
+    # (4 + 5 + 5 grids); 2 partials each along periodic phi and x3, one
+    # central region (4 grids)
+    assert len(runs) == 2 * 14 + 4 * 4
     assert sorted(set(runs)) == [1, 2, 4]

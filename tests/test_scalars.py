@@ -276,10 +276,6 @@ def naive(node: ScalarField, pts: np.ndarray):
         return amplitude * kernel.value(u)
     if op == "fn":
         return np.broadcast_to(np.asarray(node.args[0](pts), dtype=float), pts.shape[:-1])
-    if op == "fd":
-        inner, stencils = node.args
-        return stencils(lambda grid: np.broadcast_to(naive(inner, grid), grid.shape[:-1])[:, None],
-                        pts, 1)[0]
     return NAIVE_OPS[op](*(naive(a, pts) for a in node.args))
 
 
@@ -289,7 +285,7 @@ def bits(values) -> np.ndarray:
 
 @st.composite
 def dags(draw):
-    """Root fields over a random DAG of leaves, constants, fn, fd and arithmetic nodes.
+    """Root fields over a random DAG of leaves, constants, fn nodes, FD partials and arithmetic.
 
     Each leaf group holds leaves that share a kernel key only in part: amplitude
     variants (one key), the phases 0.0 and -0.0 and the axis terms in reverse
@@ -307,7 +303,7 @@ def dags(draw):
     for _ in range(draw(st.integers(0, 14))):
         a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
         kind = draw(st.sampled_from(["add", "sub", "mul", "div", "neg", "const", "fn", "fd", "fd"]))
-        if kind == "fd":   # of any node, an fd node included
+        if kind == "fd":   # of any node, an FD partial included
             pool.append(fd_partial(T3, a, draw(st.integers(0, 1))))
         else:
             pool.append({"add": lambda: a + b, "sub": lambda: a - b, "mul": lambda: a * b,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmkit import (SampleGrid, beltrami_maxwell, beltrami_nonparallel,
+from bmkit import (SampleGrid, abc_flow, beltrami_maxwell, beltrami_nonparallel,
                    beltrami_residual, constant_field, conservation_along,
                    constitutive_residuals, contact_margin, dx, euclidean_metric,
                    maxwell_from_eh, maxwell_residuals, metric_sharp, parallel_check,
@@ -144,6 +144,52 @@ def test_window_decisions_do_not_change_with_amplitude_or_units(log_e0, constant
         assert window_decisions(M, grid) == {
             "maxwell": True, "constitutive": True, "parallel": True,
             "symplectic_F0": True, "symplectic_F1": True}
+
+
+def eh_decisions(M, thetas, counts=5):
+    """Decisions of `bmk verify`'s constitutive, parallel, contact and shs checks
+    at the instants x0 = theta / k, with the window amplitudes as zero scales."""
+    grid3 = SampleGrid.regular(M.chart3, counts)
+    x0s = [theta / M.k for theta in thetas]
+    grid4 = grid3.with_time(M.chart4, x0s)
+    amp = field_amplitudes(M, grid4.points)
+    out = {"constitutive": constitutive_residuals(M, grid4, amp).passed,
+           "parallel": parallel_check(M, grid4).passed}
+    for theta, x0 in zip(thetas, x0s):
+        sl = M.at_time(x0)
+        out[f"contact_e@{theta}"] = contact_margin(sl.e, grid3, zero_scale=amp["e"]).passed
+        out[f"contact_h@{theta}"] = contact_margin(sl.h, grid3, zero_scale=amp["h"]).passed
+        out[f"shs_be@{theta}"] = shs_check(sl.B, sl.e, grid3,
+                                           zero_scales=(amp["B"], amp["e"])).passed
+        out[f"shs_dh@{theta}"] = shs_check(sl.D, sl.h, grid3,
+                                           zero_scales=(amp["D"], amp["h"])).passed
+    return out
+
+
+EH_BASES = {"t3_mode": t3_mode(1, 1.0), "abc_flow": abc_flow(2, 1, 0.5),
+            "solid_torus_mode": solid_torus_mode()}
+EH_THETAS = (0.25 * math.pi, 0.0, 0.5 * math.pi, 0.375 * math.pi)
+
+
+@settings(max_examples=20, deadline=None)
+@given(base=st.sampled_from(sorted(EH_BASES)),
+       log_a=st.floats(min_value=-8.0, max_value=8.0),
+       log_b=st.floats(min_value=-8.0, max_value=8.0),
+       constants=st.sampled_from([NONDIMENSIONAL, SI]))
+def test_eh_decisions_do_not_change_when_e_and_h_scale_independently(base, log_a, log_b,
+                                                                     constants):
+    # each of these checks compares a residual with a scale built from the same
+    # fields, so a e and b h decide as e and h do: h = 0 at k x0 = 0 and e = 0
+    # at k x0 = pi/2 fail the slice checks that read them, whatever a and b
+    M = beltrami_maxwell(EH_BASES[base], constants=constants)
+    want = eh_decisions(M, EH_THETAS)
+    zero, half_pi = EH_THETAS[1], EH_THETAS[2]
+    assert {name for name, passed in want.items() if not passed} == {
+        f"contact_h@{zero}", f"shs_be@{zero}", f"shs_dh@{zero}",
+        f"contact_e@{half_pi}", f"shs_be@{half_pi}", f"shs_dh@{half_pi}"}
+    scaled = maxwell_from_eh(M.name, M.params, M.chart3, M.metric3, 10.0 ** log_a * M.e,
+                             10.0 ** log_b * M.h, M.constants, M.chart4, k=M.k)
+    assert eh_decisions(scaled, EH_THETAS) == want
 
 
 def test_constitutive_scaled_d_fails():
