@@ -13,9 +13,8 @@ from .scalars import (ScalarField, constant, coordinate, from_function,
                       lift_spatial, monomial, restrict_time, sin_wave, wave)
 from .forms import (DifferentialForm, VectorField, dx, exterior_derivative,
                     interior_product, lie_derivative, lie_derivative_flow,
-                    make_form, one_form, scalar_form,
-                    spatial_exterior_derivative, time_derivative, vector_field,
-                    wedge, zero_form)
+                    make_form, scalar_form, spatial_exterior_derivative,
+                    time_derivative, vector_field, wedge, zero_form)
 from .metrics import (MetricField, euclidean_metric, hodge_star,
                       lorentzian_product, metric_from_matrix, metric_sharp,
                       norm_sq_field, one_form_norm_sq, solid_torus_metric,

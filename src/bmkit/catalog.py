@@ -68,14 +68,22 @@ class BeltramiForm:
     scan_n: int  # points per axis of the singularity scan lattice
 
     @cached_property
-    def norm_margin(self) -> float:
-        """min of g^{-1}(v, v) over the singularity scan lattice, computed on first use."""
+    def _norm_sq_range(self) -> tuple[float, float]:
+        """(min, max) of g^{-1}(v, v) over the singularity scan lattice, computed on first use."""
         lattice = self.chart.lattice((self.scan_n,) * self.chart.dim)
-        return float(np.min(norm_sq_field(self.metric, self.form)(lattice)))
+        norm_sq = norm_sq_field(self.metric, self.form)(lattice)
+        return float(np.min(norm_sq)), float(np.max(norm_sq))
+
+    @property
+    def norm_margin(self) -> float:
+        """min of g^{-1}(v, v) over the singularity scan lattice."""
+        return self._norm_sq_range[0]
 
     @property
     def nonsingular(self) -> bool:
-        return self.norm_margin > 1e-9
+        """min |v|^2 above 1e-9 of its lattice max, so the amplitude of v never decides."""
+        low, high = self._norm_sq_range
+        return low > 1e-9 * high
 
     def require_nonsingular(self):
         if not self.nonsingular:
@@ -123,7 +131,7 @@ def abc_flow(A: float = 1.0, B: float = 1.0, C: float = 1.0) -> BeltramiForm:
 
 
 def solid_torus_mode(k_c: float = 2.0, beta: float = 1.0, sign: str = "minus",
-                     a: float = 1.0, r_min: float | None = None) -> BeltramiForm:
+                     a: float = 1.0) -> BeltramiForm:
     """Bessel cavity mode on the solid torus D^2 x S^1.
 
     star3 d v = -k v for sign="minus" and +k v for sign="plus", with
@@ -134,7 +142,7 @@ def solid_torus_mode(k_c: float = 2.0, beta: float = 1.0, sign: str = "minus",
         raise BmkitError("solid_torus_mode needs k_c > 0")
     if sign not in ("minus", "plus"):
         raise BmkitError("sign must be 'minus' or 'plus'")
-    chart = solid_torus(a=a, r_min=r_min)
+    chart = solid_torus(a=a)
     metric = solid_torus_metric(chart)
     k = math.sqrt(beta * beta + k_c * k_c)
     s = -1.0 if sign == "minus" else 1.0

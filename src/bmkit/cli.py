@@ -3,7 +3,9 @@
 Subcommands: ``catalog`` (list buildable fields), ``verify`` (run structure
 checks, write a JSON report), ``reeb`` (sample a Reeb field to CSV),
 ``trace`` (integrate field lines, write orbit CSVs), ``survey``
-(closed-orbit search over a seed grid, JSON summary).
+(closed-orbit search over a seed grid, JSON summary).  ``verify`` has one
+table of check runners per target kind; the tables alone name, order and
+select its checks.
 
 Exit codes: 0 all requested checks passed (or informational command),
 1 at least one check failed, 2 configuration/usage error.  Human-readable
@@ -35,11 +37,6 @@ from .verify import (SampleGrid, beltrami_residual, conservation_along,
                      maxwell_residuals, parallel_check, shs_check, symplectic_margin)
 
 SCHEMA = "bmk-report/1"
-
-MAXWELL_CHECKS = ("maxwell", "constitutive", "parallel", "symplectic_f0",
-                  "symplectic_f1", "contact_e", "contact_h", "shs_be", "shs_dh",
-                  "conservation_y0", "conservation_y1", "beltrami")
-BELTRAMI_CHECKS = ("beltrami", "contact", "shs")
 
 
 # -- field spec micro-syntax: name{key=value,...} ------------------------------
@@ -114,6 +111,41 @@ def _build_target(args):
 # -- verify orchestration --------------------------------------------------------
 
 
+# One table per target kind, check name -> runner in report order.  Runners look
+# their verifier up by name at call time, so wrappers installed on this module's
+# globals see every call.  Beltrami forms, and a Maxwell base form: (v, grid).
+BELTRAMI_CHECKS = {
+    "beltrami": lambda v, grid: beltrami_residual(v.form, v.k_expected, v.metric, grid),
+    "contact": lambda v, grid: contact_margin(v.form, grid),
+    "shs": lambda v, grid: shs_check(hodge_star(v.metric, v.form), v.form, grid),
+}
+# Maxwell window checks, run once on the spacetime grid: (M, grid4, amplitudes).
+WINDOW_CHECKS = {
+    "maxwell": lambda M, grid4, amp: maxwell_residuals(M, grid4, amp),
+    "constitutive": lambda M, grid4, amp: constitutive_residuals(M, grid4, amp),
+    "parallel": lambda M, grid4, amp: parallel_check(M, grid4),
+    "symplectic_f0": lambda M, grid4, amp: symplectic_margin(
+        M.F0, grid4, companion=(M.B, M.e), label="F0"),
+    "symplectic_f1": lambda M, grid4, amp: symplectic_margin(
+        M.F1, grid4, companion=(M.D, M.h), label="F1"),
+}
+# Maxwell slice checks, run per instant on its slice sl: (M, sl, grid3, amplitudes).
+SLICE_CHECKS = {
+    "contact_e": lambda M, sl, grid3, amp: contact_margin(sl.e, grid3, zero_scale=amp["e"]),
+    "contact_h": lambda M, sl, grid3, amp: contact_margin(sl.h, grid3, zero_scale=amp["h"]),
+    "shs_be": lambda M, sl, grid3, amp: shs_check(
+        sl.B, sl.e, grid3, zero_scales=(amp["B"], amp["e"])),
+    "shs_dh": lambda M, sl, grid3, amp: shs_check(
+        sl.D, sl.h, grid3, zero_scales=(amp["D"], amp["h"])),
+    "conservation_y0": lambda M, sl, grid3, amp: conservation_along(
+        reeb_for_maxwell(M, "Y0", sl.x0, grid3).Y, [sl.e, sl.B, *sl.energy_forms()], grid3,
+        ["e", "B", "E_e", "E_h"]),
+    "conservation_y1": lambda M, sl, grid3, amp: conservation_along(
+        reeb_for_maxwell(M, "Y1", sl.x0, grid3).Y, [sl.h, sl.D, *sl.energy_forms()], grid3,
+        ["h", "D", "E_e", "E_h"]),
+}
+
+
 def _parse_counts(text: str, dim: int) -> tuple[int, ...]:
     parts = [p for p in text.split(",") if p.strip()]
     try:
@@ -131,37 +163,26 @@ def _parse_counts(text: str, dim: int) -> tuple[int, ...]:
 
 def _applicable_checks(target) -> tuple[str, ...]:
     if isinstance(target, BeltramiForm):
-        return BELTRAMI_CHECKS
-    checks = [c for c in MAXWELL_CHECKS if c != "beltrami" or target.base is not None]
-    return tuple(checks)
+        return tuple(BELTRAMI_CHECKS)
+    return (*WINDOW_CHECKS, *SLICE_CHECKS) + (("beltrami",) if target.base is not None else ())
 
 
 def _run_verify(args) -> int:
     target = _build_target(args)
-    requested = _applicable_checks(target) if args.checks == ["all"] else tuple(args.checks)
+    applicable = _applicable_checks(target)
+    requested = applicable if args.checks == ["all"] else tuple(args.checks)
     for c in requested:
-        if c not in _applicable_checks(target):
+        if c not in applicable:
             raise ConfigError(
                 f"check {c!r} not applicable to {args.field!r}; "
-                f"choose from {', '.join(_applicable_checks(target))} or 'all'")
+                f"choose from {', '.join(applicable)} or 'all'")
     x0_list = [float(x) for x in args.x0] or [0.25 * math.pi]
-
-    reports = []
     skipped = []
-
     if isinstance(target, BeltramiForm):
         grid = SampleGrid.regular(target.chart, _parse_counts(args.grid, 3))
-        if "beltrami" in requested:
-            reports.append(beltrami_residual(target.form, target.k_expected,
-                                             target.metric, grid))
-        if "contact" in requested:
-            reports.append(contact_margin(target.form, grid))
-        if "shs" in requested:
-            omega = hodge_star(target.metric, target.form)
-            reports.append(shs_check(omega, target.form, grid))
+        reports = [run(target, grid) for c, run in BELTRAMI_CHECKS.items() if c in requested]
     else:
-        reports.extend(_run_maxwell_checks(
-            target, requested, x0_list, args, skipped))
+        reports = _run_maxwell_checks(target, requested, x0_list, args, skipped)
 
     failed = [r for r in reports if not r.passed]
     report = {
@@ -197,9 +218,7 @@ def _run_verify(args) -> int:
 
 
 def _run_maxwell_checks(M: MaxwellFieldSet, requested, x0_list, args, skipped):
-    reports = []
-    counts3 = _parse_counts(args.grid, 3)
-    grid3 = SampleGrid.regular(M.chart3, counts3)
+    grid3 = SampleGrid.regular(M.chart3, _parse_counts(args.grid, 3))
     w = args.t_window
     # one time sample per instant is the instant itself
     t_values = np.unique(np.concatenate(
@@ -211,57 +230,22 @@ def _run_maxwell_checks(M: MaxwellFieldSet, requested, x0_list, args, skipped):
     # a degenerate instant (field numerically zero) from a genuinely small field.
     amplitudes = field_amplitudes(M, grid4.points)
 
-    if "maxwell" in requested:
-        reports.append(maxwell_residuals(M, grid4, amplitudes))
-    if "constitutive" in requested:
-        reports.append(constitutive_residuals(M, grid4, amplitudes))
-    if "parallel" in requested:
-        reports.append(parallel_check(M, grid4))
-    if "symplectic_f0" in requested:
-        reports.append(symplectic_margin(M.F0, grid4, companion=(M.B, M.e), label="F0"))
-    if "symplectic_f1" in requested:
-        reports.append(symplectic_margin(M.F1, grid4, companion=(M.D, M.h), label="F1"))
-    if "beltrami" in requested and M.base is not None:
-        reports.append(beltrami_residual(M.base.form, M.base.k_expected,
-                                         M.base.metric, grid3))
-
+    reports = [run(M, grid4, amplitudes) for c, run in WINDOW_CHECKS.items() if c in requested]
+    if "beltrami" in requested:
+        reports.append(BELTRAMI_CHECKS["beltrami"](M.base, grid3))
+    slice_runs = [(c, run) for c, run in SLICE_CHECKS.items() if c in requested]
     for x0 in x0_list:
         sl = M.at_time(x0)
-        tag = f"@x0={x0:.6g}"
-        if "contact_e" in requested:
-            r = contact_margin(sl.e, grid3, zero_scale=amplitudes["e"])
-            r.check = f"contact_e{tag}"
-            reports.append(r)
-        if "contact_h" in requested:
-            r = contact_margin(sl.h, grid3, zero_scale=amplitudes["h"])
-            r.check = f"contact_h{tag}"
-            reports.append(r)
-        if "shs_be" in requested:
-            r = shs_check(sl.B, sl.e, grid3, zero_scales=(amplitudes["B"], amplitudes["e"]))
-            r.check = f"shs_be{tag}"
-            reports.append(r)
-        if "shs_dh" in requested:
-            r = shs_check(sl.D, sl.h, grid3, zero_scales=(amplitudes["D"], amplitudes["h"]))
-            r.check = f"shs_dh{tag}"
-            reports.append(r)
-        for name, which, forms in (("conservation_y0", "Y0", "eB"),
-                                   ("conservation_y1", "Y1", "hD")):
-            if name not in requested:
-                continue
+        for c, run in slice_runs:
+            name = f"{c}@x0={x0:.6g}"
             try:
-                rb = reeb_for_maxwell(M, which, x0, grid3)
+                r = run(M, sl, grid3, amplitudes)
             except DegenerateInstantError as exc:
                 if not args.allow_degenerate:
-                    raise ConfigError(
-                        f"{name}{tag}: {exc} (pass --allow-degenerate to skip)")
-                skipped.append({"check": f"{name}{tag}", "reason": str(exc)})
+                    raise ConfigError(f"{name}: {exc} (pass --allow-degenerate to skip)")
+                skipped.append({"check": name, "reason": str(exc)})
                 continue
-            ee, eh = sl.energy_forms()
-            flist = [sl.e, sl.B, ee, eh] if forms == "eB" else [sl.h, sl.D, ee, eh]
-            fnames = (["e", "B", "E_e", "E_h"] if forms == "eB"
-                      else ["h", "D", "E_e", "E_h"])
-            r = conservation_along(rb.Y, flist, grid3, fnames)
-            r.check = f"{name}{tag}"
+            r.check = name
             reports.append(r)
     return reports
 
@@ -455,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-window", type=_NONNEGATIVE, default=0.35,
                    help="half-width of the time window around each instant")
     p.add_argument("--checks", nargs="+", default=["all"],
-                   help=f"subset of: {', '.join(MAXWELL_CHECKS)} (or 'all')")
+                   help="subset of: " + ", ".join(
+                       {**WINDOW_CHECKS, **SLICE_CHECKS, **BELTRAMI_CHECKS}) + " (or 'all')")
     p.add_argument("--allow-degenerate", action="store_true",
                    help="skip (rather than reject) checks at degenerate instants")
     _add_common(p)

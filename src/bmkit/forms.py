@@ -196,10 +196,6 @@ def dx(chart: Chart, axis: int) -> DifferentialForm:
     return make_form(chart, 1, {(int(axis),): constant(1.0)})
 
 
-def one_form(chart: Chart, comps: dict[int, ScalarField]) -> DifferentialForm:
-    return make_form(chart, 1, {(a,): c for a, c in comps.items()})
-
-
 def vector_field(chart: Chart, comps: dict[int, ScalarField]) -> VectorField:
     parts = [ZERO] * chart.dim
     for a, c in comps.items():

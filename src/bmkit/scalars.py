@@ -344,8 +344,8 @@ def coordinate(axis: int) -> ScalarField:
 def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
     """Rebuild sf with on_leaf(*leaf.args) for each leaf; an fn node sees pull(pts).
 
-    Each shared subtree is rebuilt once, and each fn node is compiled into its
-    one-column plan once, when it is rebuilt.
+    Each shared subtree is rebuilt once.  A rebuilt fn node calls its function
+    on pull(pts) directly; the plan step of the new node broadcasts the value.
     """
     memo: dict[int, ScalarField] = {}
 
@@ -354,8 +354,8 @@ def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
             if node.op == "leaf":
                 out = on_leaf(*node.args)
             elif node.op == "fn":
-                plan = Plan([node])
-                out = from_function(lambda pts: plan(pull(pts))[..., 0])
+                fn = node.args[0]
+                out = from_function(lambda pts: fn(pull(pts)))
             elif node.op == "const":
                 out = node
             else:

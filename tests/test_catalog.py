@@ -87,6 +87,15 @@ def test_abc_210_5_nonsingular():
     assert v.nonsingular and v.norm_margin > 0.5
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_singularity_decision_does_not_change_with_amplitude(scale):
+    # t3_mode{c=1e-5} has constant |v|^2 = 1e-10: small, but nowhere zero
+    for v in (t3_mode(1, scale), abc_flow(2 * scale, scale, 0.5 * scale)):
+        assert v.nonsingular
+        beltrami_maxwell(v)
+    assert not abc_flow(scale, scale, scale).nonsingular
+
+
 def test_abc_all_zero_rejected():
     with pytest.raises(BmkitError):
         abc_flow(0, 0, 0)

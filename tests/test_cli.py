@@ -185,6 +185,68 @@ def test_verify_inapplicable_check_exit_2():
                     "--checks", "symplectic_f0"]) == 2
 
 
+MAXWELL_ALL = ["maxwell", "constitutive", "parallel", "symplectic_f0", "symplectic_f1",
+               "contact_e", "contact_h", "shs_be", "shs_dh",
+               "conservation_y0", "conservation_y1"]
+
+
+def _slice_names(x0):
+    return [f"{c}@x0={x0}" for c in ("contact_e", "contact_h", "shs_be", "shs_dh",
+                                      "conservation_y0", "conservation_y1")]
+
+
+@pytest.mark.parametrize("field, argv, config, names, skipped", [
+    ("t3_mode{n=1,c=1}", ["--checks", "all"],
+     ["beltrami", "contact", "shs"], ["beltrami", "contact", "shs"], []),
+    (BM_SPEC, ["--x0", "0", "--x0", "0.5", "--allow-degenerate"],
+     MAXWELL_ALL + ["beltrami"],
+     ["maxwell", "constitutive", "parallel", "symplectic_F0", "symplectic_F1", "beltrami"]
+     + _slice_names(0)[:-1] + _slice_names(0.5),
+     ["conservation_y1@x0=0"]),
+    ("traveling_wave", [], MAXWELL_ALL,
+     ["maxwell", "constitutive", "parallel", "symplectic_F0", "symplectic_F1"]
+     + _slice_names(0.785398), []),
+    (BM_SPEC, ["--checks", "conservation_y0", "contact_e", "maxwell", "beltrami"],
+     ["conservation_y0", "contact_e", "maxwell", "beltrami"],
+     ["maxwell", "beltrami", "contact_e@x0=0.785398", "conservation_y0@x0=0.785398"], []),
+    (BM_SPEC, ["--checks", "maxwell", "maxwell"], ["maxwell", "maxwell"], ["maxwell"], []),
+])
+def test_verify_check_names_order_and_skips(field, argv, config, names, skipped, tmp_path):
+    """Requested checks go to config as given; reports run window, beltrami, then slices per x0."""
+    out = tmp_path / "r.json"
+    code = run_cli(["verify", "--field", field, *argv, "--grid", "4", "--tgrid", "2",
+                    "--no-meta", "--out", str(out)])
+    assert code in (0, 1)
+    report = json.loads(out.read_text())
+    assert report["config"]["checks"] == config
+    assert [c["check"] for c in report["checks"]] == names
+    assert [s["check"] for s in report["skipped"]] == skipped
+
+
+def test_verify_calls_each_verifier_through_the_cli_globals(monkeypatch):
+    """A wrapper set on a bmkit.cli global, as the benchmark tracer sets one, sees every call."""
+    import collections
+
+    import bmkit.cli
+
+    calls = collections.Counter()
+    for name in ("maxwell_residuals", "constitutive_residuals", "parallel_check",
+                 "symplectic_margin", "beltrami_residual", "contact_margin", "shs_check",
+                 "conservation_along", "reeb_for_maxwell", "hodge_star"):
+        def counted(*args, _name=name, _fn=getattr(bmkit.cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bmkit.cli, name, counted)
+    assert run_cli(["verify", "--field", BM_SPEC, "--grid", "4", "--tgrid", "2"]) == 0
+    assert calls == {"maxwell_residuals": 1, "constitutive_residuals": 1, "parallel_check": 1,
+                     "symplectic_margin": 2, "beltrami_residual": 1, "contact_margin": 2,
+                     "shs_check": 2, "conservation_along": 2, "reeb_for_maxwell": 2}
+    calls.clear()
+    assert run_cli(["verify", "--field", "t3_mode{n=1,c=1}", "--grid", "4"]) == 0
+    assert calls == {"beltrami_residual": 1, "contact_margin": 1, "shs_check": 1,
+                     "hodge_star": 1}
+
+
 def test_verify_beltrami_form_checks(tmp_path):
     out = tmp_path / "r.json"
     code = run_cli(["verify", "--field", "t3_mode{n=1,c=1}", "--grid", "6",
