@@ -16,9 +16,8 @@ from .forms import (DifferentialForm, VectorField, dx, exterior_derivative,
                     make_form, scalar_form, spatial_exterior_derivative,
                     time_derivative, vector_field, wedge, zero_form)
 from .metrics import (MetricField, euclidean_metric, hodge_star,
-                      lorentzian_product, metric_from_matrix, metric_sharp,
-                      norm_sq_field, one_form_norm_sq, solid_torus_metric,
-                      spatial_hodge)
+                      lorentzian_product, metric_sharp, norm_sq_field,
+                      solid_torus_metric, spatial_hodge)
 from .bessel import bessel_j, j0_field, j1_field
 from .catalog import (CATALOG, AmplitudePair, BeltramiForm, CatalogEntry,
                       Constants, MaxwellFieldSet, MaxwellSlice,
@@ -40,8 +39,7 @@ from .orbits import (ClosureResult, CrossingSequence, OrbitTrace, SurveyResult,
                      integrate_batch, poincare_section, write_orbit_csv,
                      write_vector_field_csv)
 from .errors import (BmkitError, ChartMismatchError, ConfigError,
-                     DegenerateInstantError, DegenerateMetricError,
-                     DegeneratePointError, DegreeError, DomainError,
-                     SingularFieldError)
+                     DegenerateInstantError, DegeneratePointError, DegreeError,
+                     DomainError, SingularFieldError)
 
 __version__ = "0.1.0"

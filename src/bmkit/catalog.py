@@ -256,12 +256,14 @@ def _lift_form(chart4: Chart, form3: DifferentialForm) -> DifferentialForm:
     return make_form(chart4, form3.degree, coeffs)
 
 
-def maxwell_from_eh(name: str, params: dict, chart3: Chart, metric3: MetricField,
+def maxwell_from_eh(name: str, params: dict, metric3: MetricField,
                     e: DifferentialForm, h: DifferentialForm,
-                    constants: Constants = NONDIMENSIONAL, chart4: Chart | None = None,
-                    **extra) -> MaxwellFieldSet:
-    """Assemble a field set from e and h via the vacuum constitutive relations."""
-    chart4 = chart4 or e.chart
+                    constants: Constants = NONDIMENSIONAL, **extra) -> MaxwellFieldSet:
+    """Assemble a field set from e and h via the vacuum constitutive relations.
+
+    The spatial chart is metric3's and the spacetime chart is e's.
+    """
+    chart3, chart4 = metric3.chart, e.chart
     c0 = constants.c0
     D = constants.eps0 * spatial_hodge(metric3, e)
     B = constants.mu0 * spatial_hodge(metric3, h)
@@ -299,7 +301,7 @@ def beltrami_maxwell(v: BeltramiForm | None = None, e0: float = 1.0,
     return maxwell_from_eh(
         "beltrami_maxwell", {"v": v.name, **{f"v.{p}": q for p, q in v.params.items()},
                              "e0": e0},
-        v.chart, v.metric, e, h, constants, chart4,
+        v.metric, e, h, constants,
         base=v, k=k,
         f_e=lambda x0: e0 * math.cos(k * x0),
         f_h=lambda x0: e0 / (c0 * mu0) * math.sin(k * x0))
@@ -324,7 +326,7 @@ def traveling_wave(profile: str = "sin", constants: Constants = NONDIMENSIONAL,
     e = make_form(chart4, 1, {(1,): f})
     h = make_form(chart4, 1, {(2,): (1.0 / (constants.c0 * constants.mu0)) * f})
     return maxwell_from_eh("traveling_wave", {"profile": profile, "chart": chart},
-                           chart3, metric3, e, h, constants, chart4)
+                           metric3, e, h, constants)
 
 
 def constant_field(e0: float = 1.0, h0: float = 1.0,
@@ -339,7 +341,7 @@ def constant_field(e0: float = 1.0, h0: float = 1.0,
     e = make_form(chart4, 1, {(1,): constant(e0)})
     h = make_form(chart4, 1, {(1,): constant(h0)})
     return maxwell_from_eh("constant_field", {"e0": e0, "h0": h0, "chart": chart},
-                           chart3, metric3, e, h, constants, chart4)
+                           metric3, e, h, constants)
 
 
 def parallel_nonbeltrami(e0: float = 1.0, k: float = 1.0, f3: str = "sin",
@@ -368,7 +370,7 @@ def parallel_nonbeltrami(e0: float = 1.0, k: float = 1.0, f3: str = "sin",
     e = make_form(chart4, 1, {(1,): e0 * prof * f01, (2,): e0 * prof * f02})
     h = make_form(chart4, 1, {(1,): amp_h * dprof * f01, (2,): amp_h * dprof * f02})
     return maxwell_from_eh("parallel_nonbeltrami", {"e0": e0, "k": k, "f3": f3},
-                           chart3, metric3, e, h, constants, chart4)
+                           metric3, e, h, constants)
 
 
 def beltrami_nonparallel(profile: str = "sin",
@@ -394,7 +396,7 @@ def beltrami_nonparallel(profile: str = "sin",
     e = make_form(chart4, 1, {(1,): f, (2,): fp})
     h = make_form(chart4, 1, {(1,): amp * fp, (2,): -amp * f})
     return maxwell_from_eh("beltrami_nonparallel", {"profile": profile},
-                           chart3, metric3, e, h, constants, chart4)
+                           metric3, e, h, constants)
 
 
 # -- amplitude dynamics -------------------------------------------------------
@@ -566,6 +568,8 @@ def _coerce_param(name, pname, ptype, raw, constants):
     if ptype == "beltrami":
         if isinstance(raw, BeltramiForm):
             return raw
+        if isinstance(raw, str):  # a bare catalog name, as at top level
+            raw = (raw, {})
         if isinstance(raw, tuple) and len(raw) == 2:
             sub = build_catalog_field(raw[0], raw[1], constants)
             if not isinstance(sub, BeltramiForm):

@@ -482,14 +482,9 @@ def main(argv=None) -> int:
     args._t0 = time.time()
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateInstantError as exc:
-        print(f"error: degenerate instant: {exc}", file=sys.stderr)
-        return 2
     except BmkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "degenerate instant: " if isinstance(exc, DegenerateInstantError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 
 

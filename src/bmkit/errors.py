@@ -17,10 +17,6 @@ class DomainError(BmkitError):
     """Point outside the chart domain (interval axis bounds, r_min floor)."""
 
 
-class DegenerateMetricError(BmkitError):
-    """Metric not invertible at an evaluation point."""
-
-
 class DegeneratePointError(BmkitError):
     """Reeb extraction attempted where lambda . Omega vanishes."""
 

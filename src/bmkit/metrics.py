@@ -1,7 +1,9 @@
 """Metrics, Hodge duals, and metric sharps.
 
 A :class:`MetricField` carries the inverse-metric entries and sqrt(|det g|)
-as ScalarFields, so Hodge duals and sharps of analytic forms stay analytic.
+as analytic ScalarFields (Euclidean, solid torus, and their Lorentzian
+products; there are no numeric-matrix metrics), so Hodge duals and sharps
+of analytic forms stay analytic.
 The Hodge dual is computed definitionally, by contracting the fixed volume
 form with the sharped coordinate coframes:
 
@@ -19,26 +21,22 @@ D = eps0 *3 e and B = mu0 *3 h are evaluated for time-dependent fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .charts import Chart, spatial_chart
-from .errors import DegenerateMetricError, DegreeError
+from .errors import DegreeError
 from .forms import (DifferentialForm, VectorField, interior_product, make_form,
                     vector_field, zero_form)
-from .scalars import ScalarField, ZERO, constant, from_function, lift_spatial, monomial
+from .scalars import ScalarField, ZERO, constant, lift_spatial, monomial
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """Pointwise symmetric metric with analytic inverse entries when known."""
+    """Pointwise symmetric metric given by its analytic inverse entries."""
 
     chart: Chart
     signature: str  # "riemannian" | "lorentzian"
     inv_entries: dict[tuple[int, int], ScalarField]
     sqrt_det: ScalarField  # sqrt(|det g|)
-    name: str = ""
 
     def inv_entry(self, i: int, j: int) -> ScalarField:
         key = (min(i, j), max(i, j))
@@ -49,7 +47,7 @@ def euclidean_metric(chart: Chart) -> MetricField:
     """Identity metric on any chart (Riemannian)."""
     d = chart.dim
     entries = {(i, i): constant(1.0) for i in range(d)}
-    return MetricField(chart, "riemannian", entries, constant(1.0), name="euclidean")
+    return MetricField(chart, "riemannian", entries, constant(1.0))
 
 
 def solid_torus_metric(chart: Chart) -> MetricField:
@@ -61,7 +59,7 @@ def solid_torus_metric(chart: Chart) -> MetricField:
         (1, 1): monomial(0, -2),  # 1 / r^2
         (2, 2): constant(1.0),
     }
-    return MetricField(chart, "riemannian", entries, monomial(0, 1), name="solid_torus")
+    return MetricField(chart, "riemannian", entries, monomial(0, 1))
 
 
 def lorentzian_product(spatial: MetricField, chart4: Chart) -> MetricField:
@@ -73,30 +71,7 @@ def lorentzian_product(spatial: MetricField, chart4: Chart) -> MetricField:
     entries = {(0, 0): constant(-1.0)}
     for (i, j), sf in spatial.inv_entries.items():
         entries[(i + 1, j + 1)] = lift_spatial(sf)
-    return MetricField(chart4, "lorentzian", entries, lift_spatial(spatial.sqrt_det),
-                       name=f"lorentzian({spatial.name})")
-
-
-def metric_from_matrix(chart: Chart, matrix_fn: Callable[[np.ndarray], np.ndarray],
-                       signature: str = "riemannian", name: str = "custom") -> MetricField:
-    """Wrap a numeric metric; inverse and det computed pointwise (no partials)."""
-
-    def inverse(pts):
-        m = matrix_fn(chart.as_points(pts))
-        det = np.linalg.det(m)
-        if np.any(np.abs(det) < 1e-300):
-            raise DegenerateMetricError("metric is singular at an evaluation point")
-        return np.linalg.inv(m)
-
-    d = chart.dim
-    entries = {}
-    for i in range(d):
-        for j in range(i, d):
-            entries[(i, j)] = from_function(
-                lambda pts, i=i, j=j: inverse(pts)[:, i, j])
-    sqrt_det = from_function(
-        lambda pts: np.sqrt(np.abs(np.linalg.det(matrix_fn(chart.as_points(pts))))))
-    return MetricField(chart, signature, entries, sqrt_det, name=name)
+    return MetricField(chart4, "lorentzian", entries, lift_spatial(spatial.sqrt_det))
 
 
 # -- sharps and norms -------------------------------------------------------
@@ -132,21 +107,15 @@ def norm_sq_field(g: MetricField, a: DifferentialForm) -> ScalarField:
     return total
 
 
-def one_form_norm_sq(g: MetricField, a: DifferentialForm, pts: np.ndarray) -> np.ndarray:
-    """g^{-1}(a, a) evaluated at pts."""
-    return norm_sq_field(g, a)(g.chart.as_points(pts))
-
-
 # -- Hodge duals ------------------------------------------------------------
 
 
-def _hodge_core(chart: Chart, axes: tuple[int, ...], g: MetricField,
-                sqrt_det: ScalarField, a: DifferentialForm) -> DifferentialForm:
+def _hodge_core(g: MetricField, axes: tuple[int, ...], a: DifferentialForm) -> DifferentialForm:
     vol_idx = tuple(sorted(axes))
-    vol = make_form(chart, len(vol_idx), {vol_idx: sqrt_det})
+    vol = make_form(g.chart, len(vol_idx), {vol_idx: g.sqrt_det})
     if a.degree == 0:
         return a.coefficient(()) * vol
-    out = zero_form(chart, len(vol_idx) - a.degree)
+    out = zero_form(g.chart, len(vol_idx) - a.degree)
     for idx, c in a.coeffs.items():
         if any(i not in axes for i in idx):
             raise DegreeError(
@@ -164,7 +133,7 @@ def hodge_star(g: MetricField, a: DifferentialForm) -> DifferentialForm:
         raise DegreeError("form and metric live on different charts")
     if a.degree > g.chart.dim:
         raise DegreeError("degree exceeds chart dimension")
-    return _hodge_core(g.chart, tuple(range(g.chart.dim)), g, g.sqrt_det, a)
+    return _hodge_core(g, tuple(range(g.chart.dim)), a)
 
 
 def spatial_hodge(g3: MetricField, a: DifferentialForm) -> DifferentialForm:
@@ -180,5 +149,4 @@ def spatial_hodge(g3: MetricField, a: DifferentialForm) -> DifferentialForm:
         raise DegreeError("expected a spatial form over the metric's chart")
     if not a.is_spatial:
         raise DegreeError("spatial Hodge dual of a form with dx0 components")
-    g4 = lorentzian_product(g3, chart4)
-    return _hodge_core(chart4, (1, 2, 3), g4, g4.sqrt_det, a)
+    return _hodge_core(lorentzian_product(g3, chart4), (1, 2, 3), a)

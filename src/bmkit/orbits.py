@@ -49,7 +49,6 @@ class OrbitTrace:
     samples: np.ndarray  # (m, dim), samples[0] == seed
     s: np.ndarray        # (m,) curve parameter values
     status: str          # "completed" | "exited_domain"
-    speed_min: float
     speed_max: float
 
     @property
@@ -88,10 +87,10 @@ class ClosureResult:
 
 def _trace_of(Y: VectorField, seed: np.ndarray, step: float, traj: np.ndarray,
               status: str) -> OrbitTrace:
-    """Wrap committed samples as an OrbitTrace, recording the speed range along them."""
+    """Wrap committed samples as an OrbitTrace, recording the largest speed along them."""
     speeds = np.linalg.norm(Y.evaluate(Y.chart.wrap(traj)), axis=-1)
     return OrbitTrace(Y.chart, seed, step, traj, step * np.arange(len(traj)),
-                      status, float(np.min(speeds)), float(np.max(speeds)))
+                      status, float(np.max(speeds)))
 
 
 def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int):

@@ -28,33 +28,34 @@ import numpy as np
 
 from .catalog import BeltramiForm, MaxwellFieldSet
 from .charts import Chart
-from .errors import BmkitError, DegenerateInstantError, DegeneratePointError
+from .errors import (BmkitError, ChartMismatchError, DegenerateInstantError,
+                     DegeneratePointError)
 from .forms import DifferentialForm, VectorField, interior_product, vector_field
 from .metrics import MetricField, hodge_star, metric_sharp, norm_sq_field
 from .scalars import ScalarField, constant, value_table
 from .verify import SampleGrid
-
-__all__ = ["SHSPair", "ReebField", "reeb_from_shs",
-           "reeb_vector_field", "normalization_residuals",
-           "reeb_closed_form_beltrami", "reeb_for_maxwell",
-           "reeb_parallel_ratio", "field_line_generator"]
 
 DEGENERACY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SHSPair:
-    """A candidate stable Hamiltonian pair (Omega, lambda) on a 3-d chart."""
+    """A candidate stable Hamiltonian pair (Omega, lambda) on one 3-d chart."""
 
     Omega: DifferentialForm
     lam: DifferentialForm
-    chart: Chart
 
     def __post_init__(self):
+        if self.Omega.chart != self.lam.chart:
+            raise ChartMismatchError("SHSPair needs Omega and lambda on one chart")
         if self.chart.dim != 3:
             raise BmkitError("SHSPair lives on a 3-d chart")
         if self.Omega.degree != 2 or self.lam.degree != 1:
             raise BmkitError("SHSPair needs a 2-form and a 1-form")
+
+    @property
+    def chart(self) -> Chart:
+        return self.lam.chart
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def _normalized_reeb(metric: MetricField, lam: DifferentialForm, omega: Differen
     """Y = sharp(lam) / |lam|^2 for the pair (omega, lam), with its residuals on grid."""
     sharp = metric_sharp(metric, lam)
     Y = vector_field(lam.chart, {i: c / norm2 for i, c in enumerate(sharp.components)})
-    pair = SHSPair(omega, lam, lam.chart)
+    pair = SHSPair(omega, lam)
     return ReebField(Y, normalization_residuals(Y, pair, grid), pair)
 
 
@@ -140,7 +141,7 @@ def reeb_closed_form_beltrami(v: BeltramiForm, variant: str = "normalized",
     if variant == "normalized":
         return _normalized_reeb(v.metric, v.form, omega, norm2, grid)
     Y = metric_sharp(v.metric, v.form)
-    pair = SHSPair(omega, v.form * (constant(1.0) / norm2), v.chart)
+    pair = SHSPair(omega, v.form * (constant(1.0) / norm2))
     return ReebField(Y, normalization_residuals(Y, pair, grid), pair)
 
 

@@ -11,7 +11,7 @@ from bmkit import (CATALOG, BmkitError, ConfigError,
                    build_catalog_field, constant_field, euclidean_metric,
                    exterior_derivative, hodge_star, parallel_nonbeltrami,
                    solid_torus_mode, t3_mode, torus3, traveling_wave, wedge)
-from bmkit import SampleGrid, maxwell_residuals, one_form_norm_sq
+from bmkit import SampleGrid, maxwell_residuals, norm_sq_field
 from bmkit.reeb import reeb_closed_form_beltrami
 
 RNG = np.random.default_rng(11)
@@ -35,7 +35,7 @@ def divergence_resid(v):
 def test_t3_mode_identity_and_norm():
     v = t3_mode(1, 1.0)
     assert beltrami_resid(v).max_abs(PTS) < 1e-12
-    assert np.allclose(one_form_norm_sq(G3, v.form, PTS), 1.0)
+    assert np.allclose(norm_sq_field(G3, v.form)(PTS), 1.0)
     assert divergence_resid(v).max_abs(PTS) < 1e-12
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -475,6 +476,44 @@ def test_reeb_csv_output(tmp_path):
 def test_reeb_degenerate_instant_exit_2():
     assert run_cli(["reeb", "--field", BM_SPEC, "--which", "y0",
                     "--x0", str(0.5 * math.pi), "--out", "/tmp/never.csv"]) == 2
+
+
+@pytest.mark.parametrize("argv,line", [
+    # ConfigError
+    (["verify", "--field", "nope"],
+     r"error: unknown catalog entry 'nope'; known: abc_flow, beltrami_maxwell, "
+     r"beltrami_nonparallel, constant_field, parallel_nonbeltrami, "
+     r"solid_torus_mode, t3_mode, traveling_wave"),
+    # DegenerateInstantError keeps its prefix
+    (["reeb", "--field", BM_SPEC, "--which", "y0", "--x0", str(0.5 * math.pi)],
+     r"error: degenerate instant: Y0: defining 1-form vanishes at "
+     r"x0 = 1\.5707963267948966 \(its energy density falls to \d\.\d{3}e-\d+, "
+     r"max total 1\.000e\+00\)"),
+    # SingularFieldError, a plain BmkitError
+    (["reeb", "--field", "abc_flow", "--which", "y"],
+     r"error: abc_flow: form vanishes on the sample grid \(min norm\^2 = \d\.\d{3}e-\d+\)"),
+])
+def test_errors_exit_2_with_one_stderr_line(argv, line, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(line + "\n", captured.err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["t3_mode", "solid_torus_mode"])
+def test_nested_bare_name_is_the_empty_spec(name, capsys):
+    runs = []
+    for v in (name, name + "{}"):
+        code = run_cli(["verify", "--field", f"beltrami_maxwell{{v={v}}}", "--grid", "4",
+                        "--tgrid", "2", "--no-meta", "--stdout-json"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["config"].pop("field") == f"beltrami_maxwell{{v={v}}}"
+        runs.append((code, report, captured.err))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["summary"]["n_checks"] > 0
 
 
 def test_cli_as_subprocess():

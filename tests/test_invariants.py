@@ -7,7 +7,7 @@ import numpy as np
 from bmkit import (SampleGrid, VectorField, from_function, abc_flow, beltrami_maxwell, contact_margin,
                    euclidean_metric, exterior_derivative, field_line_generator,
                    hodge_star, integrate, lie_derivative, make_form,
-                   norm_sq_field, one_form_norm_sq, reeb_for_maxwell,
+                   norm_sq_field, reeb_for_maxwell,
                    sin_wave, solid_torus_mode, t3_mode, torus3, wave)
 
 T3 = torus3()
@@ -42,14 +42,14 @@ def test_beltrami_implies_contact_margin_bound():
     grid = SampleGrid.regular(T3, 9)
     for v in (t3_mode(1, 1.0), t3_mode(2, 0.5), abc_flow(2, 1, 0.5)):
         r = contact_margin(v.form, grid)
-        norms = one_form_norm_sq(v.metric, v.form, grid.points)
+        norms = norm_sq_field(v.metric, v.form)(grid.points)
         bound = abs(v.k_expected) * float(np.min(norms)) * 1.0
         assert r.passed
         assert r.min_margin >= bound - 1e-9, v.name
     st = solid_torus_mode(2.0, 1.0, "minus")
     grid_st = SampleGrid.regular(st.chart, 10)
     r = contact_margin(st.form, grid_st)
-    norms = one_form_norm_sq(st.metric, st.form, grid_st.points)
+    norms = norm_sq_field(st.metric, st.form)(grid_st.points)
     sqrt_det = grid_st.points[:, 0]  # = r on the solid torus
     bound = abs(st.k_expected) * float(np.min(norms * sqrt_det))
     assert r.min_margin >= bound - 1e-9

@@ -8,8 +8,7 @@ import pytest
 
 from bmkit import (DegreeError, dx, euclidean_metric,
                    hodge_star, lorentzian_product,
-                   make_form, metric_from_matrix, metric_sharp, norm_sq_field,
-                   one_form_norm_sq, scalar_form, solid_torus,
+                   make_form, metric_sharp, norm_sq_field, scalar_form, solid_torus,
                    solid_torus_metric, spacetime, spatial_hodge, t3_mode,
                    torus3, wedge)
 from bmkit.scalars import constant, monomial
@@ -150,13 +149,13 @@ def test_sharp_torus_mode_gives_reeb_direction():
 
 def test_norm_sq_values():
     v = t3_mode(1, 1.0)
-    assert np.allclose(one_form_norm_sq(G3, v.form, PTS), 1.0)
+    assert np.allclose(norm_sq_field(G3, v.form)(PTS), 1.0)
     from bmkit import abc_flow
     w = abc_flow(1, 1, 1)
     origin = np.zeros((1, 3))
-    assert np.allclose(one_form_norm_sq(G3, w.form, origin), 3.0)
+    assert np.allclose(norm_sq_field(G3, w.form)(origin), 3.0)
     zero = make_form(T3, 1, {})
-    assert np.allclose(one_form_norm_sq(G3, zero, PTS), 0.0)
+    assert np.allclose(norm_sq_field(G3, zero)(PTS), 0.0)
 
 
 def test_norm_sq_field_partials_via_quotient():
@@ -173,22 +172,6 @@ def test_norm_sq_field_partials_via_quotient():
         fd = (inv(p + dp) - inv(p - dp)) / (2 * h)
         an = inv.partial(ax)(p)
         assert np.max(np.abs(fd - an)) < 1e-7
-
-
-def test_numeric_metric_fallback():
-    # a generic numeric metric still gives a consistent Hodge dual
-    def mat(pts):
-        n = pts.shape[0]
-        out = np.zeros((n, 3, 3))
-        out[:, 0, 0] = 1.0 + 0.1 * np.sin(pts[:, 1]) ** 2
-        out[:, 1, 1] = 2.0
-        out[:, 2, 2] = 1.0
-        return out
-
-    g = metric_from_matrix(T3, mat)
-    a = dx(T3, 0)
-    twice = hodge_star(g, hodge_star(g, a))
-    assert (twice - a).max_abs(PTS[:8]) < 1e-10
 
 
 def test_spatial_hodge_rejects_dx0_components():

@@ -39,7 +39,7 @@ def test_linear_field_exact():
     assert np.allclose(tr.samples[:, 0], 2.5 * tr.s)
     assert np.allclose(tr.samples[:, 1], 1.0)
     assert tr.status == "completed"
-    assert tr.speed_min == tr.speed_max == 2.5
+    assert tr.speed_max == 2.5
 
 
 def test_frozen_direction_torus_winding():

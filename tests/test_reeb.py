@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from bmkit import (DegenerateInstantError, DegeneratePointError, SampleGrid,
-                   SHSPair, abc_flow, beltrami_maxwell, dx, euclidean_metric,
-                   hodge_star, lie_derivative, make_form, metric_sharp,
-                   norm_sq_field, reeb_closed_form_beltrami, reeb_for_maxwell,
-                   reeb_from_shs, reeb_like_check, reeb_parallel_ratio,
-                   reeb_vector_field, solid_torus_mode, t3_mode, torus3,
-                   vector_field)
+from bmkit import (BmkitError, DegenerateInstantError, DegeneratePointError,
+                   SampleGrid, SHSPair, abc_flow, beltrami_maxwell, dx,
+                   euclidean_metric, hodge_star, lie_derivative, make_form,
+                   metric_sharp, norm_sq_field, reeb_closed_form_beltrami,
+                   reeb_for_maxwell, reeb_from_shs, reeb_like_check,
+                   reeb_parallel_ratio, reeb_vector_field, solid_torus,
+                   solid_torus_mode, t3_mode, torus3, vector_field)
 from bmkit.scalars import constant
 
 T3 = torus3()
@@ -21,7 +21,7 @@ PTS = RNG.uniform(0, 2 * math.pi, (1000, 3))
 
 
 def shs_pair_of(v):
-    return SHSPair(hodge_star(v.metric, v.form), v.form, v.chart)
+    return SHSPair(hodge_star(v.metric, v.form), v.form)
 
 
 # -- uniform formula ---------------------------------------------------------------
@@ -29,7 +29,7 @@ def shs_pair_of(v):
 
 def test_canonical_pair():
     # lambda = dx3, Omega = dx1 ^ dx2 -> Y = d/dx3
-    pair = SHSPair(make_form(T3, 2, {(0, 1): constant(1.0)}), dx(T3, 2), T3)
+    pair = SHSPair(make_form(T3, 2, {(0, 1): constant(1.0)}), dx(T3, 2))
     y = reeb_from_shs(pair, np.array([0.3, 0.4, 0.5]))
     assert np.allclose(y, [0.0, 0.0, 1.0])
 
@@ -55,9 +55,17 @@ def test_uniform_formula_omega3_nonzero_branch():
 
 def test_degenerate_point_error():
     # lambda orthogonal to Omega's kernel direction: lambda . Omega_vec = 0
-    pair = SHSPair(make_form(T3, 2, {(0, 1): constant(1.0)}), dx(T3, 0), T3)
+    pair = SHSPair(make_form(T3, 2, {(0, 1): constant(1.0)}), dx(T3, 0))
     with pytest.raises(DegeneratePointError):
         reeb_from_shs(pair, np.zeros(3))
+
+
+def test_shs_pair_rejects_forms_on_different_charts():
+    # the pair's chart is lambda's; an Omega on another chart is refused
+    omega = make_form(T3, 2, {(0, 1): constant(1.0)})
+    with pytest.raises(BmkitError):
+        SHSPair(omega, dx(solid_torus(a=1.0), 2))
+    assert SHSPair(omega, dx(T3, 2)).chart == T3
 
 
 # -- closed-form oracles -------------------------------------------------------------
@@ -163,7 +171,7 @@ def test_unnormalized_pair_recovers_sharp_e():
     sl = M.at_time(0.9)
     n2 = norm_sq_field(sl.metric, sl.e)
     lam = sl.e * (constant(1.0) / n2)
-    pair = SHSPair(sl.B, lam, sl.chart)
+    pair = SHSPair(sl.B, lam)
     got = reeb_from_shs(pair, PTS[:300])
     want = metric_sharp(sl.metric, sl.e).evaluate(PTS[:300])
     assert np.max(np.abs(got - want)) < 1e-8

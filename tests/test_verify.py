@@ -187,8 +187,9 @@ def test_eh_decisions_do_not_change_when_e_and_h_scale_independently(base, log_a
     assert {name for name, passed in want.items() if not passed} == {
         f"contact_h@{zero}", f"shs_be@{zero}", f"shs_dh@{zero}",
         f"contact_e@{half_pi}", f"shs_be@{half_pi}", f"shs_dh@{half_pi}"}
-    scaled = maxwell_from_eh(M.name, M.params, M.chart3, M.metric3, 10.0 ** log_a * M.e,
-                             10.0 ** log_b * M.h, M.constants, M.chart4, k=M.k)
+    scaled = maxwell_from_eh(M.name, M.params, M.metric3, 10.0 ** log_a * M.e,
+                             10.0 ** log_b * M.h, M.constants, k=M.k)
+    assert (scaled.chart3, scaled.chart4) == (M.chart3, M.chart4)
     assert eh_decisions(scaled, EH_THETAS) == want
 
 
@@ -379,8 +380,9 @@ def test_parallel_check_tiny_nonparallel_fails():
     # the Poynting residual is measured against max|e| * max|h| with no floor,
     # so scaling e and h down does not turn a non-parallel pair into a PASS
     M = beltrami_nonparallel()
-    tiny = maxwell_from_eh(M.name, M.params, M.chart3, M.metric3, 1e-6 * M.e,
-                           1e-6 * M.h, M.constants, M.chart4)
+    tiny = maxwell_from_eh(M.name, M.params, M.metric3, 1e-6 * M.e, 1e-6 * M.h,
+                           M.constants)
+    assert (tiny.chart3, tiny.chart4) == (M.chart3, M.chart4)
     grid = grid4_for(M, [0.2, 0.9])
     for field_set in (M, tiny):
         r = parallel_check(field_set, grid)
