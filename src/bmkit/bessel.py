@@ -69,8 +69,9 @@ def _series_j1(z):
 
 
 def _quad_j(order, z):
+    # a sum per row, unlike a matrix product, rounds each value alike in any call
     phase = order * _QUAD_T[None, :] - z[:, None] * _QUAD_SIN[None, :]
-    return np.cos(phase) @ _QUAD_W
+    return (np.cos(phase) * _QUAD_W).sum(axis=1)
 
 
 def bessel_j(order: int, z) -> np.ndarray | float:

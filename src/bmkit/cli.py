@@ -32,8 +32,8 @@ from .errors import BmkitError, ConfigError, DegenerateInstantError
 from .metrics import hodge_star
 from .orbits import closed_orbit_survey, write_orbit_csv, write_vector_field_csv
 from .reeb import field_line_generator, reeb_closed_form_beltrami, reeb_for_maxwell
-from .verify import (SampleGrid, beltrami_residual, conservation_along,
-                     constitutive_residuals, contact_margin, field_amplitudes,
+from .verify import (Batch, SampleGrid, _amplitude_needs, beltrami_residual,
+                     conservation_along, constitutive_residuals, contact_margin,
                      maxwell_residuals, parallel_check, shs_check, symplectic_margin)
 
 SCHEMA = "bmk-report/1"
@@ -111,39 +111,54 @@ def _build_target(args):
 # -- verify orchestration --------------------------------------------------------
 
 
-# One table per target kind, check name -> runner in report order.  Runners look
-# their verifier up by name at call time, so wrappers installed on this module's
-# globals see every call.  Beltrami forms, and a Maxwell base form: (v, grid).
+# One table per target kind, check name -> runner of its check for the command's batch,
+# in report order.  Runners look their verifier up by name at call time, so wrappers
+# installed on this module's globals see every call.  Beltrami forms, and a Maxwell base
+# form: (v, grid).
 BELTRAMI_CHECKS = {
-    "beltrami": lambda v, grid: beltrami_residual(v.form, v.k_expected, v.metric, grid),
-    "contact": lambda v, grid: contact_margin(v.form, grid),
-    "shs": lambda v, grid: shs_check(hodge_star(v.metric, v.form), v.form, grid),
+    "beltrami": lambda v, grid: beltrami_residual(
+        v.form, v.k_expected, v.metric, grid, deferred=True),
+    "contact": lambda v, grid: contact_margin(v.form, grid, deferred=True),
+    "shs": lambda v, grid: shs_check(hodge_star(v.metric, v.form), v.form, grid, deferred=True),
 }
-# Maxwell window checks, run once on the spacetime grid: (M, grid4, amplitudes).
+# Maxwell window checks, run once on the spacetime grid: (M, grid4).
 WINDOW_CHECKS = {
-    "maxwell": lambda M, grid4, amp: maxwell_residuals(M, grid4, amp),
-    "constitutive": lambda M, grid4, amp: constitutive_residuals(M, grid4, amp),
-    "parallel": lambda M, grid4, amp: parallel_check(M, grid4),
-    "symplectic_f0": lambda M, grid4, amp: symplectic_margin(
-        M.F0, grid4, companion=(M.B, M.e), label="F0"),
-    "symplectic_f1": lambda M, grid4, amp: symplectic_margin(
-        M.F1, grid4, companion=(M.D, M.h), label="F1"),
+    "maxwell": lambda M, grid4: maxwell_residuals(M, grid4, deferred=True),
+    "constitutive": lambda M, grid4: constitutive_residuals(M, grid4, deferred=True),
+    "parallel": lambda M, grid4: parallel_check(M, grid4, deferred=True),
+    "symplectic_f0": lambda M, grid4: symplectic_margin(
+        M.F0, grid4, companion=(M.B, M.e), label="F0", deferred=True),
+    "symplectic_f1": lambda M, grid4: symplectic_margin(
+        M.F1, grid4, companion=(M.D, M.h), label="F1", deferred=True),
 }
-# Maxwell slice checks, run per instant on its slice sl: (M, sl, grid3, amplitudes).
+# Maxwell slice checks, run per instant on its slice sl: (M, sl, grid3, amp), with amp the
+# needs of the window amplitudes, which tell a degenerate instant from a small field.
 SLICE_CHECKS = {
-    "contact_e": lambda M, sl, grid3, amp: contact_margin(sl.e, grid3, zero_scale=amp["e"]),
-    "contact_h": lambda M, sl, grid3, amp: contact_margin(sl.h, grid3, zero_scale=amp["h"]),
-    "shs_be": lambda M, sl, grid3, amp: shs_check(
-        sl.B, sl.e, grid3, zero_scales=(amp["B"], amp["e"])),
-    "shs_dh": lambda M, sl, grid3, amp: shs_check(
-        sl.D, sl.h, grid3, zero_scales=(amp["D"], amp["h"])),
-    "conservation_y0": lambda M, sl, grid3, amp: conservation_along(
-        reeb_for_maxwell(M, "Y0", sl.x0, grid3).Y, [sl.e, sl.B, *sl.energy_forms()], grid3,
-        ["e", "B", "E_e", "E_h"]),
-    "conservation_y1": lambda M, sl, grid3, amp: conservation_along(
-        reeb_for_maxwell(M, "Y1", sl.x0, grid3).Y, [sl.h, sl.D, *sl.energy_forms()], grid3,
-        ["h", "D", "E_e", "E_h"]),
+    "contact_e": lambda M, sl, grid3, amp: _scaled(amp, lambda a: contact_margin(
+        sl.e, grid3, zero_scale=a["e"], deferred=True)),
+    "contact_h": lambda M, sl, grid3, amp: _scaled(amp, lambda a: contact_margin(
+        sl.h, grid3, zero_scale=a["h"], deferred=True)),
+    "shs_be": lambda M, sl, grid3, amp: _scaled(amp, lambda a: shs_check(
+        sl.B, sl.e, grid3, zero_scales=(a["B"], a["e"]), deferred=True)),
+    "shs_dh": lambda M, sl, grid3, amp: _scaled(amp, lambda a: shs_check(
+        sl.D, sl.h, grid3, zero_scales=(a["D"], a["h"]), deferred=True)),
+    "conservation_y0": lambda M, sl, grid3, amp: _along_reeb(
+        M, "Y0", sl, grid3, [sl.e, sl.B, *sl.energy_forms()], ["e", "B", "E_e", "E_h"]),
+    "conservation_y1": lambda M, sl, grid3, amp: _along_reeb(
+        M, "Y1", sl, grid3, [sl.h, sl.D, *sl.energy_forms()], ["h", "D", "E_e", "E_h"]),
 }
+
+
+def _scaled(amp, check_of):
+    """The check check_of(amplitudes), made once the amplitude needs amp are evaluated."""
+    yield list(amp.values())
+    return (yield from check_of({name: need.result[0] for name, need in amp.items()}))
+
+
+def _along_reeb(M, which, sl, grid3, forms, names):
+    """conservation_along the Reeb field `which` of the slice, once its degeneracy test passed."""
+    rb = yield from reeb_for_maxwell(M, which, sl.x0, grid3, deferred=True)
+    return (yield from conservation_along(rb.Y, forms, grid3, names, deferred=True))
 
 
 def _parse_counts(text: str, dim: int) -> tuple[int, ...]:
@@ -177,12 +192,25 @@ def _run_verify(args) -> int:
                 f"check {c!r} not applicable to {args.field!r}; "
                 f"choose from {', '.join(applicable)} or 'all'")
     x0_list = [float(x) for x in args.x0] or [0.25 * math.pi]
-    skipped = []
+    labels = [f"x0={x0:.6g}" for x0 in x0_list]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"--x0 values {x0_list} share a report label x0=%.6g")
     if isinstance(target, BeltramiForm):
         grid = SampleGrid.regular(target.chart, _parse_counts(args.grid, 3))
-        reports = [run(target, grid) for c, run in BELTRAMI_CHECKS.items() if c in requested]
+        runs = [(None, run(target, grid)) for c, run in BELTRAMI_CHECKS.items() if c in requested]
     else:
-        reports = _run_maxwell_checks(target, requested, x0_list, args, skipped)
+        runs = _maxwell_runs(target, requested, x0_list, args)
+    batch, reports, skipped = Batch(), [], []
+    for (name, _), r in zip(runs, batch.run([check for _, check in runs])):
+        if isinstance(r, DegenerateInstantError):
+            if not args.allow_degenerate:
+                raise ConfigError(f"{name}: {r} (pass --allow-degenerate to skip)")
+            skipped.append({"check": name, "reason": str(r)})
+        elif isinstance(r, BmkitError):
+            raise r
+        else:
+            r.check = name or r.check
+            reports.append(r)
 
     failed = [r for r in reports if not r.passed]
     report = {
@@ -206,7 +234,7 @@ def _run_verify(args) -> int:
             "n_skipped": len(skipped),
         },
     }
-    _emit(args, report)
+    _emit(args, report, evaluation=batch.counts)
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.check}: max_residual={r.max_residual:.3e}"
@@ -217,7 +245,8 @@ def _run_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _run_maxwell_checks(M: MaxwellFieldSet, requested, x0_list, args, skipped):
+def _maxwell_runs(M: MaxwellFieldSet, requested, x0_list, args) -> list:
+    """(report name or None, check) for the window, base form and slice checks requested."""
     grid3 = SampleGrid.regular(M.chart3, _parse_counts(args.grid, 3))
     w = args.t_window
     # one time sample per instant is the instant itself
@@ -225,29 +254,15 @@ def _run_maxwell_checks(M: MaxwellFieldSet, requested, x0_list, args, skipped):
         [np.linspace(x0 - w, x0 + w, args.tgrid) if args.tgrid > 1 else [x0]
          for x0 in x0_list]))
     grid4 = grid3.with_time(M.chart4, t_values)
-    # Global field amplitudes over the window, from one pass over the fields: the
-    # maxwell and constitutive scales, and the slice checks' reference for telling
-    # a degenerate instant (field numerically zero) from a genuinely small field.
-    amplitudes = field_amplitudes(M, grid4.points)
-
-    reports = [run(M, grid4, amplitudes) for c, run in WINDOW_CHECKS.items() if c in requested]
+    amp = _amplitude_needs(M, grid4.points)   # evaluated only if a slice check runs
+    runs = [(None, run(M, grid4)) for c, run in WINDOW_CHECKS.items() if c in requested]
     if "beltrami" in requested:
-        reports.append(BELTRAMI_CHECKS["beltrami"](M.base, grid3))
+        runs.append((None, BELTRAMI_CHECKS["beltrami"](M.base, grid3)))
     slice_runs = [(c, run) for c, run in SLICE_CHECKS.items() if c in requested]
-    for x0 in x0_list:
+    for x0 in x0_list if slice_runs else ():
         sl = M.at_time(x0)
-        for c, run in slice_runs:
-            name = f"{c}@x0={x0:.6g}"
-            try:
-                r = run(M, sl, grid3, amplitudes)
-            except DegenerateInstantError as exc:
-                if not args.allow_degenerate:
-                    raise ConfigError(f"{name}: {exc} (pass --allow-degenerate to skip)")
-                skipped.append({"check": name, "reason": str(exc)})
-                continue
-            r.check = name
-            reports.append(r)
-    return reports
+        runs += [(f"{c}@x0={x0:.6g}", run(M, sl, grid3, amp)) for c, run in slice_runs]
+    return runs
 
 
 # -- other commands ----------------------------------------------------------------

@@ -22,6 +22,7 @@ residuals max |i_Y Omega|, max |i_Y lambda - 1| on a grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (BmkitError, ChartMismatchError, DegenerateInstantError,
 from .forms import DifferentialForm, VectorField, interior_product, vector_field
 from .metrics import MetricField, hodge_star, metric_sharp, norm_sq_field
 from .scalars import ScalarField, constant, value_table
-from .verify import SampleGrid
+from .verify import SampleGrid, _check, _max_abs, _Need
 
 DEGENERACY_TOL = 1e-10
 
@@ -60,11 +61,15 @@ class SHSPair:
 
 @dataclass(frozen=True)
 class ReebField:
-    """An extracted Reeb field with its defining residuals on a grid."""
+    """An extracted Reeb field, whose defining residuals on grid are evaluated when first read."""
 
     Y: VectorField
-    normalization_residuals: tuple[float, float]  # (max|i_Y Omega|, max|i_Y lam - 1|)
     pair: SHSPair
+    grid: SampleGrid
+
+    @functools.cached_property
+    def normalization_residuals(self) -> tuple[float, float]:  # (max|i_Y Omega|, max|i_Y lam - 1|)
+        return normalization_residuals(self.Y, self.pair, self.grid)
 
 
 def _reeb_parts(pair: SHSPair) -> tuple[ScalarField, ...]:
@@ -104,15 +109,13 @@ def reeb_vector_field(pair: SHSPair) -> VectorField:
     return vector_field(pair.chart, {0: o1 / den, 1: o2 / den, 2: o3 / den})
 
 
+@_check
 def normalization_residuals(Y: VectorField, pair: SHSPair,
                             grid: SampleGrid) -> tuple[float, float]:
-    """(max |i_Y Omega|, max |i_Y lambda - 1|) over the grid, from one evaluation call."""
-    contracted = list(interior_product(Y, pair.Omega).coeffs.values())
+    """(max |i_Y Omega|, max |i_Y lambda - 1|) over the grid."""
     pairing = interior_product(Y, pair.lam).coefficient(())
-    table = value_table(contracted + [pairing], grid.points)
-    m_omega = max((float(np.max(np.abs(table[:, j]))) for j in range(len(contracted))),
-                  default=0.0)
-    m_lam = float(np.max(np.abs(table[:, -1] - 1.0)))
+    (m_omega, _), (m_lam, _) = yield [_max_abs(grid.points, interior_product(Y, pair.Omega)),
+                                      _Need(grid.points, [pairing], lambda p: np.abs(p - 1.0))]
     return m_omega, m_lam
 
 
@@ -121,8 +124,7 @@ def _normalized_reeb(metric: MetricField, lam: DifferentialForm, omega: Differen
     """Y = sharp(lam) / |lam|^2 for the pair (omega, lam), with its residuals on grid."""
     sharp = metric_sharp(metric, lam)
     Y = vector_field(lam.chart, {i: c / norm2 for i, c in enumerate(sharp.components)})
-    pair = SHSPair(omega, lam)
-    return ReebField(Y, normalization_residuals(Y, pair, grid), pair)
+    return ReebField(Y, SHSPair(omega, lam), grid)
 
 
 def reeb_closed_form_beltrami(v: BeltramiForm, variant: str = "normalized",
@@ -140,11 +142,11 @@ def reeb_closed_form_beltrami(v: BeltramiForm, variant: str = "normalized",
     norm2 = norm_sq_field(v.metric, v.form)
     if variant == "normalized":
         return _normalized_reeb(v.metric, v.form, omega, norm2, grid)
-    Y = metric_sharp(v.metric, v.form)
-    pair = SHSPair(omega, v.form * (constant(1.0) / norm2))
-    return ReebField(Y, normalization_residuals(Y, pair, grid), pair)
+    return ReebField(metric_sharp(v.metric, v.form),
+                     SHSPair(omega, v.form * (constant(1.0) / norm2)), grid)
 
 
+@_check
 def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,
                      grid: SampleGrid | None = None) -> ReebField:
     """Reeb field Y0 of (B, e) or Y1 of (D, h) on the slice x0 = const.
@@ -155,13 +157,15 @@ def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,
     sin(k x0) = 0.  Vanishing is measured against the slice's energy density:
     w min|lambda|^2 <= 1e-18 max(eps0 |e|^2 + mu0 |h|^2) with w = eps0 for Y0
     and mu0 for Y1, so the test does not change with amplitude or units.
+    Nothing that divides by |lambda|^2 is built before the test passes.
     """
     if which not in ("Y0", "Y1"):
         raise BmkitError("which must be 'Y0' or 'Y1'")
     sl = M.at_time(x0)
     grid = grid or SampleGrid.regular(sl.chart, 8)
     norm_e, norm_h = norm_sq_field(sl.metric, sl.e), norm_sq_field(sl.metric, sl.h)
-    e2, h2 = value_table([norm_e, norm_h], grid.points).T
+    (norms,) = yield [_Need(grid.points, [norm_e, norm_h])]
+    e2, h2 = norms.T
     e_energy, h_energy = sl.constants.eps0 * e2, sl.constants.mu0 * h2
     lam, omega, norm2, lam_energy = ((sl.e, sl.B, norm_e, e_energy) if which == "Y0"
                                      else (sl.h, sl.D, norm_h, h_energy))

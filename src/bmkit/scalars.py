@@ -192,14 +192,15 @@ def value_table(fields, pts: np.ndarray) -> np.ndarray:
 class Plan:
     """A straight-line program for the values of several root fields.
 
-    ``plan(pts)`` is the (N, len(fields)) table of their values.  The plan
-    holds structure only: each step reads one or two slots and writes one, and
-    every value lives in the slots of one run, each dropped after its last reader.
+    ``plan(pts)`` is the (N, len(fields)) table of their values, or with
+    columns=True the list of their values.  The plan holds structure only:
+    each step reads one or two slots and writes one, and every value lives in
+    the slots of one run, each dropped after its last reader.
     """
 
     __slots__ = ("_slots", "_steps")
 
-    def __init__(self, fields):
+    def __init__(self, fields, columns: bool = False):
         fields = list(fields)
         slots: list = [None, None]  # the points, the table; a constant's slot holds its float
         steps: list = []            # (out, fn, a, b): fn(vals[a]) or fn(vals[a], vals[b])
@@ -231,9 +232,11 @@ class Plan:
             done[id(node)] = out
             return out
 
-        steps.append((_TABLE, functools.partial(_empty_table, len(fields)), 0, None))
+        width = len(fields)
+        empty = (lambda pts: [None] * width) if columns else functools.partial(_empty_table, width)
+        steps.append((_TABLE, empty, 0, None))
         for col, f in enumerate(fields):
-            steps.append((_TABLE, _column(col), _TABLE, visit(f)))
+            steps.append((_TABLE, _put(col if columns else (..., col)), _TABLE, visit(f)))
         last = {slot: i for i, (_, _, a, b) in enumerate(steps) for slot in (a, b)
                 if slot is not None and slot != _TABLE}
         dead: list[list[int]] = [[] for _ in steps]
@@ -259,9 +262,9 @@ def _empty_table(width: int, pts: np.ndarray) -> np.ndarray:
     return np.empty(pts.shape[:-1] + (width,))
 
 
-def _column(col: int):
-    def put(table: np.ndarray, value) -> np.ndarray:
-        table[..., col] = value
+def _put(key):
+    def put(table, value):
+        table[key] = value
         return table
 
     return put

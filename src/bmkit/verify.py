@@ -1,7 +1,12 @@
 """Quantitative verifiers for the geometric structures of Maxwell field sets.
 
-Every check evaluates residuals or nondegeneracy margins over a sample grid
-and returns a :class:`CheckReport`.  Conventions:
+Every check yields the statistics it needs of some fields over a sample grid
+(max |.| and min |.| with witnesses, or a whole table), decides over their
+values, and returns a :class:`CheckReport`.  A :class:`Batch` runs checks
+together: each round, one plan per point set evaluates every non-constant
+field asked for as one column, in blocks of BLOCK_ROWS points, and a constant
+enters by its value.  A public verifier runs a batch of its own, or with
+``deferred=True`` returns its check.  Conventions:
 
 * every residual passes when ``residual <= tol * scale``, with the scale taken
   from the check's inputs (|k| max|v|, max|F|, max|Y| max|form|, ...) and
@@ -18,6 +23,8 @@ and returns a :class:`CheckReport`.  Conventions:
 
 from __future__ import annotations
 
+import collections
+import functools
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -29,7 +36,7 @@ from .forms import (DifferentialForm, VectorField, exterior_derivative,
                     interior_product, lie_derivative,
                     spatial_exterior_derivative, time_derivative, wedge)
 from .metrics import MetricField, hodge_star, spatial_hodge
-from .scalars import value_table
+from .scalars import Plan
 
 TOL_RESIDUAL_ANALYTIC = 1e-10
 TOL_RESIDUAL_FD = 1e-6
@@ -37,6 +44,7 @@ TOL_CONSTITUTIVE = 1e-12
 TOL_CONSTITUTIVE_4D = 1e-10
 TOL_MARGIN = 1e-9
 TOL_AGREEMENT = 1e-8
+BLOCK_ROWS = 2048   # points per block of a batch's plan runs
 
 
 @dataclass(frozen=True)
@@ -111,41 +119,110 @@ class CheckReport:
         }
 
 
-# -- helpers -----------------------------------------------------------------
+# -- requests and batches ------------------------------------------------------------
 
 
-def _tables(forms, pts: np.ndarray) -> list[np.ndarray]:
-    """Each form's coefficient table (a vector field's component table) at pts,
-    from one evaluation call for all of them.
-
-    The order of forms sets only the peak memory: a value two forms share is
-    held from the first reader to the last, so the checks list their forms in
-    the order that measured lowest.
+class _Need:
+    """pointwise(*values of fields) over one point set, reduced to its maximum (its minimum
+    when lowest) and the first point attaining it; with no pointwise, the (N, k) table of the
+    values.  A batch folds it over blocks of rows, then sets result.
     """
-    columns = [list(f.components) if isinstance(f, VectorField)
-               else [f.coefficient(idx) for idx in f.indices] for f in forms]
-    table = value_table([c for cols in columns for c in cols], pts)
-    bounds = np.cumsum([0] + [len(cols) for cols in columns])
-    return [table[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def __init__(self, pts: np.ndarray, fields, pointwise=None, lowest: bool = False):
+        self.pts, self.fields, self.pointwise = pts, tuple(fields), pointwise
+        self.extreme, self.result = np.argmin if lowest else np.argmax, None
+        # (extreme, row) per block, or the table filled block by block
+        self.blocks = [] if pointwise else np.empty((len(pts), len(self.fields)))
+
+    def add(self, cols, rows: slice):
+        """Fold in cols, the values of the fields (or constants) at pts[rows]."""
+        if self.pointwise is None:
+            for j, c in enumerate(cols):
+                self.blocks[rows, j] = c
+        else:
+            vals = np.asarray(self.pointwise(*cols))
+            i = int(self.extreme(vals))
+            self.blocks.append((vals.flat[i], rows.start + i))
+
+    def finish(self):
+        if self.pointwise is None:
+            self.result = self.blocks
+            return
+        # the first block attaining the extreme holds the first point attaining it
+        value, row = self.blocks[int(self.extreme([v for v, _ in self.blocks]))]
+        self.result = float(value), self.pts[row].tolist()
 
 
-def _table_max_abs(table: np.ndarray, pts: np.ndarray):
-    """(max |coeff|, witness point). Zero forms report 0 at the first point."""
-    if table.size == 0:
-        return 0.0, pts[0].tolist()
-    # column by column: no table-sized temporary, and far faster than a reduction
-    # along a table's short rows
-    per_point = np.abs(table[:, 0])
-    for col in table.T[1:]:
-        np.maximum(per_point, np.abs(col), out=per_point)
-    i = int(np.argmax(per_point))
-    return float(per_point[i]), pts[i].tolist()
+def _max_abs(pts: np.ndarray, f) -> _Need:
+    """max |coefficient| of a form, or |component| of a vector field, over pts."""
+    fields = f.components if isinstance(f, VectorField) else f.coeffs.values()
+    return _Need(pts, fields, lambda *c: functools.reduce(np.maximum, map(np.abs, c or [0.0])))
 
 
-def _min_abs(values: np.ndarray, pts: np.ndarray):
-    vals = np.abs(values)
-    i = int(np.argmin(vals))
-    return float(vals[i]), pts[i].tolist()
+def _min_abs(pts: np.ndarray, sf) -> _Need:
+    return _Need(pts, [sf], np.abs, lowest=True)
+
+
+class Batch:
+    """Runs checks together; ``counts`` totals its plans, their columns and their points."""
+
+    def __init__(self):
+        self.counts = collections.Counter(plans=0, columns=0, points=0)
+
+    def run(self, checks) -> list:
+        """Each check's result, or the BmkitError it raised, in order.  A check is a generator
+        that yields lists of needs, is sent their results, and returns its result."""
+        out, running = [None] * len(checks), [(i, check, None) for i, check in enumerate(checks)]
+        while running:
+            asked = []
+            for i, check, needs in running:
+                try:
+                    asked.append((i, check, check.send(needs and [n.result for n in needs])))
+                except StopIteration as stop:
+                    out[i] = stop.value
+                except BmkitError as exc:
+                    out[i] = exc
+            self.evaluate([need for _, _, needs in asked for need in needs])
+            running = asked
+        return out
+
+    def evaluate(self, needs) -> None:
+        """Set each need's result: one plan per point set, with one column per non-constant
+        field, run over blocks of BLOCK_ROWS points; a constant enters by its value."""
+        groups: dict = {}
+        for need in needs:
+            if need.result is None:   # a need that several checks yield runs once
+                groups.setdefault(id(need.pts), {})[id(need)] = need
+        for group in groups.values():
+            group = list(group.values())
+            pts = group[0].pts
+            roots = {id(sf): sf for need in group for sf in need.fields if sf.const is None}
+            if roots:
+                self.counts.update(plans=1, columns=len(roots), points=len(pts))
+            plan = Plan(roots.values(), columns=True)
+            for start in range(0, len(pts), BLOCK_ROWS):
+                rows = slice(start, start + BLOCK_ROWS)
+                values = dict(zip(roots, plan(pts[rows])))
+                for need in group:
+                    need.add([values.get(id(sf), sf.const) for sf in need.fields], rows)
+            for need in group:
+                need.finish()
+
+
+def _check(gen_fn):
+    """A public verifier from gen_fn, a check as Batch.run takes it: it runs in a batch
+    of its own, or with deferred=True is returned for the caller's batch."""
+    @functools.wraps(gen_fn)
+    def verifier(*args, deferred: bool = False, **kwargs):
+        check = gen_fn(*args, **kwargs)
+        if deferred:
+            return check
+        (result,) = Batch().run([check])
+        if isinstance(result, BmkitError):
+            raise result
+        return result
+
+    return verifier
 
 
 def _mode_tol(*forms: DifferentialForm) -> tuple[str, float]:
@@ -155,41 +232,45 @@ def _mode_tol(*forms: DifferentialForm) -> tuple[str, float]:
     return "fd", TOL_RESIDUAL_FD
 
 
+def _amplitude_needs(M: MaxwellFieldSet, pts: np.ndarray) -> dict:
+    """The needs of field_amplitudes, for a batch to evaluate with other checks' needs."""
+    return {name: _max_abs(pts, getattr(M, name)) for name in ("e", "h", "B", "D")}
+
+
 def field_amplitudes(M: MaxwellFieldSet, pts: np.ndarray) -> dict:
-    """max |coefficient| of e, h, B and D over pts, from one table of their stored coefficients.
+    """max |coefficient| of e, h, B and D over pts.
 
     The maxwell and constitutive scales derive from these four numbers; a
     caller running several checks on one grid computes them once for all.
     """
-    forms = {"e": M.e, "h": M.h, "B": M.B, "D": M.D}
-    table = value_table([c for f in forms.values() for c in f.coeffs.values()], pts)
-    col_max = np.abs(table, out=table).max(axis=0, initial=0.0)
-    bounds = np.cumsum([0] + [len(f.coeffs) for f in forms.values()])
-    return {name: float(col_max[a:b].max(initial=0.0))
-            for name, a, b in zip(forms, bounds[:-1], bounds[1:])}
+    needs = _amplitude_needs(M, pts)
+    Batch().evaluate(needs.values())
+    return {name: need.result[0] for name, need in needs.items()}
 
 
 # -- checks -------------------------------------------------------------------
 
 
+@_check
 def beltrami_residual(v: DifferentialForm, k: float, g: MetricField,
                       grid: SampleGrid) -> CheckReport:
     """max |star3 d v - k v| over the grid (scale |k| max|v|); also reports |star3 d star3 v|."""
     if g.chart.dim != 3 or g.signature != "riemannian":
         raise DegreeError("beltrami_residual needs a 3-d Riemannian metric")
     mode, tol = _mode_tol(v)
+    pts = grid.points
     resid = hodge_star(g, exterior_derivative(v)) - float(k) * v
     div = hodge_star(g, exterior_derivative(hodge_star(g, v)))
-    resid_tab, div_tab, v_tab = _tables([resid, div, v], grid.points)
-    max_res, witness = _table_max_abs(resid_tab, grid.points)
-    max_div, _ = _table_max_abs(div_tab, grid.points)
-    scale = abs(float(k)) * _table_max_abs(v_tab, grid.points)[0]
+    (max_res, witness), (max_div, _), (v_max, _) = yield [
+        _max_abs(pts, resid), _max_abs(pts, div), _max_abs(pts, v)]
+    scale = abs(float(k)) * v_max
     return CheckReport(
         "beltrami", max_res <= tol * scale, max_res, None,
         {"residual": tol}, [witness], grid.spec,
         {"k": float(k), "divergence_residual": max_div, "mode": mode, "scale": scale})
 
 
+@_check
 def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
                       amplitudes: dict | None = None) -> CheckReport:
     """All four decomposed Maxwell residuals plus the 4-d dF0, dF1 cross-check.
@@ -205,10 +286,7 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
     c0 = M.c0
     mode, tol = _mode_tol(M.e, M.h, M.B, M.D)
     pts = grid4.points
-    amp = field_amplitudes(M, pts) if amplitudes is None else amplitudes
-    scales = {"faraday": max(amp["e"], c0 * amp["B"]), "gauss_magnetic": amp["B"],
-              "gauss_electric": amp["D"], "ampere": max(amp["h"], c0 * amp["D"]),
-              "dF0": max(amp["e"], c0 * amp["B"]), "dF1": max(amp["D"], amp["h"] * (1.0 / c0))}
+    own = _amplitude_needs(M, pts) if amplitudes is None else {}
 
     faraday = spatial_exterior_derivative(M.e) + c0 * time_derivative(M.B)
     gauss_b = spatial_exterior_derivative(M.B)
@@ -220,26 +298,28 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
     # Appendix-style split: dF0 = -(faraday) ^ dx0 - c0 d_spatial B, and
     # dF1 = -(ampere)/c0 ^ dx0 + d_spatial D.  Compare signed coefficients:
     # the 2-form piece on the dx0 indices, the 3-form piece on the others.
-    # Each table is built once; one 4-d table and one piece table are held at
-    # a time, which bounds the check's peak memory.
-    found, agree = {}, {"dF0": 0.0, "dF1": 0.0}
+    found, agree = {}, {"dF0": [], "dF1": []}
     for name4, form4, pieces in (
             ("dF0", d_f0, (("faraday", faraday, lambda d, p: d + p),
                            ("gauss_magnetic", gauss_b, lambda d, p: d + c0 * p))),
             ("dF1", d_f1, (("ampere", ampere, lambda d, p: d + p / c0),
                            ("gauss_electric", gauss_d, lambda d, p: d - p)))):
-        table4 = form4.coefficient_table(pts)
         for name, form, join in pieces:
-            table = form.coefficient_table(pts)
-            for col, idx in enumerate(form4.indices):
-                if (0 in idx) == (form.degree < form4.degree):
-                    piece = table[:, form.indices.index(tuple(i for i in idx if i != 0))]
-                    agree[name4] = max(agree[name4],
-                                       float(np.max(np.abs(join(table4[:, col], piece)))))
-            found[name] = _table_max_abs(table, pts)
-            del table
-        found[name4] = _table_max_abs(table4, pts)
-    parts = {name: found[name] for name in scales}   # the order breaks ties for the witness
+            agree[name4] += [
+                _Need(pts, [form4.coefficient(idx),
+                            form.coefficient(tuple(i for i in idx if i != 0))],
+                      lambda d, p, join=join: np.abs(join(d, p)))
+                for idx in form4.indices if (0 in idx) == (form.degree < form4.degree)]
+            found[name] = _max_abs(pts, form)
+        found[name4] = _max_abs(pts, form4)
+    yield [*found.values(), *agree["dF0"], *agree["dF1"], *own.values()]
+
+    amp = amplitudes or {name: need.result[0] for name, need in own.items()}
+    scales = {"faraday": max(amp["e"], c0 * amp["B"]), "gauss_magnetic": amp["B"],
+              "gauss_electric": amp["D"], "ampere": max(amp["h"], c0 * amp["D"]),
+              "dF0": max(amp["e"], c0 * amp["B"]), "dF1": max(amp["D"], amp["h"] * (1.0 / c0))}
+    agree = {name4: max([0.0, *(n.result[0] for n in needs)]) for name4, needs in agree.items()}
+    parts = {name: found[name].result for name in scales}   # the order breaks ties for the witness
 
     max_res = max(v for v, _ in parts.values())
     worst = max(parts.items(), key=lambda kv: kv[1][0])
@@ -254,19 +334,19 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
          "scales": scales, "mode": mode})
 
 
+@_check
 def constitutive_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
                            amplitudes: dict | None = None) -> CheckReport:
     """|D - eps0 *3 e|, |B - mu0 *3 h|, and the 4-d check |F1 + eps0 * F0|,
     against max|D|, max|B| and max|F1| from amplitudes (as in maxwell_residuals)."""
     pts = grid4.points
-    amp = field_amplitudes(M, pts) if amplitudes is None else amplitudes
+    own = _amplitude_needs(M, pts) if amplitudes is None else {}
     r_d = M.D - M.eps0 * spatial_hodge(M.metric3, M.e)
     r_b = M.B - M.mu0 * spatial_hodge(M.metric3, M.h)
     r_4d = M.F1 + M.eps0 * hodge_star(M.metric4, M.F0)
-    b_tab, tab_4d, d_tab = _tables([r_b, r_4d, r_d], pts)
-    m_d, w_d = _table_max_abs(d_tab, pts)
-    m_b, _ = _table_max_abs(b_tab, pts)
-    m_4, _ = _table_max_abs(tab_4d, pts)
+    (m_d, w_d), (m_b, _), (m_4, _), *_ = yield [
+        _max_abs(pts, r_d), _max_abs(pts, r_b), _max_abs(pts, r_4d), *own.values()]
+    amp = amplitudes or {name: need.result[0] for name, need in own.items()}
     scales = {"D_vs_star_e": amp["D"], "B_vs_star_h": amp["B"],
               "F1_plus_eps0_star_F0": max(amp["D"], amp["h"] * (1.0 / M.c0))}
     passed = (m_d <= TOL_CONSTITUTIVE * amp["D"] and m_b <= TOL_CONSTITUTIVE * amp["B"]
@@ -291,6 +371,7 @@ def _numerically_zero(max_abs: float, zero_scale) -> bool:
     return max_abs <= 1e-12 * zero_scale
 
 
+@_check
 def contact_margin(lam: DifferentialForm, grid: SampleGrid,
                    zero_scale: float | None = None) -> CheckReport:
     """min |volume coefficient of lambda ^ d lambda| over the grid.
@@ -305,14 +386,14 @@ def contact_margin(lam: DifferentialForm, grid: SampleGrid,
         raise DegreeError("contact_margin works on 3-d forms")
     pts = grid.points
     dlam = exterior_derivative(lam)
-    lam_tab, dlam_tab, w_tab = _tables([lam, dlam, wedge(lam, dlam)], pts)
-    lam_max = _table_max_abs(lam_tab, pts)[0]
+    (lam_max, _), (dlam_max, _), (raw, witness) = yield [
+        _max_abs(pts, lam), _max_abs(pts, dlam),
+        _min_abs(pts, wedge(lam, dlam).coefficient((0, 1, 2)))]
     if _numerically_zero(lam_max, zero_scale):
         return CheckReport("contact", False, 0.0, 0.0, {"margin": TOL_MARGIN},
                            [pts[0].tolist()], grid.spec,
                            {"normalized_margin": 0.0, "degenerate_zero_form": True})
-    raw, witness = _min_abs(w_tab[:, 0], pts)
-    scale = lam_max * _table_max_abs(dlam_tab, pts)[0]
+    scale = lam_max * dlam_max
     normalized = raw / scale if scale > 0 else 0.0
     return CheckReport(
         "contact", normalized >= TOL_MARGIN, 0.0, raw,
@@ -320,6 +401,7 @@ def contact_margin(lam: DifferentialForm, grid: SampleGrid,
         {"normalized_margin": normalized, "scale": scale})
 
 
+@_check
 def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
               zero_scales: tuple[float, float] | None = None) -> CheckReport:
     """Stable-Hamiltonian-structure check for a pair (Omega, lambda).
@@ -340,21 +422,20 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
         raise DegreeError("shs_check works on 3-d forms")
     pts = grid.points
     mode, tol = _mode_tol(Omega, lam)
-    omega_tab, lam_tab, d_omega_tab, pairing_tab, dlam_tab = _tables(
-        [Omega, lam, exterior_derivative(Omega), wedge(lam, Omega), exterior_derivative(lam)],
-        pts)
-    omega_abs_max = _table_max_abs(omega_tab, pts)[0]
-    lam_max = _table_max_abs(lam_tab, pts)[0]
-    if zero_scales is not None and (
-            _numerically_zero(omega_abs_max, zero_scales[0])
-            or _numerically_zero(lam_max, zero_scales[1])):
+    dlam = exterior_derivative(lam)
+    (omega_tab, dlam_tab, (omega_abs_max, _), (lam_max, _), (closure, _),
+     (raw_margin, w_margin), (dlam_max, _)) = yield [
+        _Need(pts, map(Omega.coefficient, Omega.indices)),
+        _Need(pts, map(dlam.coefficient, dlam.indices)),
+        _max_abs(pts, Omega), _max_abs(pts, lam), _max_abs(pts, exterior_derivative(Omega)),
+        _min_abs(pts, wedge(lam, Omega).coefficient((0, 1, 2))), _max_abs(pts, dlam)]
+    if zero_scales is not None and (_numerically_zero(omega_abs_max, zero_scales[0])
+                                    or _numerically_zero(lam_max, zero_scales[1])):
         return CheckReport("shs", False, 0.0, 0.0,
                            {"residual": tol, "margin": TOL_MARGIN},
                            [pts[0].tolist()], grid.spec,
                            {"normalized_margin": 0.0, "degenerate_zero_form": True})
 
-    closure, _ = _table_max_abs(d_omega_tab, pts)
-    raw_margin, w_margin = _min_abs(pairing_tab[:, 0], pts)
     scale = lam_max * omega_abs_max
     normalized = raw_margin / scale if scale > 0 else 0.0
 
@@ -381,7 +462,6 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
         details["f_min"] = float(np.min(f_vals))
         details["f_max"] = float(np.max(f_vals))
         details["f_spread"] = float(np.max(f_vals) - np.min(f_vals))
-    dlam_max = _table_max_abs(dlam_tab, pts)[0]
     details.update(closure_scale=omega_abs_max, proportionality_scale=dlam_max)
     passed = (closure <= tol * omega_abs_max and normalized >= TOL_MARGIN
               and prop_resid <= tol * dlam_max and not np.any(~well_posed))
@@ -390,6 +470,7 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
                        [w_margin], grid.spec, details)
 
 
+@_check
 def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
                       companion: tuple[DifferentialForm, DifferentialForm] | None = None,
                       label: str = "F") -> CheckReport:
@@ -404,26 +485,24 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
         raise DegreeError("symplectic_margin works on 4-d 2-forms")
     pts = grid4.points
     mode, tol = _mode_tol(F)
-    forms = [exterior_derivative(F), F, wedge(F, F)]
+    needs = [_max_abs(pts, exterior_derivative(F)), _max_abs(pts, F),
+             _min_abs(pts, wedge(F, F).coefficient((0, 1, 2, 3)))]
     if companion is not None:
-        forms.append(wedge(*companion))
-    tables = _tables(forms, pts)
-    closure, _ = _table_max_abs(tables[0], pts)
-    f_max = _table_max_abs(tables[1], pts)[0]
-    raw, witness = _min_abs(tables[2][:, 0], pts)   # the one coefficient of a 4-form
+        spatial_vol = tuple(i for i in range(chart.dim) if i != chart.time_axis)
+        needs.append(_min_abs(pts, wedge(*companion).coefficient(spatial_vol)))
+    (closure, _), (f_max, _), (raw, witness), *companion_min = yield needs
     normalized = raw / (f_max * f_max) if f_max > 0 else 0.0
     details = {"normalized_margin": normalized, "closure_residual": closure,
                "closure_scale": f_max, "mode": mode}
     if companion is not None:
-        spatial_vol = tuple(i for i in range(chart.dim) if i != chart.time_axis)
-        m3, _ = _min_abs(tables[3][:, forms[3].indices.index(spatial_vol)], pts)
-        details["companion_margin"] = m3
+        details["companion_margin"] = companion_min[0][0]
     passed = normalized >= TOL_MARGIN and closure <= tol * f_max
     return CheckReport(f"symplectic_{label}", passed, closure, raw,
                        {"residual": tol, "margin": TOL_MARGIN},
                        [witness], grid4.spec, details)
 
 
+@_check
 def parallel_check(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     """max |e ^ h| over the grid; passes when it is at most tol * max|e| * max|h|.
 
@@ -432,14 +511,15 @@ def parallel_check(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     """
     pts = grid4.points
     mode, tol = _mode_tol(M.e, M.h)
-    e_tab, h_tab, s_tab = _tables([M.e, M.h, M.poynting()], pts)
-    max_res, witness = _table_max_abs(s_tab, pts)
-    scale = _table_max_abs(e_tab, pts)[0] * _table_max_abs(h_tab, pts)[0]
+    (e_max, _), (h_max, _), (max_res, witness) = yield [
+        _max_abs(pts, M.e), _max_abs(pts, M.h), _max_abs(pts, M.poynting())]
+    scale = e_max * h_max
     return CheckReport("parallel", max_res <= tol * scale, max_res, None,
                        {"residual": tol}, [witness], grid4.spec,
                        {"mode": mode, "scale": scale})
 
 
+@_check
 def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None) -> CheckReport:
     """max coefficient of L_Y(form) over the grid, per form, with a scaled tolerance.
 
@@ -448,22 +528,19 @@ def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None) -> C
     differences, and the tolerance follows (1e-10, or 1e-6 with a
     finite-difference partial).  Each form passes when its residual is at most
     tol * max|Y| * max|form|, so rescaling Y or the forms keeps the decision;
-    the scales are reported next to the residuals.  Y, the forms and every
-    L_Y(form) go through one evaluation call.
+    the scales are reported next to the residuals.
     """
     forms = list(forms)
     names = list(names) if names is not None else [f"form{i}" for i in range(len(forms))]
     lies = [lie_derivative(Y, f) for f in forms]
     mode, tol = _mode_tol(*lies)
     pts = grid.points
-    y_tab, *tables = _tables([Y, *forms, *lies], pts)
-    y_max = _table_max_abs(y_tab, pts)[0]
+    (y_max, _), *maxima = yield [_max_abs(pts, f) for f in [Y, *forms, *lies]]
     per, scales = {}, {}
     worst = (0.0, pts[0].tolist())
-    for name, form_tab, lie_tab in zip(names, tables[:len(forms)], tables[len(forms):]):
-        m, w = _table_max_abs(lie_tab, pts)
+    for name, (f_max, _), (m, w) in zip(names, maxima, maxima[len(forms):]):
         per[name] = m
-        scales[name] = y_max * _table_max_abs(form_tab, pts)[0]
+        scales[name] = y_max * f_max
         if m >= worst[0]:
             worst = (m, w)
     passed = all(per[name] <= tol * scales[name] for name in per)
@@ -472,25 +549,23 @@ def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None) -> C
                        {"per_form": per, "scales": scales, "mode": mode})
 
 
+@_check
 def reeb_like_check(Z: VectorField, lam: DifferentialForm, grid: SampleGrid) -> CheckReport:
     """max |i_Z d lambda| and min i_Z lambda over the grid (Reeb-like conditions),
     scaled by max|Z| max|d lambda| and max|Z| max|lambda| respectively."""
     pts = grid.points
     mode, tol = _mode_tol(lam)
     dlam = exterior_derivative(lam)
-    contracted, pairing_tab, z_tab, lam_tab, dlam_tab = _tables(
-        [interior_product(Z, dlam), interior_product(Z, lam), Z, lam, dlam], pts)
-    max_res, w_res = _table_max_abs(contracted, pts)
-    pairing = pairing_tab[:, 0]
-    i = int(np.argmin(pairing))
-    min_pair = float(pairing[i])
-    z_max = _table_max_abs(z_tab, pts)[0]
-    scale = z_max * _table_max_abs(dlam_tab, pts)[0]
-    margin_scale = z_max * _table_max_abs(lam_tab, pts)[0]
+    (max_res, w_res), (min_pair, w_pair), (z_max, _), (lam_max, _), (dlam_max, _) = yield [
+        _max_abs(pts, interior_product(Z, dlam)),
+        _Need(pts, [interior_product(Z, lam).coefficient(())], np.asarray, lowest=True),
+        _max_abs(pts, Z), _max_abs(pts, lam), _max_abs(pts, dlam)]
+    scale = z_max * dlam_max
+    margin_scale = z_max * lam_max
     normalized = min_pair / margin_scale if margin_scale > 0 else 0.0
     passed = max_res <= tol * scale and normalized > TOL_MARGIN
     return CheckReport("reeb_like", passed, max_res, min_pair,
                        {"residual": tol, "margin": TOL_MARGIN},
-                       [w_res, pts[i].tolist()], grid.spec,
+                       [w_res, w_pair], grid.spec,
                        {"mode": mode, "scale": scale, "normalized_margin": normalized,
                         "margin_scale": margin_scale})

@@ -90,3 +90,13 @@ def test_series_pinned_to_mpmath_on_0_8():
         want = np.array([mp_j(order, z) for z in zs])
         err = float(np.max(np.abs(bessel_j(order, zs) - want)))
         assert err <= 5e-14, (order, err)
+
+
+def test_values_do_not_depend_on_the_other_arguments():
+    """Each value is the one bessel_j gives for its argument alone, on both sides of the
+    switch at |z| = 8, so evaluating a grid in blocks of any size changes no bit."""
+    z = np.random.default_rng(3).uniform(-50.0, 50.0, 301)
+    for order in (0, 1):
+        alone = [bessel_j(order, float(x)) for x in z]
+        assert bessel_j(order, z).tolist() == alone
+        assert bessel_j(order, z[5:290]).tolist() == alone[5:290]

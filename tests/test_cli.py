@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import bmkit
@@ -153,11 +154,13 @@ def test_verify_conservation_at_degenerate_instant_is_config_error(tmp_path):
 def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
     """Equal J0/J1 leaves run bessel_j once per evaluation call.
 
-    The count does not depend on the grid: 46 calls when conservation takes
-    analytic partials, 134 when it took finite-difference partials on 22
-    stencil grids, 162 when some checks made one call per form, 882 with one
-    call per finite-difference partial, stencil offset and residual form, and
-    4565 when every leaf is evaluated on its own.
+    8 calls: J0 and J1 once each on the window, on the slice grid in each of
+    its two rounds and on the singularity scan (a window of more than
+    verify.BLOCK_ROWS points runs them once per block).  It was 46 with one
+    evaluation call per check, 134 when conservation took finite-difference
+    partials on 22 stencil grids, 162 when some checks made one call per form,
+    882 with one call per finite-difference partial, stencil offset and
+    residual form, and 4565 when every leaf is evaluated on its own.
     """
     import bmkit.bessel
 
@@ -174,7 +177,86 @@ def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
                     "--checks", "all", "--allow-degenerate", "--no-meta",
                     "--grid", "6", "--tgrid", "3", "--out", str(tmp_path / "r.json")])
     assert code == 0
-    assert 0 < len(calls) <= 46
+    assert 0 < len(calls) <= 8
+
+
+def _record_plans(monkeypatch):
+    """Patch every module's Plan: returns the (fields, nested) of each plan compiled,
+    nested when another plan was running."""
+    import bmkit.forms
+    import bmkit.scalars
+    import bmkit.verify
+
+    built, running = [], []
+
+    class RecordingPlan(bmkit.scalars.Plan):
+        __slots__ = ()
+
+        def __init__(self, fields, *args, **kwargs):
+            fields = list(fields)
+            built.append((fields, bool(running)))
+            super().__init__(fields, *args, **kwargs)
+
+        def __call__(self, pts):
+            running.append(1)
+            try:
+                return super().__call__(pts)
+            finally:
+                running.pop()
+
+    for module in (bmkit.scalars, bmkit.forms, bmkit.verify):
+        monkeypatch.setattr(module, "Plan", RecordingPlan, raising=False)
+    return built
+
+
+def test_verify_compiles_one_plan_per_point_set_per_round(tmp_path, monkeypatch):
+    """The window, the slice grid (base form, Reeb degeneracy tests), and the slice grid
+    again (slice checks, Reeb-dependent columns), plus the base form's singularity scan:
+    4 outermost plans (23 with one per check).  meta.evaluation counts the batch's plans,
+    columns and points."""
+    built = _record_plans(monkeypatch)
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--field", BM_SPEC, "--checks", "all",
+                    "--grid", "5", "--tgrid", "3", "--out", str(out)]) == 0
+    assert sum(1 for _, nested in built if not nested) <= 4
+    evaluation = json.loads(out.read_text())["meta"]["evaluation"]
+    assert evaluation["plans"] == 3
+    assert evaluation["points"] == 5 ** 3 * 3 + 2 * 5 ** 3
+    assert 0 < evaluation["columns"] <= sum(len(fields) for fields, _ in built)
+    assert run_cli(["verify", "--field", BM_SPEC, "--checks", "all",
+                    "--grid", "5", "--tgrid", "3", "--no-meta", "--out", str(out)]) == 0
+    assert "meta" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("check", ["beltrami", "parallel"])
+def test_verify_slices_and_amplitudes_only_when_a_check_reads_them(check, tmp_path,
+                                                                    monkeypatch):
+    import bmkit.cli
+    from bmkit.catalog import MaxwellFieldSet
+
+    built, slices, targets = _record_plans(monkeypatch), [], []
+    at_time = MaxwellFieldSet.at_time
+    monkeypatch.setattr(MaxwellFieldSet, "at_time",
+                        lambda self, x0: slices.append(x0) or at_time(self, x0))
+    build = bmkit.cli.build_field
+    monkeypatch.setattr(bmkit.cli, "build_field",
+                        lambda *a: targets.append(build(*a)) or targets[-1])
+    assert run_cli(["verify", "--field", "beltrami_maxwell{v=t3_mode}", "--checks", check,
+                    "--grid", "4", "--tgrid", "2", "--out", str(tmp_path / "r.json")]) == 0
+    (M,) = targets
+    assert slices == []
+    read = {id(c) for f in (M.e, M.h) for c in f.coeffs.values()}
+    amplitude_only = {id(c) for f in (M.B, M.D) for c in f.coeffs.values()} - read
+    assert amplitude_only
+    assert not amplitude_only & {id(f) for fields, _ in built for f in fields}
+
+
+@pytest.mark.parametrize("second", ["0.5", "0.50000001"])
+def test_verify_rejects_instants_with_one_report_label(second, capsys):
+    code = run_cli(["verify", "--field", BM_SPEC, "--x0", "0.5", "--x0", second,
+                    "--checks", "contact_e", "--grid", "4", "--tgrid", "2"])
+    assert code == 2
+    assert "share a report label x0=%.6g" in capsys.readouterr().err
 
 
 def test_verify_unknown_field_exit_2():
@@ -526,3 +608,68 @@ def test_cli_as_subprocess():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "t3_mode" in proc.stdout
+
+
+MAXWELL_FIELDS = ["beltrami_maxwell", "beltrami_maxwell{v=abc_flow{A=2,B=1,C=0.5}}",
+                  "beltrami_maxwell{v=solid_torus_mode}", "traveling_wave", "constant_field",
+                  "parallel_nonbeltrami", "beltrami_nonparallel"]
+
+
+def _alone_reports(M, x0_list, counts, tgrid, t_window):
+    """The reports of `bmk verify --checks all --allow-degenerate`, each verifier run alone."""
+    from bmkit import (DegenerateInstantError, SampleGrid, beltrami_residual, conservation_along,
+                       constitutive_residuals, contact_margin, maxwell_residuals, parallel_check,
+                       reeb_for_maxwell, shs_check, symplectic_margin)
+    from bmkit.verify import field_amplitudes
+
+    grid3 = SampleGrid.regular(M.chart3, counts)
+    t_values = np.unique(np.concatenate(
+        [np.linspace(x0 - t_window, x0 + t_window, tgrid) for x0 in x0_list]))
+    grid4 = grid3.with_time(M.chart4, t_values)
+    amp = field_amplitudes(M, grid4.points)
+    reports = {r.check: r.to_json_dict() for r in (
+        maxwell_residuals(M, grid4, amp), constitutive_residuals(M, grid4, amp),
+        parallel_check(M, grid4),
+        symplectic_margin(M.F0, grid4, companion=(M.B, M.e), label="F0"),
+        symplectic_margin(M.F1, grid4, companion=(M.D, M.h), label="F1"))}
+    if M.base is not None:
+        reports["beltrami"] = beltrami_residual(
+            M.base.form, M.base.k_expected, M.base.metric, grid3).to_json_dict()
+    skipped = {}
+    for x0 in x0_list:
+        sl = M.at_time(x0)
+        at = f"@x0={x0:.6g}"
+        slice_reports = {
+            "contact_e": contact_margin(sl.e, grid3, zero_scale=amp["e"]),
+            "contact_h": contact_margin(sl.h, grid3, zero_scale=amp["h"]),
+            "shs_be": shs_check(sl.B, sl.e, grid3, zero_scales=(amp["B"], amp["e"])),
+            "shs_dh": shs_check(sl.D, sl.h, grid3, zero_scales=(amp["D"], amp["h"]))}
+        for name, which, forms, names in (
+                ("conservation_y0", "Y0", [sl.e, sl.B], ["e", "B"]),
+                ("conservation_y1", "Y1", [sl.h, sl.D], ["h", "D"])):
+            try:
+                Y = reeb_for_maxwell(M, which, x0, grid3).Y
+            except DegenerateInstantError as exc:
+                skipped[name + at] = str(exc)
+                continue
+            slice_reports[name] = conservation_along(
+                Y, [*forms, *sl.energy_forms()], grid3, [*names, "E_e", "E_h"])
+        for name, r in slice_reports.items():
+            reports[name + at] = {**r.to_json_dict(), "check": name + at}
+    return reports, skipped
+
+
+@pytest.mark.parametrize("constants", ["nondim", "si"])
+@pytest.mark.parametrize("field", MAXWELL_FIELDS)
+def test_verify_reports_equal_each_verifier_run_alone(field, constants, tmp_path):
+    """One batch for every check of a command gives each check's report bit for bit as
+    its public verifier alone, at a generic instant and one where h vanishes."""
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--field", field, "--constants", constants, "--x0", "0",
+                    "--x0", "0.7", "--checks", "all", "--allow-degenerate", "--grid", "4",
+                    "--tgrid", "3", "--no-meta", "--out", str(out)]) in (0, 1)
+    report = json.loads(out.read_text())
+    M = build_field(field, bmkit.SI if constants == "si" else NONDIMENSIONAL)
+    want, skipped = _alone_reports(M, [0.0, 0.7], 4, 3, 0.35)
+    assert {c["check"]: c for c in report["checks"]} == want
+    assert {s["check"]: s["reason"] for s in report["skipped"]} == skipped

@@ -511,3 +511,36 @@ def test_sample_grid_validation():
     g = SampleGrid.random(T3, 100, seed=5)
     assert g.points.shape == (100, 3)
     assert (g.points >= 0).all() and (g.points < 2 * math.pi).all()
+
+
+# k_c = 10 takes k_c r past 8, where J0 and J1 switch to the quadrature sum
+@pytest.mark.parametrize("base", [t3_mode(1, 1.0), solid_torus_mode(), solid_torus_mode(k_c=10.0)])
+def test_reports_do_not_depend_on_the_block_size(base, monkeypatch):
+    """Statistics folded over blocks of 7 points equal those of one block: each witness
+    is the first point attaining the extreme, also when equal values fall in two blocks,
+    and shs's f statistics are those of its whole tables."""
+    import bmkit.verify
+
+    M = beltrami_maxwell(base)
+    grid4 = SampleGrid.regular(M.chart3, 5).with_time(M.chart4, [0.3, 1.2])
+    grid3 = SampleGrid.regular(M.chart3, 5)
+    sl = M.at_time(0.3)
+
+    def reports():
+        return [r.to_json_dict() for r in (
+            maxwell_residuals(M, grid4), constitutive_residuals(M, grid4),
+            parallel_check(M, grid4),
+            symplectic_margin(M.F0, grid4, companion=(M.B, M.e), label="F0"),
+            contact_margin(sl.h, grid3), shs_check(sl.B, sl.e, grid3), conservation_along(
+                reeb_for_maxwell(M, "Y0", 0.3, grid3).Y, [sl.e, sl.B], grid3))]
+
+    whole = reports()
+    monkeypatch.setattr(bmkit.verify, "BLOCK_ROWS", 7)
+    assert reports() == whole
+    # every value twice, 125 rows apart: the witness is in the first copy
+    twice = SampleGrid.regular(M.chart3, 5).with_time(M.chart4, [0.3, 0.3]).points
+    need = bmkit.verify._max_abs(twice, M.e)
+    bmkit.verify.Batch().evaluate([need])
+    first = int(np.argmax(np.abs(M.e.coefficient_table(twice)).max(axis=1)))
+    assert first < 125 and need.result == (float(np.abs(M.e.coefficient_table(twice)).max()),
+                                           twice[first].tolist())
