@@ -31,7 +31,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import ChartMismatchError, DegreeError
-from .scalars import Plan, ScalarField, ZERO, constant, from_function, value_table
+from .scalars import Plan, ScalarField, ZERO, as_table, constant, from_function, value_table
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -155,7 +155,8 @@ class VectorField:
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Components at pts, shape (N, dim), from one run of the field's plan."""
-        return self._plan(self.chart.as_points(pts))
+        pts = self.chart.as_points(pts)
+        return as_table(self._plan(pts), pts)
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, tuple(-c for c in self.components))
@@ -387,7 +388,7 @@ def _flow_rhs(X: VectorField):
     p must already be an (N, dim) float array; it goes to the field's plan unchecked.
     """
     chart, plan = X.chart, X._plan
-    return lambda p: plan(chart.wrap(p))
+    return lambda p: as_table(plan(chart.wrap(p)), p)
 
 
 def lie_derivative_flow(X: VectorField, a: DifferentialForm, pts: np.ndarray) -> np.ndarray:

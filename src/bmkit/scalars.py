@@ -16,20 +16,20 @@ rewrite the leaves (re-indexed axes; x0 folded into the phase) and rebuild
 composites through the operators, so a field sliced at x0 is the same few
 leaves as one built on the slice.
 
-Every evaluation runs a :class:`Plan`, a straight-line program built from a
-list of root fields: ``field(pts)`` is the one-column case of
-:func:`value_table`, and a vector field keeps the plan of its components.
-A plan holds structure only: each step applies one function to one or two
-slots and writes one.  A node reached by several parents is one step,
-except a leaf: the leaves of one (kernel, axis terms, phase) share one kernel
-step, which sums the phase and axis terms and applies the kernel, and each
-applies its amplitude once per parent, so only the kernel value waits for
-later readers.  The J0 and -c*J1 leaves spread over a Bessel field's
-coefficients and partials thus run their kernel once.  Arithmetic is that of
-each field alone, so every column is bitwise what its field gives by itself.
-Values live in the slots of one run, each dropped after its last reader, so a
-plan is safe to share between threads and no value survives from one call to
-the next.
+Every evaluation runs a :class:`Plan`, a straight-line program that returns
+the values of a list of root fields; :func:`as_table` tables them for
+:func:`value_table` (``field(pts)`` is its one-column case) and for
+``VectorField.evaluate``, which keeps the plan of its components.  A plan
+holds structure only: each step applies one function to one or two slots and
+writes one.  A node reached by several parents is one step, except a leaf:
+the leaves of one (kernel, axis terms, phase) share one kernel step, which
+sums the phase and axis terms and applies the kernel, and each applies its
+amplitude once per parent, so only the kernel value waits for later readers.
+The J0 and -c*J1 leaves spread over a Bessel field's coefficients and
+partials thus run their kernel once.  Arithmetic is that of each field alone,
+so every value is bitwise what its field gives by itself.  A run drops each
+value after its last reader unless it is a root's, so a plan holds no values
+between calls and is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -186,25 +186,32 @@ def value_table(fields, pts: np.ndarray) -> np.ndarray:
     A leaf kernel or a shared subtree used by several fields is evaluated
     once; each column is bitwise what calling its field alone gives.
     """
-    return Plan(fields)(pts)
+    return as_table(Plan(fields)(pts), np.asarray(pts))
+
+
+def as_table(columns, pts: np.ndarray) -> np.ndarray:
+    """The (N, k) table of k columns at pts (N, dim), each an array or a constant's float."""
+    out = np.empty(pts.shape[:-1] + (len(columns),))
+    for j, column in enumerate(columns):
+        out[..., j] = column
+    return out
 
 
 class Plan:
     """A straight-line program for the values of several root fields.
 
-    ``plan(pts)`` is the (N, len(fields)) table of their values, or with
-    columns=True the list of their values.  The plan holds structure only:
-    each step reads one or two slots and writes one, and every value lives in
-    the slots of one run, each dropped after its last reader.
+    ``plan(pts)`` is the list of their values, one per root in order: an array
+    of shape (N,), or a constant's float.  The plan holds structure only: each
+    step reads one or two slots and writes one, and every value lives in the
+    slots of one run, each dropped after its last reader unless it is a root's.
     """
 
-    __slots__ = ("_slots", "_steps")
+    __slots__ = ("_slots", "_steps", "_roots")
 
-    def __init__(self, fields, columns: bool = False):
-        fields = list(fields)
-        slots: list = [None, None]  # the points, the table; a constant's slot holds its float
-        steps: list = []            # (out, fn, a, b): fn(vals[a]) or fn(vals[a], vals[b])
-        done: dict = {}             # node id or kernel key -> slot
+    def __init__(self, fields):
+        slots: list = [None]   # the points; a constant's slot holds its float
+        steps: list = []       # (out, fn, a, b): fn(vals[a]) or fn(vals[a], vals[b])
+        done: dict = {}        # node id or kernel key -> slot
 
         def step(fn, a, b=None):
             slots.append(None)
@@ -232,42 +239,24 @@ class Plan:
             done[id(node)] = out
             return out
 
-        width = len(fields)
-        empty = (lambda pts: [None] * width) if columns else functools.partial(_empty_table, width)
-        steps.append((_TABLE, empty, 0, None))
-        for col, f in enumerate(fields):
-            steps.append((_TABLE, _put(col if columns else (..., col)), _TABLE, visit(f)))
+        roots = [visit(f) for f in fields]
+        kept = set(roots)
         last = {slot: i for i, (_, _, a, b) in enumerate(steps) for slot in (a, b)
-                if slot is not None and slot != _TABLE}
+                if slot is not None and slot not in kept}
         dead: list[list[int]] = [[] for _ in steps]
         for slot, i in last.items():
             dead[i].append(slot)
-        self._slots = slots
+        self._slots, self._roots = slots, roots
         self._steps = [(*st, tuple(d)) for st, d in zip(steps, dead)]
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
+    def __call__(self, pts: np.ndarray) -> list:
         vals = self._slots.copy()
         vals[0] = np.asarray(pts, dtype=float)
         for out, fn, a, b, dead in self._steps:
             vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
             for i in dead:
                 vals[i] = None
-        return vals[_TABLE]
-
-
-_TABLE = 1   # the slot of a plan's output table
-
-
-def _empty_table(width: int, pts: np.ndarray) -> np.ndarray:
-    return np.empty(pts.shape[:-1] + (width,))
-
-
-def _put(key):
-    def put(table, value):
-        table[key] = value
-        return table
-
-    return put
+        return [vals[r] for r in self._roots]
 
 
 def _kernel_step(kernel: Kernel, coeffs: dict[int, float], phase: float):

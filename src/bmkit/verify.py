@@ -74,14 +74,6 @@ class SampleGrid:
         return cls(chart, chart.lattice(counts),
                    {"kind": "regular", "counts": list(counts), "chart": chart.name})
 
-    @classmethod
-    def random(cls, chart: Chart, n: int, seed: int = 0) -> "SampleGrid":
-        """Uniform random points (seeded) over the same windows as regular()."""
-        rng = np.random.default_rng(seed)
-        pts = np.stack([rng.uniform(*ax.window, n) for ax in chart.axes], axis=-1)
-        return cls(chart, pts, {"kind": "random", "n": int(n), "seed": int(seed),
-                                "chart": chart.name})
-
     def with_time(self, chart4: Chart, x0_values) -> "SampleGrid":
         """Product of this spatial grid with a list of x0 instants."""
         x0_values = np.atleast_1d(np.asarray(x0_values, dtype=float))
@@ -199,7 +191,7 @@ class Batch:
             roots = {id(sf): sf for need in group for sf in need.fields if sf.const is None}
             if roots:
                 self.counts.update(plans=1, columns=len(roots), points=len(pts))
-            plan = Plan(roots.values(), columns=True)
+            plan = Plan(roots.values())
             for start in range(0, len(pts), BLOCK_ROWS):
                 rows = slice(start, start + BLOCK_ROWS)
                 values = dict(zip(roots, plan(pts[rows])))
@@ -240,8 +232,8 @@ def _amplitude_needs(M: MaxwellFieldSet, pts: np.ndarray) -> dict:
 def field_amplitudes(M: MaxwellFieldSet, pts: np.ndarray) -> dict:
     """max |coefficient| of e, h, B and D over pts.
 
-    The maxwell and constitutive scales derive from these four numbers; a
-    caller running several checks on one grid computes them once for all.
+    The maxwell and constitutive scales derive from these four numbers; each
+    of those checks yields their needs with its own.
     """
     needs = _amplitude_needs(M, pts)
     Batch().evaluate(needs.values())
@@ -271,22 +263,20 @@ def beltrami_residual(v: DifferentialForm, k: float, g: MetricField,
 
 
 @_check
-def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
-                      amplitudes: dict | None = None) -> CheckReport:
+def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     """All four decomposed Maxwell residuals plus the 4-d dF0, dF1 cross-check.
 
     The decomposed and 4-d residuals are compared coefficient-by-coefficient
     (the 4-d derivative splits as d = d_spatial + dx0 ^ d/dx0), and their
     disagreement is reported and required to stay below 1e-8 times the 4-d
-    form's scale.  amplitudes is field_amplitudes(M, grid4.points), computed
-    here when not given; the scales of the parts derive from it.
+    form's scale.  The scales derive from field_amplitudes, whose needs it yields.
     """
     if grid4.chart.time_axis is None:
         raise DegreeError("maxwell_residuals needs a spacetime grid")
     c0 = M.c0
     mode, tol = _mode_tol(M.e, M.h, M.B, M.D)
     pts = grid4.points
-    own = _amplitude_needs(M, pts) if amplitudes is None else {}
+    amp_needs = _amplitude_needs(M, pts)
 
     faraday = spatial_exterior_derivative(M.e) + c0 * time_derivative(M.B)
     gauss_b = spatial_exterior_derivative(M.B)
@@ -312,9 +302,9 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
                 for idx in form4.indices if (0 in idx) == (form.degree < form4.degree)]
             found[name] = _max_abs(pts, form)
         found[name4] = _max_abs(pts, form4)
-    yield [*found.values(), *agree["dF0"], *agree["dF1"], *own.values()]
+    yield [*found.values(), *agree["dF0"], *agree["dF1"], *amp_needs.values()]
 
-    amp = amplitudes or {name: need.result[0] for name, need in own.items()}
+    amp = {name: need.result[0] for name, need in amp_needs.items()}
     scales = {"faraday": max(amp["e"], c0 * amp["B"]), "gauss_magnetic": amp["B"],
               "gauss_electric": amp["D"], "ampere": max(amp["h"], c0 * amp["D"]),
               "dF0": max(amp["e"], c0 * amp["B"]), "dF1": max(amp["D"], amp["h"] * (1.0 / c0))}
@@ -335,18 +325,17 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
 
 
 @_check
-def constitutive_residuals(M: MaxwellFieldSet, grid4: SampleGrid,
-                           amplitudes: dict | None = None) -> CheckReport:
-    """|D - eps0 *3 e|, |B - mu0 *3 h|, and the 4-d check |F1 + eps0 * F0|,
-    against max|D|, max|B| and max|F1| from amplitudes (as in maxwell_residuals)."""
+def constitutive_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
+    """|D - eps0 *3 e|, |B - mu0 *3 h|, and the 4-d check |F1 + eps0 * F0|, against
+    max|D|, max|B| and max|F1| from field_amplitudes' needs (as in maxwell_residuals)."""
     pts = grid4.points
-    own = _amplitude_needs(M, pts) if amplitudes is None else {}
+    amp_needs = _amplitude_needs(M, pts)
     r_d = M.D - M.eps0 * spatial_hodge(M.metric3, M.e)
     r_b = M.B - M.mu0 * spatial_hodge(M.metric3, M.h)
     r_4d = M.F1 + M.eps0 * hodge_star(M.metric4, M.F0)
     (m_d, w_d), (m_b, _), (m_4, _), *_ = yield [
-        _max_abs(pts, r_d), _max_abs(pts, r_b), _max_abs(pts, r_4d), *own.values()]
-    amp = amplitudes or {name: need.result[0] for name, need in own.items()}
+        _max_abs(pts, r_d), _max_abs(pts, r_b), _max_abs(pts, r_4d), *amp_needs.values()]
+    amp = {name: need.result[0] for name, need in amp_needs.items()}
     scales = {"D_vs_star_e": amp["D"], "B_vs_star_h": amp["B"],
               "F1_plus_eps0_star_F0": max(amp["D"], amp["h"] * (1.0 / M.c0))}
     passed = (m_d <= TOL_CONSTITUTIVE * amp["D"] and m_b <= TOL_CONSTITUTIVE * amp["B"]

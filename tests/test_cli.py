@@ -628,7 +628,7 @@ def _alone_reports(M, x0_list, counts, tgrid, t_window):
     grid4 = grid3.with_time(M.chart4, t_values)
     amp = field_amplitudes(M, grid4.points)
     reports = {r.check: r.to_json_dict() for r in (
-        maxwell_residuals(M, grid4, amp), constitutive_residuals(M, grid4, amp),
+        maxwell_residuals(M, grid4), constitutive_residuals(M, grid4),
         parallel_check(M, grid4),
         symplectic_margin(M.F0, grid4, companion=(M.B, M.e), label="F0"),
         symplectic_margin(M.F1, grid4, companion=(M.D, M.h), label="F1"))}

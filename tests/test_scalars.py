@@ -9,8 +9,8 @@ from bmkit import (SampleGrid, VectorField, exterior_derivative, hodge_star, j0_
                    j1_field, solid_torus_mode, torus3)
 from bmkit.bessel import J0, J1
 from bmkit.forms import fd_partial
-from bmkit.scalars import (COS, ZERO, Kernel, ScalarField, constant, from_function, leaf,
-                           lift_spatial, monomial, power_kernel, restrict_time, sin_wave,
+from bmkit.scalars import (COS, ZERO, Kernel, Plan, ScalarField, constant, from_function,
+                           leaf, lift_spatial, monomial, power_kernel, restrict_time, sin_wave,
                            value_table, wave)
 
 X0 = 0.3
@@ -326,6 +326,23 @@ def test_plan_matches_naive_evaluator(roots):
         comps = (roots * 3)[:3]
         got = VectorField(T3, tuple(comps)).evaluate(PTS_T3)
         assert np.array_equal(bits(got), bits(np.column_stack([c(PTS_T3) for c in comps])))
+
+
+def test_plan_returns_one_value_per_root_in_order():
+    """A constant root comes back as its float, a root listed twice comes back twice, and a
+    root that a later root reads comes back intact; value_table builds (N, k) from them."""
+    w = wave({0: 1.0, 2: -0.5}, 0.3)
+    s = w * monomial(1, 2) + 1.0
+    roots = [s, constant(2.5), w, s * s - w, s, ZERO, w]
+    values = Plan(roots)(PTS3)
+    assert len(values) == len(roots)
+    assert [values[1], values[5]] == [2.5, 0.0]
+    assert isinstance(values[1], float) and isinstance(values[5], float)
+    for col, (value, root) in enumerate(zip(values, roots)):
+        assert np.array_equal(np.broadcast_to(value, len(PTS3)), root(PTS3)), col
+    assert value_table([], PTS3).shape == (len(PTS3), 0)
+    consts = value_table([constant(2.5), ZERO, constant(-1.0)], PTS3)
+    assert np.array_equal(consts, np.tile([2.5, 0.0, -1.0], (len(PTS3), 1)))
 
 
 def test_vector_field_builds_its_plan_once(monkeypatch):

@@ -114,8 +114,7 @@ def test_maxwell_and_constitutive_scales_from_amplitudes():
     assert r.details["scales"]["dF0"] == M.F0.max_abs(grid.points)
     assert r.details["scales"]["dF1"] == M.F1.max_abs(grid.points)
     assert r.details["scales"]["gauss_electric"] == amp["D"]
-    assert maxwell_residuals(M, grid, amp).to_json_dict() == r.to_json_dict()
-    c = constitutive_residuals(M, grid, amp)
+    c = constitutive_residuals(M, grid)
     assert c.passed
     assert c.details["scales"] == {"D_vs_star_e": amp["D"], "B_vs_star_h": amp["B"],
                                    "F1_plus_eps0_star_F0": r.details["scales"]["dF1"]}
@@ -123,9 +122,8 @@ def test_maxwell_and_constitutive_scales_from_amplitudes():
 
 def window_decisions(M, grid4):
     """Decisions of the checks that `bmk verify` runs on the whole spacetime window."""
-    amplitudes = field_amplitudes(M, grid4.points)
-    reports = [maxwell_residuals(M, grid4, amplitudes),
-               constitutive_residuals(M, grid4, amplitudes), parallel_check(M, grid4),
+    reports = [maxwell_residuals(M, grid4), constitutive_residuals(M, grid4),
+               parallel_check(M, grid4),
                symplectic_margin(M.F0, grid4, companion=(M.B, M.e), label="F0"),
                symplectic_margin(M.F1, grid4, companion=(M.D, M.h), label="F1")]
     return {r.check: r.passed for r in reports}
@@ -153,7 +151,7 @@ def eh_decisions(M, thetas, counts=5):
     x0s = [theta / M.k for theta in thetas]
     grid4 = grid3.with_time(M.chart4, x0s)
     amp = field_amplitudes(M, grid4.points)
-    out = {"constitutive": constitutive_residuals(M, grid4, amp).passed,
+    out = {"constitutive": constitutive_residuals(M, grid4).passed,
            "parallel": parallel_check(M, grid4).passed}
     for theta, x0 in zip(thetas, x0s):
         sl = M.at_time(x0)
@@ -508,9 +506,6 @@ def test_sample_grid_validation():
         SampleGrid.regular(T3, 1)
     with pytest.raises(BmkitError):
         SampleGrid.regular(T3, (4, 4))
-    g = SampleGrid.random(T3, 100, seed=5)
-    assert g.points.shape == (100, 3)
-    assert (g.points >= 0).all() and (g.points < 2 * math.pi).all()
 
 
 # k_c = 10 takes k_c r past 8, where J0 and J1 switch to the quadrature sum
