@@ -32,7 +32,7 @@ from .errors import BmkitError, ConfigError, SingularFieldError
 from .forms import DifferentialForm, _rk4_advance, dx, make_form, wedge
 from .metrics import (MetricField, euclidean_metric, lorentzian_product,
                       norm_sq_field, solid_torus_metric, spatial_hodge)
-from .scalars import (constant, lift_spatial, monomial, restrict_time,
+from .scalars import (Plan, constant, lift_spatial, monomial, restrict_time,
                       sin_wave, wave)
 
 
@@ -52,6 +52,7 @@ NONDIMENSIONAL = Constants()
 SI = Constants(eps0=8.8541878128e-12, mu0=1.25663706212e-6)
 
 
+_SCAN_ROWS = 16384  # about this many lattice points per plan run of the singularity scan
 # -- Beltrami forms ----------------------------------------------------------
 
 
@@ -69,10 +70,23 @@ class BeltramiForm:
 
     @cached_property
     def _norm_sq_range(self) -> tuple[float, float]:
-        """(min, max) of g^{-1}(v, v) over the singularity scan lattice, computed on first use."""
-        lattice = self.chart.lattice((self.scan_n,) * self.chart.dim)
-        norm_sq = norm_sq_field(self.metric, self.form)(lattice)
-        return float(np.min(norm_sq)), float(np.max(norm_sq))
+        """(min, max) of g^{-1}(v, v) over the singularity scan lattice, computed on first use.
+
+        Folded, exactly, over blocks of whole slabs (points sharing their first
+        coordinate), so no table of the whole lattice is held.
+        """
+        n, axes = self.scan_n, self.chart.axes
+        first = Chart("", axes[:1]).lattice((n,))[:, 0]
+        slab = Chart("", axes[1:]).lattice((n,) * (len(axes) - 1))
+        k = max(1, _SCAN_ROWS // len(slab))
+        plan = Plan([norm_sq_field(self.metric, self.form)])
+        low, high = math.inf, -math.inf
+        for xs in (first[i:i + k] for i in range(0, n, k)):
+            block = np.empty((len(xs), len(slab), len(axes)))
+            block[..., 0], block[..., 1:] = xs[:, None], slab
+            (norm_sq,) = plan(block.reshape(-1, len(axes)))
+            low, high = np.minimum(low, np.min(norm_sq)), np.maximum(high, np.max(norm_sq))
+        return float(low), float(high)
 
     @property
     def norm_margin(self) -> float:

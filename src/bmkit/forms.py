@@ -31,7 +31,8 @@ import numpy as np
 
 from .charts import Chart
 from .errors import ChartMismatchError, DegreeError
-from .scalars import Plan, ScalarField, ZERO, as_table, constant, from_function, value_table
+from .scalars import (Plan, ScalarField, ZERO, as_table, constant, from_function, periodic_in,
+                      value_table)
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -157,6 +158,25 @@ class VectorField:
         """Components at pts, shape (N, dim), from one run of the field's plan."""
         pts = self.chart.as_points(pts)
         return as_table(self._plan(pts), pts)
+
+    @functools.cached_property
+    def flow_wraps(self) -> bool:
+        """False when the field is periodic on its chart (`scalars.periodic_in`)."""
+        periods = {a: ax.period for a, ax in enumerate(self.chart.axes) if ax.is_periodic}
+        return not periodic_in(self.components, periods)
+
+    @functools.cached_property
+    def flow(self):
+        """p -> the field at p, shape (N, dim), for p an (N, dim) float array (unchecked).
+
+        The flow in unwrapped coordinates: a field periodic on its chart (every leaf
+        that reads a periodic axis a cos leaf whose coefficient times period / 2pi
+        is an integer) is evaluated at p itself, any other field at p wrapped.
+        """
+        plan, wrap = self._plan, self.chart.wrap
+        if self.flow_wraps:
+            return lambda p: as_table(plan(wrap(p)), p)
+        return lambda p: as_table(plan(p), p)
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, tuple(-c for c in self.components))
@@ -382,15 +402,6 @@ def _rk4_advance(f, y: np.ndarray, span: float, h_max: float) -> np.ndarray:
     return y
 
 
-def _flow_rhs(X: VectorField):
-    """p -> X at the wrapped p: the flow of X in unwrapped coordinates.
-
-    p must already be an (N, dim) float array; it goes to the field's plan unchecked.
-    """
-    chart, plan = X.chart, X._plan
-    return lambda p: as_table(plan(chart.wrap(p)), p)
-
-
 def lie_derivative_flow(X: VectorField, a: DifferentialForm, pts: np.ndarray) -> np.ndarray:
     """(flow_tau^* a - a) / tau with tau = 1e-4, coefficient table at pts.
 
@@ -403,14 +414,13 @@ def lie_derivative_flow(X: VectorField, a: DifferentialForm, pts: np.ndarray) ->
     chart = a.chart
     pts = chart.as_points(pts)
     n, dim = pts.shape
-    flow = _flow_rhs(X)
-    phi = _rk4_step(flow, pts, tau)
+    phi = _rk4_step(X.flow, pts, tau)
     jac = np.empty((n, dim, dim))
     for i in range(dim):
         dp = np.zeros(dim)
         dp[i] = jac_step
-        jac[:, :, i] = (_rk4_step(flow, pts + dp, tau)
-                        - _rk4_step(flow, pts - dp, tau)) / (2 * jac_step)
+        jac[:, :, i] = (_rk4_step(X.flow, pts + dp, tau)
+                        - _rk4_step(X.flow, pts - dp, tau)) / (2 * jac_step)
 
     indices = a.indices
     at_phi = value_table(a.coeffs.values(), chart.wrap(phi))

@@ -3,8 +3,10 @@
 Fixed-step classical RK4 keeps traces reproducible and makes the
 forward-backward reversibility and step-halving order checks exact
 statements about the integrator.  Trajectories are integrated in unwrapped
-coordinates (fields are evaluated at wrapped points), so winding numbers on
-periodic axes fall out of plain coordinate differences.
+coordinates, so winding numbers on periodic axes fall out of plain
+coordinate differences.  The field's cached flow (``VectorField.flow``)
+evaluates a field periodic on its chart (every leaf on a periodic axis a cos
+of an integer harmonic) at the unwrapped state, and any other at the wrapped one.
 
 Closure detection scans a trace for returns to its seed in the minimal-image
 chart distance, then sharpens each candidate with a few Newton steps on the
@@ -34,9 +36,10 @@ import numpy as np
 
 from .charts import Chart
 from .errors import BmkitError
-from .forms import VectorField, _flow_rhs, _rk4_advance, _rk4_step
+from .forms import VectorField, _rk4_advance, _rk4_step
 
 NONE_FOUND = "none found within budget"
+_SPEED_ROWS = 2048  # about this many samples per flow run for the speeds along traces
 
 
 @dataclass(frozen=True)
@@ -85,12 +88,21 @@ class ClosureResult:
         }
 
 
-def _trace_of(Y: VectorField, seed: np.ndarray, step: float, traj: np.ndarray,
-              status: str) -> OrbitTrace:
-    """Wrap committed samples as an OrbitTrace, recording the largest speed along them."""
-    speeds = np.linalg.norm(Y.evaluate(Y.chart.wrap(traj)), axis=-1)
-    return OrbitTrace(Y.chart, seed, step, traj, step * np.arange(len(traj)),
-                      status, float(np.max(speeds)))
+def _traces(Y: VectorField, seeds: np.ndarray, step: float, samples: np.ndarray,
+            lengths: np.ndarray, statuses: list[str]) -> list[OrbitTrace]:
+    """The OrbitTrace of each seed of integrate_batch, each with the largest speed along it.
+
+    The speeds come from the flow over the committed rows of all seeds, in blocks
+    of whole steps; the NaN rows after an exit never reach it.
+    """
+    speed_max = np.zeros(len(lengths))
+    k = max(1, _SPEED_ROWS // len(lengths))
+    for i in range(0, int(np.max(lengths)), k):
+        rows, cols = np.nonzero(np.arange(i, i + k)[:, None] < lengths)
+        np.maximum.at(speed_max, cols, np.linalg.norm(Y.flow(samples[i + rows, cols]), axis=-1))
+    return [OrbitTrace(Y.chart, seed, step, samples[:m, j, :], step * np.arange(m), status,
+                       float(speed_max[j]))
+            for j, (seed, m, status) in enumerate(zip(seeds, lengths, statuses))]
 
 
 def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int):
@@ -110,7 +122,7 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
     lengths = np.full(n, n_steps + 1, dtype=int)
     active = np.arange(n)
     state = seeds.copy()
-    f = _flow_rhs(Y)
+    f = Y.flow
     bounded = not all(ax.is_periodic for ax in chart.axes)  # else every point is inside
     for i in range(1, n_steps + 1):
         if active.size == 0:
@@ -130,10 +142,8 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
 
 def integrate(Y: VectorField, seed, step: float, n_steps: int) -> OrbitTrace:
     """Trace one field line with fixed-step RK4."""
-    chart = Y.chart
-    seed = chart.as_points(seed)[0]
-    samples, lengths, statuses = integrate_batch(Y, seed[None, :], step, n_steps)
-    return _trace_of(Y, seed, step, samples[:int(lengths[0]), 0, :], statuses[0])
+    seed = Y.chart.as_points(seed)[:1]
+    return _traces(Y, seed, step, *integrate_batch(Y, seed, step, n_steps))[0]
 
 
 def _refine_return(Y: VectorField, trace: OrbitTrace, j: int):
@@ -148,7 +158,7 @@ def _refine_return(Y: VectorField, trace: OrbitTrace, j: int):
     seed = trace.samples[0]
     base = trace.samples[j]
     s_lo, s_j, s_hi = trace.s[j - 1], trace.s[j], trace.s[j + 1]
-    f = _flow_rhs(Y)
+    f = Y.flow
     s, x = s_j, base
     for _ in range(8):
         y = f(x[None, :])[0]
@@ -216,6 +226,7 @@ class SurveyResult:
     results: list[ClosureResult]
     traces: list[OrbitTrace] = field(repr=False, default_factory=list)
     params: dict = field(default_factory=dict)
+    flow_wraps: bool = True  # the field's VectorField.flow_wraps
 
     @functools.cached_property
     def _dedup(self) -> tuple[list[int], dict]:
@@ -256,9 +267,11 @@ class SurveyResult:
     @property
     def integration_counts(self) -> dict:
         """RK4 steps of the lockstep integration: steps of the batch, and steps summed
-        over seeds.  A seed that left the domain also took the step that left it."""
+        over seeds (a seed that left the domain also took the step that left it);
+        and whether the flow wrapped the state before each stage."""
         steps = [t.n_samples - (t.status == "completed") for t in self.traces]
-        return {"lockstep_steps": max(steps, default=0), "seed_steps": sum(steps)}
+        return {"lockstep_steps": max(steps, default=0), "seed_steps": sum(steps),
+                "wrap": self.flow_wraps}
 
     @property
     def n_closed(self) -> int:
@@ -365,19 +378,14 @@ def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
     chart = Y.chart
     pts = chart.as_points(getattr(seeds, "points", seeds))
     n_steps = max(100, int(math.ceil(s_max / step)))
-    samples, lengths, statuses = integrate_batch(Y, pts, step, n_steps)
-    traces, results = [], []
-    for j, seed in enumerate(pts):
-        m = int(lengths[j])
-        trace = _trace_of(Y, seed, step, samples[:m, j, :], statuses[j])
-        traces.append(trace)
-        results.append(detect_closure(trace, tol, Y) if m >= 100 else
-                       ClosureResult(False, math.nan, math.inf,
-                                     tuple(0 for _ in range(chart.dim)),
-                                     note="trace too short: " + statuses[j]))
+    traces = _traces(Y, pts, step, *integrate_batch(Y, pts, step, n_steps))
+    results = [detect_closure(trace, tol, Y) if trace.n_samples >= 100 else
+               ClosureResult(False, math.nan, math.inf, tuple(0 for _ in range(chart.dim)),
+                             note="trace too short: " + trace.status)
+               for trace in traces]
     return SurveyResult(pts, results, traces,
                         {"step": step, "s_max": s_max, "tol": tol,
-                         "n_seeds": int(len(pts))})
+                         "n_seeds": int(len(pts))}, Y.flow_wraps)
 
 
 # -- Poincare sections ----------------------------------------------------------
@@ -411,7 +419,7 @@ def poincare_section(Y: VectorField, axis: int, value: float, seeds,
     samples, lengths, _ = integrate_batch(Y, pts, step, int(math.ceil(s_max / step)))
     ax = chart.axes[axis]
     span = ax.period if ax.is_periodic else math.inf
-    f = _flow_rhs(Y)
+    f = Y.flow
     out = []
     for k, seed in enumerate(pts):
         traj = samples[:int(lengths[k]), k, :]

@@ -212,34 +212,7 @@ class Plan:
         slots: list = [None]   # the points; a constant's slot holds its float
         steps: list = []       # (out, fn, a, b): fn(vals[a]) or fn(vals[a], vals[b])
         done: dict = {}        # node id or kernel key -> slot
-
-        def step(fn, a, b=None):
-            slots.append(None)
-            steps.append((len(slots) - 1, fn, a, b))
-            return len(slots) - 1
-
-        def visit(node):
-            op = node.op
-            if op == "leaf":   # a product per parent edge: only the kernel value waits for readers
-                kernel, coeffs, phase, amplitude = node.args
-                # the phase's sign is in the key: -0.0 + c*x and 0.0 + c*x differ where c*x is -0.0
-                key = kernel, tuple(coeffs.items()), phase, math.copysign(1.0, phase)
-                if key not in done:
-                    done[key] = step(_kernel_step(kernel, coeffs, phase), 0)
-                return step(functools.partial(operator.mul, amplitude), done[key])
-            if id(node) in done:
-                return done[id(node)]
-            if op == "const":
-                slots.append(node.const)
-                out = len(slots) - 1
-            elif op == "fn":
-                out = step(_fn_step(node.args[0]), 0)
-            else:
-                out = step(_OPS[op], *map(visit, node.args))
-            done[id(node)] = out
-            return out
-
-        roots = [visit(f) for f in fields]
+        roots = [_compile(f, slots, steps, done) for f in fields]
         kept = set(roots)
         last = {slot: i for i, (_, _, a, b) in enumerate(steps) for slot in (a, b)
                 if slot is not None and slot not in kept}
@@ -257,6 +230,38 @@ class Plan:
             for i in dead:
                 vals[i] = None
         return [vals[r] for r in self._roots]
+
+
+def _step(slots: list, steps: list, fn, a: int, b: int | None = None) -> int:
+    slots.append(None)
+    steps.append((len(slots) - 1, fn, a, b))
+    return len(slots) - 1
+
+
+def _compile(node: ScalarField, slots: list, steps: list, done: dict) -> int:
+    """Append the steps of node to a plan's program; returns the slot of its value.
+
+    Not a closure over itself, so that a compile leaves no reference cycle.
+    """
+    op = node.op
+    if op == "leaf":   # a product per parent edge: only the kernel value waits for readers
+        kernel, coeffs, phase, amplitude = node.args
+        # the phase's sign is in the key: -0.0 + c*x and 0.0 + c*x differ where c*x is -0.0
+        key = kernel, tuple(coeffs.items()), phase, math.copysign(1.0, phase)
+        if key not in done:
+            done[key] = _step(slots, steps, _kernel_step(kernel, coeffs, phase), 0)
+        return _step(slots, steps, functools.partial(operator.mul, amplitude), done[key])
+    if id(node) in done:
+        return done[id(node)]
+    if op == "const":
+        slots.append(node.const)
+        out = len(slots) - 1
+    elif op == "fn":
+        out = _step(slots, steps, _fn_step(node.args[0]), 0)
+    else:
+        out = _step(slots, steps, _OPS[op], *(_compile(a, slots, steps, done) for a in node.args))
+    done[id(node)] = out
+    return out
 
 
 def _kernel_step(kernel: Kernel, coeffs: dict[int, float], phase: float):
@@ -333,29 +338,45 @@ def coordinate(axis: int) -> ScalarField:
     return monomial(axis, 1, 1.0)
 
 
-def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn) -> ScalarField:
+def periodic_in(fields, periods: dict[int, float]) -> bool:
+    """True when each field is periodic in every axis a of periods, with period periods[a].
+
+    That is read off the leaves: every leaf that reads such an axis is a cos leaf
+    whose coefficient times (period / 2pi) is an exact integer, and no fn node is reached.
+    """
+    stack, seen = list(fields), set()
+    while stack:
+        node = stack.pop()
+        if node.op == "fn" or node.op == "leaf" and any(
+                a in periods and not (node.args[0] is COS
+                                      and (c * (periods[a] / (2.0 * math.pi))).is_integer())
+                for a, c in node.args[1].items()):
+            return False
+        if node.op in _OPS and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.args)
+    return True
+
+
+def _rewrite(sf: ScalarField, on_leaf, pull: ValueFn, memo: dict) -> ScalarField:
     """Rebuild sf with on_leaf(*leaf.args) for each leaf; an fn node sees pull(pts).
 
-    Each shared subtree is rebuilt once.  A rebuilt fn node calls its function
-    on pull(pts) directly; the plan step of the new node broadcasts the value.
+    Each shared subtree is rebuilt once (memo: node id -> rebuilt node).  A rebuilt
+    fn node calls its function on pull(pts) directly; the plan step of the new
+    node broadcasts the value.
     """
-    memo: dict[int, ScalarField] = {}
-
-    def go(node):
-        if id(node) not in memo:
-            if node.op == "leaf":
-                out = on_leaf(*node.args)
-            elif node.op == "fn":
-                fn = node.args[0]
-                out = from_function(lambda pts: fn(pull(pts)))
-            elif node.op == "const":
-                out = node
-            else:
-                out = _OPS[node.op](*map(go, node.args))
-            memo[id(node)] = out
-        return memo[id(node)]
-
-    return go(sf)
+    if id(sf) not in memo:
+        if sf.op == "leaf":
+            out = on_leaf(*sf.args)
+        elif sf.op == "fn":
+            fn = sf.args[0]
+            out = from_function(lambda pts: fn(pull(pts)))
+        elif sf.op == "const":
+            out = sf
+        else:
+            out = _OPS[sf.op](*(_rewrite(a, on_leaf, pull, memo) for a in sf.args))
+        memo[id(sf)] = out
+    return memo[id(sf)]
 
 
 def lift_spatial(sf: ScalarField) -> ScalarField:
@@ -365,7 +386,7 @@ def lift_spatial(sf: ScalarField) -> ScalarField:
     """
     return _rewrite(sf, lambda kernel, coeffs, phase, amplitude: leaf(
         kernel, {a + 1: c for a, c in coeffs.items()}, phase, amplitude),
-        lambda pts: pts[..., 1:])
+        lambda pts: pts[..., 1:], {})
 
 
 def restrict_time(sf: ScalarField, x0: float) -> ScalarField:
@@ -381,4 +402,4 @@ def restrict_time(sf: ScalarField, x0: float) -> ScalarField:
         return leaf(kernel, {a - 1: c for a, c in coeffs.items() if a != 0}, phase, amplitude)
 
     return _rewrite(sf, on_leaf, lambda pts: np.concatenate(
-        [np.full(pts.shape[:-1] + (1,), x0), pts], axis=-1))
+        [np.full(pts.shape[:-1] + (1,), x0), pts], axis=-1), {})

@@ -96,6 +96,15 @@ def test_singularity_decision_does_not_change_with_amplitude(scale):
     assert not abc_flow(scale, scale, scale).nonsingular
 
 
+@pytest.mark.parametrize("v", [t3_mode(1, 1.0), abc_flow(2, 1, 0.5), abc_flow(1, 1, 1),
+                               solid_torus_mode(), solid_torus_mode(10.0, 1.0, "plus")],
+                         ids=["t3", "abc", "abc_singular", "solid_torus", "solid_torus_k_c_10"])
+def test_singularity_scan_is_the_whole_lattice_min_and_max(v):
+    # the scan folds min and max over blocks of lattice slabs: exactly the whole lattice's
+    norm_sq = norm_sq_field(v.metric, v.form)(v.chart.lattice((v.scan_n,) * 3))
+    assert v._norm_sq_range == (float(np.min(norm_sq)), float(np.max(norm_sq)))
+
+
 def test_abc_all_zero_rejected():
     with pytest.raises(BmkitError):
         abc_flow(0, 0, 0)

@@ -529,7 +529,7 @@ def test_meta_counts_rk4_steps_and_no_meta_strips_them(tmp_path, command):
     assert run_cli([*common, "--out", str(with_meta)]) == 0
     assert run_cli([*common, "--no-meta", "--out", str(bare)]) == 0
     report = json.loads(with_meta.read_text())
-    assert report["meta"]["integration"] == {"lockstep_steps": 100, "seed_steps": 109}
+    assert report["meta"]["integration"] == {"lockstep_steps": 100, "seed_steps": 109, "wrap": False}
     del report["meta"]
     assert bare.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 

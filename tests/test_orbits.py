@@ -8,17 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmkit import (BmkitError, SampleGrid, abc_flow, beltrami_maxwell,
+from bmkit import (BmkitError, SampleGrid, VectorField, abc_flow, beltrami_maxwell,
                    closed_orbit_survey, detect_closure, euclidean3,
-                   euclidean_metric, field_line_generator, integrate,
+                   euclidean_metric, field_line_generator, integrate, j0_field,
                    metric_sharp, poincare_section, solid_torus, solid_torus_mode,
                    t3_mode, torus3, vector_field, write_orbit_csv)
-from bmkit.forms import _rk4_step
+from bmkit.forms import _rk4_step, fd_partial
 from bmkit.orbits import NONE_FOUND, SurveyResult, _covers, integrate_batch
-from bmkit.scalars import constant, coordinate, sin_wave, wave
+from bmkit.scalars import constant, coordinate, from_function, monomial, sin_wave, wave
 
 T3 = torus3()
 R3 = euclidean3()
+TWO_PI = 2 * math.pi
 
 
 def const_field(chart, comps):
@@ -98,9 +99,10 @@ def test_interval_axis_exit():
     assert np.all(tr.samples[:, 0] <= 1.0 + 1e-12)
 
 
-def _integrate_batch_reference(Y, seeds, step, n_steps):
+def _integrate_batch_reference(Y, seeds, step, n_steps, wrap=True):
     """The lockstep loop before the flow read the plan directly: the field is
-    evaluated through VectorField.evaluate and the domain tested on every step."""
+    evaluated through VectorField.evaluate, at the wrapped state unless wrap is
+    False, and the domain tested on every step."""
     chart = Y.chart
     seeds = chart.as_points(seeds)
     n = seeds.shape[0]
@@ -111,7 +113,7 @@ def _integrate_batch_reference(Y, seeds, step, n_steps):
     state = seeds.copy()
 
     def f(p):
-        return Y.evaluate(chart.wrap(p))
+        return Y.evaluate(chart.wrap(p) if wrap else p)
 
     for i in range(1, n_steps + 1):
         if active.size == 0:
@@ -134,10 +136,101 @@ def test_integrate_batch_matches_reference_loop_on_t3():
     Y = metric_sharp(euclidean_metric(T3), abc_flow(1.0, 0.7, 0.4).form)
     seeds = np.random.default_rng(3).uniform(-2.0, 8.0, (20, 3))
     samples, lengths, statuses = integrate_batch(Y, seeds, 0.02, 300)
-    want = _integrate_batch_reference(Y, seeds, 0.02, 300)
+    # a harmonic field periodic on T3: its flow reads the unwrapped state
+    want = _integrate_batch_reference(Y, seeds, 0.02, 300, wrap=False)
     assert samples.tobytes() == want[0].tobytes()
     assert lengths.tolist() == want[1].tolist() == [301] * 20
     assert statuses == want[2]
+    # and differs from the flow of the wrapped state at round-off only
+    wrapped = _integrate_batch_reference(Y, seeds, 0.02, 300)[0]
+    assert np.max(np.abs(samples - wrapped)) <= 1e-12
+
+
+# fields whose every leaf on a periodic axis is a cos of an integer harmonic: the flow
+# reads the raw state
+PERIODIC = {
+    "t3_n1": lambda: field_line_generator(beltrami_maxwell(t3_mode(1, 1.0)), "e", 0.3),
+    "t3_n2": lambda: field_line_generator(beltrami_maxwell(t3_mode(2, 0.8)), "e", 0.3),
+    "t3_n11": lambda: field_line_generator(t3_mode(11, 1.0)),
+    "abc": lambda: metric_sharp(euclidean_metric(T3), abc_flow(1.0, 0.7, 0.4).form),
+    "solid_torus": lambda: field_line_generator(solid_torus_mode()),
+}
+# any other field on T3 keeps the wrap; x3 moves, so the state leaves [0, 2pi)
+WRAPPED = {
+    "half_harmonic": lambda: vector_field(T3, {0: wave({2: 0.5}), 2: constant(1.0)}),
+    "monomial": lambda: vector_field(T3, {0: monomial(2, 2), 2: constant(1.0)}),
+    "from_function": lambda: vector_field(
+        T3, {0: from_function(lambda p: np.sin(p[..., 2])), 2: constant(1.0)}),
+    "fd_partial": lambda: vector_field(T3, {0: fd_partial(T3, wave({2: 1.0}), 2),
+                                            2: constant(1.0)}),
+    "bessel": lambda: vector_field(T3, {0: j0_field(2, 1.0), 2: constant(1.0)}),
+}
+
+
+def _state(chart, n=40):
+    """Points over several periods of every periodic axis (r inside the solid torus)."""
+    pts = np.random.default_rng(5).uniform(-8.0, 14.0, (n, 3))
+    if not chart.axes[0].is_periodic:
+        pts[:, 0] = np.linspace(0.2, 0.9, n)
+    return pts
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC))
+def test_flow_of_a_field_periodic_on_its_chart_reads_the_raw_state(name):
+    Y = PERIODIC[name]()
+    pts = _state(Y.chart)
+    assert not Y.flow_wraps
+    assert Y.flow(pts).tobytes() == Y.evaluate(pts).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPED))
+def test_flow_of_any_other_field_reads_the_wrapped_state(name):
+    Y = WRAPPED[name]()
+    pts = _state(T3)
+    assert Y.flow_wraps
+    assert Y.flow(pts).tobytes() == Y.evaluate(T3.wrap(pts)).tobytes()
+    seeds = pts[:6]
+    samples, lengths, statuses = integrate_batch(Y, seeds, 0.05, 150)
+    want = _integrate_batch_reference(Y, seeds, 0.05, 150)
+    assert samples.tobytes() == want[0].tobytes()
+    assert lengths.tolist() == want[1].tolist() and statuses == want[2]
+
+
+def _with_wrapped_flow(Y):
+    """A copy of Y whose flow evaluates it at the wrapped state, whatever its leaves."""
+    ref = VectorField(Y.chart, Y.components)
+    ref.__dict__.update(flow=lambda p: ref.evaluate(ref.chart.wrap(p)), flow_wraps=True)
+    return ref
+
+
+SURVEYS = {
+    # rational lines x3 = 0 and pi/4, two seeds on each, and the irrational x3 = atan(sqrt 2);
+    # some seeds sit whole periods away from the fundamental domain
+    "t3": (lambda: field_line_generator(beltrami_maxwell(t3_mode(1, 1.0)), "e", 0.0),
+           [[0.5, 1.0, 0.0], [3.0, 1.0, TWO_PI], [0.2, 0.4, math.pi / 4],
+            [1.2, 1.4, math.pi / 4 - TWO_PI], [0.1, 0.2, math.atan(math.sqrt(2.0)) + 2 * TWO_PI]]),
+    # ABC(1, 1, 0): the closed lines x1 = pi/2, x3 = 0 (two seeds) and x1 = -pi/2, x3 = pi,
+    # and a seed on an open line
+    "abc": (lambda: metric_sharp(euclidean_metric(T3), abc_flow(1, 1, 0).form),
+            [[math.pi / 2, 0.3, 0.0], [math.pi / 2 + TWO_PI, 2.0, -TWO_PI],
+             [-math.pi / 2, 1.0, math.pi], [0.3, 0.0, 1.3]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURVEYS))
+def test_survey_closes_as_with_the_wrapped_flow(name):
+    make, seeds = SURVEYS[name]
+    Y = make()
+    got = closed_orbit_survey(Y, np.array(seeds), 0.01, 10.0, 1e-5)
+    want = closed_orbit_survey(_with_wrapped_flow(Y), np.array(seeds), 0.01, 10.0, 1e-5)
+    assert not Y.flow_wraps
+    assert got.integration_counts["wrap"] is False and want.integration_counts["wrap"] is True
+    assert 0 < got.n_closed < len(seeds)
+    assert ([(r.closed, r.winding, r.note) for r in got.results]
+            == [(r.closed, r.winding, r.note) for r in want.results])
+    assert got.unique_orbits == want.unique_orbits
+    assert len(got.unique_orbits) == 2
+    assert np.allclose(got.periods, want.periods, rtol=1e-9, atol=0.0)
 
 
 def test_integrate_batch_matches_reference_loop_with_an_exit():

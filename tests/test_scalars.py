@@ -1,12 +1,14 @@
 """Scalar expression trees: slicing at x0 and lifting to spacetime rewrite the leaves;
 one evaluation plan runs each distinct leaf kernel once and matches a naive evaluator."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bmkit import (SampleGrid, VectorField, exterior_derivative, hodge_star, j0_field,
-                   j1_field, solid_torus_mode, torus3)
+from bmkit import (SampleGrid, VectorField, beltrami_maxwell, exterior_derivative, hodge_star,
+                   j0_field, j1_field, solid_torus_mode, torus3)
 from bmkit.bessel import J0, J1
 from bmkit.forms import fd_partial
 from bmkit.scalars import (COS, ZERO, Kernel, Plan, ScalarField, constant, from_function,
@@ -450,3 +452,24 @@ def test_analytic_partials_match_a_stencil(roots):
         want = stencil_partial(root, PTS_BOX, axis)
         scale = 1.0 + np.max(np.abs(want)) + np.max(np.abs(root(PTS_BOX)))
         assert np.max(np.abs(table[:, col] - want)) <= 1e-8 * scale, (col, axis)
+
+
+def test_slices_lifts_and_plans_leave_no_reference_cycles():
+    # each is freed by reference counting alone once dropped: none leaves work
+    # for the cyclic collector (an fn node is rewritten too)
+    fields = [*spacetime_fields().values(), from_function(lambda p: p[..., 1] * p[..., 2])]
+    M = beltrami_maxwell(solid_torus_mode())
+    gc.collect()
+    gc.disable()
+    try:
+        for f in fields:
+            sliced = restrict_time(f, X0)
+            lifted = lift_spatial(sliced)
+            plan = Plan([f, lifted, f * lifted])
+            plan(PTS4)
+            del sliced, lifted, plan
+            assert gc.collect() == 0
+        M.at_time(X0).e.coefficient_table(PTS3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
