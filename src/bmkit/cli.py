@@ -161,19 +161,12 @@ def _along_reeb(M, which, sl, grid3, forms, names):
     return (yield from conservation_along(rb.Y, forms, grid3, names, deferred=True))
 
 
-def _parse_counts(text: str, dim: int) -> tuple[int, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
+def _parse_counts(text: str) -> list[int]:
+    """The comma-separated counts of a grid flag; SampleGrid.regular checks them."""
     try:
-        counts = tuple(int(p) for p in parts)
+        return [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ConfigError(f"bad grid spec {text!r}")
-    if len(counts) == 1:
-        counts = counts * dim
-    if len(counts) != dim:
-        raise ConfigError(f"grid spec {text!r} needs 1 or {dim} counts")
-    if any(c < 2 for c in counts):
-        raise ConfigError("grid counts must be >= 2")
-    return counts
 
 
 def _applicable_checks(target) -> tuple[str, ...]:
@@ -196,7 +189,7 @@ def _run_verify(args) -> int:
     if len(set(labels)) < len(labels):
         raise ConfigError(f"--x0 values {x0_list} share a report label x0=%.6g")
     if isinstance(target, BeltramiForm):
-        grid = SampleGrid.regular(target.chart, _parse_counts(args.grid, 3))
+        grid = SampleGrid.regular(target.chart, _parse_counts(args.grid))
         runs = [(None, run(target, grid)) for c, run in BELTRAMI_CHECKS.items() if c in requested]
     else:
         runs = _maxwell_runs(target, requested, x0_list, args)
@@ -247,7 +240,7 @@ def _run_verify(args) -> int:
 
 def _maxwell_runs(M: MaxwellFieldSet, requested, x0_list, args) -> list:
     """(report name or None, check) for the window, base form and slice checks requested."""
-    grid3 = SampleGrid.regular(M.chart3, _parse_counts(args.grid, 3))
+    grid3 = SampleGrid.regular(M.chart3, _parse_counts(args.grid))
     w = args.t_window
     # one time sample per instant is the instant itself
     t_values = np.unique(np.concatenate(
@@ -311,8 +304,7 @@ def _parse_seeds(args, chart):
         if not rows:
             raise ConfigError("empty seed list")
         return np.array(rows)
-    counts = _parse_counts(args.seed_grid, chart.dim)
-    return SampleGrid.regular(chart, counts).points
+    return SampleGrid.regular(chart, _parse_counts(args.seed_grid)).points
 
 
 def _field_lines(args):
@@ -375,7 +367,7 @@ def _run_reeb(args) -> int:
             raise ConfigError("for Maxwell fields --which must be y0 or y1")
         rb = reeb_for_maxwell(target, which, args.x0)
         chart = target.chart3
-    grid = SampleGrid.regular(chart, _parse_counts(args.grid, chart.dim))
+    grid = SampleGrid.regular(chart, _parse_counts(args.grid))
     write_vector_field_csv(rb.Y, grid.points, args.out)
     r_omega, r_lam = rb.normalization_residuals
     print(f"wrote {args.out}; residuals: |i_Y Omega| <= {r_omega:.3e}, "

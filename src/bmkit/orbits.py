@@ -58,9 +58,6 @@ class OrbitTrace:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    def wrapped(self) -> np.ndarray:
-        return self.chart.wrap(self.samples)
-
     def winding(self) -> np.ndarray:
         """Net winding numbers of the full trace, per axis."""
         return self.chart.winding(self.samples[-1], self.samples[0])
@@ -140,6 +137,14 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
     return samples, lengths, statuses
 
 
+def _step_count(s_max: float, step: float, seeds: np.ndarray) -> int:
+    """ceil(s_max / step), if integrate_batch can store the samples of that many steps."""
+    steps = s_max / step
+    if not (steps + 1) * seeds.size * 8 < 2.0 ** 63:   # bytes of the samples array
+        raise BmkitError(f"s_max / step = {steps:.6g} RK4 steps cannot be stored")
+    return math.ceil(steps)
+
+
 def integrate(Y: VectorField, seed, step: float, n_steps: int) -> OrbitTrace:
     """Trace one field line with fixed-step RK4."""
     seed = Y.chart.as_points(seed)[:1]
@@ -172,17 +177,15 @@ def _refine_return(Y: VectorField, trace: OrbitTrace, j: int):
     return s, float(chart.distance(x, seed)), x
 
 
-def detect_closure(trace: OrbitTrace, tol: float = 1e-5,
-                   Y: VectorField | None = None) -> ClosureResult:
+def detect_closure(trace: OrbitTrace, tol: float, Y: VectorField) -> ClosureResult:
     """Scan a trace for a return to its seed within tol (chart distance).
 
     Candidates are the sampled local minima of the seed distance within
     max(tol, 1.5 * step * speed_max).  The first candidate with refined
     return distance < tol and parameter > 10 * step wins; its per-axis
-    winding numbers certify closure on tori.  With Y, each candidate is
-    refined by at most 8 Newton steps on the stationarity of the distance,
-    each re-integrating one RK4 sub-step from the candidate sample; omit Y
-    to accept the sampled minimum without refinement.
+    winding numbers certify closure on tori.  Each candidate is refined by
+    at most 8 Newton steps of Y on the stationarity of the distance, each
+    re-integrating one RK4 sub-step from the candidate sample.
     """
     if trace.n_samples < 100:
         raise BmkitError("detect_closure needs at least 100 samples")
@@ -200,10 +203,7 @@ def detect_closure(trace: OrbitTrace, tol: float = 1e-5,
     candidates = 1 + np.flatnonzero((trace.s[1:-1] > min_period) & (mid <= coarse)
                                     & (mid <= d[:-2]) & (mid <= d[2:]))
     for j in candidates:
-        if Y is not None:
-            s_star, dist_star, x_star = _refine_return(Y, trace, j)
-        else:
-            s_star, dist_star, x_star = trace.s[j], float(d[j]), trace.samples[j]
+        s_star, dist_star, x_star = _refine_return(Y, trace, j)
         best_dist = min(best_dist, dist_star)
         if dist_star < tol and s_star > min_period:
             winding = tuple(int(w) for w in chart.winding(x_star, seed))
@@ -377,7 +377,7 @@ def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
     """
     chart = Y.chart
     pts = chart.as_points(getattr(seeds, "points", seeds))
-    n_steps = max(100, int(math.ceil(s_max / step)))
+    n_steps = max(100, _step_count(s_max, step, pts))
     traces = _traces(Y, pts, step, *integrate_batch(Y, pts, step, n_steps))
     results = [detect_closure(trace, tol, Y) if trace.n_samples >= 100 else
                ClosureResult(False, math.nan, math.inf, tuple(0 for _ in range(chart.dim)),
@@ -416,7 +416,7 @@ def poincare_section(Y: VectorField, axis: int, value: float, seeds,
     """
     chart = Y.chart
     pts = chart.as_points(getattr(seeds, "points", seeds))
-    samples, lengths, _ = integrate_batch(Y, pts, step, int(math.ceil(s_max / step)))
+    samples, lengths, _ = integrate_batch(Y, pts, step, _step_count(s_max, step, pts))
     ax = chart.axes[axis]
     span = ax.period if ax.is_periodic else math.inf
     f = Y.flow
@@ -459,7 +459,7 @@ def poincare_section(Y: VectorField, axis: int, value: float, seeds,
 def write_orbit_csv(trace: OrbitTrace, path: str) -> None:
     """Orbit CSV: s, wrapped coordinates, completed-wrap counters per periodic axis."""
     chart = trace.chart
-    wrapped = trace.wrapped()
+    wrapped = chart.wrap(trace.samples)
     periodic = [i for i, ax in enumerate(chart.axes) if ax.is_periodic]
     displacement = trace.samples - trace.samples[0]
     wraps = {i: np.floor(displacement[:, i] / chart.axes[i].period).astype(int)

@@ -72,25 +72,19 @@ class ReebField:
         return normalization_residuals(self.Y, self.pair, self.grid)
 
 
-def _reeb_parts(pair: SHSPair) -> tuple[ScalarField, ...]:
-    """(o1, o2, o3, l1, l2, l3, den): Omega_vec in the dx2^dx3, dx3^dx1, dx1^dx2
-    ordering, lambda's components, and den = lambda . Omega_vec."""
-    o1 = pair.Omega.coefficient((1, 2))
-    o2 = -pair.Omega.coefficient((0, 2))
-    o3 = pair.Omega.coefficient((0, 1))
-    l1, l2, l3 = (pair.lam.coefficient((i,)) for i in range(3))
-    return o1, o2, o3, l1, l2, l3, l1 * o1 + l2 * o2 + l3 * o3
-
-
 def reeb_from_shs(pair: SHSPair, x) -> np.ndarray:
     """Reeb vector at point(s) x via the uniform formula Y = Omega_vec / (lam . Omega_vec).
 
-    Evaluates the fields reeb_vector_field builds, in one evaluation call.
+    Omega_vec is Omega in the dx2^dx3, dx3^dx1, dx1^dx2 ordering; it, lambda's
+    components and lam . Omega_vec are evaluated in one call.
     Raises DegeneratePointError where |lam . Omega_vec|, normalized by the
     point-wise magnitudes of lambda and Omega, falls below 1e-10.
     """
+    o1, o2, o3 = (pair.Omega.coefficient((1, 2)), -pair.Omega.coefficient((0, 2)),
+                  pair.Omega.coefficient((0, 1)))
+    l1, l2, l3 = (pair.lam.coefficient((i,)) for i in range(3))
     pts = pair.chart.as_points(x)
-    table = value_table(list(_reeb_parts(pair)), pts)
+    table = value_table([o1, o2, o3, l1, l2, l3, l1 * o1 + l2 * o2 + l3 * o3], pts)
     ov, lam_tab, den = table[:, :3], table[:, 3:6], table[:, 6]
     scale = np.linalg.norm(lam_tab, axis=-1) * np.linalg.norm(ov, axis=-1)
     bad = np.abs(den) <= DEGENERACY_TOL * np.maximum(scale, 1e-300)
@@ -101,12 +95,6 @@ def reeb_from_shs(pair: SHSPair, x) -> np.ndarray:
             f"at {witness}")
     out = ov / den[:, None]
     return out[0] if np.asarray(x).ndim == 1 else out
-
-
-def reeb_vector_field(pair: SHSPair) -> VectorField:
-    """The uniform-formula Reeb field as a VectorField (analytic when inputs are)."""
-    o1, o2, o3, _, _, _, den = _reeb_parts(pair)
-    return vector_field(pair.chart, {0: o1 / den, 1: o2 / den, 2: o3 / den})
 
 
 @_check

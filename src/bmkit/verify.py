@@ -63,14 +63,13 @@ class SampleGrid:
     def regular(cls, chart: Chart, counts) -> "SampleGrid":
         """Regular lattice over each axis' window; periodic axes omit the duplicate endpoint.
 
-        counts: one integer per axis or a single integer for all.  An
-        unbounded interval end is replaced by 0 (below) or 2pi (above).
+        counts: one integer per axis, or one (an int or a 1-sequence) for all,
+        each >= 2.  An unbounded interval end is replaced by 0 (below) or 2pi (above).
         """
-        if isinstance(counts, int):
-            counts = (counts,) * chart.dim
-        counts = tuple(int(c) for c in counts)
-        if len(counts) != chart.dim or any(c < 2 for c in counts):
-            raise BmkitError("grid needs >= 2 points per axis")
+        counts = tuple(int(c) for c in np.atleast_1d(counts))
+        if len(counts) not in (1, chart.dim) or min(counts) < 2:
+            raise BmkitError(f"grid needs 1 or {chart.dim} counts, each >= 2; got {list(counts)}")
+        counts *= chart.dim // len(counts)
         return cls(chart, chart.lattice(counts),
                    {"kind": "regular", "counts": list(counts), "chart": chart.name})
 
@@ -151,10 +150,6 @@ def _max_abs(pts: np.ndarray, f) -> _Need:
     return _Need(pts, fields, lambda *c: functools.reduce(np.maximum, map(np.abs, c or [0.0])))
 
 
-def _min_abs(pts: np.ndarray, sf) -> _Need:
-    return _Need(pts, [sf], np.abs, lowest=True)
-
-
 class Batch:
     """Runs checks together; ``counts`` totals its plans, their columns and their points."""
 
@@ -225,19 +220,9 @@ def _mode_tol(*forms: DifferentialForm) -> tuple[str, float]:
 
 
 def _amplitude_needs(M: MaxwellFieldSet, pts: np.ndarray) -> dict:
-    """The needs of field_amplitudes, for a batch to evaluate with other checks' needs."""
+    """The needs of max |coefficient| of e, h, B and D over pts, from which the maxwell and
+    constitutive scales derive; each of those checks yields them with its own needs."""
     return {name: _max_abs(pts, getattr(M, name)) for name in ("e", "h", "B", "D")}
-
-
-def field_amplitudes(M: MaxwellFieldSet, pts: np.ndarray) -> dict:
-    """max |coefficient| of e, h, B and D over pts.
-
-    The maxwell and constitutive scales derive from these four numbers; each
-    of those checks yields their needs with its own.
-    """
-    needs = _amplitude_needs(M, pts)
-    Batch().evaluate(needs.values())
-    return {name: need.result[0] for name, need in needs.items()}
 
 
 # -- checks -------------------------------------------------------------------
@@ -269,7 +254,7 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     The decomposed and 4-d residuals are compared coefficient-by-coefficient
     (the 4-d derivative splits as d = d_spatial + dx0 ^ d/dx0), and their
     disagreement is reported and required to stay below 1e-8 times the 4-d
-    form's scale.  The scales derive from field_amplitudes, whose needs it yields.
+    form's scale.  The scales derive from the amplitude needs it yields.
     """
     if grid4.chart.time_axis is None:
         raise DegreeError("maxwell_residuals needs a spacetime grid")
@@ -327,7 +312,7 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
 @_check
 def constitutive_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     """|D - eps0 *3 e|, |B - mu0 *3 h|, and the 4-d check |F1 + eps0 * F0|, against
-    max|D|, max|B| and max|F1| from field_amplitudes' needs (as in maxwell_residuals)."""
+    max|D|, max|B| and max|F1| from the amplitude needs it yields (as maxwell_residuals)."""
     pts = grid4.points
     amp_needs = _amplitude_needs(M, pts)
     r_d = M.D - M.eps0 * spatial_hodge(M.metric3, M.e)
@@ -377,7 +362,7 @@ def contact_margin(lam: DifferentialForm, grid: SampleGrid,
     dlam = exterior_derivative(lam)
     (lam_max, _), (dlam_max, _), (raw, witness) = yield [
         _max_abs(pts, lam), _max_abs(pts, dlam),
-        _min_abs(pts, wedge(lam, dlam).coefficient((0, 1, 2)))]
+        _Need(pts, [wedge(lam, dlam).coefficient((0, 1, 2))], np.abs, lowest=True)]
     if _numerically_zero(lam_max, zero_scale):
         return CheckReport("contact", False, 0.0, 0.0, {"margin": TOL_MARGIN},
                            [pts[0].tolist()], grid.spec,
@@ -417,7 +402,8 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
         _Need(pts, map(Omega.coefficient, Omega.indices)),
         _Need(pts, map(dlam.coefficient, dlam.indices)),
         _max_abs(pts, Omega), _max_abs(pts, lam), _max_abs(pts, exterior_derivative(Omega)),
-        _min_abs(pts, wedge(lam, Omega).coefficient((0, 1, 2))), _max_abs(pts, dlam)]
+        _Need(pts, [wedge(lam, Omega).coefficient((0, 1, 2))], np.abs, lowest=True),
+        _max_abs(pts, dlam)]
     if zero_scales is not None and (_numerically_zero(omega_abs_max, zero_scales[0])
                                     or _numerically_zero(lam_max, zero_scales[1])):
         return CheckReport("shs", False, 0.0, 0.0,
@@ -475,10 +461,10 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
     pts = grid4.points
     mode, tol = _mode_tol(F)
     needs = [_max_abs(pts, exterior_derivative(F)), _max_abs(pts, F),
-             _min_abs(pts, wedge(F, F).coefficient((0, 1, 2, 3)))]
+             _Need(pts, [wedge(F, F).coefficient((0, 1, 2, 3))], np.abs, lowest=True)]
     if companion is not None:
         spatial_vol = tuple(i for i in range(chart.dim) if i != chart.time_axis)
-        needs.append(_min_abs(pts, wedge(*companion).coefficient(spatial_vol)))
+        needs.append(_Need(pts, [wedge(*companion).coefficient(spatial_vol)], np.abs, lowest=True))
     (closure, _), (f_max, _), (raw, witness), *companion_min = yield needs
     normalized = raw / (f_max * f_max) if f_max > 0 else 0.0
     details = {"normalized_margin": normalized, "closure_residual": closure,

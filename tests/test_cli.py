@@ -386,6 +386,16 @@ def test_unknown_flag_usage_error():
     ["verify", "--t-window", "-0.1"],
     ["verify", "--t-window", "inf"],
     ["verify", "--x0", "nan"],
+    # step counts too large to store: rejected before anything is allocated
+    ["survey", "--seeds", "0,0,0", "--step", "1e-300"],
+    ["trace", "--s-max", "1e300"],
+    ["survey", "--step", "1e-320", "--s-max", "1e10"],
+    # grid counts: one or one per axis, each >= 2, checked by SampleGrid.regular
+    ["verify", "--grid", "4,4"],
+    ["verify", "--grid", "1"],
+    ["verify", "--grid", "x"],
+    ["reeb", "--grid", "4,4,4,4"],
+    ["survey", "--seed-grid", "1"],
 ])
 def test_bad_numeric_flag_exit_2(args, capsys):
     argv = args[:1] + ["--field", "constant_field"] + args[1:]
@@ -620,13 +630,12 @@ def _alone_reports(M, x0_list, counts, tgrid, t_window):
     from bmkit import (DegenerateInstantError, SampleGrid, beltrami_residual, conservation_along,
                        constitutive_residuals, contact_margin, maxwell_residuals, parallel_check,
                        reeb_for_maxwell, shs_check, symplectic_margin)
-    from bmkit.verify import field_amplitudes
 
     grid3 = SampleGrid.regular(M.chart3, counts)
     t_values = np.unique(np.concatenate(
         [np.linspace(x0 - t_window, x0 + t_window, tgrid) for x0 in x0_list]))
     grid4 = grid3.with_time(M.chart4, t_values)
-    amp = field_amplitudes(M, grid4.points)
+    amp = {n: getattr(M, n).max_abs(grid4.points) for n in "ehBD"}
     reports = {r.check: r.to_json_dict() for r in (
         maxwell_residuals(M, grid4), constitutive_residuals(M, grid4),
         parallel_check(M, grid4),

@@ -14,7 +14,7 @@ from bmkit import (BmkitError, SampleGrid, VectorField, abc_flow, beltrami_maxwe
                    metric_sharp, poincare_section, solid_torus, solid_torus_mode,
                    t3_mode, torus3, vector_field, write_orbit_csv)
 from bmkit.forms import _rk4_step, fd_partial
-from bmkit.orbits import NONE_FOUND, SurveyResult, _covers, integrate_batch
+from bmkit.orbits import NONE_FOUND, SurveyResult, _covers, _refine_return, integrate_batch
 from bmkit.scalars import constant, coordinate, from_function, monomial, sin_wave, wave
 
 T3 = torus3()
@@ -249,6 +249,13 @@ def test_step_must_be_positive():
         integrate(const_field(R3, {0: 1.0}), [0, 0, 0], -0.1, 100)
 
 
+@pytest.mark.parametrize("s_max, step", [(1e300, 1e-2), (1e10, 1e-320)])
+def test_step_count_too_large_to_store(s_max, step):
+    # rejected before anything is allocated
+    with pytest.raises(BmkitError, match="cannot be stored"):
+        poincare_section(const_field(T3, {0: 1.0}), 0, 0.0, [[0.0, 0.0, 0.0]], s_max, step)
+
+
 # -- detect_closure -----------------------------------------------------------------
 
 
@@ -293,7 +300,7 @@ def test_closure_needs_enough_samples():
     Y = const_field(T3, {0: 1.0})
     tr = integrate(Y, [0, 0, 0], 0.01, 50)
     with pytest.raises(BmkitError):
-        detect_closure(tr, 1e-5)
+        detect_closure(tr, 1e-5, Y)
 
 
 def test_min_period_rejects_trivial_self_match():
@@ -315,19 +322,18 @@ def _loop_candidates(trace, d, tol):
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-5])
 def test_unrefined_closure_matches_loop_scan(tol):
-    # the (2, 1, 0) line has two sampled returns; they close only at tol = 1e-2
+    # the (2, 1, 0) line has two sampled returns; detect_closure refines them in
+    # scan order and reports the first that closes, bit for bit
     Z = field_line_generator(beltrami_maxwell(t3_mode(1, 1.0)), "e", 0.0)
     tr = integrate(Z, [0.0, 0.0, math.atan(0.5)], 0.01, 3000)
     d = T3.distance(tr.samples, tr.samples[0])
     cands = _loop_candidates(tr, d, tol)
     assert len(cands) == 2
-    res = detect_closure(tr, tol)
-    closing = [j for j in cands if d[j] < tol]
-    if closing:
-        assert res.closed and res.period_estimate == tr.s[closing[0]]
-        assert res.return_distance == d[closing[0]]
-    else:
-        assert not res.closed and res.return_distance == min(d[j] for j in cands)
+    refined = [_refine_return(Z, tr, j)[:2] for j in cands]
+    closing = [(s, dist) for s, dist in refined if dist < tol and s > 10 * tr.step]
+    res = detect_closure(tr, tol, Z)
+    assert closing and res.closed
+    assert (res.period_estimate, res.return_distance) == closing[0]
 
 
 def test_newton_refinement_reaches_round_off():

@@ -10,7 +10,7 @@ from bmkit import (BmkitError, DegenerateInstantError, DegeneratePointError,
                    euclidean_metric, hodge_star, lie_derivative, make_form,
                    metric_sharp, norm_sq_field, reeb_closed_form_beltrami,
                    reeb_for_maxwell, reeb_from_shs, reeb_like_check,
-                   reeb_parallel_ratio, reeb_vector_field, solid_torus,
+                   reeb_parallel_ratio, solid_torus,
                    solid_torus_mode, t3_mode, torus3, vector_field)
 from bmkit.scalars import constant
 
@@ -233,12 +233,3 @@ def test_reeb_like_check_cases():
     r3 = reeb_like_check(bad, v.form, grid)
     assert not r3.passed
     assert abs(r3.min_margin) < 1e-15
-
-
-def test_reeb_vector_field_analytic():
-    v = t3_mode(1, 1.0)
-    Y = reeb_vector_field(shs_pair_of(v))
-    vals = Y.evaluate(PTS[:50])
-    want = reeb_from_shs(shs_pair_of(v), PTS[:50])
-    assert np.allclose(vals, want)
-    assert all(c.has_partials for c in Y.components)

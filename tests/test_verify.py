@@ -17,7 +17,6 @@ from bmkit import (SampleGrid, abc_flow, beltrami_maxwell, beltrami_nonparallel,
 from bmkit import NONDIMENSIONAL, SI, DegenerateInstantError, hodge_star, make_form
 from bmkit.reeb import reeb_for_maxwell
 from bmkit.scalars import constant, wave
-from bmkit.verify import field_amplitudes
 
 T3 = torus3()
 G3 = euclidean_metric(T3)
@@ -107,7 +106,7 @@ def test_tiny_doubled_d_fails_maxwell_and_constitutive():
 def test_maxwell_and_constitutive_scales_from_amplitudes():
     M = beltrami_maxwell(t3_mode(1, 1.0), e0=3.0, constants=SI)
     grid = grid4_for(M, [0.4, 1.1])
-    amp = field_amplitudes(M, grid.points)
+    amp = {n: getattr(M, n).max_abs(grid.points) for n in "ehBD"}
     r = maxwell_residuals(M, grid)
     assert r.passed
     # max|F0| and max|F1| from the four amplitudes, with no second pass
@@ -150,7 +149,7 @@ def eh_decisions(M, thetas, counts=5):
     grid3 = SampleGrid.regular(M.chart3, counts)
     x0s = [theta / M.k for theta in thetas]
     grid4 = grid3.with_time(M.chart4, x0s)
-    amp = field_amplitudes(M, grid4.points)
+    amp = {n: getattr(M, n).max_abs(grid4.points) for n in "ehBD"}
     out = {"constitutive": constitutive_residuals(M, grid4).passed,
            "parallel": parallel_check(M, grid4).passed}
     for theta, x0 in zip(thetas, x0s):
@@ -502,10 +501,13 @@ def test_check_report_json_schema():
 
 def test_sample_grid_validation():
     from bmkit import BmkitError
-    with pytest.raises(BmkitError):
-        SampleGrid.regular(T3, 1)
-    with pytest.raises(BmkitError):
-        SampleGrid.regular(T3, (4, 4))
+    # one count for every axis, as an int or a 1-sequence, or one count per axis
+    assert SampleGrid.regular(T3, 5).spec["counts"] == [5, 5, 5]
+    assert SampleGrid.regular(T3, (5,)).spec["counts"] == [5, 5, 5]
+    assert SampleGrid.regular(T3, (5, 4, 3)).n == 60
+    for counts in (1, (1,), (5, 4), (4, 4, 4, 4), ()):
+        with pytest.raises(BmkitError):
+            SampleGrid.regular(T3, counts)
 
 
 # k_c = 10 takes k_c r past 8, where J0 and J1 switch to the quadrature sum
