@@ -8,12 +8,12 @@ vector fields, and traces electromagnetic field lines to find closed orbits.
 """
 
 from .charts import (AxisSpec, Chart, euclidean3, interval_axis, periodic_axis,
-                     solid_torus, spacetime, spatial_chart, torus3)
+                     solid_torus, spacetime, torus3)
 from .scalars import (ScalarField, constant, coordinate, from_function,
                       lift_spatial, monomial, restrict_time, sin_wave, wave)
 from .forms import (DifferentialForm, VectorField, dx, exterior_derivative,
-                    interior_product, lie_derivative, lie_derivative_flow,
-                    make_form, scalar_form, spatial_exterior_derivative,
+                    interior_product, lie_derivative, lie_derivative_flow, lift_form,
+                    make_form, restrict_form, scalar_form, spatial_exterior_derivative,
                     time_derivative, vector_field, wedge, zero_form)
 from .metrics import (MetricField, euclidean_metric, hodge_star,
                       lorentzian_product, metric_sharp, norm_sq_field,

@@ -29,11 +29,10 @@ import numpy as np
 from .bessel import j0_field, j1_field
 from .charts import Chart, euclidean3, solid_torus, spacetime, torus3
 from .errors import BmkitError, ConfigError, SingularFieldError
-from .forms import DifferentialForm, _rk4_advance, dx, make_form, wedge
+from .forms import DifferentialForm, _rk4_advance, dx, lift_form, make_form, restrict_form, wedge
 from .metrics import (MetricField, euclidean_metric, lorentzian_product,
                       norm_sq_field, solid_torus_metric, spatial_hodge)
-from .scalars import (Plan, constant, lift_spatial, monomial, restrict_time,
-                      sin_wave, wave)
+from .scalars import Plan, constant, monomial, sin_wave, wave
 
 
 @dataclass(frozen=True)
@@ -186,13 +185,16 @@ class MaxwellSlice:
     """A Maxwell field set restricted to the hypersurface x0 = const."""
 
     x0: float
-    chart: Chart
     metric: MetricField
     e: DifferentialForm
     h: DifferentialForm
     B: DifferentialForm
     D: DifferentialForm
     constants: Constants
+
+    @property
+    def chart(self) -> Chart:
+        return self.metric.chart
 
     def energy_forms(self) -> tuple[DifferentialForm, DifferentialForm]:
         """Vacuum energy density 3-forms on the slice."""
@@ -205,13 +207,12 @@ class MaxwellFieldSet:
 
     e, h are spatial 1-forms and B, D spatial 2-forms (no dx0 components,
     x0-dependent coefficients).  F0 = -c0 B - e ^ dx0 and
-    F1 = D - h ^ dx0 / c0 are full 4-d 2-forms.
+    F1 = D - h ^ dx0 / c0 are full 4-d 2-forms.  The spatial chart chart3 is
+    metric3's, and the spacetime chart chart4 = spacetime(chart3) is e's.
     """
 
     name: str
     params: dict
-    chart4: Chart
-    chart3: Chart
     metric3: MetricField
     metric4: MetricField
     e: DifferentialForm
@@ -227,6 +228,14 @@ class MaxwellFieldSet:
     f_h: Callable[[float], float] | None = field(default=None, repr=False)
 
     @property
+    def chart3(self) -> Chart:
+        return self.metric3.chart
+
+    @property
+    def chart4(self) -> Chart:
+        return self.e.chart
+
+    @property
     def eps0(self) -> float:
         return self.constants.eps0
 
@@ -239,17 +248,10 @@ class MaxwellFieldSet:
         return self.constants.c0
 
     def at_time(self, x0: float) -> MaxwellSlice:
-        def rf(form4: DifferentialForm, degree: int) -> DifferentialForm:
-            coeffs = {}
-            for idx, c in form4.coeffs.items():
-                if 0 in idx:
-                    raise BmkitError("field has dx0 components; not spatial")
-                coeffs[tuple(i - 1 for i in idx)] = restrict_time(c, x0)
-            return make_form(self.chart3, degree, coeffs)
-
-        return MaxwellSlice(float(x0), self.chart3, self.metric3,
-                            rf(self.e, 1), rf(self.h, 1),
-                            rf(self.B, 2), rf(self.D, 2), self.constants)
+        """e, h, B and D restricted to the slice x0 = const (`forms.restrict_form`)."""
+        return MaxwellSlice(float(x0), self.metric3,
+                            *(restrict_form(self.chart3, f, x0)
+                              for f in (self.e, self.h, self.B, self.D)), self.constants)
 
     def energy_forms(self) -> tuple[DifferentialForm, DifferentialForm]:
         """Vacuum energy density 3-forms (eps0/2) e ^ *3 e and (mu0/2) h ^ *3 h."""
@@ -264,12 +266,6 @@ class MaxwellFieldSet:
         return wedge(self.e, self.h)
 
 
-def _lift_form(chart4: Chart, form3: DifferentialForm) -> DifferentialForm:
-    coeffs = {tuple(i + 1 for i in idx): lift_spatial(c)
-              for idx, c in form3.coeffs.items()}
-    return make_form(chart4, form3.degree, coeffs)
-
-
 def maxwell_from_eh(name: str, params: dict, metric3: MetricField,
                     e: DifferentialForm, h: DifferentialForm,
                     constants: Constants = NONDIMENSIONAL, **extra) -> MaxwellFieldSet:
@@ -277,15 +273,13 @@ def maxwell_from_eh(name: str, params: dict, metric3: MetricField,
 
     The spatial chart is metric3's and the spacetime chart is e's.
     """
-    chart3, chart4 = metric3.chart, e.chart
     c0 = constants.c0
     D = constants.eps0 * spatial_hodge(metric3, e)
     B = constants.mu0 * spatial_hodge(metric3, h)
-    dx0 = dx(chart4, 0)
+    dx0 = dx(e.chart, 0)
     F0 = -(c0 * B) - wedge(e, dx0)
     F1 = D - (1.0 / c0) * wedge(h, dx0)
-    metric4 = lorentzian_product(metric3, chart4)
-    return MaxwellFieldSet(name, dict(params), chart4, chart3, metric3, metric4,
+    return MaxwellFieldSet(name, dict(params), metric3, lorentzian_product(metric3, e.chart),
                            e, h, B, D, F0, F1, constants, **extra)
 
 
@@ -306,7 +300,7 @@ def beltrami_maxwell(v: BeltramiForm | None = None, e0: float = 1.0,
     if k == 0:
         raise BmkitError("beltrami_maxwell needs a rotational (k != 0) form")
     chart4 = spacetime(v.chart)
-    v4 = _lift_form(chart4, v.form)
+    v4 = lift_form(chart4, v.form)
     c0, mu0 = constants.c0, constants.mu0
     cos_k = wave({0: k})
     sin_k = sin_wave({0: k})

@@ -3,7 +3,8 @@
 A chart is a box of coordinates, each axis either periodic (circle of given
 period) or an interval (possibly unbounded).  Charts carry no metric; see
 ``bmkit.metrics`` for that.  Spacetime charts put the time coordinate x0
-first, so spatial axes of a 4-d chart are 1..3.
+first, so spatial axes of a 4-d chart are 1..3.  Charts compare by value, and
+chart4 is the spacetime of chart3 exactly when chart4 == spacetime(chart3).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BmkitError, DomainError
+from .errors import BmkitError, ChartMismatchError, DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -212,9 +213,7 @@ def spacetime(spatial: Chart) -> Chart:
     return Chart(f"IxR_{spatial.name}", axes, time_axis=0)
 
 
-def spatial_chart(chart4: Chart) -> Chart:
-    """The 3-d chart underlying a spacetime chart."""
-    if chart4.time_axis != 0:
-        raise BmkitError("expected a spacetime chart with time axis first")
-    name = chart4.name.removeprefix("IxR_")
-    return Chart(name, chart4.axes[1:])
+def require_spacetime(chart4: Chart, chart3: Chart) -> None:
+    """Raise ChartMismatchError unless chart4 == spacetime(chart3)."""
+    if chart4 != spacetime(chart3):
+        raise ChartMismatchError(f"{chart4.name} is not the spacetime chart of {chart3.name}")

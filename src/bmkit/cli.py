@@ -30,7 +30,7 @@ from .catalog import (CATALOG, BeltramiForm, MaxwellFieldSet, NONDIMENSIONAL,
                       SI, build_catalog_field)
 from .errors import BmkitError, ConfigError, DegenerateInstantError
 from .metrics import hodge_star
-from .orbits import closed_orbit_survey, write_orbit_csv, write_vector_field_csv
+from .orbits import MIN_STEPS, closed_orbit_survey, write_orbit_csv, write_vector_field_csv
 from .reeb import field_line_generator, reeb_closed_form_beltrami, reeb_for_maxwell
 from .verify import (Batch, SampleGrid, _amplitude_needs, beltrami_residual,
                      conservation_along, constitutive_residuals, contact_margin,
@@ -325,7 +325,7 @@ def _run_trace(args) -> int:
         results.append({
             "seed": [float(x) for x in trace.seed],
             "status": trace.status,
-            "closure": closure.to_json_dict() if trace.n_samples >= 100 else None,
+            "closure": closure.to_json_dict() if trace.n_samples >= MIN_STEPS else None,
         })
     report = {
         "schema": SCHEMA,
@@ -359,15 +359,14 @@ def _run_reeb(args) -> int:
     target = _build_target(args)
     if isinstance(target, BeltramiForm):
         variant = "normalized" if args.which in ("y", "y0", "y1") else "unnormalized"
-        rb = reeb_closed_form_beltrami(target, variant)
-        chart = target.chart
+        grid = SampleGrid.regular(target.chart, _parse_counts(args.grid))
+        rb = reeb_closed_form_beltrami(target, variant, grid)
     else:
         which = {"y0": "Y0", "y1": "Y1"}.get(args.which)
         if which is None:
             raise ConfigError("for Maxwell fields --which must be y0 or y1")
-        rb = reeb_for_maxwell(target, which, args.x0)
-        chart = target.chart3
-    grid = SampleGrid.regular(chart, _parse_counts(args.grid))
+        grid = SampleGrid.regular(target.chart3, _parse_counts(args.grid))
+        rb = reeb_for_maxwell(target, which, args.x0, grid)
     write_vector_field_csv(rb.Y, grid.points, args.out)
     r_omega, r_lam = rb.normalization_residuals
     print(f"wrote {args.out}; residuals: |i_Y Omega| <= {r_omega:.3e}, "

@@ -17,7 +17,8 @@ an interval (``DEFAULT_FD_STEP`` times ``AxisSpec.fd_scale``).  A
 finite-difference partial (:func:`fd_partial`) is an ``fn`` node that
 evaluates its field once per stencil grid.
 On spacetime charts the derivative splits as d = d_spatial + dx0 ^ d/dx0;
-both pieces are exposed separately.
+both pieces are exposed separately.  ``lift_form`` and ``restrict_form`` alone
+move forms between a 3-d chart and its spacetime (``charts.spacetime``).
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import Chart
+from .charts import Chart, require_spacetime
 from .errors import ChartMismatchError, DegreeError
-from .scalars import (Plan, ScalarField, ZERO, as_table, constant, from_function, periodic_in,
-                      value_table)
+from .scalars import (Plan, ScalarField, ZERO, as_table, constant, from_function, lift_spatial,
+                      periodic_in, restrict_time, value_table)
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -98,12 +99,6 @@ class DifferentialForm:
     def max_abs(self, pts: np.ndarray) -> float:
         table = self.coefficient_table(pts)
         return float(np.max(np.abs(table))) if table.size else 0.0
-
-    @property
-    def is_spatial(self) -> bool:
-        """True when no stored index touches the chart's time axis."""
-        t = self.chart.time_axis
-        return t is None or all(t not in idx for idx in self.coeffs)
 
     # -- linear structure ---------------------------------------------------
 
@@ -228,6 +223,20 @@ def _require_same_chart(a, b):
     if a.chart is not b.chart and a.chart != b.chart:
         raise ChartMismatchError(
             f"operands on different charts: {a.chart.name} vs {b.chart.name}")
+
+
+def lift_form(chart4: Chart, a: DifferentialForm) -> DifferentialForm:
+    """The 3-d form a as an x0-independent spatial form on chart4 = spacetime(a.chart)."""
+    require_spacetime(chart4, a.chart)
+    return make_form(chart4, a.degree, {tuple(i + 1 for i in idx): lift_spatial(c)
+                                        for idx, c in a.coeffs.items()})
+
+
+def restrict_form(chart3: Chart, a: DifferentialForm, x0: float) -> DifferentialForm:
+    """The spatial form a of spacetime(chart3) at x0, on chart3; a dx0 index raises DegreeError."""
+    require_spacetime(a.chart, chart3)
+    return make_form(chart3, a.degree, {tuple(i - 1 for i in idx): restrict_time(c, x0)
+                                        for idx, c in a.coeffs.items()})
 
 
 # -- wedge ----------------------------------------------------------------

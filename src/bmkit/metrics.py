@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charts import Chart, spatial_chart
+from .charts import Chart, require_spacetime
 from .errors import DegreeError
 from .forms import (DifferentialForm, VectorField, interior_product, make_form,
                     vector_field, zero_form)
@@ -63,9 +63,8 @@ def solid_torus_metric(chart: Chart) -> MetricField:
 
 
 def lorentzian_product(spatial: MetricField, chart4: Chart) -> MetricField:
-    """Block metric -dx0 (x) dx0 + g3 on a spacetime chart."""
-    if chart4.time_axis != 0:
-        raise DegreeError("lorentzian product expects time axis first")
+    """Block metric -dx0 (x) dx0 + g3 on chart4 = spacetime(spatial.chart)."""
+    require_spacetime(chart4, spatial.chart)
     if spatial.signature != "riemannian":
         raise DegreeError("spatial factor must be Riemannian")
     entries = {(0, 0): constant(-1.0)}
@@ -140,13 +139,9 @@ def spatial_hodge(g3: MetricField, a: DifferentialForm) -> DifferentialForm:
     """3-d Hodge dual acting fibrewise on spatial forms of a spacetime chart.
 
     Accepts either a 3-d form on g3's own chart (plain Hodge dual) or a
-    spatial form on the corresponding spacetime chart (x0-parameterized).
+    spatial form on spacetime(g3.chart) (x0-parameterized); a dx0 component
+    raises DegreeError.
     """
     if a.chart == g3.chart:
         return hodge_star(g3, a)
-    chart4 = a.chart
-    if chart4.time_axis != 0 or spatial_chart(chart4) != g3.chart:
-        raise DegreeError("expected a spatial form over the metric's chart")
-    if not a.is_spatial:
-        raise DegreeError("spatial Hodge dual of a form with dx0 components")
-    return _hodge_core(lorentzian_product(g3, chart4), (1, 2, 3), a)
+    return _hodge_core(lorentzian_product(g3, a.chart), (1, 2, 3), a)

@@ -39,6 +39,7 @@ from .errors import BmkitError
 from .forms import VectorField, _rk4_advance, _rk4_step
 
 NONE_FOUND = "none found within budget"
+MIN_STEPS = 100  # fewest RK4 steps of a survey budget, and fewest samples closure detection reads
 _SPEED_ROWS = 2048  # about this many samples per flow run for the speeds along traces
 
 
@@ -187,8 +188,8 @@ def detect_closure(trace: OrbitTrace, tol: float, Y: VectorField) -> ClosureResu
     at most 8 Newton steps of Y on the stationarity of the distance, each
     re-integrating one RK4 sub-step from the candidate sample.
     """
-    if trace.n_samples < 100:
-        raise BmkitError("detect_closure needs at least 100 samples")
+    if trace.n_samples < MIN_STEPS:
+        raise BmkitError(f"detect_closure needs at least {MIN_STEPS} samples")
     chart = trace.chart
     seed = trace.samples[0]
     if trace.speed_max <= 1e-14:
@@ -377,9 +378,11 @@ def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
     """
     chart = Y.chart
     pts = chart.as_points(getattr(seeds, "points", seeds))
-    n_steps = max(100, _step_count(s_max, step, pts))
+    n_steps = _step_count(s_max, step, pts)
+    if n_steps < MIN_STEPS:
+        raise BmkitError(f"s_max / step = {n_steps} RK4 steps; a survey needs {MIN_STEPS} or more")
     traces = _traces(Y, pts, step, *integrate_batch(Y, pts, step, n_steps))
-    results = [detect_closure(trace, tol, Y) if trace.n_samples >= 100 else
+    results = [detect_closure(trace, tol, Y) if trace.n_samples >= MIN_STEPS else
                ClosureResult(False, math.nan, math.inf, tuple(0 for _ in range(chart.dim)),
                              note="trace too short: " + trace.status)
                for trace in traces]

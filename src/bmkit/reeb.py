@@ -31,7 +31,7 @@ from .catalog import BeltramiForm, MaxwellFieldSet
 from .charts import Chart
 from .errors import (BmkitError, ChartMismatchError, DegenerateInstantError,
                      DegeneratePointError)
-from .forms import DifferentialForm, VectorField, interior_product, vector_field
+from .forms import DifferentialForm, VectorField, interior_product, restrict_form, vector_field
 from .metrics import MetricField, hodge_star, metric_sharp, norm_sq_field
 from .scalars import ScalarField, constant, value_table
 from .verify import SampleGrid, _check, _max_abs, _Need
@@ -191,6 +191,4 @@ def field_line_generator(M: MaxwellFieldSet | BeltramiForm, which: str = "e",
         raise BmkitError("which must be 'e' or 'h'")
     if isinstance(M, BeltramiForm):
         return metric_sharp(M.metric, M.form)
-    sl = M.at_time(x0)
-    lam = sl.e if which == "e" else sl.h
-    return metric_sharp(sl.metric, lam)
+    return metric_sharp(M.metric3, restrict_form(M.chart3, M.e if which == "e" else M.h, x0))

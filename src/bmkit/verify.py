@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .catalog import MaxwellFieldSet
-from .charts import Chart
+from .charts import Chart, require_spacetime
 from .errors import BmkitError, DegreeError
 from .forms import (DifferentialForm, VectorField, exterior_derivative,
                     interior_product, lie_derivative,
@@ -63,18 +63,21 @@ class SampleGrid:
     def regular(cls, chart: Chart, counts) -> "SampleGrid":
         """Regular lattice over each axis' window; periodic axes omit the duplicate endpoint.
 
-        counts: one integer per axis, or one (an int or a 1-sequence) for all,
-        each >= 2.  An unbounded interval end is replaced by 0 (below) or 2pi (above).
+        counts: one integer per axis, or one (an int or a 1-sequence) for all, each >= 2, and
+        the points fit in 2^63 bytes.  An unbounded interval end is replaced by 0 or 2pi.
         """
         counts = tuple(int(c) for c in np.atleast_1d(counts))
         if len(counts) not in (1, chart.dim) or min(counts) < 2:
             raise BmkitError(f"grid needs 1 or {chart.dim} counts, each >= 2; got {list(counts)}")
         counts *= chart.dim // len(counts)
+        if not np.prod(counts, dtype=float) * chart.dim * 8 < 2.0 ** 63:   # bytes of the points
+            raise BmkitError(f"grid of {list(counts)} points per axis cannot be stored")
         return cls(chart, chart.lattice(counts),
                    {"kind": "regular", "counts": list(counts), "chart": chart.name})
 
     def with_time(self, chart4: Chart, x0_values) -> "SampleGrid":
-        """Product of this spatial grid with a list of x0 instants."""
+        """Product of this grid with a list of x0 instants, on chart4 = spacetime(chart)."""
+        require_spacetime(chart4, self.chart)
         x0_values = np.atleast_1d(np.asarray(x0_values, dtype=float))
         blocks = [np.concatenate([np.full((self.n, 1), t), self.points], axis=1)
                   for t in x0_values]
@@ -256,8 +259,7 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     disagreement is reported and required to stay below 1e-8 times the 4-d
     form's scale.  The scales derive from the amplitude needs it yields.
     """
-    if grid4.chart.time_axis is None:
-        raise DegreeError("maxwell_residuals needs a spacetime grid")
+    require_spacetime(grid4.chart, M.chart3)
     c0 = M.c0
     mode, tol = _mode_tol(M.e, M.h, M.B, M.D)
     pts = grid4.points
@@ -463,8 +465,8 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
     needs = [_max_abs(pts, exterior_derivative(F)), _max_abs(pts, F),
              _Need(pts, [wedge(F, F).coefficient((0, 1, 2, 3))], np.abs, lowest=True)]
     if companion is not None:
-        spatial_vol = tuple(i for i in range(chart.dim) if i != chart.time_axis)
-        needs.append(_Need(pts, [wedge(*companion).coefficient(spatial_vol)], np.abs, lowest=True))
+        needs.append(_Need(pts, [wedge(*companion).coefficient(chart.spatial_axes)], np.abs,
+                           lowest=True))
     (closure, _), (f_max, _), (raw, witness), *companion_min = yield needs
     normalized = raw / (f_max * f_max) if f_max > 0 else 0.0
     details = {"normalized_margin": normalized, "closure_residual": closure,

@@ -396,6 +396,13 @@ def test_unknown_flag_usage_error():
     ["verify", "--grid", "x"],
     ["reeb", "--grid", "4,4,4,4"],
     ["survey", "--seed-grid", "1"],
+    # lattices over 2^63 bytes: rejected before anything is allocated
+    ["verify", "--grid", "99999999999999999999"],
+    ["verify", "--grid", "3000000,3000000,3000000"],
+    ["survey", "--seed-grid", "99999999999999999999"],
+    # budgets below 100 RK4 steps (ceil(s_max / step)); 5 / 0.05 is valid
+    ["survey", "--seeds", "0,0,0", "--s-max", "0.5", "--step", "0.1"],
+    ["trace", "--s-max", "0.99", "--step", "0.01"],
 ])
 def test_bad_numeric_flag_exit_2(args, capsys):
     argv = args[:1] + ["--field", "constant_field"] + args[1:]
@@ -563,6 +570,29 @@ def test_reeb_csv_output(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x1", "x2", "x3", "Y_x1", "Y_x2", "Y_x3"]
     assert len(rows) == 28  # 3^3 + header
+
+
+@pytest.mark.parametrize("spec, which", [(BM_SPEC, "y1"), ("t3_mode", "y"),
+                                         ("solid_torus_mode", "z")])
+@pytest.mark.parametrize("grid", ["6", "3,4,5"])
+def test_reeb_residuals_are_those_of_the_written_grid(spec, which, grid, tmp_path, capsys):
+    from bmkit.cli import build_field
+    from bmkit.reeb import normalization_residuals
+    out = tmp_path / "reeb.csv"
+    assert run_cli(["reeb", "--field", spec, "--which", which, "--x0", "0.3",
+                    "--grid", grid, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    target = build_field(spec, bmkit.NONDIMENSIONAL)
+    chart = getattr(target, "chart3", None) or target.chart
+    grid = bmkit.SampleGrid.regular(chart, [int(c) for c in grid.split(",")])
+    if spec == BM_SPEC:
+        rb = bmkit.reeb_for_maxwell(target, "Y1", 0.3, grid)
+    else:
+        rb = bmkit.reeb_closed_form_beltrami(
+            target, "normalized" if which == "y" else "unnormalized", grid)
+    r_omega, r_lam = normalization_residuals(rb.Y, rb.pair, grid)
+    assert err == (f"wrote {out}; residuals: |i_Y Omega| <= {r_omega:.3e}, "
+                   f"|i_Y lambda - 1| <= {r_lam:.3e}\n")
 
 
 def test_reeb_degenerate_instant_exit_2():

@@ -10,7 +10,7 @@ from bmkit import (DegreeError, dx, euclidean3, exterior_derivative,
                    make_form, scalar_form, sin_wave,
                    spatial_exterior_derivative, t3_mode, time_derivative,
                    torus3, vector_field, wave, wedge)
-from bmkit import euclidean_metric, hodge_star, metric_sharp, spacetime
+from bmkit import euclidean_metric, hodge_star, lift_form, metric_sharp, restrict_form, spacetime
 from bmkit.scalars import constant, from_function
 
 RNG = np.random.default_rng(42)
@@ -380,3 +380,49 @@ def test_fd_inner_field_runs_once_per_grid_per_partial():
     # central region (4 grids)
     assert len(runs) == 2 * 14 + 4 * 4
     assert sorted(set(runs)) == [1, 2, 4]
+
+
+# -- the spacetime split ---------------------------------------------------------------
+
+
+def _split_cases():
+    from bmkit import abc_flow, euclidean3, solid_torus_mode
+    from bmkit.scalars import monomial
+    r3 = euclidean3()
+    v = solid_torus_mode()
+    g = euclidean_metric(CHART)
+    pts_st = np.stack([RNG.uniform(0.05, 1.0, 30), RNG.uniform(0, 2 * math.pi, 30),
+                       RNG.uniform(0, 2 * math.pi, 30)], axis=-1)
+    r3_form = make_form(r3, 2, {(0, 1): monomial(0, 2) * sin_wave({2: 1.0}), (1, 2): 3.0})
+    return [(t3_mode(2, 0.7).form, PTS), (abc_flow(1.0, 0.5, 0.2).form, PTS),
+            (hodge_star(g, t3_mode().form), PTS), (scalar_form(CHART, wave({0: 1, 1: 2})), PTS),
+            (r3_form, RNG.uniform(-3, 3, (30, 3))), (fn_form(v.form), pts_st),
+            (v.form, pts_st), (hodge_star(v.metric, v.form), pts_st)]
+
+
+@pytest.mark.parametrize("a, pts", _split_cases())
+def test_restrict_of_lift_is_the_form_bitwise(a, pts):
+    c4 = spacetime(a.chart)
+    lifted = lift_form(c4, a)
+    assert lifted.chart == c4 and lifted.degree == a.degree
+    want = a.coefficient_table(pts)
+    for x0 in (0.0, 0.37, -2.5):
+        back = restrict_form(a.chart, lifted, x0)
+        assert back.chart == a.chart and sorted(back.coeffs) == sorted(a.coeffs)
+        np.testing.assert_array_equal(back.coefficient_table(pts), want)
+        # the lift does not depend on x0
+        pts4 = np.concatenate([np.full((len(pts), 1), x0), pts], axis=1)
+        np.testing.assert_array_equal(
+            lifted.coefficient_table(pts4)[:, [i for i, idx in enumerate(lifted.indices)
+                                               if 0 not in idx]], want)
+
+
+def test_lift_and_restrict_reject_a_foreign_chart_and_dx0():
+    from bmkit import ChartMismatchError, euclidean3
+    a = t3_mode().form
+    with pytest.raises(ChartMismatchError):
+        lift_form(spacetime(euclidean3()), a)
+    with pytest.raises(ChartMismatchError):
+        restrict_form(euclidean3(), lift_form(spacetime(CHART), a), 0.0)
+    with pytest.raises(DegreeError):
+        restrict_form(CHART, dx(spacetime(CHART), 0), 0.0)

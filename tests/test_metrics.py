@@ -178,3 +178,14 @@ def test_spatial_hodge_rejects_dx0_components():
     bad = dx(C4, 0)
     with pytest.raises(DegreeError):
         spatial_hodge(G3, bad)
+
+
+def test_lorentzian_product_needs_the_spacetime_of_the_spatial_chart():
+    from bmkit import ChartMismatchError, euclidean3
+    assert lorentzian_product(G3, spacetime(torus3())).chart == C4
+    for chart4 in (spacetime(solid_torus()), spacetime(euclidean3()), T3):
+        with pytest.raises(ChartMismatchError):
+            lorentzian_product(G3, chart4)
+    # spatial_hodge decides through lorentzian_product
+    with pytest.raises(ChartMismatchError):
+        spatial_hodge(G3, make_form(spacetime(ST), 1, {(1,): constant(1.0)}))

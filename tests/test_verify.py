@@ -508,6 +508,22 @@ def test_sample_grid_validation():
     for counts in (1, (1,), (5, 4), (4, 4, 4, 4), ()):
         with pytest.raises(BmkitError):
             SampleGrid.regular(T3, counts)
+    # lattices over 2^63 bytes, rejected before anything is allocated
+    for counts in (10 ** 20, (3_000_000,) * 3, (2, 2, 2 ** 62)):
+        with pytest.raises(BmkitError, match="cannot be stored"):
+            SampleGrid.regular(T3, counts)
+
+
+def test_with_time_needs_the_spacetime_of_the_grid_chart():
+    from bmkit import ChartMismatchError, euclidean3, spacetime
+    grid = SampleGrid.regular(T3, 3)
+    assert grid.with_time(spacetime(torus3()), [0.0, 1.0]).n == 54
+    for chart4 in (spacetime(euclidean3()), T3):
+        with pytest.raises(ChartMismatchError):
+            grid.with_time(chart4, [0.0])
+    M = beltrami_maxwell()
+    with pytest.raises(ChartMismatchError):   # maxwell_residuals makes the same test
+        maxwell_residuals(M, SampleGrid.regular(spacetime(euclidean3()), 3))
 
 
 # k_c = 10 takes k_c r past 8, where J0 and J1 switch to the quadrature sum
