@@ -96,9 +96,10 @@ def bessel_j(order: int, z) -> np.ndarray | float:
 
 
 def _j1_derivative(coeffs, phase, amplitude, c):
-    # c (J0(u) - J1(u)/u) with c/u = 1/(u/c), which is 1/x_axis for u = c x_axis
+    # c (J0(u) - J1(u)/u) with c/u = 1/(u/c), which is 1/x_axis for u = c x_axis; adding
+    # (-a J1(u))/(u/c), bitwise the subtraction, keeps this leaf (a cycle) out of its partial
     u_over_c = leaf(power_kernel(1), {a: b / c for a, b in coeffs.items()}, phase / c)
-    return leaf(J0, coeffs, phase, amplitude * c) - leaf(J1, coeffs, phase, amplitude) / u_over_c
+    return leaf(J0, coeffs, phase, amplitude * c) + leaf(J1, coeffs, phase, -amplitude) / u_over_c
 
 
 # bessel_j is looked up at evaluation time, so a wrapper installed on the

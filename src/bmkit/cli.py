@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .catalog import (CATALOG, BeltramiForm, MaxwellFieldSet, NONDIMENSIONAL,
                       SI, build_catalog_field)
-from .errors import BmkitError, ConfigError, DegenerateInstantError
+from .errors import BmkitError, ConfigError, DegenerateInstantError, require_storable
 from .metrics import hodge_star
 from .orbits import MIN_STEPS, closed_orbit_survey, write_orbit_csv, write_vector_field_csv
 from .reeb import field_line_generator, reeb_closed_form_beltrami, reeb_for_maxwell
@@ -242,6 +242,8 @@ def _maxwell_runs(M: MaxwellFieldSet, requested, x0_list, args) -> list:
     """(report name or None, check) for the window, base form and slice checks requested."""
     grid3 = SampleGrid.regular(M.chart3, _parse_counts(args.grid))
     w = args.t_window
+    require_storable(args.tgrid * len(x0_list) * grid3.n * M.chart4.dim,
+                     f"window of {args.tgrid} instants per x0")
     # one time sample per instant is the instant itself
     t_values = np.unique(np.concatenate(
         [np.linspace(x0 - w, x0 + w, args.tgrid) if args.tgrid > 1 else [x0]

@@ -5,6 +5,12 @@ class BmkitError(ValueError):
     """Base class for all toolkit errors."""
 
 
+def require_storable(n_values, what: str) -> None:
+    """Raise BmkitError("<what> cannot be stored") unless n_values floats fit in 2^63 bytes."""
+    if not n_values * 8 < 2.0 ** 63:
+        raise BmkitError(f"{what} cannot be stored")
+
+
 class ChartMismatchError(BmkitError):
     """Operands live on different charts."""
 

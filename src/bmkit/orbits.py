@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import Chart
-from .errors import BmkitError
+from .errors import BmkitError, require_storable
 from .forms import VectorField, _rk4_advance, _rk4_step
 
 NONE_FOUND = "none found within budget"
@@ -141,8 +141,7 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
 def _step_count(s_max: float, step: float, seeds: np.ndarray) -> int:
     """ceil(s_max / step), if integrate_batch can store the samples of that many steps."""
     steps = s_max / step
-    if not (steps + 1) * seeds.size * 8 < 2.0 ** 63:   # bytes of the samples array
-        raise BmkitError(f"s_max / step = {steps:.6g} RK4 steps cannot be stored")
+    require_storable((steps + 1) * seeds.size, f"s_max / step = {steps:.6g} RK4 steps")
     return math.ceil(steps)
 
 

@@ -14,22 +14,24 @@ their ingredients are; otherwise the form operations fall back to
 chart-aware finite differences.  ``lift_spatial`` and ``restrict_time``
 rewrite the leaves (re-indexed axes; x0 folded into the phase) and rebuild
 composites through the operators, so a field sliced at x0 is the same few
-leaves as one built on the slice.
+leaves as one built on the slice.  Equal structure is one node: nodes are made
+through one weak table of the live ones, keyed by op and the ids of the args
+(an fn node's arg is its function), or by the numbers of a constant or leaf
+(coefficients in order, a zero with its sign).  So equal partials, Hodge duals
+and slices are one node, and its partial cache serves every use.
 
 Every evaluation runs a :class:`Plan`, a straight-line program that returns
 the values of a list of root fields; :func:`as_table` tables them for
 :func:`value_table` (``field(pts)`` is its one-column case) and for
-``VectorField.evaluate``, which keeps the plan of its components.  A plan
-holds structure only: each step applies one function to one or two slots and
-writes one.  A node reached by several parents is one step, except a leaf:
-the leaves of one (kernel, axis terms, phase) share one kernel step, which
-sums the phase and axis terms and applies the kernel, and each applies its
-amplitude once per parent, so only the kernel value waits for later readers.
-The J0 and -c*J1 leaves spread over a Bessel field's coefficients and
-partials thus run their kernel once.  Arithmetic is that of each field alone,
-so every value is bitwise what its field gives by itself.  A run drops each
-value after its last reader unless it is a root's, so a plan holds no values
-between calls and is safe to share between threads.
+``VectorField.evaluate``, which keeps the plan of its components.  Each node
+is one step, which applies one function to one or two slots and writes one.
+A leaf's step scales a kernel step, which sums the phase and axis terms and
+applies the kernel and is shared by the leaves of one (kernel, axis terms,
+phase): a Bessel field's J0 and -c*J1 leaves run their kernel once.
+Arithmetic is that of each field alone, so every value is bitwise what its
+field gives by itself.  A run drops each value after its last reader unless
+it is a root's, so a plan holds no values between calls and is safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import weakref
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -44,6 +47,7 @@ import numpy as np
 ValueFn = Callable[[np.ndarray], np.ndarray]
 
 _OPS = {"add": operator.add, "neg": operator.neg, "mul": operator.mul, "div": operator.truediv}
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()   # key -> its live node
 
 
 class Kernel(NamedTuple):
@@ -56,7 +60,7 @@ class Kernel(NamedTuple):
 class ScalarField:
     """A node of the expression tree; a call evaluates it with a one-column plan."""
 
-    __slots__ = ("op", "args", "const", "has_partials", "_partial_cache")
+    __slots__ = ("op", "args", "const", "has_partials", "_partial_cache", "__weakref__")
 
     def __init__(self, op: str, args: tuple, const: float | None = None):
         self.op = op
@@ -112,14 +116,14 @@ class ScalarField:
             return self
         if self.const is not None and other.const is not None:
             return constant(self.const + other.const)
-        return ScalarField("add", (self, other))
+        return _node("add", (self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.const is not None:
             return constant(-self.const)
-        return ScalarField("neg", (self,))
+        return _node("neg", (self,))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -145,7 +149,7 @@ class ScalarField:
             return other
         if other.const == 1.0:
             return self
-        return ScalarField("mul", (self, other))
+        return _node("mul", (self, other))
 
     __rmul__ = __mul__
 
@@ -157,7 +161,7 @@ class ScalarField:
             return self * (1.0 / other.const)
         if self.is_zero:
             return ZERO
-        return ScalarField("div", (self, other))
+        return _node("div", (self, other))
 
 
 def _coerce(x):
@@ -168,8 +172,14 @@ def _coerce(x):
     return NotImplemented
 
 
+def _node(op: str, args: tuple, const: float | None = None, key: tuple = ()) -> ScalarField:
+    """The live node of op over args, keyed by key or by the ids of args (alive while it is)."""
+    key = (op, *(key or map(id, args)))
+    return _NODES.get(key) or _NODES.setdefault(key, ScalarField(op, args, const))
+
+
 def constant(c: float) -> ScalarField:
-    return ScalarField("const", (), float(c))
+    return _node("const", (), float(c), (float(c), math.copysign(1.0, c)))
 
 
 ZERO = constant(0.0)
@@ -177,7 +187,7 @@ ZERO = constant(0.0)
 
 def from_function(fn: ValueFn) -> ScalarField:
     """Wrap a plain numeric function; derivatives fall back to finite differences."""
-    return ScalarField("fn", (fn,))
+    return _node("fn", (fn,))
 
 
 def value_table(fields, pts: np.ndarray) -> np.ndarray:
@@ -202,11 +212,11 @@ class Plan:
 
     ``plan(pts)`` is the list of their values, one per root in order: an array
     of shape (N,), or a constant's float.  The plan holds structure only: each
-    step reads one or two slots and writes one, and every value lives in the
-    slots of one run, each dropped after its last reader unless it is a root's.
+    of its ``steps`` reads one or two slots and writes one; every value lives in
+    the slots of one run, each dropped after its last reader unless a root's.
     """
 
-    __slots__ = ("_slots", "_steps", "_roots")
+    __slots__ = ("_slots", "steps", "_roots")
 
     def __init__(self, fields):
         slots: list = [None]   # the points; a constant's slot holds its float
@@ -220,12 +230,12 @@ class Plan:
         for slot, i in last.items():
             dead[i].append(slot)
         self._slots, self._roots = slots, roots
-        self._steps = [(*st, tuple(d)) for st, d in zip(steps, dead)]
+        self.steps = [(*st, tuple(d)) for st, d in zip(steps, dead)]
 
     def __call__(self, pts: np.ndarray) -> list:
         vals = self._slots.copy()
         vals[0] = np.asarray(pts, dtype=float)
-        for out, fn, a, b, dead in self._steps:
+        for out, fn, a, b, dead in self.steps:
             vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
             for i in dead:
                 vals[i] = None
@@ -243,17 +253,17 @@ def _compile(node: ScalarField, slots: list, steps: list, done: dict) -> int:
 
     Not a closure over itself, so that a compile leaves no reference cycle.
     """
+    if id(node) in done:
+        return done[id(node)]
     op = node.op
-    if op == "leaf":   # a product per parent edge: only the kernel value waits for readers
+    if op == "leaf":   # leaves differing only in amplitude share one kernel step
         kernel, coeffs, phase, amplitude = node.args
         # the phase's sign is in the key: -0.0 + c*x and 0.0 + c*x differ where c*x is -0.0
         key = kernel, tuple(coeffs.items()), phase, math.copysign(1.0, phase)
         if key not in done:
             done[key] = _step(slots, steps, _kernel_step(kernel, coeffs, phase), 0)
-        return _step(slots, steps, functools.partial(operator.mul, amplitude), done[key])
-    if id(node) in done:
-        return done[id(node)]
-    if op == "const":
+        out = _step(slots, steps, functools.partial(operator.mul, amplitude), done[key])
+    elif op == "const":
         slots.append(node.const)
         out = len(slots) - 1
     elif op == "fn":
@@ -290,7 +300,8 @@ def leaf(kernel: Kernel, coeffs: dict[int, float], phase: float = 0.0,
         return ZERO
     if not coeffs:
         return constant(amplitude * kernel.value(np.float64(phase)))
-    return ScalarField("leaf", (kernel, coeffs, phase, amplitude))
+    return _node("leaf", (kernel, coeffs, phase, amplitude), key=(
+        kernel, tuple(coeffs.items()), phase, math.copysign(1.0, phase), amplitude))
 
 
 COS = Kernel(np.cos, lambda coeffs, phase, amplitude, c:

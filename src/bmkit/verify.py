@@ -31,7 +31,7 @@ import numpy as np
 
 from .catalog import MaxwellFieldSet
 from .charts import Chart, require_spacetime
-from .errors import BmkitError, DegreeError
+from .errors import BmkitError, DegreeError, require_storable
 from .forms import (DifferentialForm, VectorField, exterior_derivative,
                     interior_product, lie_derivative,
                     spatial_exterior_derivative, time_derivative, wedge)
@@ -70,8 +70,8 @@ class SampleGrid:
         if len(counts) not in (1, chart.dim) or min(counts) < 2:
             raise BmkitError(f"grid needs 1 or {chart.dim} counts, each >= 2; got {list(counts)}")
         counts *= chart.dim // len(counts)
-        if not np.prod(counts, dtype=float) * chart.dim * 8 < 2.0 ** 63:   # bytes of the points
-            raise BmkitError(f"grid of {list(counts)} points per axis cannot be stored")
+        require_storable(np.prod(counts, dtype=float) * chart.dim,
+                         f"grid of {list(counts)} points per axis")
         return cls(chart, chart.lattice(counts),
                    {"kind": "regular", "counts": list(counts), "chart": chart.name})
 
@@ -154,10 +154,10 @@ def _max_abs(pts: np.ndarray, f) -> _Need:
 
 
 class Batch:
-    """Runs checks together; ``counts`` totals its plans, their columns and their points."""
+    """Runs checks together; ``counts`` totals its plans, their columns, points and steps."""
 
     def __init__(self):
-        self.counts = collections.Counter(plans=0, columns=0, points=0)
+        self.counts = collections.Counter(plans=0, columns=0, points=0, steps=0)
 
     def run(self, checks) -> list:
         """Each check's result, or the BmkitError it raised, in order.  A check is a generator
@@ -178,7 +178,7 @@ class Batch:
 
     def evaluate(self, needs) -> None:
         """Set each need's result: one plan per point set, with one column per non-constant
-        field, run over blocks of BLOCK_ROWS points; a constant enters by its value."""
+        field (equal fields share one), run in blocks of BLOCK_ROWS points; a constant by value."""
         groups: dict = {}
         for need in needs:
             if need.result is None:   # a need that several checks yield runs once
@@ -187,9 +187,10 @@ class Batch:
             group = list(group.values())
             pts = group[0].pts
             roots = {id(sf): sf for need in group for sf in need.fields if sf.const is None}
-            if roots:
-                self.counts.update(plans=1, columns=len(roots), points=len(pts))
             plan = Plan(roots.values())
+            if roots:
+                self.counts.update(plans=1, columns=len(roots), points=len(pts),
+                                   steps=len(plan.steps))
             for start in range(0, len(pts), BLOCK_ROWS):
                 rows = slice(start, start + BLOCK_ROWS)
                 values = dict(zip(roots, plan(pts[rows])))

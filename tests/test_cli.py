@@ -15,6 +15,7 @@ import bmkit
 from bmkit import NONDIMENSIONAL, field_line_generator, integrate, write_orbit_csv
 from bmkit.cli import build_field, main, parse_field_spec
 from bmkit.errors import ConfigError
+from bmkit.scalars import Plan
 
 BM_SPEC = "beltrami_maxwell{v=t3_mode{n=1,c=1},e0=1}"
 
@@ -183,6 +184,7 @@ def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
 def _record_plans(monkeypatch):
     """Patch every module's Plan: returns the (fields, nested) of each plan compiled,
     nested when another plan was running."""
+    import bmkit.catalog
     import bmkit.forms
     import bmkit.scalars
     import bmkit.verify
@@ -204,7 +206,7 @@ def _record_plans(monkeypatch):
             finally:
                 running.pop()
 
-    for module in (bmkit.scalars, bmkit.forms, bmkit.verify):
+    for module in (bmkit.scalars, bmkit.catalog, bmkit.forms, bmkit.verify):
         monkeypatch.setattr(module, "Plan", RecordingPlan, raising=False)
     return built
 
@@ -226,6 +228,24 @@ def test_verify_compiles_one_plan_per_point_set_per_round(tmp_path, monkeypatch)
     assert run_cli(["verify", "--field", BM_SPEC, "--checks", "all",
                     "--grid", "5", "--tgrid", "3", "--no-meta", "--out", str(out)]) == 0
     assert "meta" not in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("spec, extra, code, steps, all_steps", [
+    ("beltrami_maxwell{v=solid_torus_mode{k_c=2,beta=1,sign=minus}}", [], 0, 803, 827),
+    ("beltrami_maxwell{v=t3_mode{n=2}}", ["--allow-degenerate"], 1, 200, 207),
+])
+def test_verify_plan_steps_with_one_node_per_structure(spec, extra, code, steps, all_steps,
+                                                      tmp_path, monkeypatch):
+    """meta.evaluation counts the steps of the batch's 3 plans.  All the plans the command
+    compiles, the singularity scan's too, run 827 steps on the Bessel field and 207 on t3;
+    when plans merged nodes only by id, 1582 and 316."""
+    built = _record_plans(monkeypatch)
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--field", spec, "--checks", "all", "--grid", "10",
+                    "--tgrid", "10", "--out", str(out), *extra]) == code
+    evaluation = json.loads(out.read_text())["meta"]["evaluation"]
+    assert (evaluation["plans"], evaluation["steps"]) == (3, steps)
+    assert sum(len(Plan(fields).steps) for fields, _ in built) == all_steps
 
 
 @pytest.mark.parametrize("check", ["beltrami", "parallel"])
@@ -403,6 +423,9 @@ def test_unknown_flag_usage_error():
     # budgets below 100 RK4 steps (ceil(s_max / step)); 5 / 0.05 is valid
     ["survey", "--seeds", "0,0,0", "--s-max", "0.5", "--step", "0.1"],
     ["trace", "--s-max", "0.99", "--step", "0.01"],
+    # time windows over 2^63 bytes (the second alone fits in linspace): rejected first
+    ["verify", "--tgrid", "99999999999999999999"],
+    ["verify", "--tgrid", "300000000000000000"],
 ])
 def test_bad_numeric_flag_exit_2(args, capsys):
     argv = args[:1] + ["--field", "constant_field"] + args[1:]

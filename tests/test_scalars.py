@@ -2,11 +2,15 @@
 one evaluation plan runs each distinct leaf kernel once and matches a naive evaluator."""
 
 import gc
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import bmkit
 from bmkit import (SampleGrid, VectorField, beltrami_maxwell, exterior_derivative, hodge_star,
                    j0_field, j1_field, solid_torus_mode, torus3)
 from bmkit.bessel import J0, J1
@@ -473,3 +477,65 @@ def test_slices_lifts_and_plans_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- one node per structure ---------------------------------------------------------
+
+
+def test_equal_structure_is_one_node():
+    assert wave({1: 2.0}) is wave({1: 2.0})
+    a, b = wave({0: 1.0}, 0.3), j0_field(1, 3.0)
+    assert a * b is a * b
+    assert (a - b) / (a * b + 2.0) is (a - b) / (a * b + 2.0)
+    assert restrict_time(lift_spatial(a * b), X0) is a * b
+    def f(p):
+        return p[..., 0]
+
+    assert from_function(f) is from_function(f)
+    assert from_function(f) is not from_function(lambda p: p[..., 0])
+
+
+def test_signed_zeros_amplitudes_and_coefficient_order_make_other_nodes():
+    assert wave({1: 2.0}, -0.0) is not wave({1: 2.0}, 0.0)
+    assert constant(-0.0) is not constant(0.0)
+    assert wave({1: 2.0}, 0.0, 2.0) is not wave({1: 2.0})
+    assert wave({0: 1.0, 1: 2.0}) is not wave({1: 2.0, 0: 1.0})
+
+
+def test_slices_at_one_instant_are_the_same_nodes():
+    M = beltrami_maxwell(solid_torus_mode())
+    a, b = M.at_time(X0), M.at_time(X0)
+    for name in "ehBD":
+        fa, fb = getattr(a, name), getattr(b, name)
+        assert all(fa.coeffs[i] is fb.coeffs[i] for i in fa.coeffs), name
+
+
+def test_no_node_outlives_its_command(tmp_path):
+    # run in a fresh interpreter, where no live node of another test shares a
+    # partial cache with the command's nodes; with the collector off, reference
+    # counting alone must empty the table, so no node sits in a reference cycle
+    code = """if True:
+        import gc, sys
+        from bmkit import scalars
+        from bmkit.cli import main
+        gc.collect()
+        before = len(scalars._NODES)
+        gc.disable()
+        rc = main(sys.argv[1:])
+        after = len(scalars._NODES)
+        gc.enable()
+        gc.collect()
+        print(rc, before, after, len(scalars._NODES))
+    """
+    src = os.path.dirname(os.path.dirname(bmkit.__file__))
+    spec = "beltrami_maxwell{v=solid_torus_mode{k_c=2,beta=1,sign=minus}}"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", "--field", spec, "--checks", "all",
+         "--grid", "6", "--tgrid", "3", "--no-meta", "--out", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert proc.returncode == 0, proc.stderr
+    rc, before, after, collected = map(int, proc.stdout.split())
+    assert rc == 0, proc.stderr
+    assert after == collected == before
