@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,8 @@ import numpy as np
 from .bessel import j0_field, j1_field
 from .charts import Chart, euclidean3, solid_torus, spacetime, torus3
 from .errors import BmkitError, ConfigError, SingularFieldError
-from .forms import DifferentialForm, _rk4_advance, dx, lift_form, make_form, restrict_form, wedge
+from .forms import (DifferentialForm, _rk4_advance, _rk4_step, dx, lift_form, make_form,
+                    restrict_form, wedge)
 from .metrics import (MetricField, euclidean_metric, lorentzian_product,
                       norm_sq_field, solid_torus_metric, spatial_hodge)
 from .scalars import Plan, constant, monomial, sin_wave, wave
@@ -226,6 +227,7 @@ class MaxwellFieldSet:
     k: float | None = None
     f_e: Callable[[float], float] | None = field(default=None, repr=False)
     f_h: Callable[[float], float] | None = field(default=None, repr=False)
+    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def chart3(self) -> Chart:
@@ -248,10 +250,12 @@ class MaxwellFieldSet:
         return self.constants.c0
 
     def at_time(self, x0: float) -> MaxwellSlice:
-        """e, h, B and D restricted to the slice x0 = const (`forms.restrict_form`)."""
-        return MaxwellSlice(float(x0), self.metric3,
-                            *(restrict_form(self.chart3, f, x0)
-                              for f in (self.e, self.h, self.B, self.D)), self.constants)
+        """e, h, B and D restricted to the slice x0 = const (`forms.restrict_form`), once per x0."""
+        key = float(x0), math.copysign(1.0, x0)   # a zero with its sign
+        if key not in self._slices:
+            self._slices[key] = MaxwellSlice(float(x0), self.metric3, *(restrict_form(
+                self.chart3, f, x0) for f in (self.e, self.h, self.B, self.D)), self.constants)
+        return self._slices[key]
 
     def energy_forms(self) -> tuple[DifferentialForm, DifferentialForm]:
         """Vacuum energy density 3-forms (eps0/2) e ^ *3 e and (mu0/2) h ^ *3 h."""
@@ -463,7 +467,7 @@ def amplitude_ode(k: float, eps0: float, mu0: float, f_e0: float, f_h0: float,
         raise BmkitError("x0 grid must be non-decreasing")
     out.append(AmplitudePair(y[0], y[1], x))
     for target in grid[1:]:
-        y = _rk4_advance(rhs, y, target - x, h_max)
+        y = _rk4_advance(partial(_rk4_step, rhs), y, target - x, h_max)
         x = target
         out.append(AmplitudePair(float(y[0]), float(y[1]), x))
     return out

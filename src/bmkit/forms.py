@@ -6,7 +6,9 @@ multi-index, zero coefficients omitted.  All operations are pure and the
 objects are immutable after construction, so evaluation is thread-safe: an
 evaluation plan (:class:`~bmkit.scalars.Plan`, one per ``coefficient_table``
 call and one kept by each vector field) holds no values, and the values of a
-run are local to that run.
+run are local to that run.  The RK4 formula is written once, as source (``_rk4_code``):
+``VectorField.step`` inlines the field's plan in each stage, ``_rk4_step(f, y, h)``
+calls f, and functions of one source text share one compile.
 
 Exterior derivatives use a coefficient's analytic partials, and fall back
 to 4th-order finite differences only for a coefficient that has none (one
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,7 @@ import numpy as np
 from .charts import Chart, require_spacetime
 from .errors import ChartMismatchError, DegreeError
 from .scalars import (Plan, ScalarField, ZERO, as_table, constant, from_function, lift_spatial,
-                      periodic_in, restrict_time, value_table)
+                      periodic_in, plan_source, restrict_time, value_table)
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -133,7 +136,10 @@ class DifferentialForm:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Vector field with one ScalarField component per chart axis."""
+    """Vector field with one ScalarField component per chart axis.
+
+    Its plan (``evaluate``), flow and generated RK4 ``step`` are each built once.
+    """
 
     chart: Chart
     components: tuple[ScalarField, ...]
@@ -172,6 +178,21 @@ class VectorField:
         if self.flow_wraps:
             return lambda p: as_table(plan(wrap(p)), p)
         return lambda p: as_table(plan(p), p)
+
+    @functools.cached_property
+    def step(self):
+        """(y, h) -> y after one RK4 step of the flow, bitwise `_rk4_step(self.flow, y, h)`.
+
+        Each stage is straight-line source: the wrap if the flow wraps, the plan's lines
+        (`scalars.plan_source`) and `as_table`'s columns.  ``step.ops`` counts numpy ops.
+        """
+        bind = {"empty": np.empty, "wrap": self.chart.wrap}
+        lines, roots = plan_source(self._plan, bind)
+        stage = [*(["p = wrap(p)"] * self.flow_wraps), *lines, "k = empty(p.shape)",
+                 *(f"k[..., {j}] = {r}" for j, r in enumerate(roots))]
+        step = types.FunctionType(_rk4_code("y, h", tuple(stage)), bind)
+        step.ops = 4 * len(stage) + _RK4_OPS
+        return step
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, tuple(-c for c in self.components))
@@ -388,26 +409,37 @@ def lie_derivative(X: VectorField, a: DifferentialForm) -> DifferentialForm:
 # -- RK4 and the flow-pullback cross-check ------------------------------------
 
 
-def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of y' = f(y)."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+# The RK4 step of y' = f(y), written once as source: each stage binds its input to p and runs
+# a body that sets k = f(p).  13 numpy operations are its own: 2 in each later input, 7 in the sum.
+_RK4_STAGES = (("k1", "y"), ("k2", "y + 0.5 * h * k1"), ("k3", "y + 0.5 * h * k2"),
+               ("k4", "y + h * k3"))
+_RK4_OPS = 13
 
 
-def _rk4_advance(f, y: np.ndarray, span: float, h_max: float) -> np.ndarray:
-    """Advance y' = f(y) by span in ceil(|span| / h_max) equal RK4 sub-steps.
+@functools.lru_cache(maxsize=256)
+def _rk4_code(params: str, stage: tuple[str, ...]) -> types.CodeType:
+    """def step(params), the RK4 step with stage as each stage's body, compiled once per source."""
+    body = [line for k, x in _RK4_STAGES for line in (f"p = {x}", *stage, f"{k} = k")]
+    source = "\n    ".join([f"def step({params}):", *body,
+                            "return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)"])
+    return next(c for c in compile(source, "<rk4 step>", "exec").co_consts
+                if isinstance(c, types.CodeType))   # the function's code, with no namespace
 
-    A zero span returns a copy of y without evaluating f.
+
+_rk4_step = types.FunctionType(_rk4_code("f, y, h", ("k = f(p)",)), {})   # one step of y' = f(y)
+
+
+def _rk4_advance(step, y: np.ndarray, span: float, h_max: float) -> np.ndarray:
+    """Advance y by span in ceil(|span| / h_max) equal RK4 sub-steps step(y, h).
+
+    A zero span returns a copy of y without a step.
     """
     if span == 0.0:
         return y.copy()
     n = max(1, int(math.ceil(abs(span) / h_max)))
     h = span / n
     for _ in range(n):
-        y = _rk4_step(f, y, h)
+        y = step(y, h)
     return y
 
 
@@ -423,13 +455,12 @@ def lie_derivative_flow(X: VectorField, a: DifferentialForm, pts: np.ndarray) ->
     chart = a.chart
     pts = chart.as_points(pts)
     n, dim = pts.shape
-    phi = _rk4_step(X.flow, pts, tau)
+    phi = X.step(pts, tau)
     jac = np.empty((n, dim, dim))
     for i in range(dim):
         dp = np.zeros(dim)
         dp[i] = jac_step
-        jac[:, :, i] = (_rk4_step(X.flow, pts + dp, tau)
-                        - _rk4_step(X.flow, pts - dp, tau)) / (2 * jac_step)
+        jac[:, :, i] = (X.step(pts + dp, tau) - X.step(pts - dp, tau)) / (2 * jac_step)
 
     indices = a.indices
     at_phi = value_table(a.coeffs.values(), chart.wrap(phi))

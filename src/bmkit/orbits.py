@@ -7,6 +7,8 @@ coordinates, so winding numbers on periodic axes fall out of plain
 coordinate differences.  The field's cached flow (``VectorField.flow``)
 evaluates a field periodic on its chart (every leaf on a periodic axis a cos
 of an integer harmonic) at the unwrapped state, and any other at the wrapped one.
+Every RK4 step runs the field's generated step (``VectorField.step``), straight-line
+code that is bitwise the RK4 formula over that flow, without the plan interpreter.
 
 Closure detection scans a trace for returns to its seed in the minimal-image
 chart distance, then sharpens each candidate with a few Newton steps on the
@@ -36,7 +38,7 @@ import numpy as np
 
 from .charts import Chart
 from .errors import BmkitError, require_storable
-from .forms import VectorField, _rk4_advance, _rk4_step
+from .forms import VectorField, _rk4_advance
 
 NONE_FOUND = "none found within budget"
 MIN_STEPS = 100  # fewest RK4 steps of a survey budget, and fewest samples closure detection reads
@@ -120,12 +122,12 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
     lengths = np.full(n, n_steps + 1, dtype=int)
     active = np.arange(n)
     state = seeds.copy()
-    f = Y.flow
+    rk4 = Y.step
     bounded = not all(ax.is_periodic for ax in chart.axes)  # else every point is inside
     for i in range(1, n_steps + 1):
         if active.size == 0:
             break
-        state = _rk4_step(f, state, step)
+        state = rk4(state, step)
         if bounded:
             inside = chart.contains(state)
             if not np.all(inside):
@@ -163,17 +165,16 @@ def _refine_return(Y: VectorField, trace: OrbitTrace, j: int):
     seed = trace.samples[0]
     base = trace.samples[j]
     s_lo, s_j, s_hi = trace.s[j - 1], trace.s[j], trace.s[j + 1]
-    f = Y.flow
     s, x = s_j, base
     for _ in range(8):
-        y = f(x[None, :])[0]
+        y = Y.flow(x[None, :])[0]
         yy = float(y @ y)
         if yy == 0.0:
             break
         s_new = min(max(s - float(chart.delta(x, seed) @ y) / yy, s_lo), s_hi)
         if abs(s_new - s) < 1e-13 * max(1.0, abs(s)):
             break
-        s, x = s_new, _rk4_advance(f, base[None, :], s_new - s_j, trace.step)[0]
+        s, x = s_new, _rk4_advance(Y.step, base[None, :], s_new - s_j, trace.step)[0]
     return s, float(chart.distance(x, seed)), x
 
 
@@ -227,6 +228,7 @@ class SurveyResult:
     traces: list[OrbitTrace] = field(repr=False, default_factory=list)
     params: dict = field(default_factory=dict)
     flow_wraps: bool = True  # the field's VectorField.flow_wraps
+    step_ops: int = 0        # numpy operations of one RK4 step of the field (VectorField.step)
 
     @functools.cached_property
     def _dedup(self) -> tuple[list[int], dict]:
@@ -268,10 +270,11 @@ class SurveyResult:
     def integration_counts(self) -> dict:
         """RK4 steps of the lockstep integration: steps of the batch, and steps summed
         over seeds (a seed that left the domain also took the step that left it);
-        and whether the flow wrapped the state before each stage."""
+        whether the flow wrapped the state before each stage; and the numpy
+        operations of one generated RK4 step."""
         steps = [t.n_samples - (t.status == "completed") for t in self.traces]
         return {"lockstep_steps": max(steps, default=0), "seed_steps": sum(steps),
-                "wrap": self.flow_wraps}
+                "wrap": self.flow_wraps, "step_ops": self.step_ops}
 
     @property
     def n_closed(self) -> int:
@@ -387,7 +390,7 @@ def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
                for trace in traces]
     return SurveyResult(pts, results, traces,
                         {"step": step, "s_max": s_max, "tol": tol,
-                         "n_seeds": int(len(pts))}, Y.flow_wraps)
+                         "n_seeds": int(len(pts))}, Y.flow_wraps, Y.step.ops)
 
 
 # -- Poincare sections ----------------------------------------------------------
@@ -421,7 +424,6 @@ def poincare_section(Y: VectorField, axis: int, value: float, seeds,
     samples, lengths, _ = integrate_batch(Y, pts, step, _step_count(s_max, step, pts))
     ax = chart.axes[axis]
     span = ax.period if ax.is_periodic else math.inf
-    f = Y.flow
     out = []
     for k, seed in enumerate(pts):
         traj = samples[:int(lengths[k]), k, :]
@@ -434,13 +436,13 @@ def poincare_section(Y: VectorField, axis: int, value: float, seeds,
             s1, f1 = step * i, u[i]
             f2 = u[i + 1]
             s_lin = s1 + step * f1 / (f1 - f2)
-            x_lin = _rk4_advance(f, traj[i][None, :], s_lin - s1, step)[0]
+            x_lin = _rk4_advance(Y.step, traj[i][None, :], s_lin - s1, step)[0]
             f_lin = float(ax.minimal_image(x_lin[axis] - value))
             if f_lin != f1:
                 s_ref = s_lin - f_lin * (s_lin - s1) / (f_lin - f1)
             else:
                 s_ref = s_lin
-            x_ref = _rk4_advance(f, traj[i][None, :], s_ref - s1, step)[0]
+            x_ref = _rk4_advance(Y.step, traj[i][None, :], s_ref - s1, step)[0]
             y_axis = float(Y.evaluate(chart.wrap(x_ref[None, :]))[0, axis])
             if abs(y_axis) < 1e-8:
                 warns.append(f"tangential crossing at s = {s_ref:.6g}")

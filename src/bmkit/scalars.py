@@ -31,7 +31,8 @@ phase): a Bessel field's J0 and -c*J1 leaves run their kernel once.
 Arithmetic is that of each field alone, so every value is bitwise what its
 field gives by itself.  A run drops each value after its last reader unless
 it is a root's, so a plan holds no values between calls and is safe to share
-between threads.
+between threads.  :func:`plan_source` writes one run of a plan as straight-line
+source, from which ``VectorField.step`` is generated.
 """
 
 from __future__ import annotations
@@ -275,16 +276,53 @@ def _compile(node: ScalarField, slots: list, steps: list, done: dict) -> int:
 
 
 def _kernel_step(kernel: Kernel, coeffs: dict[int, float], phase: float):
-    """pts -> kernel.value(phase + sum_a coeffs[a] * x_a), summed in the order of coeffs."""
-    value, terms = kernel.value, tuple(coeffs.items())
+    """pts -> kernel.value(phase + sum_a coeffs[a] * x_a); `plan_source` reads its args."""
+    return functools.partial(_run_kernel, kernel.value, tuple(coeffs.items()), phase)
 
-    def run(pts: np.ndarray) -> np.ndarray:
-        u = phase
-        for a, c in terms:
-            u = u + c * pts[..., a]
-        return value(u)
 
-    return run
+def _run_kernel(value: ValueFn, terms: tuple, phase: float, pts: np.ndarray) -> np.ndarray:
+    u = phase   # summed in the order of the leaf's coefficients
+    for a, c in terms:
+        u = u + c * pts[..., a]
+    return value(u)
+
+
+_OP_SOURCE = {operator.add: "{} + {}", operator.neg: "-{}", operator.mul: "{} * {}",
+              operator.truediv: "{} / {}"}
+
+
+def plan_source(plan: Plan, bind: dict) -> tuple[list[str], list[str]]:
+    """One run of plan as source on the points p: lines of one numpy operation each, root names.
+
+    A kernel step is its c * p[..., a] terms (each (a, c) once per run), the sum of the
+    phase and those terms, and the kernel; any other step is its operator or a call.
+    Numbers and functions are globals added to bind, so the lines depend on the plan's
+    structure alone, and each value is bitwise what the plan gives.
+    """
+    def name(obj) -> str:
+        bind[f"g{len(bind)}"] = obj
+        return f"g{len(bind) - 1}"
+
+    names = {slot: name(c) for slot, c in enumerate(plan._slots) if c is not None}
+    names[0], terms, lines = "p", {}, []
+    for out, fn, a, b, _ in plan.steps:   # a partial of an operator binds its first operands
+        kind, bound, v = getattr(fn, "func", fn), getattr(fn, "args", ()), f"v{out}"
+        if kind is _run_kernel:
+            u = name(bound[2])
+            for term in bound[1]:
+                if term not in terms:
+                    terms[term] = f"t{len(terms)}"
+                    lines.append(f"{terms[term]} = {name(term[1])} * p[..., {term[0]}]")
+                lines.append(f"u{out} = {u} + {terms[term]}")
+                u = f"u{out}"
+            lines.append(f"{v} = {name(bound[0])}({u})")
+        elif kind in _OP_SOURCE:
+            args = [*map(name, bound), *(names[s] for s in (a, b) if s is not None)]
+            lines.append(f"{v} = " + _OP_SOURCE[kind].format(*args))
+        else:
+            lines.append(f"{v} = {name(fn)}({names[a]})")
+        names[out] = v
+    return lines, [names[r] for r in plan._roots]
 
 
 def _fn_step(fn: ValueFn):

@@ -271,6 +271,23 @@ def test_verify_slices_and_amplitudes_only_when_a_check_reads_them(check, tmp_pa
     assert not amplitude_only & {id(f) for fields, _ in built for f in fields}
 
 
+def test_verify_slices_each_instant_once(tmp_path, monkeypatch):
+    # the slice checks and both conservation checks share M.at_time(x0)
+    import bmkit.catalog
+    from bmkit.catalog import beltrami_maxwell, t3_mode
+
+    sliced, restrict = [], bmkit.catalog.restrict_form
+    monkeypatch.setattr(bmkit.catalog, "restrict_form",
+                        lambda *a: sliced.append(a[2]) or restrict(*a))
+    assert run_cli(["verify", "--field", BM_SPEC, "--checks", "all", "--grid", "4",
+                    "--tgrid", "2", "--x0", "0.3", "--x0", "1.1",
+                    "--out", str(tmp_path / "r.json")]) == 0
+    assert sliced == [0.3] * 4 + [1.1] * 4   # e, h, B and D once per instant
+    M = beltrami_maxwell(t3_mode())
+    assert M.at_time(0.3) is M.at_time(np.float64(0.3))
+    assert M.at_time(0.0) is not M.at_time(-0.0)
+
+
 @pytest.mark.parametrize("second", ["0.5", "0.50000001"])
 def test_verify_rejects_instants_with_one_report_label(second, capsys):
     code = run_cli(["verify", "--field", BM_SPEC, "--x0", "0.5", "--x0", second,
@@ -559,19 +576,46 @@ def test_survey_meta_counts_dedup_and_no_meta_strips_it(tmp_path):
     assert bare.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("command", ["survey", "trace"])
-def test_meta_counts_rk4_steps_and_no_meta_strips_them(tmp_path, command):
-    # s_max / step = 100 lockstep steps; the second seed leaves the solid torus
-    # on its 9th step, which it computes but does not commit
-    common = [command, "--field", "solid_torus_mode", "--seeds", "0.5,4,5;0.9,2,1",
-              "--step", "0.05", "--s-max", "5"]
+# s_max / step = 100 lockstep steps; the second seed leaves the solid torus on its
+# 9th step, which it computes but does not commit.  An RK4 step runs 4 stages of
+# the flow's numpy operations and 13 of its own: 4 * 32 + 13 on the solid torus
+_SOLID_TORUS_RUN = (["--field", "solid_torus_mode", "--seeds", "0.5,4,5;0.9,2,1",
+                     "--step", "0.05", "--s-max", "5"],
+                    {"lockstep_steps": 100, "seed_steps": 109, "wrap": False, "step_ops": 141})
+
+
+@pytest.mark.parametrize("command, args, integration", [
+    pytest.param("survey", *_SOLID_TORUS_RUN, id="survey"),
+    pytest.param("trace", *_SOLID_TORUS_RUN, id="trace"),
+    # the survey whose counts CI reports: a t3 stage is 1 term product, 2 sums, 2 cos,
+    # 2 amplitude products, the table and its 3 columns, so 4 * 11 + 13 operations
+    pytest.param("survey", ["--field", "t3_mode", "--seeds", "0,0,0", "--s-max", "10"],
+                 {"lockstep_steps": 1000, "seed_steps": 1000, "wrap": False, "step_ops": 57},
+                 id="ci-t3-survey"),
+])
+def test_meta_counts_rk4_steps_and_no_meta_strips_them(tmp_path, command, args, integration):
+    common = [command, *args]
     with_meta, bare = tmp_path / "meta.json", tmp_path / "bare.json"
     assert run_cli([*common, "--out", str(with_meta)]) == 0
     assert run_cli([*common, "--no-meta", "--out", str(bare)]) == 0
     report = json.loads(with_meta.read_text())
-    assert report["meta"]["integration"] == {"lockstep_steps": 100, "seed_steps": 109, "wrap": False}
+    assert report["meta"]["integration"] == integration
     del report["meta"]
     assert bare.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_surveys_that_differ_in_amplitude_compile_one_rk4_step(tmp_path):
+    # c and e0 are globals of the generated step, not literals of its source (an e0
+    # of 1 would be another structure: the product by 1 is folded away)
+    from bmkit import forms
+
+    forms._rk4_code.cache_clear()
+    for c, e0 in (("0.8", "2.0"), ("1.3", "0.5")):
+        assert run_cli(["survey", "--field", f"beltrami_maxwell{{v=t3_mode{{n=1,c={c}}},e0={e0}}}",
+                        "--seeds", "0,0,0;1,2,0.5", "--s-max", "2",
+                        "--out", str(tmp_path / "s.json")]) == 0
+    info = forms._rk4_code.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_survey_beltrami_form_closes(tmp_path):

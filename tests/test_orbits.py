@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -13,9 +14,11 @@ from bmkit import (BmkitError, SampleGrid, VectorField, abc_flow, beltrami_maxwe
                    euclidean_metric, field_line_generator, integrate, j0_field,
                    metric_sharp, poincare_section, solid_torus, solid_torus_mode,
                    t3_mode, torus3, vector_field, write_orbit_csv)
-from bmkit.forms import _rk4_step, fd_partial
+from bmkit.catalog import CATALOG, build_catalog_field
+from bmkit.forms import _rk4_advance, _rk4_step, fd_partial
 from bmkit.orbits import NONE_FOUND, SurveyResult, _covers, _refine_return, integrate_batch
-from bmkit.scalars import constant, coordinate, from_function, monomial, sin_wave, wave
+from bmkit.scalars import (constant, coordinate, from_function, leaf, monomial, power_kernel,
+                           sin_wave, wave)
 
 T3 = torus3()
 R3 = euclidean3()
@@ -254,6 +257,46 @@ def test_step_count_too_large_to_store(s_max, step):
     # rejected before anything is allocated
     with pytest.raises(BmkitError, match="cannot be stored"):
         poincare_section(const_field(T3, {0: 1.0}), 0, 0.0, [[0.0, 0.0, 0.0]], s_max, step)
+
+
+# -- the generated RK4 step -----------------------------------------------------------
+
+
+def _negative_zero_phase(phase):
+    """Y^1 = -x1 + phase as a u**1 leaf: at x1 = 0 its value is phase + (-0.0)."""
+    return vector_field(T3, {1: leaf(power_kernel(1), {0: -1.0}, phase)})
+
+
+# the e and h generators of every catalog entry at its defaults (a Beltrami form has one)
+STEPPED = {f"{name}-{which}": functools.partial(
+    field_line_generator, build_catalog_field(name), which, 0.3)
+    for name, entry in CATALOG.items()
+    for which in (("e", "h") if entry.kind == "maxwell" else ("e",))}
+STEPPED.update(half_harmonic=WRAPPED["half_harmonic"], fd_partial=WRAPPED["fd_partial"],
+               negative_zero_phase=lambda: _negative_zero_phase(-0.0))
+
+
+@pytest.mark.parametrize("name", sorted(STEPPED))
+def test_generated_step_is_the_rk4_step_of_the_flow_bitwise(name):
+    Y = STEPPED[name]()
+    y = _state(Y.chart, 12)
+    if Y.chart.axes[0].is_periodic:
+        y[0] = [0.0, -0.0, 0.0]   # where a signed zero shows
+    for h in (0.01, -0.003, 0.5):
+        assert Y.step(y, h).tobytes() == _rk4_step(Y.flow, y, h).tobytes()
+    for span in (0.07, -0.05):   # several equal sub-steps of at most h_max
+        n = math.ceil(abs(span) / 0.02)
+        want = y
+        for _ in range(n):
+            want = _rk4_step(Y.flow, want, span / n)
+        assert n > 1 and _rk4_advance(Y.step, y, span, 0.02).tobytes() == want.tobytes()
+
+
+def test_step_keeps_the_sign_of_a_zero_phase():
+    # -0.0 + (-0.0) is -0.0 and 0.0 + (-0.0) is 0.0; the step carries that into x1
+    y = np.array([[0.0, -0.0, 0.0]])
+    assert math.copysign(1.0, _negative_zero_phase(-0.0).step(y, 0.1)[0, 1]) == -1.0
+    assert math.copysign(1.0, _negative_zero_phase(0.0).step(y, 0.1)[0, 1]) == 1.0
 
 
 # -- detect_closure -----------------------------------------------------------------

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bmkit
-from bmkit import (SampleGrid, VectorField, beltrami_maxwell, exterior_derivative, hodge_star,
-                   j0_field, j1_field, solid_torus_mode, torus3)
+from bmkit import (SampleGrid, VectorField, beltrami_maxwell, exterior_derivative,
+                   field_line_generator, hodge_star, j0_field, j1_field, solid_torus_mode, torus3,
+                   vector_field)
 from bmkit.bessel import J0, J1
 from bmkit.forms import fd_partial
 from bmkit.scalars import (COS, ZERO, Kernel, Plan, ScalarField, constant, from_function,
@@ -475,6 +476,14 @@ def test_slices_lifts_and_plans_leave_no_reference_cycles():
             assert gc.collect() == 0
         M.at_time(X0).e.coefficient_table(PTS3)
         assert gc.collect() == 0
+        # a generated RK4 step, compiled afresh, on a field that does not wrap and on one
+        # that wraps and holds an fn node
+        for Y in (field_line_generator(M, "e", X0),
+                  vector_field(T3, {0: fd_partial(T3, wave({2: 0.5}), 2), 2: constant(1.0)})):
+            bmkit.forms._rk4_code.cache_clear()
+            Y.step(PTS3, 0.01)
+            del Y
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -503,8 +512,8 @@ def test_signed_zeros_amplitudes_and_coefficient_order_make_other_nodes():
 
 
 def test_slices_at_one_instant_are_the_same_nodes():
-    M = beltrami_maxwell(solid_torus_mode())
-    a, b = M.at_time(X0), M.at_time(X0)
+    # two field sets, so that the slices come from two walks, not one memo
+    a, b = (beltrami_maxwell(solid_torus_mode()).at_time(X0) for _ in range(2))
     for name in "ehBD":
         fa, fb = getattr(a, name), getattr(b, name)
         assert all(fa.coeffs[i] is fb.coeffs[i] for i in fa.coeffs), name
