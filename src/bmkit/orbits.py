@@ -3,8 +3,8 @@
 Fixed-step classical RK4 keeps traces reproducible and makes the
 forward-backward reversibility and step-halving order checks exact
 statements about the integrator.  Trajectories are integrated in unwrapped
-coordinates, so winding numbers on periodic axes fall out of plain
-coordinate differences.  The field's cached flow (``VectorField.flow``)
+coordinates (a survey's from its seeds wrapped), so winding numbers on
+periodic axes fall out of plain coordinate differences.  The field's cached flow (``VectorField.flow``)
 evaluates a field periodic on its chart (every leaf on a periodic axis a cos
 of an integer harmonic) at the unwrapped state, and any other at the wrapped one.
 Every RK4 step runs the field's generated step (``VectorField.step``), straight-line
@@ -52,7 +52,7 @@ class OrbitTrace:
     chart: Chart
     seed: np.ndarray
     step: float
-    samples: np.ndarray  # (m, dim), samples[0] == seed
+    samples: np.ndarray  # (m, dim), samples[0] == seed (a survey's: the seed wrapped)
     s: np.ndarray        # (m,) curve parameter values
     status: str          # "completed" | "exited_domain"
     speed_max: float
@@ -120,7 +120,7 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
     samples = np.full((n_steps + 1, n, chart.dim), np.nan)
     samples[0] = seeds
     lengths = np.full(n, n_steps + 1, dtype=int)
-    active = np.arange(n)
+    active, cols = np.arange(n), slice(None)   # cols: active, a basic index until a seed exits
     state = seeds.copy()
     rk4 = Y.step
     bounded = not all(ax.is_periodic for ax in chart.axes)  # else every point is inside
@@ -132,9 +132,9 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
             inside = chart.contains(state)
             if not np.all(inside):
                 lengths[active[~inside]] = i
-                active = active[inside]
+                cols = active = active[inside]
                 state = state[inside]
-        samples[i, active] = state
+        samples[i, cols] = state
     statuses = ["completed" if lengths[j] == n_steps + 1 else "exited_domain"
                 for j in range(n)]
     return samples, lengths, statuses
@@ -371,10 +371,11 @@ def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
                         tol: float = 1e-5) -> SurveyResult:
     """Integrate every seed and detect closures; deduplicate orbits on demand.
 
-    Seeds may be a SampleGrid or an (N, dim) array; all of them are
-    integrated in lockstep and results are ordered by seed index.  Coinciding
-    orbits are merged only when `unique_orbits` is first read, so callers
-    that want per-seed results alone (`bmk trace`) never pay for it.
+    Seeds may be a SampleGrid or an (N, dim) array; all of them are wrapped
+    into the fundamental domain (reported as given), integrated in lockstep,
+    and results are ordered by seed index.  Coinciding orbits are merged only
+    when `unique_orbits` is first read, so callers that want per-seed results
+    alone (`bmk trace`) never pay for it.
     Failures to find a return are reported as "none found within budget",
     never as nonexistence.
     """
@@ -383,7 +384,7 @@ def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
     n_steps = _step_count(s_max, step, pts)
     if n_steps < MIN_STEPS:
         raise BmkitError(f"s_max / step = {n_steps} RK4 steps; a survey needs {MIN_STEPS} or more")
-    traces = _traces(Y, pts, step, *integrate_batch(Y, pts, step, n_steps))
+    traces = _traces(Y, pts, step, *integrate_batch(Y, chart.wrap(pts), step, n_steps))
     results = [detect_closure(trace, tol, Y) if trace.n_samples >= MIN_STEPS else
                ClosureResult(False, math.nan, math.inf, tuple(0 for _ in range(chart.dim)),
                              note="trace too short: " + trace.status)

@@ -297,10 +297,12 @@ def plan_source(plan: Plan, bind: dict) -> tuple[list[str], list[str]]:
     A kernel step is its c * p[..., a] terms (each (a, c) once per run), the sum of the
     phase and those terms, and the kernel; any other step is its operator or a call.
     Numbers and functions are globals added to bind, so the lines depend on the plan's
-    structure alone, and each value is bitwise what the plan gives.
+    structure alone, and each value is bitwise what the plan gives.  A number is bound
+    as a 0-d float64 array: numpy takes an array operand of a call on a faster path than
+    a Python float, which it must first promote as a weak scalar.
     """
     def name(obj) -> str:
-        bind[f"g{len(bind)}"] = obj
+        bind[f"g{len(bind)}"] = np.asarray(obj) if isinstance(obj, float) else obj
         return f"g{len(bind) - 1}"
 
     names = {slot: name(c) for slot, c in enumerate(plan._slots) if c is not None}

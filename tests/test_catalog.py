@@ -357,6 +357,27 @@ def test_amplitude_ode_matches_sub_step_reference_bitwise(k, eps0, mu0, f_e0, f_
     assert got == _amplitude_ode_reference(k, eps0, mu0, f_e0, f_h0, grid)
 
 
+@pytest.mark.parametrize("k, eps0, mu0, f_e0, f_h0, x_unit, want", [
+    (1.0, 1.0, 1.0, 1.0, 0.0, 1.0,
+     [("0x1.e0f575d0e13bfp-1", "-0x1.5f209a5380a6ap-2"),
+      ("-0x1.9a2f7ef8322cfp-1", "-0x1.326af0dd2fb8ep-1"),
+      ("0x1.81ff79ee07e00p-1", "-0x1.50608c2647f84p-1")]),
+    (-1.5, 2.0, 1.0, 0.8, -0.3, 1.0,
+     [("0x1.a519522d54903p-1", "0x1.0bfdacb1a4098p-3"),
+      ("-0x1.364e0620c499cp-1", "0x1.981dda06836b8p-1"),
+      ("0x1.0d43ea0adaa1cp-1", "0x1.cebdd2564dbf1p-1")]),
+    (3.0, 8.8541878128e-12, 1.25663706212e-6, 0.2, 1e-4, 1e-9,
+     [("0x1.9d5c8e7b03a0ep-3", "-0x1.2294fbf5b9e57p-14"),
+      ("-0x1.8964907a7c86ap-4", "-0x1.f36ac18a04a4ep-12"),
+      ("0x1.9a877d6dc8d36p-3", "0x1.87a98a105ea58p-14")]),
+])
+def test_amplitude_ode_values_are_pinned_bitwise(k, eps0, mu0, f_e0, f_h0, x_unit, want):
+    # the generic RK4 step comes from the template of the generated one: its bits stay put
+    grid = [x * x_unit for x in (0.0, 0.35, 2.5, 7.0)]
+    pairs = amplitude_ode(k, eps0, mu0, f_e0, f_h0, grid)[1:]
+    assert [(p.f_e.hex(), p.f_h.hex()) for p in pairs] == want
+
+
 def test_amplitude_ode_validation():
     with pytest.raises(BmkitError):
         amplitude_ode(0.0, 1.0, 1.0, 1.0, 0.0, [0.0, 1.0])

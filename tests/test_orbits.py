@@ -237,14 +237,21 @@ def test_survey_closes_as_with_the_wrapped_flow(name):
 
 
 def test_integrate_batch_matches_reference_loop_with_an_exit():
-    # on the solid torus the third seed leaves the r interval at its 9th step
+    # on the solid torus (0.001 <= r <= 1) seeds leave the r interval: the third of the first
+    # case at its 9th step, a seed at r = 0.99 at its first, and in the last case every seed
+    # (the batch stops after the 8th step); rows are written whole until a seed exits
     Y = field_line_generator(solid_torus_mode(), "e")
     seeds = np.array([[0.3, 0.1, 0.2], [0.6, 1.0, 2.0], [0.9, 2.0, 1.0], [0.5, 4.0, 5.0]])
-    samples, lengths, statuses = integrate_batch(Y, seeds, 0.05, 20)
-    want = _integrate_batch_reference(Y, seeds, 0.05, 20)
-    assert lengths.tolist() == want[1].tolist() == [21, 21, 9, 21]
-    assert statuses == want[2] == ["completed", "completed", "exited_domain", "completed"]
-    assert samples.tobytes() == want[0].tobytes()
+    cases = [(seeds, 0.05, 20, [21, 21, 9, 21]),
+             (np.vstack([seeds, [0.99, 2.0, 1.0]]), 0.05, 20, [21, 21, 9, 21, 1]),
+             (np.vstack([seeds[1:3], [0.99, 2.0, 1.0]]), 0.2, 40, [8, 3, 1])]
+    for seeds, step, n_steps, lengths_want in cases:
+        samples, lengths, statuses = integrate_batch(Y, seeds, step, n_steps)
+        want = _integrate_batch_reference(Y, seeds, step, n_steps)
+        assert lengths.tolist() == want[1].tolist() == lengths_want
+        assert statuses == want[2] == [
+            "completed" if m == n_steps + 1 else "exited_domain" for m in lengths_want]
+        assert samples.tobytes() == want[0].tobytes()
 
 
 def test_step_must_be_positive():
@@ -290,6 +297,17 @@ def test_generated_step_is_the_rk4_step_of_the_flow_bitwise(name):
         for _ in range(n):
             want = _rk4_step(Y.flow, want, span / n)
         assert n > 1 and _rk4_advance(Y.step, y, span, 0.02).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(STEPPED))
+def test_generated_step_binds_every_number_as_a_0d_float64_array(name):
+    # numpy takes a 0-d array operand on a faster path than a Python float or np.float64
+    for fn in (STEPPED[name]().step, _rk4_step):
+        values = fn.__globals__.values()
+        assert not any(isinstance(v, (int, float)) for v in values)
+        numbers = [v for v in values if not callable(v)]
+        assert numbers and all(isinstance(v, np.ndarray) and v.shape == ()
+                               and v.dtype == np.float64 for v in numbers)
 
 
 def test_step_keeps_the_sign_of_a_zero_phase():
@@ -414,6 +432,24 @@ def test_survey_rational_and_irrational_slopes():
     d = sv.to_json_dict()
     assert d["closed_count"] == 3
     assert d["results"][3]["note"] == NONE_FOUND
+
+
+def test_survey_of_seeds_far_outside_the_domain_is_that_of_their_wrap():
+    # x + 2pi m on the x1 circle through x: from 1e17 an unwrapped RK4 increment rounds
+    # away, so the state never moved and read as a closure of period 0.11
+    Z = field_line_generator(beltrami_maxwell(t3_mode(1, 1.0)), "e", 0.0)
+    x = [0.7, 1.3, 0.0]
+    seeds = np.array([x] + [[x[0] + TWO_PI * m, x[1], x[2]] for m in (1e3, 1e9, 1e17)]
+                     + [[1e300, x[1], x[2]]])
+    sv = closed_orbit_survey(Z, seeds, 0.01, 10.0, 1e-5)
+    base = sv.results[0]
+    assert base.closed and base.winding == (1, 0, 0)
+    assert abs(base.period_estimate - TWO_PI) < 1e-5
+    for res in sv.results[1:]:
+        assert res.closed and res.winding == base.winding
+        assert abs(res.period_estimate - base.period_estimate) < 1e-5
+    assert sv.unique_orbits == [0]
+    assert sv.seeds.tobytes() == seeds.tobytes()   # reported as given
 
 
 def test_survey_deduplicates_same_orbit():
