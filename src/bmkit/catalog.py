@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,8 +29,7 @@ import numpy as np
 from .bessel import j0_field, j1_field
 from .charts import Chart, euclidean3, solid_torus, spacetime, torus3
 from .errors import BmkitError, ConfigError, SingularFieldError
-from .forms import (DifferentialForm, _rk4_advance, _rk4_step, dx, lift_form, make_form,
-                    restrict_form, wedge)
+from .forms import DifferentialForm, _rk4_advance, dx, lift_form, make_form, restrict_form, wedge
 from .metrics import (MetricField, euclidean_metric, lorentzian_product,
                       norm_sq_field, solid_torus_metric, spatial_hodge)
 from .scalars import Plan, constant, monomial, sin_wave, wave
@@ -173,14 +172,6 @@ def solid_torus_mode(k_c: float = 2.0, beta: float = 1.0, sign: str = "minus",
 # -- Maxwell field sets -------------------------------------------------------
 
 
-def _energy_forms(metric3: MetricField, constants: Constants, e: DifferentialForm,
-                  h: DifferentialForm) -> tuple[DifferentialForm, DifferentialForm]:
-    """(eps0/2) e ^ *3 e and (mu0/2) h ^ *3 h, on a 3-chart or fibrewise on spacetime."""
-    ee = (0.5 * constants.eps0) * wedge(e, spatial_hodge(metric3, e))
-    eh = (0.5 * constants.mu0) * wedge(h, spatial_hodge(metric3, h))
-    return ee, eh
-
-
 @dataclass(frozen=True)
 class MaxwellSlice:
     """A Maxwell field set restricted to the hypersurface x0 = const."""
@@ -198,8 +189,10 @@ class MaxwellSlice:
         return self.metric.chart
 
     def energy_forms(self) -> tuple[DifferentialForm, DifferentialForm]:
-        """Vacuum energy density 3-forms on the slice."""
-        return _energy_forms(self.metric, self.constants, self.e, self.h)
+        """Vacuum energy density 3-forms (eps0/2) e ^ *3 e and (mu0/2) h ^ *3 h on the slice."""
+        ee = (0.5 * self.constants.eps0) * wedge(self.e, spatial_hodge(self.metric, self.e))
+        eh = (0.5 * self.constants.mu0) * wedge(self.h, spatial_hodge(self.metric, self.h))
+        return ee, eh
 
 
 @dataclass(frozen=True)
@@ -256,14 +249,6 @@ class MaxwellFieldSet:
             self._slices[key] = MaxwellSlice(float(x0), self.metric3, *(restrict_form(
                 self.chart3, f, x0) for f in (self.e, self.h, self.B, self.D)), self.constants)
         return self._slices[key]
-
-    def energy_forms(self) -> tuple[DifferentialForm, DifferentialForm]:
-        """Vacuum energy density 3-forms (eps0/2) e ^ *3 e and (mu0/2) h ^ *3 h."""
-        return _energy_forms(self.metric3, self.constants, self.e, self.h)
-
-    def energy_forms_kappa(self) -> tuple[DifferentialForm, DifferentialForm]:
-        """Media-form energies (1/2) e ^ D and (1/2) h ^ B (equal to vacuum ones here)."""
-        return 0.5 * wedge(self.e, self.D), 0.5 * wedge(self.h, self.B)
 
     def poynting(self) -> DifferentialForm:
         """The Poynting 2-form e ^ h."""
@@ -467,7 +452,7 @@ def amplitude_ode(k: float, eps0: float, mu0: float, f_e0: float, f_h0: float,
         raise BmkitError("x0 grid must be non-decreasing")
     out.append(AmplitudePair(y[0], y[1], x))
     for target in grid[1:]:
-        y = _rk4_advance(partial(_rk4_step, rhs), y, target - x, h_max)
+        y = _rk4_advance(rhs, y, target - x, h_max)
         x = target
         out.append(AmplitudePair(float(y[0]), float(y[1]), x))
     return out

@@ -6,9 +6,9 @@ multi-index, zero coefficients omitted.  All operations are pure and the
 objects are immutable after construction, so evaluation is thread-safe: an
 evaluation plan (:class:`~bmkit.scalars.Plan`, one per ``coefficient_table``
 call and one kept by each vector field) holds no values, and the values of a
-run are local to that run.  The RK4 formula is written once, as source (``_rk4_code``):
-``VectorField.step`` inlines the field's plan in each stage, ``_rk4_step(f, y, h)``
-calls f, and functions of one source text share one compile.
+run are local to that run.  A vector field's flow is generated: its plan written as
+straight-line source, compiled once per source text.  RK4 is one plain step,
+``_rk4_step(f, y, h)``, over any right-hand side f.
 
 Exterior derivatives use a coefficient's analytic partials, and fall back
 to 4th-order finite differences only for a coefficient that has none (one
@@ -138,7 +138,7 @@ class DifferentialForm:
 class VectorField:
     """Vector field with one ScalarField component per chart axis.
 
-    Its plan (``evaluate``), flow and generated RK4 ``step`` are each built once.
+    Its plan (``evaluate``) and generated flow are each built once.
     """
 
     chart: Chart
@@ -173,26 +173,16 @@ class VectorField:
         The flow in unwrapped coordinates: a field periodic on its chart (every leaf
         that reads a periodic axis a cos leaf whose coefficient times period / 2pi
         is an integer) is evaluated at p itself, any other field at p wrapped.
+        Straight-line source, bitwise ``evaluate``: the wrap if the flow wraps, the plan's
+        lines (`scalars.plan_source`) and `as_table`'s columns.  ``flow.ops`` counts them.
         """
-        plan, wrap = self._plan, self.chart.wrap
-        if self.flow_wraps:
-            return lambda p: as_table(plan(wrap(p)), p)
-        return lambda p: as_table(plan(p), p)
-
-    @functools.cached_property
-    def step(self):
-        """(y, h) -> y after one RK4 step of the flow, bitwise `_rk4_step(self.flow, y, h)`.
-
-        Each stage is straight-line source: the wrap if the flow wraps, the plan's lines
-        (`scalars.plan_source`) and `as_table`'s columns.  ``step.ops`` counts numpy ops.
-        """
-        bind = {"empty": np.empty, "wrap": self.chart.wrap, **_RK4_GLOBALS}
+        bind = {"empty": np.empty, "wrap": self.chart.wrap}
         lines, roots = plan_source(self._plan, bind)
-        stage = [*(["p = wrap(p)"] * self.flow_wraps), *lines, "k = empty(p.shape)",
-                 *(f"k[..., {j}] = {r}" for j, r in enumerate(roots))]
-        step = types.FunctionType(_rk4_code("y, h", tuple(stage)), bind)
-        step.ops = 4 * len(stage) + _RK4_OPS
-        return step
+        body = (*(["p = wrap(p)"] * self.flow_wraps), *lines, "k = empty(p.shape)",
+                *(f"k[..., {j}] = {r}" for j, r in enumerate(roots)))
+        flow = types.FunctionType(_flow_code(body), bind)
+        flow.ops = len(body)
+        return flow
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, tuple(-c for c in self.components))
@@ -409,31 +399,34 @@ def lie_derivative(X: VectorField, a: DifferentialForm) -> DifferentialForm:
 # -- RK4 and the flow-pullback cross-check ------------------------------------
 
 
-# The RK4 step of y' = f(y), written once as source: each stage binds its input to p and runs
-# a body that sets k = f(p).  13 numpy operations are its own: 2 in each later input, 7 in the sum.
-# Its numbers are 0-d float64 arrays, each made once per step from a Python float: numpy takes
-# an array operand faster than a float (a weak scalar), and the products are bitwise the same.
-_RK4_STAGES = (("k1", "y"), ("k2", "y + hh * k1"), ("k3", "y + hh * k2"), ("k4", "y + hf * k3"))
-_RK4_OPS = 13
-_RK4_GLOBALS = {"asarray": np.asarray, "two": np.asarray(2.0)}
-
-
 @functools.lru_cache(maxsize=256)
-def _rk4_code(params: str, stage: tuple[str, ...]) -> types.CodeType:
-    """def step(params), the RK4 step with stage as each stage's body, compiled once per source."""
-    body = [line for k, x in _RK4_STAGES for line in (f"p = {x}", *stage, f"{k} = k")]
-    source = "\n    ".join([f"def step({params}):",
-                            "hh, hf, h6 = asarray(0.5 * h), asarray(h), asarray(h / 6.0)", *body,
-                            "return y + h6 * (k1 + two * k2 + two * k3 + k4)"])
-    return next(c for c in compile(source, "<rk4 step>", "exec").co_consts
+def _flow_code(body: tuple[str, ...]) -> types.CodeType:
+    """def flow(p) with body, returning k, compiled once per source text.
+
+    Its numbers and functions are globals bound per field, so fields of one structure share it.
+    """
+    source = "\n    ".join(["def flow(p):", *body, "return k"])
+    return next(c for c in compile(source, "<flow>", "exec").co_consts
                 if isinstance(c, types.CodeType))   # the function's code, with no namespace
 
 
-_rk4_step = types.FunctionType(_rk4_code("f, y, h", ("k = f(p)",)), _RK4_GLOBALS)   # y' = f(y)
+# RK4's numbers are 0-d float64 arrays: numpy takes an array operand faster than a float (a
+# weak scalar), and the products are bitwise the same.
+_TWO = np.asarray(2.0)
 
 
-def _rk4_advance(step, y: np.ndarray, span: float, h_max: float) -> np.ndarray:
-    """Advance y by span in ceil(|span| / h_max) equal RK4 sub-steps step(y, h).
+def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
+    """y after one classical RK4 step of length h of y' = f(y); 13 numpy operations besides f."""
+    hh, hf, h6 = np.asarray(0.5 * h), np.asarray(h), np.asarray(h / 6.0)
+    k1 = f(y)
+    k2 = f(y + hh * k1)
+    k3 = f(y + hh * k2)
+    k4 = f(y + hf * k3)
+    return y + h6 * (k1 + _TWO * k2 + _TWO * k3 + k4)
+
+
+def _rk4_advance(f, y: np.ndarray, span: float, h_max: float) -> np.ndarray:
+    """Advance y' = f(y) by span in ceil(|span| / h_max) equal RK4 sub-steps.
 
     A zero span returns a copy of y without a step.
     """
@@ -442,7 +435,7 @@ def _rk4_advance(step, y: np.ndarray, span: float, h_max: float) -> np.ndarray:
     n = max(1, int(math.ceil(abs(span) / h_max)))
     h = span / n
     for _ in range(n):
-        y = step(y, h)
+        y = _rk4_step(f, y, h)
     return y
 
 
@@ -458,12 +451,13 @@ def lie_derivative_flow(X: VectorField, a: DifferentialForm, pts: np.ndarray) ->
     chart = a.chart
     pts = chart.as_points(pts)
     n, dim = pts.shape
-    phi = X.step(pts, tau)
+    phi = _rk4_step(X.flow, pts, tau)
     jac = np.empty((n, dim, dim))
     for i in range(dim):
         dp = np.zeros(dim)
         dp[i] = jac_step
-        jac[:, :, i] = (X.step(pts + dp, tau) - X.step(pts - dp, tau)) / (2 * jac_step)
+        jac[:, :, i] = (_rk4_step(X.flow, pts + dp, tau)
+                        - _rk4_step(X.flow, pts - dp, tau)) / (2 * jac_step)
 
     indices = a.indices
     at_phi = value_table(a.coeffs.values(), chart.wrap(phi))

@@ -3,12 +3,12 @@
 Fixed-step classical RK4 keeps traces reproducible and makes the
 forward-backward reversibility and step-halving order checks exact
 statements about the integrator.  Trajectories are integrated in unwrapped
-coordinates (a survey's from its seeds wrapped), so winding numbers on
-periodic axes fall out of plain coordinate differences.  The field's cached flow (``VectorField.flow``)
-evaluates a field periodic on its chart (every leaf on a periodic axis a cos
-of an integer harmonic) at the unwrapped state, and any other at the wrapped one.
-Every RK4 step runs the field's generated step (``VectorField.step``), straight-line
-code that is bitwise the RK4 formula over that flow, without the plan interpreter.
+coordinates (a survey's and a section's from their seeds wrapped), so winding
+numbers on periodic axes fall out of plain coordinate differences.  Every RK4 step
+(``forms._rk4_step``) runs the field's generated flow (``VectorField.flow``),
+straight-line code without the plan interpreter, which evaluates a field periodic
+on its chart (every leaf on a periodic axis a cos of an integer harmonic) at the
+unwrapped state, and any other at the wrapped one.
 
 Closure detection scans a trace for returns to its seed in the minimal-image
 chart distance, then sharpens each candidate with a few Newton steps on the
@@ -38,11 +38,10 @@ import numpy as np
 
 from .charts import Chart
 from .errors import BmkitError, require_storable
-from .forms import VectorField, _rk4_advance
+from .forms import VectorField, _rk4_advance, _rk4_step
 
 NONE_FOUND = "none found within budget"
 MIN_STEPS = 100  # fewest RK4 steps of a survey budget, and fewest samples closure detection reads
-_SPEED_ROWS = 2048  # about this many samples per flow run for the speeds along traces
 
 
 @dataclass(frozen=True)
@@ -92,14 +91,11 @@ def _traces(Y: VectorField, seeds: np.ndarray, step: float, samples: np.ndarray,
             lengths: np.ndarray, statuses: list[str]) -> list[OrbitTrace]:
     """The OrbitTrace of each seed of integrate_batch, each with the largest speed along it.
 
-    The speeds come from the flow over the committed rows of all seeds, in blocks
-    of whole steps; the NaN rows after an exit never reach it.
+    A seed's speeds come from one flow run over its committed rows; the NaN rows after
+    an exit never reach it.
     """
-    speed_max = np.zeros(len(lengths))
-    k = max(1, _SPEED_ROWS // len(lengths))
-    for i in range(0, int(np.max(lengths)), k):
-        rows, cols = np.nonzero(np.arange(i, i + k)[:, None] < lengths)
-        np.maximum.at(speed_max, cols, np.linalg.norm(Y.flow(samples[i + rows, cols]), axis=-1))
+    speed_max = [np.max(np.linalg.norm(Y.flow(samples[:m, j, :]), axis=-1))
+                 for j, m in enumerate(lengths)]
     return [OrbitTrace(Y.chart, seed, step, samples[:m, j, :], step * np.arange(m), status,
                        float(speed_max[j]))
             for j, (seed, m, status) in enumerate(zip(seeds, lengths, statuses))]
@@ -121,13 +117,12 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
     samples[0] = seeds
     lengths = np.full(n, n_steps + 1, dtype=int)
     active, cols = np.arange(n), slice(None)   # cols: active, a basic index until a seed exits
-    state = seeds.copy()
-    rk4 = Y.step
+    state, flow = seeds.copy(), Y.flow
     bounded = not all(ax.is_periodic for ax in chart.axes)  # else every point is inside
     for i in range(1, n_steps + 1):
         if active.size == 0:
             break
-        state = rk4(state, step)
+        state = _rk4_step(flow, state, step)
         if bounded:
             inside = chart.contains(state)
             if not np.all(inside):
@@ -174,7 +169,7 @@ def _refine_return(Y: VectorField, trace: OrbitTrace, j: int):
         s_new = min(max(s - float(chart.delta(x, seed) @ y) / yy, s_lo), s_hi)
         if abs(s_new - s) < 1e-13 * max(1.0, abs(s)):
             break
-        s, x = s_new, _rk4_advance(Y.step, base[None, :], s_new - s_j, trace.step)[0]
+        s, x = s_new, _rk4_advance(Y.flow, base[None, :], s_new - s_j, trace.step)[0]
     return s, float(chart.distance(x, seed)), x
 
 
@@ -228,7 +223,7 @@ class SurveyResult:
     traces: list[OrbitTrace] = field(repr=False, default_factory=list)
     params: dict = field(default_factory=dict)
     flow_wraps: bool = True  # the field's VectorField.flow_wraps
-    step_ops: int = 0        # numpy operations of one RK4 step of the field (VectorField.step)
+    step_ops: int = 0        # numpy operations of one RK4 step: 4 flow runs and 13 of its own
 
     @functools.cached_property
     def _dedup(self) -> tuple[list[int], dict]:
@@ -271,7 +266,7 @@ class SurveyResult:
         """RK4 steps of the lockstep integration: steps of the batch, and steps summed
         over seeds (a seed that left the domain also took the step that left it);
         whether the flow wrapped the state before each stage; and the numpy
-        operations of one generated RK4 step."""
+        operations of one RK4 step over the generated flow."""
         steps = [t.n_samples - (t.status == "completed") for t in self.traces]
         return {"lockstep_steps": max(steps, default=0), "seed_steps": sum(steps),
                 "wrap": self.flow_wraps, "step_ops": self.step_ops}
@@ -391,7 +386,7 @@ def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
                for trace in traces]
     return SurveyResult(pts, results, traces,
                         {"step": step, "s_max": s_max, "tol": tol,
-                         "n_seeds": int(len(pts))}, Y.flow_wraps, Y.step.ops)
+                         "n_seeds": int(len(pts))}, Y.flow_wraps, 4 * Y.flow.ops + 13)
 
 
 # -- Poincare sections ----------------------------------------------------------
@@ -418,11 +413,12 @@ def poincare_section(Y: VectorField, axis: int, value: float, seeds,
     the plane is thus one crossing at its own parameter.  Crossing
     parameters come from linear interpolation sharpened by one secant step;
     each crossing records its direction and |Y^axis| there.  Tangential
-    crossings (|Y^axis| < 1e-8) are kept but flagged.
+    crossings (|Y^axis| < 1e-8) are kept but flagged.  Each seed is integrated from its wrap
+    and reported as given.
     """
     chart = Y.chart
     pts = chart.as_points(getattr(seeds, "points", seeds))
-    samples, lengths, _ = integrate_batch(Y, pts, step, _step_count(s_max, step, pts))
+    samples, lengths, _ = integrate_batch(Y, chart.wrap(pts), step, _step_count(s_max, step, pts))
     ax = chart.axes[axis]
     span = ax.period if ax.is_periodic else math.inf
     out = []
@@ -437,13 +433,13 @@ def poincare_section(Y: VectorField, axis: int, value: float, seeds,
             s1, f1 = step * i, u[i]
             f2 = u[i + 1]
             s_lin = s1 + step * f1 / (f1 - f2)
-            x_lin = _rk4_advance(Y.step, traj[i][None, :], s_lin - s1, step)[0]
+            x_lin = _rk4_advance(Y.flow, traj[i][None, :], s_lin - s1, step)[0]
             f_lin = float(ax.minimal_image(x_lin[axis] - value))
             if f_lin != f1:
                 s_ref = s_lin - f_lin * (s_lin - s1) / (f_lin - f1)
             else:
                 s_ref = s_lin
-            x_ref = _rk4_advance(Y.step, traj[i][None, :], s_ref - s1, step)[0]
+            x_ref = _rk4_advance(Y.flow, traj[i][None, :], s_ref - s1, step)[0]
             y_axis = float(Y.evaluate(chart.wrap(x_ref[None, :]))[0, axis])
             if abs(y_axis) < 1e-8:
                 warns.append(f"tangential crossing at s = {s_ref:.6g}")

@@ -32,7 +32,7 @@ Arithmetic is that of each field alone, so every value is bitwise what its
 field gives by itself.  A run drops each value after its last reader unless
 it is a root's, so a plan holds no values between calls and is safe to share
 between threads.  :func:`plan_source` writes one run of a plan as straight-line
-source, from which ``VectorField.step`` is generated.
+source, from which ``VectorField.flow`` is generated.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from bmkit import (CATALOG, BmkitError, ConfigError,
                    build_catalog_field, constant_field, euclidean_metric,
                    exterior_derivative, hodge_star, parallel_nonbeltrami,
                    solid_torus_mode, t3_mode, torus3, traveling_wave, wedge)
-from bmkit import SampleGrid, maxwell_residuals, norm_sq_field
+from bmkit import SampleGrid, maxwell_residuals, norm_sq_field, spatial_hodge
 from bmkit.reeb import reeb_closed_form_beltrami
 
 RNG = np.random.default_rng(11)
@@ -279,9 +279,12 @@ def test_catalog_constitutive_by_construction():
 
 
 def test_energy_forms_vacuo_identity():
+    # the vacuum energies (eps0/2) e ^ *3 e, (mu0/2) h ^ *3 h on spacetime, fibrewise, against
+    # the media-form ones (1/2) e ^ D, (1/2) h ^ B
     M = beltrami_maxwell(t3_mode(1, 1.0))
-    ee, eh = M.energy_forms()
-    ee_k, eh_k = M.energy_forms_kappa()
+    ee = (0.5 * M.eps0) * wedge(M.e, spatial_hodge(M.metric3, M.e))
+    eh = (0.5 * M.mu0) * wedge(M.h, spatial_hodge(M.metric3, M.h))
+    ee_k, eh_k = 0.5 * wedge(M.e, M.D), 0.5 * wedge(M.h, M.B)
     pts4 = RNG.uniform(0, 2 * math.pi, (40, 4))
     assert (ee - ee_k).max_abs(pts4) < 1e-12
     assert (eh - eh_k).max_abs(pts4) < 1e-12

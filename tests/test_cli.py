@@ -605,16 +605,16 @@ def test_meta_counts_rk4_steps_and_no_meta_strips_them(tmp_path, command, args, 
 
 
 def test_surveys_that_differ_in_amplitude_compile_one_rk4_step(tmp_path):
-    # c and e0 are globals of the generated step, not literals of its source (an e0
+    # c and e0 are globals of the generated flow, not literals of its source (an e0
     # of 1 would be another structure: the product by 1 is folded away)
     from bmkit import forms
 
-    forms._rk4_code.cache_clear()
+    forms._flow_code.cache_clear()
     for c, e0 in (("0.8", "2.0"), ("1.3", "0.5")):
         assert run_cli(["survey", "--field", f"beltrami_maxwell{{v=t3_mode{{n=1,c={c}}},e0={e0}}}",
                         "--seeds", "0,0,0;1,2,0.5", "--s-max", "2",
                         "--out", str(tmp_path / "s.json")]) == 0
-    info = forms._rk4_code.cache_info()
+    info = forms._flow_code.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 

@@ -15,7 +15,7 @@ from bmkit import (BmkitError, SampleGrid, VectorField, abc_flow, beltrami_maxwe
                    metric_sharp, poincare_section, solid_torus, solid_torus_mode,
                    t3_mode, torus3, vector_field, write_orbit_csv)
 from bmkit.catalog import CATALOG, build_catalog_field
-from bmkit.forms import _rk4_advance, _rk4_step, fd_partial
+from bmkit.forms import _TWO, _rk4_advance, _rk4_step, fd_partial
 from bmkit.orbits import NONE_FOUND, SurveyResult, _covers, _refine_return, integrate_batch
 from bmkit.scalars import (constant, coordinate, from_function, leaf, monomial, power_kernel,
                            sin_wave, wave)
@@ -202,7 +202,12 @@ def test_flow_of_any_other_field_reads_the_wrapped_state(name):
 def _with_wrapped_flow(Y):
     """A copy of Y whose flow evaluates it at the wrapped state, whatever its leaves."""
     ref = VectorField(Y.chart, Y.components)
-    ref.__dict__.update(flow=lambda p: ref.evaluate(ref.chart.wrap(p)), flow_wraps=True)
+
+    def flow(p):
+        return ref.evaluate(ref.chart.wrap(p))
+
+    flow.ops = Y.flow.ops + 1   # and the wrap
+    ref.__dict__.update(flow=flow, flow_wraps=True)
     return ref
 
 
@@ -266,7 +271,7 @@ def test_step_count_too_large_to_store(s_max, step):
         poincare_section(const_field(T3, {0: 1.0}), 0, 0.0, [[0.0, 0.0, 0.0]], s_max, step)
 
 
-# -- the generated RK4 step -----------------------------------------------------------
+# -- the generated flow and the RK4 step -----------------------------------------------
 
 
 def _negative_zero_phase(phase):
@@ -285,36 +290,68 @@ STEPPED.update(half_harmonic=WRAPPED["half_harmonic"], fd_partial=WRAPPED["fd_pa
 
 @pytest.mark.parametrize("name", sorted(STEPPED))
 def test_generated_step_is_the_rk4_step_of_the_flow_bitwise(name):
+    # the generated flow is the plan interpreter's evaluation, so an RK4 step over it is
+    # bitwise the step over the interpreted flow
     Y = STEPPED[name]()
     y = _state(Y.chart, 12)
     if Y.chart.axes[0].is_periodic:
         y[0] = [0.0, -0.0, 0.0]   # where a signed zero shows
+
+    def interpreted(p):
+        return Y.evaluate(Y.chart.wrap(p) if Y.flow_wraps else p)
+
+    assert Y.flow(y).tobytes() == interpreted(y).tobytes()
     for h in (0.01, -0.003, 0.5):
-        assert Y.step(y, h).tobytes() == _rk4_step(Y.flow, y, h).tobytes()
+        assert _rk4_step(Y.flow, y, h).tobytes() == _rk4_step(interpreted, y, h).tobytes()
     for span in (0.07, -0.05):   # several equal sub-steps of at most h_max
         n = math.ceil(abs(span) / 0.02)
         want = y
         for _ in range(n):
             want = _rk4_step(Y.flow, want, span / n)
-        assert n > 1 and _rk4_advance(Y.step, y, span, 0.02).tobytes() == want.tobytes()
+        assert n > 1 and _rk4_advance(Y.flow, y, span, 0.02).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(STEPPED))
 def test_generated_step_binds_every_number_as_a_0d_float64_array(name):
     # numpy takes a 0-d array operand on a faster path than a Python float or np.float64
-    for fn in (STEPPED[name]().step, _rk4_step):
-        values = fn.__globals__.values()
-        assert not any(isinstance(v, (int, float)) for v in values)
-        numbers = [v for v in values if not callable(v)]
-        assert numbers and all(isinstance(v, np.ndarray) and v.shape == ()
-                               and v.dtype == np.float64 for v in numbers)
+    values = STEPPED[name]().flow.__globals__.values()
+    assert not any(isinstance(v, (int, float)) for v in values)
+    numbers = [v for v in values if not callable(v)]
+    assert numbers and all(isinstance(v, np.ndarray) and v.shape == ()
+                           and v.dtype == np.float64 for v in [*numbers, _TWO])
+    assert _TWO == 2.0
+
+
+def _textbook_rk4(f, y, h):
+    """One classical RK4 step of y' = f(y) on a list of Python floats."""
+    k1 = f(y)
+    k2 = f([a + 0.5 * h * k for a, k in zip(y, k1)])
+    k3 = f([a + 0.5 * h * k for a, k in zip(y, k2)])
+    k4 = f([a + h * k for a, k in zip(y, k3)])
+    return [a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+def test_rk4_step_is_the_textbook_formula_bitwise():
+    # arithmetic alone in f, so each numpy operation rounds as the Python float one does
+    def f(y):
+        return [y[1] * y[2] - 0.5 * y[0], 1.0 - y[0] * y[0], y[0] * y[1] + 0.25 * y[2]]
+
+    def f_rows(y):
+        return np.stack(f(y.T), axis=-1)
+
+    ys = np.random.default_rng(8).uniform(-3.0, 3.0, (10, 3))
+    for h in (0.1, -0.03, 1.7, 1e-9):
+        want = np.array([_textbook_rk4(f, list(map(float, y)), h) for y in ys])
+        assert _rk4_step(f_rows, ys, h).tobytes() == want.tobytes()
 
 
 def test_step_keeps_the_sign_of_a_zero_phase():
     # -0.0 + (-0.0) is -0.0 and 0.0 + (-0.0) is 0.0; the step carries that into x1
     y = np.array([[0.0, -0.0, 0.0]])
-    assert math.copysign(1.0, _negative_zero_phase(-0.0).step(y, 0.1)[0, 1]) == -1.0
-    assert math.copysign(1.0, _negative_zero_phase(0.0).step(y, 0.1)[0, 1]) == 1.0
+    for phase, sign in ((-0.0, -1.0), (0.0, 1.0)):
+        x1 = _rk4_step(_negative_zero_phase(phase).flow, y, 0.1)[0, 1]
+        assert math.copysign(1.0, x1) == sign
 
 
 # -- detect_closure -----------------------------------------------------------------
@@ -610,6 +647,19 @@ def test_poincare_tangential_crossing_kept_and_flagged():
     assert abs(out.s_values[0] - 0.505) < 1e-6
     assert out.transversality.tolist() == [1e-9]
     assert out.warnings == [f"tangential crossing at s = {out.s_values[0]:.6g}"]
+
+
+@pytest.mark.parametrize("m", [0, 1e3, 1e9, 1e17])
+def test_poincare_integrates_from_the_seed_wrapped(m):
+    # whole periods away the seed is integrated from its wrap, and reported as given
+    Y = field_line_generator(beltrami_maxwell(t3_mode(1, 1.0)), "e", 0.0)
+    seed = np.array([[0.7 + TWO_PI * m, 1.3, 0.0]])
+    (got,), (want,) = (poincare_section(Y, 0, 1.0, s, 20.0) for s in (seed, T3.wrap(seed)))
+    assert len(want.s_values) >= 3   # the line crosses x1 = 1 once a period, 2pi
+    assert got.seed.tobytes() == seed[0].tobytes()
+    for a in ("s_values", "points", "directions", "transversality"):
+        assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
+    assert got.warnings == want.warnings
 
 
 def test_poincare_abc_level_set_and_golden_run():

@@ -15,7 +15,7 @@ from bmkit import (SampleGrid, VectorField, beltrami_maxwell, exterior_derivativ
                    field_line_generator, hodge_star, j0_field, j1_field, solid_torus_mode, torus3,
                    vector_field)
 from bmkit.bessel import J0, J1
-from bmkit.forms import fd_partial
+from bmkit.forms import _rk4_step, fd_partial
 from bmkit.scalars import (COS, ZERO, Kernel, Plan, ScalarField, constant, from_function,
                            leaf, lift_spatial, monomial, power_kernel, restrict_time, sin_wave,
                            value_table, wave)
@@ -476,12 +476,12 @@ def test_slices_lifts_and_plans_leave_no_reference_cycles():
             assert gc.collect() == 0
         M.at_time(X0).e.coefficient_table(PTS3)
         assert gc.collect() == 0
-        # a generated RK4 step, compiled afresh, on a field that does not wrap and on one
-        # that wraps and holds an fn node
+        # a generated flow, compiled afresh, and one RK4 step over it, on a field that does
+        # not wrap and on one that wraps and holds an fn node
         for Y in (field_line_generator(M, "e", X0),
                   vector_field(T3, {0: fd_partial(T3, wave({2: 0.5}), 2), 2: constant(1.0)})):
-            bmkit.forms._rk4_code.cache_clear()
-            Y.step(PTS3, 0.01)
+            bmkit.forms._flow_code.cache_clear()
+            _rk4_step(Y.flow, PTS3, 0.01)
             del Y
             assert gc.collect() == 0
     finally:
