@@ -51,7 +51,6 @@ NONDIMENSIONAL = Constants()
 SI = Constants(eps0=8.8541878128e-12, mu0=1.25663706212e-6)
 
 
-_SCAN_ROWS = 16384  # about this many lattice points per plan run of the singularity scan
 # -- Beltrami forms ----------------------------------------------------------
 
 
@@ -69,23 +68,10 @@ class BeltramiForm:
 
     @cached_property
     def _norm_sq_range(self) -> tuple[float, float]:
-        """(min, max) of g^{-1}(v, v) over the singularity scan lattice, computed on first use.
-
-        Folded, exactly, over blocks of whole slabs (points sharing their first
-        coordinate), so no table of the whole lattice is held.
-        """
-        n, axes = self.scan_n, self.chart.axes
-        first = Chart("", axes[:1]).lattice((n,))[:, 0]
-        slab = Chart("", axes[1:]).lattice((n,) * (len(axes) - 1))
-        k = max(1, _SCAN_ROWS // len(slab))
-        plan = Plan([norm_sq_field(self.metric, self.form)])
-        low, high = math.inf, -math.inf
-        for xs in (first[i:i + k] for i in range(0, n, k)):
-            block = np.empty((len(xs), len(slab), len(axes)))
-            block[..., 0], block[..., 1:] = xs[:, None], slab
-            (norm_sq,) = plan(block.reshape(-1, len(axes)))
-            low, high = np.minimum(low, np.min(norm_sq)), np.maximum(high, np.max(norm_sq))
-        return float(low), float(high)
+        """(min, max) of g^{-1}(v, v) over the scan lattice, from one plan run on first use."""
+        pts = self.chart.lattice((self.scan_n,) * self.chart.dim)
+        (norm_sq,) = Plan([norm_sq_field(self.metric, self.form)])(pts)
+        return float(np.min(norm_sq)), float(np.max(norm_sq))
 
     @property
     def norm_margin(self) -> float:
@@ -304,7 +290,9 @@ def beltrami_maxwell(v: BeltramiForm | None = None, e0: float = 1.0,
         f_h=lambda x0: e0 / (c0 * mu0) * math.sin(k * x0))
 
 
-_PROFILES = {"sin": (sin_wave, wave), "cos": (wave, lambda c: sin_wave(c, 0.0, -1.0))}
+# profile -> the builders of f and f', each called as (coeffs, phase, amplitude)
+_PROFILES = {"sin": (sin_wave, wave),
+             "cos": (wave, lambda c, phase=0.0, amplitude=1.0: sin_wave(c, phase, -amplitude))}
 
 
 def traveling_wave(profile: str = "sin", constants: Constants = NONDIMENSIONAL,
@@ -357,10 +345,8 @@ def parallel_nonbeltrami(e0: float = 1.0, k: float = 1.0, f3: str = "sin",
     chart3 = torus3()
     chart4 = spacetime(chart3)
     metric3 = euclidean_metric(chart3)
-    if f3 == "sin":
-        prof, dprof = sin_wave({3: k}), wave({3: k}, 0.0, k)
-    else:
-        prof, dprof = wave({3: k}), sin_wave({3: k}, 0.0, -k)
+    make_f, make_fp = _PROFILES[f3]
+    prof, dprof = make_f({3: k}), make_fp({3: k}, 0.0, k)
     f01 = wave({0: k})                        # cos(k x0)
     f02 = wave({0: k}, 0.5 * math.pi)         # -sin(k x0)
     amp_h = constants.eps0 * constants.c0 / k * e0
@@ -384,11 +370,8 @@ def beltrami_nonparallel(profile: str = "sin",
     chart3 = torus3()
     chart4 = spacetime(chart3)
     metric3 = euclidean_metric(chart3)
-    coeffs = {0: 1.0, 3: 1.0}
-    if profile == "sin":
-        f, fp = sin_wave(coeffs), wave(coeffs)
-    else:
-        f, fp = wave(coeffs), sin_wave(coeffs, 0.0, -1.0)
+    make_f, make_fp = _PROFILES[profile]
+    f, fp = make_f({0: 1.0, 3: 1.0}), make_fp({0: 1.0, 3: 1.0})
     amp = 1.0 / (constants.c0 * constants.mu0)
     e = make_form(chart4, 1, {(1,): f, (2,): fp})
     h = make_form(chart4, 1, {(1,): amp * fp, (2,): -amp * f})

@@ -2,9 +2,10 @@
 
 Fixed-step classical RK4 keeps traces reproducible and makes the
 forward-backward reversibility and step-halving order checks exact
-statements about the integrator.  Trajectories are integrated in unwrapped
-coordinates (a survey's and a section's from their seeds wrapped), so winding
-numbers on periodic axes fall out of plain coordinate differences.  Every RK4 step
+statements about the integrator.  A seed outside the chart is rejected
+(DomainError) before anything is integrated.  Trajectories are integrated in
+unwrapped coordinates (a survey's and a section's from their seeds wrapped), so
+winding numbers on periodic axes fall out of plain coordinate differences.  Every RK4 step
 (``forms._rk4_step``) runs the field's generated flow (``VectorField.flow``),
 straight-line code without the plan interpreter, which evaluates a field periodic
 on its chart (every leaf on a periodic axis a cos of an integer harmonic) at the
@@ -102,7 +103,7 @@ def _traces(Y: VectorField, seeds: np.ndarray, step: float, samples: np.ndarray,
 
 
 def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int):
-    """RK4-integrate several seeds in lockstep.
+    """RK4-integrate several seeds in lockstep, each inside the chart (else DomainError).
 
     Returns (samples (n_steps+1, N, dim) with NaN after exit, lengths (N,),
     statuses).  A trajectory stops when its next state would leave an
@@ -110,8 +111,9 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
     """
     chart = Y.chart
     seeds = chart.as_points(seeds)
-    if step <= 0:
-        raise BmkitError("step must be > 0")
+    if not (step > 0 and n_steps >= 0):
+        raise BmkitError(f"step must be > 0 and n_steps >= 0, not {step!r} and {n_steps!r}")
+    chart.require_inside(seeds)
     n = seeds.shape[0]
     samples = np.full((n_steps + 1, n, chart.dim), np.nan)
     samples[0] = seeds
@@ -137,6 +139,8 @@ def integrate_batch(Y: VectorField, seeds: np.ndarray, step: float, n_steps: int
 
 def _step_count(s_max: float, step: float, seeds: np.ndarray) -> int:
     """ceil(s_max / step), if integrate_batch can store the samples of that many steps."""
+    if not (step > 0 and s_max > 0):
+        raise BmkitError(f"step and s_max must be > 0, not {step!r} and {s_max!r}")
     steps = s_max / step
     require_storable((steps + 1) * seeds.size, f"s_max / step = {steps:.6g} RK4 steps")
     return math.ceil(steps)
@@ -144,7 +148,9 @@ def _step_count(s_max: float, step: float, seeds: np.ndarray) -> int:
 
 def integrate(Y: VectorField, seed, step: float, n_steps: int) -> OrbitTrace:
     """Trace one field line with fixed-step RK4."""
-    seed = Y.chart.as_points(seed)[:1]
+    seed = Y.chart.as_points(seed)
+    if len(seed) != 1:
+        raise BmkitError(f"integrate traces one seed, not {len(seed)}; see integrate_batch")
     return _traces(Y, seed, step, *integrate_batch(Y, seed, step, n_steps))[0]
 
 

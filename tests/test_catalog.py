@@ -13,6 +13,7 @@ from bmkit import (CATALOG, BmkitError, ConfigError,
                    solid_torus_mode, t3_mode, torus3, traveling_wave, wedge)
 from bmkit import SampleGrid, maxwell_residuals, norm_sq_field, spatial_hodge
 from bmkit.reeb import reeb_closed_form_beltrami
+from bmkit.scalars import sin_wave, wave
 
 RNG = np.random.default_rng(11)
 T3 = torus3()
@@ -100,9 +101,29 @@ def test_singularity_decision_does_not_change_with_amplitude(scale):
                                solid_torus_mode(), solid_torus_mode(10.0, 1.0, "plus")],
                          ids=["t3", "abc", "abc_singular", "solid_torus", "solid_torus_k_c_10"])
 def test_singularity_scan_is_the_whole_lattice_min_and_max(v):
-    # the scan folds min and max over blocks of lattice slabs: exactly the whole lattice's
+    # the scan is one plan run over the whole lattice: its min and max, exactly
     norm_sq = norm_sq_field(v.metric, v.form)(v.chart.lattice((v.scan_n,) * 3))
     assert v._norm_sq_range == (float(np.min(norm_sq)), float(np.max(norm_sq)))
+
+
+@pytest.mark.parametrize("build", [lambda: t3_mode(1, 1.0), lambda: abc_flow(2, 1, 0.5),
+                                   lambda: solid_torus_mode()], ids=["t3", "abc", "solid_torus"])
+def test_singularity_scan_is_one_plan_run_over_the_lattice(build, monkeypatch):
+    import bmkit.catalog
+
+    runs = []
+
+    class RecordingPlan(bmkit.catalog.Plan):
+        __slots__ = ()
+
+        def __call__(self, pts):
+            runs.append(len(pts))
+            return super().__call__(pts)
+
+    v = build()   # a fresh form: the scan runs on the first read of nonsingular
+    monkeypatch.setattr(bmkit.catalog, "Plan", RecordingPlan)
+    assert v.nonsingular and v.norm_margin > 0
+    assert runs == [v.scan_n ** 3]
 
 
 def test_abc_all_zero_rejected():
@@ -236,6 +257,27 @@ def test_parallel_nonbeltrami_beltrami_witness():
     f_best = float(a @ b / (b @ b))
     resid = np.max(np.abs(a - f_best * b))
     assert resid > 0.5
+
+
+@pytest.mark.parametrize("profile", ["sin", "cos"])
+def test_profiles_build_the_nodes_of_explicit_waves(profile):
+    # both builders read one sin/cos table; their coefficients are the interned nodes of
+    # the explicit wave/sin_wave constructions, so the plans they compile are unchanged
+    k, e0 = 2.0, 1.5
+    if profile == "sin":
+        prof, dprof = sin_wave({3: k}), wave({3: k}, 0.0, k)
+        f, fp = sin_wave({0: 1.0, 3: 1.0}), wave({0: 1.0, 3: 1.0})
+    else:
+        prof, dprof = wave({3: k}), sin_wave({3: k}, 0.0, -k)
+        f, fp = wave({0: 1.0, 3: 1.0}), sin_wave({0: 1.0, 3: 1.0}, 0.0, -1.0)
+    f01, f02 = wave({0: k}), wave({0: k}, 0.5 * math.pi)
+    M = parallel_nonbeltrami(e0=e0, k=k, f3=profile)
+    amp_h = e0 / k
+    assert M.e.coeffs[(1,)] is e0 * prof * f01 and M.e.coeffs[(2,)] is e0 * prof * f02
+    assert M.h.coeffs[(1,)] is amp_h * dprof * f01 and M.h.coeffs[(2,)] is amp_h * dprof * f02
+    N = beltrami_nonparallel(profile)
+    assert N.e.coeffs[(1,)] is f and N.e.coeffs[(2,)] is fp
+    assert N.h.coeffs[(1,)] is 1.0 * fp and N.h.coeffs[(2,)] is -1.0 * f
 
 
 # -- Beltrami non-parallel ------------------------------------------------------------

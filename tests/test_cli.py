@@ -503,6 +503,19 @@ def test_trace_malformed_seeds_exit_2():
     assert run_cli(["trace", "--field", "constant_field", "--seeds", "0,0"]) == 2
 
 
+@pytest.mark.parametrize("command", ["survey", "trace"])
+@pytest.mark.parametrize("seed", ["0,0,0", "100,0,0", "5,0,0"])
+def test_seeds_outside_the_chart_exit_2(command, seed, tmp_path, capsys):
+    # r = 0, 100 and 5 lie outside the solid torus's r interval [0.001, 1]: each is rejected
+    # before it is integrated, with no numpy warning and no Bessel range error
+    code = run_cli([command, "--field", "solid_torus_mode", "--s-max", "2", "--seeds", seed,
+                    "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: point outside chart domain: {[float(x) for x in seed.split(',')]}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_survey_constant_field_r3_none_closed(tmp_path):
     out = tmp_path / "survey.json"
     code = run_cli(["survey", "--field", "constant_field", "--which", "e",

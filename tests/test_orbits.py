@@ -4,13 +4,14 @@ import csv
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmkit import (BmkitError, SampleGrid, VectorField, abc_flow, beltrami_maxwell,
-                   closed_orbit_survey, detect_closure, euclidean3,
+from bmkit import (BmkitError, DomainError, SampleGrid, VectorField, abc_flow,
+                   beltrami_maxwell, closed_orbit_survey, detect_closure, euclidean3,
                    euclidean_metric, field_line_generator, integrate, j0_field,
                    metric_sharp, poincare_section, solid_torus, solid_torus_mode,
                    t3_mode, torus3, vector_field, write_orbit_csv)
@@ -262,6 +263,34 @@ def test_integrate_batch_matches_reference_loop_with_an_exit():
 def test_step_must_be_positive():
     with pytest.raises(BmkitError):
         integrate(const_field(R3, {0: 1.0}), [0, 0, 0], -0.1, 100)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda Y: closed_orbit_survey(Y, [[0.0, 0.0, 0.0]], 0.0, 10.0), "step and s_max"),
+    (lambda Y: poincare_section(Y, 0, 0.0, [[0.0, 0.0, 0.0]], 10.0, step=0.0), "step and s_max"),
+    (lambda Y: poincare_section(Y, 0, 0.0, [[0.0, 0.0, 0.0]], -10.0), "step and s_max"),
+    (lambda Y: integrate(Y, [0.0, 0.0, 0.0], 0.01, -5), "n_steps >= 0"),
+    (lambda Y: integrate(Y, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 0.01, 100), "one seed, not 2"),
+], ids=["survey_step_0", "section_step_0", "section_s_max_negative", "integrate_n_steps_negative",
+        "integrate_two_seeds"])
+def test_budgets_out_of_range_raise(call, match):
+    # each raises a BmkitError, not ZeroDivisionError, numpy's negative dimensions or a trace
+    # of the first seed alone
+    with pytest.raises(BmkitError, match=match):
+        call(const_field(T3, {0: 1.0}))
+
+
+@pytest.mark.parametrize("seed", [[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+def test_seeds_outside_the_chart_raise_before_integrating(seed):
+    # r = 0, 100 and 5 lie outside the solid torus's r interval [0.001, 1]
+    Y = field_line_generator(solid_torus_mode(), "e")
+    seeds = [[0.5, 1.0, 2.0], seed]
+    for call in (lambda: integrate(Y, seed, 0.01, 200),
+                 lambda: integrate_batch(Y, seeds, 0.01, 200),
+                 lambda: closed_orbit_survey(Y, seeds, 0.01, 2.0),
+                 lambda: poincare_section(Y, 2, 0.0, seeds, 2.0)):
+        with pytest.raises(DomainError, match=re.escape(f"outside chart domain: {seed}")):
+            call()
 
 
 @pytest.mark.parametrize("s_max, step", [(1e300, 1e-2), (1e10, 1e-320)])
