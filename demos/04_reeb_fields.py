@@ -1,10 +1,11 @@
 """Reeb vector fields: extraction, closed-form oracles, conservation.
 
-The uniform coordinate formula Y = Omega_vec / (lambda . Omega_vec) is
-checked against the closed forms for every catalog family, then the
-electromagnetic Reeb fields Y0 (from (B, e)) and Y1 (from (D, h)) are
-extracted on a time slice and shown to transport the fields and energy
-densities invariantly.
+The uniform coordinate formula Y = Omega# / (lambda . Omega#) (bk.reeb_field)
+is checked against the closed forms sharp(v) / |v|^2 and sharp(v) for every
+catalog family, then the electromagnetic Reeb fields Y0 (from (B, e)) and Y1
+(from (D, h)) are extracted on a time slice and shown to transport the fields
+and energy densities invariantly.  A pair with lambda . Omega# = 0 has no
+Reeb field and is refused.
 """
 
 import math
@@ -20,11 +21,20 @@ pts = rng.uniform(0, 2 * np.pi, (500, 3))
 # closed forms vs the uniform formula
 # ---------------------------------------------------------------------------
 print("uniform formula vs closed forms (max componentwise difference):")
+
+
+def closed_form(v, variant, x):
+    """sharp(v) / |v|^2 (normalized) or sharp(v) (unnormalized) at x."""
+    sharp = bk.metric_sharp(v.metric, v.form).evaluate(x)
+    return sharp / bk.norm_sq_field(v.metric, v.form)(x)[:, None] \
+        if variant == "normalized" else sharp
+
+
 for v, variant in ((bk.t3_mode(1, 1.0), "normalized"),
                    (bk.t3_mode(2, 1.5), "unnormalized"),
                    (bk.abc_flow(2, 1, 0.5), "normalized")):
     rb = bk.reeb_closed_form_beltrami(v, variant)
-    diff = np.max(np.abs(bk.reeb_from_shs(rb.pair, pts) - rb.Y.evaluate(pts)))
+    diff = np.max(np.abs(rb.Y.evaluate(pts) - closed_form(v, variant, pts)))
     r_omega, r_lam = rb.normalization_residuals
     print(f"  {v.name:18s} {variant:12s} diff={diff:.2e} "
           f"contracts=({r_omega:.1e}, {r_lam:.1e})")
@@ -36,7 +46,7 @@ for sign in ("minus", "plus"):
     v = bk.solid_torus_mode(2.0, 1.0, sign)
     rb = bk.reeb_closed_form_beltrami(v, "unnormalized",
                                       bk.SampleGrid.regular(v.chart, 8))
-    diff = np.max(np.abs(bk.reeb_from_shs(rb.pair, st_pts) - rb.Y.evaluate(st_pts)))
+    diff = np.max(np.abs(rb.Y.evaluate(st_pts) - closed_form(v, "unnormalized", st_pts)))
     print(f"  solid_torus {sign:5s}  unnormalized diff={diff:.2e}")
 
 # the ABC flow with equal coefficients has stagnation points: refused
@@ -70,6 +80,13 @@ for which, bad_x0 in (("Y0", math.pi / 2), ("Y1", 0.0)):
         bk.reeb_for_maxwell(M, which, bad_x0)
     except bk.DegenerateInstantError:
         print(f"{which} at k x0 = {bad_x0:.4f}: degenerate instant refused")
+
+# e and B of the circularly polarized wave are orthogonal: no Reeb field
+try:
+    bk.reeb_for_maxwell(bk.beltrami_nonparallel(), "Y0", x0)
+except bk.DegeneratePointError as exc:
+    print(f"beltrami_nonparallel Y0: refused, min |lambda . Omega#| / (|lambda| |Omega#|) "
+          f"= {exc.margin:.1e}")
 
 # Reeb-like relaxation: any positive rescaling of sharp(v) qualifies
 v = bk.t3_mode(1, 2.0)

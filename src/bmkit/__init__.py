@@ -32,7 +32,7 @@ from .verify import (CheckReport, SampleGrid, beltrami_residual,
                      reeb_like_check, shs_check, symplectic_margin)
 from .reeb import (ReebField, SHSPair, field_line_generator,
                    normalization_residuals, reeb_closed_form_beltrami,
-                   reeb_for_maxwell, reeb_from_shs, reeb_parallel_ratio)
+                   reeb_field, reeb_for_maxwell, reeb_parallel_ratio)
 from .orbits import (ClosureResult, CrossingSequence, OrbitTrace, SurveyResult,
                      closed_orbit_survey, detect_closure, integrate,
                      integrate_batch, poincare_section, write_orbit_csv,

@@ -28,13 +28,16 @@ import numpy as np
 from . import __version__
 from .catalog import (CATALOG, BeltramiForm, MaxwellFieldSet, NONDIMENSIONAL,
                       SI, build_catalog_field)
-from .errors import BmkitError, ConfigError, DegenerateInstantError, require_storable
+from .errors import (BmkitError, ConfigError, DegenerateInstantError, DegeneratePointError,
+                     require_storable)
 from .metrics import hodge_star
 from .orbits import MIN_STEPS, closed_orbit_survey, write_orbit_csv, write_vector_field_csv
-from .reeb import field_line_generator, reeb_closed_form_beltrami, reeb_for_maxwell
-from .verify import (Batch, SampleGrid, _amplitude_needs, beltrami_residual,
-                     conservation_along, constitutive_residuals, contact_margin,
-                     maxwell_residuals, parallel_check, shs_check, symplectic_margin)
+from .reeb import (DEGENERACY_TOL, NO_REEB_FIELD, field_line_generator,
+                   reeb_closed_form_beltrami, reeb_for_maxwell)
+from .verify import (TGRID, T_WINDOW, Batch, CheckReport, SampleGrid, _amplitude_needs,
+                     beltrami_residual, conservation_along, constitutive_residuals,
+                     contact_margin, maxwell_residuals, parallel_check, shs_check,
+                     symplectic_margin)
 
 SCHEMA = "bmk-report/1"
 
@@ -131,21 +134,19 @@ WINDOW_CHECKS = {
     "symplectic_f1": lambda M, grid4: symplectic_margin(
         M.F1, grid4, companion=(M.D, M.h), label="F1", deferred=True),
 }
-# Maxwell slice checks, run per instant on its slice sl: (M, sl, grid3, amp), with amp the
-# needs of the window amplitudes, which tell a degenerate instant from a small field.
+# Maxwell slice checks, run per instant on its slice sl: (M, sl, grid3, grid4, amp), with amp
+# the needs of the amplitudes over grid4, which tell a degenerate instant from a small field.
 SLICE_CHECKS = {
-    "contact_e": lambda M, sl, grid3, amp: _scaled(amp, lambda a: contact_margin(
+    "contact_e": lambda M, sl, grid3, grid4, amp: _scaled(amp, lambda a: contact_margin(
         sl.e, grid3, zero_scale=a["e"], deferred=True)),
-    "contact_h": lambda M, sl, grid3, amp: _scaled(amp, lambda a: contact_margin(
+    "contact_h": lambda M, sl, grid3, grid4, amp: _scaled(amp, lambda a: contact_margin(
         sl.h, grid3, zero_scale=a["h"], deferred=True)),
-    "shs_be": lambda M, sl, grid3, amp: _scaled(amp, lambda a: shs_check(
+    "shs_be": lambda M, sl, grid3, grid4, amp: _scaled(amp, lambda a: shs_check(
         sl.B, sl.e, grid3, zero_scales=(a["B"], a["e"]), deferred=True)),
-    "shs_dh": lambda M, sl, grid3, amp: _scaled(amp, lambda a: shs_check(
+    "shs_dh": lambda M, sl, grid3, grid4, amp: _scaled(amp, lambda a: shs_check(
         sl.D, sl.h, grid3, zero_scales=(a["D"], a["h"]), deferred=True)),
-    "conservation_y0": lambda M, sl, grid3, amp: _along_reeb(
-        M, "Y0", sl, grid3, [sl.e, sl.B, *sl.energy_forms()], ["e", "B", "E_e", "E_h"]),
-    "conservation_y1": lambda M, sl, grid3, amp: _along_reeb(
-        M, "Y1", sl, grid3, [sl.h, sl.D, *sl.energy_forms()], ["h", "D", "E_e", "E_h"]),
+    "conservation_y0": lambda M, sl, grid3, grid4, amp: _along_reeb(M, "Y0", sl, grid3, grid4),
+    "conservation_y1": lambda M, sl, grid3, grid4, amp: _along_reeb(M, "Y1", sl, grid3, grid4),
 }
 
 
@@ -155,10 +156,16 @@ def _scaled(amp, check_of):
     return (yield from check_of({name: need.result[0] for name, need in amp.items()}))
 
 
-def _along_reeb(M, which, sl, grid3, forms, names):
-    """conservation_along the Reeb field `which` of the slice, once its degeneracy test passed."""
-    rb = yield from reeb_for_maxwell(M, which, sl.x0, grid3, deferred=True)
-    return (yield from conservation_along(rb.Y, forms, grid3, names, deferred=True))
+def _along_reeb(M, which, sl, grid3, grid4):
+    """conservation_along the Reeb field `which` of the slice; a FAIL where it has none."""
+    try:
+        rb = yield from reeb_for_maxwell(M, which, sl.x0, grid3, grid4, deferred=True)
+    except DegeneratePointError as exc:
+        return CheckReport("conservation", False, 0.0, exc.margin, {"margin": DEGENERACY_TOL},
+                           [exc.witness], grid3.spec, {"reason": NO_REEB_FIELD})
+    names = ["e", "B"] if which == "Y0" else ["h", "D"]
+    return (yield from conservation_along(rb.Y, [rb.pair.lam, rb.pair.Omega, *sl.energy_forms()],
+                                          grid3, [*names, "E_e", "E_h"], deferred=True))
 
 
 def _parse_counts(text: str) -> list[int]:
@@ -241,14 +248,9 @@ def _run_verify(args) -> int:
 def _maxwell_runs(M: MaxwellFieldSet, requested, x0_list, args) -> list:
     """(report name or None, check) for the window, base form and slice checks requested."""
     grid3 = SampleGrid.regular(M.chart3, _parse_counts(args.grid))
-    w = args.t_window
     require_storable(args.tgrid * len(x0_list) * grid3.n * M.chart4.dim,
                      f"window of {args.tgrid} instants per x0")
-    # one time sample per instant is the instant itself
-    t_values = np.unique(np.concatenate(
-        [np.linspace(x0 - w, x0 + w, args.tgrid) if args.tgrid > 1 else [x0]
-         for x0 in x0_list]))
-    grid4 = grid3.with_time(M.chart4, t_values)
+    grid4 = grid3.window(M.chart4, x0_list, args.t_window, args.tgrid)
     amp = _amplitude_needs(M, grid4.points)   # evaluated only if a slice check runs
     runs = [(None, run(M, grid4)) for c, run in WINDOW_CHECKS.items() if c in requested]
     if "beltrami" in requested:
@@ -256,7 +258,7 @@ def _maxwell_runs(M: MaxwellFieldSet, requested, x0_list, args) -> list:
     slice_runs = [(c, run) for c, run in SLICE_CHECKS.items() if c in requested]
     for x0 in x0_list if slice_runs else ():
         sl = M.at_time(x0)
-        runs += [(f"{c}@x0={x0:.6g}", run(M, sl, grid3, amp)) for c, run in slice_runs]
+        runs += [(f"{c}@x0={x0:.6g}", run(M, sl, grid3, grid4, amp)) for c, run in slice_runs]
     return runs
 
 
@@ -359,16 +361,16 @@ def _run_survey(args) -> int:
 
 def _run_reeb(args) -> int:
     target = _build_target(args)
-    if isinstance(target, BeltramiForm):
+    beltrami = isinstance(target, BeltramiForm)
+    grid = SampleGrid.regular(target.chart if beltrami else target.chart3,
+                              _parse_counts(args.grid))
+    if beltrami:
         variant = "normalized" if args.which in ("y", "y0", "y1") else "unnormalized"
-        grid = SampleGrid.regular(target.chart, _parse_counts(args.grid))
         rb = reeb_closed_form_beltrami(target, variant, grid)
+    elif args.which in ("y0", "y1"):
+        rb = reeb_for_maxwell(target, args.which.upper(), args.x0, grid)
     else:
-        which = {"y0": "Y0", "y1": "Y1"}.get(args.which)
-        if which is None:
-            raise ConfigError("for Maxwell fields --which must be y0 or y1")
-        grid = SampleGrid.regular(target.chart3, _parse_counts(args.grid))
-        rb = reeb_for_maxwell(target, which, args.x0, grid)
+        raise ConfigError("for Maxwell fields --which must be y0 or y1")
     write_vector_field_csv(rb.Y, grid.points, args.out)
     r_omega, r_lam = rb.normalization_residuals
     print(f"wrote {args.out}; residuals: |i_Y Omega| <= {r_omega:.3e}, "
@@ -443,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", action="append", default=[], type=_FINITE,
                    help="instant(s) for slice checks (default pi/4)")
     p.add_argument("--grid", default="8", help="spatial grid counts, e.g. 8 or 8,8,8")
-    p.add_argument("--tgrid", type=_COUNT, default=6, help="time samples per instant")
-    p.add_argument("--t-window", type=_NONNEGATIVE, default=0.35,
+    p.add_argument("--tgrid", type=_COUNT, default=TGRID, help="time samples per instant")
+    p.add_argument("--t-window", type=_NONNEGATIVE, default=T_WINDOW,
                    help="half-width of the time window around each instant")
     p.add_argument("--checks", nargs="+", default=["all"],
                    help="subset of: " + ", ".join(

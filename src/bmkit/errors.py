@@ -24,7 +24,11 @@ class DomainError(BmkitError):
 
 
 class DegeneratePointError(BmkitError):
-    """Reeb extraction attempted where lambda . Omega vanishes."""
+    """Reeb extraction attempted where lambda . Omega# vanishes, the worst (margin) at witness."""
+
+    def __init__(self, message: str, witness=None, margin=None):
+        super().__init__(message)
+        self.witness, self.margin = witness, margin
 
 
 class DegenerateInstantError(BmkitError):

@@ -372,19 +372,21 @@ def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
                         tol: float = 1e-5) -> SurveyResult:
     """Integrate every seed and detect closures; deduplicate orbits on demand.
 
-    Seeds may be a SampleGrid or an (N, dim) array; all of them are wrapped
-    into the fundamental domain (reported as given), integrated in lockstep,
-    and results are ordered by seed index.  Coinciding orbits are merged only
-    when `unique_orbits` is first read, so callers that want per-seed results
-    alone (`bmk trace`) never pay for it.
-    Failures to find a return are reported as "none found within budget",
-    never as nonexistence.
+    Seeds may be a SampleGrid or an (N, dim) array, each inside the chart (else
+    DomainError); they are wrapped into the fundamental domain (reported as given),
+    integrated in lockstep, and results ordered by seed index.  Coinciding orbits
+    are merged only when `unique_orbits` is first read, so callers that want
+    per-seed results alone (`bmk trace`) never pay for it.  Failures to find a
+    return are reported as "none found within budget", never as nonexistence.
     """
     chart = Y.chart
     pts = chart.as_points(getattr(seeds, "points", seeds))
     n_steps = _step_count(s_max, step, pts)
     if n_steps < MIN_STEPS:
         raise BmkitError(f"s_max / step = {n_steps} RK4 steps; a survey needs {MIN_STEPS} or more")
+    if not tol > 0:
+        raise BmkitError(f"tol must be > 0, not {tol!r}")
+    chart.require_inside(pts)
     traces = _traces(Y, pts, step, *integrate_batch(Y, chart.wrap(pts), step, n_steps))
     results = [detect_closure(trace, tol, Y) if trace.n_samples >= MIN_STEPS else
                ClosureResult(False, math.nan, math.inf, tuple(0 for _ in range(chart.dim)),
@@ -420,10 +422,13 @@ def poincare_section(Y: VectorField, axis: int, value: float, seeds,
     parameters come from linear interpolation sharpened by one secant step;
     each crossing records its direction and |Y^axis| there.  Tangential
     crossings (|Y^axis| < 1e-8) are kept but flagged.  Each seed is integrated from its wrap
-    and reported as given.
+    and reported as given; axis must be one of the chart's, every seed inside it.
     """
     chart = Y.chart
     pts = chart.as_points(getattr(seeds, "points", seeds))
+    if axis not in range(chart.dim):
+        raise BmkitError(f"axis must be in 0..{chart.dim - 1}, not {axis!r}")
+    chart.require_inside(pts)
     samples, lengths, _ = integrate_batch(Y, chart.wrap(pts), step, _step_count(s_max, step, pts))
     ax = chart.axes[axis]
     span = ax.period if ax.is_periodic else math.inf

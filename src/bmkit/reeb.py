@@ -1,23 +1,16 @@
-"""Reeb vector fields of contact forms and stable Hamiltonian structures.
+"""Reeb vector fields of stable Hamiltonian pairs, and field-line generators.
 
-The extraction uses one uniform coordinate formula.  Writing a 2-form as
-
-    Omega = Omega_3 dx1^dx2 + Omega_1 dx2^dx3 + Omega_2 dx3^dx1
-
-the conditions i_Y Omega = 0, i_Y lambda = 1 force Y to be proportional to
-(Omega_1, Omega_2, Omega_3), and the normalization gives
-
-    Y = (Omega_1, Omega_2, Omega_3) / (lambda_1 Omega_1 + lambda_2 Omega_2
-                                       + lambda_3 Omega_3).
-
-This specializes to both textbook coordinate branches (Omega_3 != 0 and
-Omega_3 = 0) without a case split; the denominator is exactly the volume
-coefficient of lambda ^ Omega, which a stable Hamiltonian structure keeps
-away from zero.  Points where it nearly vanishes raise DegeneratePointError.
-
-Closed forms for the catalog fields (metric duals over squared norms) are
-provided as oracles, and every extracted field can report its defining
-residuals max |i_Y Omega|, max |i_Y lambda - 1| on a grid.
+The Reeb field of a pair (Omega, lambda) on a 3-d chart is the Y with i_Y Omega = 0 and
+lambda(Y) = 1: Y = Omega# / (lambda . Omega#), with Omega# = (Omega_23, Omega_31, Omega_12)
+and lambda . Omega# the volume coefficient of lambda ^ Omega.  :func:`reeb_field` builds
+it from the pair's coefficient nodes, with no metric and no case split.  It is the Reeb
+field of the Beltrami pairs (star3 v, v) and (star3 v, v / |v|^2), equal to
+sharp(v) / |v|^2 and sharp(v), and of the Maxwell pairs (B, e) and (D, h) of a slice.  It
+exists on a grid when |lambda . Omega#| > DEGENERACY_TOL |lambda| |Omega#| at every point,
+an angle that amplitude and units do not change (else DegeneratePointError at the worst
+point); a Maxwell slice whose lambda is round-off dust next to its amplitude over a time
+window raises DegenerateInstantError first.  Extracted fields report their defining
+residuals max |i_Y Omega|, max |i_Y lambda - 1| on their grid.
 """
 
 from __future__ import annotations
@@ -31,12 +24,13 @@ from .catalog import BeltramiForm, MaxwellFieldSet
 from .charts import Chart
 from .errors import (BmkitError, ChartMismatchError, DegenerateInstantError,
                      DegeneratePointError)
-from .forms import DifferentialForm, VectorField, interior_product, restrict_form, vector_field
-from .metrics import MetricField, hodge_star, metric_sharp, norm_sq_field
-from .scalars import ScalarField, constant, value_table
-from .verify import SampleGrid, _check, _max_abs, _Need
+from .forms import DifferentialForm, VectorField, interior_product, restrict_form
+from .metrics import hodge_star, metric_sharp, norm_sq_field
+from .scalars import constant
+from .verify import SampleGrid, _check, _max_abs, _Need, _numerically_zero
 
 DEGENERACY_TOL = 1e-10
+NO_REEB_FIELD = "lambda . Omega# vanishes: (Omega, lambda) has no Reeb field"
 
 
 @dataclass(frozen=True)
@@ -72,29 +66,35 @@ class ReebField:
         return normalization_residuals(self.Y, self.pair, self.grid)
 
 
-def reeb_from_shs(pair: SHSPair, x) -> np.ndarray:
-    """Reeb vector at point(s) x via the uniform formula Y = Omega_vec / (lam . Omega_vec).
+def _columns(pair: SHSPair) -> list:
+    """lambda's coefficients and Omega# = (Omega_23, Omega_31, Omega_12) of pair."""
+    lam, omega = pair.lam.coefficient, pair.Omega.coefficient
+    return [lam((0,)), lam((1,)), lam((2,)), omega((1, 2)), -omega((0, 2)), omega((0, 1))]
 
-    Omega_vec is Omega in the dx2^dx3, dx3^dx1, dx1^dx2 ordering; it, lambda's
-    components and lam . Omega_vec are evaluated in one call.
-    Raises DegeneratePointError where |lam . Omega_vec|, normalized by the
-    point-wise magnitudes of lambda and Omega, falls below 1e-10.
-    """
-    o1, o2, o3 = (pair.Omega.coefficient((1, 2)), -pair.Omega.coefficient((0, 2)),
-                  pair.Omega.coefficient((0, 1)))
-    l1, l2, l3 = (pair.lam.coefficient((i,)) for i in range(3))
-    pts = pair.chart.as_points(x)
-    table = value_table([o1, o2, o3, l1, l2, l3, l1 * o1 + l2 * o2 + l3 * o3], pts)
-    ov, lam_tab, den = table[:, :3], table[:, 3:6], table[:, 6]
-    scale = np.linalg.norm(lam_tab, axis=-1) * np.linalg.norm(ov, axis=-1)
-    bad = np.abs(den) <= DEGENERACY_TOL * np.maximum(scale, 1e-300)
-    if np.any(bad):
-        witness = pts[bad][0].tolist()
-        raise DegeneratePointError(
-            f"lambda . Omega vanishes (|den| <= {DEGENERACY_TOL} after scaling) "
-            f"at {witness}")
-    out = ov / den[:, None]
-    return out[0] if np.asarray(x).ndim == 1 else out
+
+def reeb_field(pair: SHSPair) -> VectorField:
+    """Y = Omega# / (lambda . Omega#), the Reeb field of pair where lambda . Omega# != 0."""
+    l1, l2, l3, *sharp = _columns(pair)
+    den = l1 * sharp[0] + l2 * sharp[1] + l3 * sharp[2]
+    if den.is_zero:
+        raise DegeneratePointError(f"{NO_REEB_FIELD} (lambda . Omega# is identically 0)")
+    return VectorField(pair.chart, tuple(c / den for c in sharp))
+
+
+def _angle(l1, l2, l3, o1, o2, o3):
+    """The angle |lambda . Omega#| / (|lambda| |Omega#|) per point of _columns (0 where
+    either is 0)."""
+    norms = np.sqrt(l1 * l1 + l2 * l2 + l3 * l3) * np.sqrt(o1 * o1 + o2 * o2 + o3 * o3)
+    return np.abs(l1 * o1 + l2 * o2 + l3 * o3) / np.maximum(norms, 1e-300)
+
+
+def _extracted(pair: SHSPair, grid: SampleGrid, angle) -> ReebField:
+    """The ReebField of pair on grid, unless angle, the (min _angle, point) there, is too small."""
+    margin, witness = angle
+    if not margin > DEGENERACY_TOL:
+        raise DegeneratePointError(f"{NO_REEB_FIELD} (angle {margin:.3e} at {witness})",
+                                   witness, margin)
+    return ReebField(reeb_field(pair), pair, grid)
 
 
 @_check
@@ -107,62 +107,49 @@ def normalization_residuals(Y: VectorField, pair: SHSPair,
     return m_omega, m_lam
 
 
-def _normalized_reeb(metric: MetricField, lam: DifferentialForm, omega: DifferentialForm,
-                     norm2: ScalarField, grid: SampleGrid) -> ReebField:
-    """Y = sharp(lam) / |lam|^2 for the pair (omega, lam), with its residuals on grid."""
-    sharp = metric_sharp(metric, lam)
-    Y = vector_field(lam.chart, {i: c / norm2 for i, c in enumerate(sharp.components)})
-    return ReebField(Y, SHSPair(omega, lam), grid)
-
-
+@_check
 def reeb_closed_form_beltrami(v: BeltramiForm, variant: str = "normalized",
                               grid: SampleGrid | None = None) -> ReebField:
-    """Closed-form Reeb fields of the structures built from a Beltrami form v.
+    """Reeb fields of the structures built from a Beltrami form v, on grid (default 8^3).
 
-    normalized:   Y = sharp(v) / g^{-1}(v, v) for the pair (star3 v, v);
-    unnormalized: Z = sharp(v) for the pair (star3 v, v / g^{-1}(v, v)).
+    normalized:   of the pair (star3 v, v), equal to sharp(v) / g^{-1}(v, v);
+    unnormalized: of the pair (star3 v, v / g^{-1}(v, v)), equal to sharp(v).
     """
     if variant not in ("normalized", "unnormalized"):
         raise BmkitError("variant must be 'normalized' or 'unnormalized'")
     v.require_nonsingular()
     grid = grid or SampleGrid.regular(v.chart, 8)
-    omega = hodge_star(v.metric, v.form)
-    norm2 = norm_sq_field(v.metric, v.form)
-    if variant == "normalized":
-        return _normalized_reeb(v.metric, v.form, omega, norm2, grid)
-    return ReebField(metric_sharp(v.metric, v.form),
-                     SHSPair(omega, v.form * (constant(1.0) / norm2)), grid)
+    lam = v.form if variant == "normalized" else \
+        v.form * (constant(1.0) / norm_sq_field(v.metric, v.form))
+    pair = SHSPair(hodge_star(v.metric, v.form), lam)
+    (angle,) = yield [_Need(grid.points, _columns(pair), _angle, lowest=True)]
+    return _extracted(pair, grid, angle)
 
 
 @_check
 def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,
-                     grid: SampleGrid | None = None) -> ReebField:
-    """Reeb field Y0 of (B, e) or Y1 of (D, h) on the slice x0 = const.
+                     grid: SampleGrid | None = None,
+                     window: SampleGrid | None = None) -> ReebField:
+    """Reeb field Y0 of (B, e) or Y1 of (D, h) on the slice x0 = const, on grid (default 8^3).
 
-    Hard-errors with DegenerateInstantError when the selected 1-form
-    lambda (e for Y0, h for Y1) vanishes somewhere on the grid, which for the
-    Beltrami-Maxwell catalog happens exactly at cos(k x0) = 0 resp.
-    sin(k x0) = 0.  Vanishing is measured against the slice's energy density:
-    w min|lambda|^2 <= 1e-18 max(eps0 |e|^2 + mu0 |h|^2) with w = eps0 for Y0
-    and mu0 for Y1, so the test does not change with amplitude or units.
-    Nothing that divides by |lambda|^2 is built before the test passes.
+    Raises DegenerateInstantError when lambda (e for Y0, h for Y1) at x0 is
+    round-off dust next to max |lambda| over window, as contact_margin decides
+    (for the Beltrami-Maxwell catalog exactly at cos(k x0) = 0 resp.
+    sin(k x0) = 0); window defaults to grid.window around x0.
     """
     if which not in ("Y0", "Y1"):
         raise BmkitError("which must be 'Y0' or 'Y1'")
     sl = M.at_time(x0)
     grid = grid or SampleGrid.regular(sl.chart, 8)
-    norm_e, norm_h = norm_sq_field(sl.metric, sl.e), norm_sq_field(sl.metric, sl.h)
-    (norms,) = yield [_Need(grid.points, [norm_e, norm_h])]
-    e2, h2 = norms.T
-    e_energy, h_energy = sl.constants.eps0 * e2, sl.constants.mu0 * h2
-    lam, omega, norm2, lam_energy = ((sl.e, sl.B, norm_e, e_energy) if which == "Y0"
-                                     else (sl.h, sl.D, norm_h, h_energy))
-    energy = float(np.max(e_energy + h_energy))
-    if float(np.min(lam_energy)) <= 1e-18 * energy:
-        raise DegenerateInstantError(
-            f"{which}: defining 1-form vanishes at x0 = {x0} (its energy density "
-            f"falls to {float(np.min(lam_energy)):.3e}, max total {energy:.3e})")
-    return _normalized_reeb(sl.metric, lam, omega, norm2, grid)
+    window = window or grid.window(M.chart4, [x0])
+    lam4, pair = (M.e, SHSPair(sl.B, sl.e)) if which == "Y0" else (M.h, SHSPair(sl.D, sl.h))
+    (amp, _), (lam_max, _), angle = yield [
+        _max_abs(window.points, lam4), _max_abs(grid.points, pair.lam),
+        _Need(grid.points, _columns(pair), _angle, lowest=True)]
+    if _numerically_zero(lam_max, amp):
+        raise DegenerateInstantError(f"{which}: defining 1-form vanishes at x0 = {x0} (max "
+                                     f"|lambda| = {lam_max:.3e}, window amplitude {amp:.3e})")
+    return _extracted(pair, grid, angle)
 
 
 def reeb_parallel_ratio(M: MaxwellFieldSet, x0: float,
@@ -172,9 +159,8 @@ def reeb_parallel_ratio(M: MaxwellFieldSet, x0: float,
         raise BmkitError("field set does not expose amplitude profiles")
     y0 = reeb_for_maxwell(M, "Y0", x0, grid)
     y1 = reeb_for_maxwell(M, "Y1", x0, grid)
-    grid = grid or SampleGrid.regular(M.chart3, 8)
     ratio = M.f_e(x0) / M.f_h(x0)
-    diff = y1.Y.evaluate(grid.points) - ratio * y0.Y.evaluate(grid.points)
+    diff = y1.Y.evaluate(y0.grid.points) - ratio * y0.Y.evaluate(y0.grid.points)
     return float(np.max(np.abs(diff)))
 
 

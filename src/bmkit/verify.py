@@ -45,6 +45,7 @@ TOL_CONSTITUTIVE_4D = 1e-10
 TOL_MARGIN = 1e-9
 TOL_AGREEMENT = 1e-8
 BLOCK_ROWS = 2048   # points per block of a batch's plan runs
+T_WINDOW, TGRID = 0.35, 6   # default half-width and instants of a time window
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,13 @@ class SampleGrid:
                          f"grid of {list(counts)} points per axis")
         return cls(chart, chart.lattice(counts),
                    {"kind": "regular", "counts": list(counts), "chart": chart.name})
+
+    def window(self, chart4: Chart, x0s, t_window: float = T_WINDOW,
+               tgrid: int = TGRID) -> "SampleGrid":
+        """with_time over tgrid instants spanning x0 +- t_window for each x0 in x0s (one: x0)."""
+        return self.with_time(chart4, np.unique(np.concatenate(
+            [np.linspace(x0 - t_window, x0 + t_window, tgrid) if tgrid > 1 else [x0]
+             for x0 in x0s])))
 
     def with_time(self, chart4: Chart, x0_values) -> "SampleGrid":
         """Product of this grid with a list of x0 instants, on chart4 = spacetime(chart)."""

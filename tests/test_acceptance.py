@@ -185,26 +185,32 @@ def test_criterion_5_reeb_oracle_equivalence():
                       "random points; contracts; Y1 = (f_e/f_h) Y0", 30.0):
         pts_t3 = random_points(T3, 1000, 5)
 
-        def check(rb, pts):
-            got = bk.reeb_from_shs(rb.pair, pts)
-            want = rb.Y.evaluate(pts)
-            assert np.max(np.abs(got - want)) < 1e-8
+        def check(rb, pts, metric, lam, normalized):
+            # the closed forms sharp(lam) / |lam|^2 and sharp(lam)
+            want = bk.metric_sharp(metric, lam).evaluate(pts)
+            if normalized:
+                want = want / bk.norm_sq_field(metric, lam)(pts)[:, None]
+            assert np.max(np.abs(rb.Y.evaluate(pts) - want)) < 1e-8
             r_omega, r_lam = rb.normalization_residuals
             assert r_omega < 1e-8 and r_lam < 1e-8
 
         for v in (bk.t3_mode(1, 1.0), bk.t3_mode(2, 1.5)):
-            check(bk.reeb_closed_form_beltrami(v, "normalized"), pts_t3)   # Y_n
-            check(bk.reeb_closed_form_beltrami(v, "unnormalized"), pts_t3)  # Z_n
-        check(bk.reeb_closed_form_beltrami(bk.abc_flow(2, 1, 0.5), "normalized"),
-              pts_t3)
+            for variant in ("normalized", "unnormalized"):   # Y_n, Z_n
+                check(bk.reeb_closed_form_beltrami(v, variant), pts_t3, v.metric, v.form,
+                      variant == "normalized")
+        v = bk.abc_flow(2, 1, 0.5)
+        check(bk.reeb_closed_form_beltrami(v, "normalized"), pts_t3, v.metric, v.form, True)
         grid_st = bk.SampleGrid.regular(ST, 8)
         pts_st = random_points(ST, 1000, 6)
         for sign in ("minus", "plus"):
             v = bk.solid_torus_mode(2.0, 1.0, sign)
-            check(bk.reeb_closed_form_beltrami(v, "unnormalized", grid_st), pts_st)
+            check(bk.reeb_closed_form_beltrami(v, "unnormalized", grid_st), pts_st,
+                  v.metric, v.form, False)
         M = bk.beltrami_maxwell(bk.t3_mode(1, 1.0))
         for which, x0 in (("Y0", 0.7), ("Y1", 0.7)):
-            check(bk.reeb_for_maxwell(M, which, x0), pts_t3)
+            sl = M.at_time(x0)
+            check(bk.reeb_for_maxwell(M, which, x0), pts_t3, sl.metric,
+                  sl.e if which == "Y0" else sl.h, True)
         assert bk.reeb_parallel_ratio(M, 0.7) < 1e-8
         assert bk.reeb_parallel_ratio(M, math.pi / 4) < 1e-8
 

@@ -152,6 +152,39 @@ def test_verify_conservation_at_degenerate_instant_is_config_error(tmp_path):
     assert report["summary"]["n_skipped"] == 1
 
 
+@pytest.mark.parametrize("constants", ["nondim", "si"])
+@pytest.mark.parametrize("field", ["traveling_wave", "beltrami_nonparallel"])
+def test_verify_conservation_fails_where_no_reeb_field_exists(field, constants, tmp_path):
+    # lambda . Omega# = 0 at every point: no Reeb field, so conservation along it FAILs,
+    # also at the instants where traveling_wave's e vanishes on a grid plane
+    from bmkit.reeb import DEGENERACY_TOL, NO_REEB_FIELD
+    out = tmp_path / "r.json"
+    x0s = ["0", "0.785398", str(math.pi)]
+    assert run_cli(["verify", "--field", field, "--constants", constants,
+                    *(a for x0 in x0s for a in ("--x0", x0)),
+                    "--checks", "conservation_y0", "conservation_y1", "--grid", "8",
+                    "--tgrid", "3", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["skipped"] == [] and len(report["checks"]) == 6
+    for c in report["checks"]:
+        assert (c["pass"], c["details"], c["tolerance"]) == (
+            False, {"reason": NO_REEB_FIELD}, {"margin": DEGENERACY_TOL})
+        assert c["min_margin"] <= DEGENERACY_TOL and len(c["witness"][0]) == 3
+
+
+def test_verify_conservation_of_fields_scaled_apart_passes(tmp_path):
+    # e = 1e-6 dx1, h = 1e6 dx1: a Reeb field exists at every point, and e is far from
+    # zero next to its own amplitude, however small next to h's
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--field", "constant_field{e0=1e-6,h0=1e6}", "--x0", "0.3",
+                    "--checks", "conservation_y0", "conservation_y1",
+                    "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [(c["check"], c["pass"]) for c in report["checks"]] == [
+        ("conservation_y0@x0=0.3", True), ("conservation_y1@x0=0.3", True)]
+    assert report["skipped"] == []
+
+
 def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
     """Equal J0/J1 leaves run bessel_j once per evaluation call.
 
@@ -231,14 +264,15 @@ def test_verify_compiles_one_plan_per_point_set_per_round(tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("spec, extra, code, steps, all_steps", [
-    ("beltrami_maxwell{v=solid_torus_mode{k_c=2,beta=1,sign=minus}}", [], 0, 803, 827),
-    ("beltrami_maxwell{v=t3_mode{n=2}}", ["--allow-degenerate"], 1, 200, 207),
+    ("beltrami_maxwell{v=solid_torus_mode{k_c=2,beta=1,sign=minus}}", [], 0, 791, 815),
+    ("beltrami_maxwell{v=t3_mode{n=2}}", ["--allow-degenerate"], 1, 201, 208),
 ])
 def test_verify_plan_steps_with_one_node_per_structure(spec, extra, code, steps, all_steps,
                                                       tmp_path, monkeypatch):
     """meta.evaluation counts the steps of the batch's 3 plans.  All the plans the command
-    compiles, the singularity scan's too, run 827 steps on the Bessel field and 207 on t3;
-    when plans merged nodes only by id, 1582 and 316."""
+    compiles, the singularity scan's too, run 815 steps on the Bessel field and 208 on t3
+    (827 and 207 when the Reeb field was sharp(lambda) / |lambda|^2); when plans merged
+    nodes only by id, 1582 and 316."""
     built = _record_plans(monkeypatch)
     out = tmp_path / "r.json"
     assert run_cli(["verify", "--field", spec, "--checks", "all", "--grid", "10",
@@ -689,11 +723,15 @@ def test_reeb_degenerate_instant_exit_2():
     # DegenerateInstantError keeps its prefix
     (["reeb", "--field", BM_SPEC, "--which", "y0", "--x0", str(0.5 * math.pi)],
      r"error: degenerate instant: Y0: defining 1-form vanishes at "
-     r"x0 = 1\.5707963267948966 \(its energy density falls to \d\.\d{3}e-\d+, "
-     r"max total 1\.000e\+00\)"),
+     r"x0 = 1\.5707963267948966 \(max \|lambda\| = 6\.123e-17, "
+     r"window amplitude 3\.429e-01\)"),
     # SingularFieldError, a plain BmkitError
     (["reeb", "--field", "abc_flow", "--which", "y"],
      r"error: abc_flow: form vanishes on the sample grid \(min norm\^2 = \d\.\d{3}e-\d+\)"),
+    # DegeneratePointError: e and B are orthogonal, so (B, e) has no Reeb field
+    (["reeb", "--field", "beltrami_nonparallel", "--which", "y0", "--x0", "0.3", "--grid", "4"],
+     r"error: lambda \. Omega# vanishes: \(Omega, lambda\) has no Reeb field "
+     r"\(angle 0\.000e\+00 at \[0\.0, 0\.0, 0\.0\]\)"),
 ])
 def test_errors_exit_2_with_one_stderr_line(argv, line, tmp_path, capsys):
     out = tmp_path / "never.csv"
@@ -737,9 +775,11 @@ MAXWELL_FIELDS = ["beltrami_maxwell", "beltrami_maxwell{v=abc_flow{A=2,B=1,C=0.5
 
 def _alone_reports(M, x0_list, counts, tgrid, t_window):
     """The reports of `bmk verify --checks all --allow-degenerate`, each verifier run alone."""
-    from bmkit import (DegenerateInstantError, SampleGrid, beltrami_residual, conservation_along,
-                       constitutive_residuals, contact_margin, maxwell_residuals, parallel_check,
-                       reeb_for_maxwell, shs_check, symplectic_margin)
+    from bmkit import (CheckReport, DegenerateInstantError, DegeneratePointError, SampleGrid,
+                       beltrami_residual, conservation_along, constitutive_residuals,
+                       contact_margin, maxwell_residuals, parallel_check, reeb_for_maxwell,
+                       shs_check, symplectic_margin)
+    from bmkit.reeb import DEGENERACY_TOL, NO_REEB_FIELD
 
     grid3 = SampleGrid.regular(M.chart3, counts)
     t_values = np.unique(np.concatenate(
@@ -767,9 +807,14 @@ def _alone_reports(M, x0_list, counts, tgrid, t_window):
                 ("conservation_y0", "Y0", [sl.e, sl.B], ["e", "B"]),
                 ("conservation_y1", "Y1", [sl.h, sl.D], ["h", "D"])):
             try:
-                Y = reeb_for_maxwell(M, which, x0, grid3).Y
+                Y = reeb_for_maxwell(M, which, x0, grid3, grid4).Y
             except DegenerateInstantError as exc:
                 skipped[name + at] = str(exc)
+                continue
+            except DegeneratePointError as exc:   # no Reeb field: a FAIL at the worst point
+                slice_reports[name] = CheckReport(
+                    "conservation", False, 0.0, exc.margin, {"margin": DEGENERACY_TOL},
+                    [exc.witness], grid3.spec, {"reason": NO_REEB_FIELD})
                 continue
             slice_reports[name] = conservation_along(
                 Y, [*forms, *sl.energy_forms()], grid3, [*names, "E_e", "E_h"])

@@ -293,6 +293,41 @@ def test_seeds_outside_the_chart_raise_before_integrating(seed):
             call()
 
 
+def _never_integrated(monkeypatch):
+    import bmkit.orbits
+
+    def integrate_batch(*args):
+        raise AssertionError("integrated")
+    monkeypatch.setattr(bmkit.orbits, "integrate_batch", integrate_batch)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-5])
+def test_survey_tol_out_of_range_raises_before_integrating(tol, monkeypatch):
+    # as `bmk survey --tol` refuses it: no seed is reported "none found within budget"
+    Y = field_line_generator(solid_torus_mode(), "e")
+    _never_integrated(monkeypatch)
+    with pytest.raises(BmkitError, match=re.escape(f"tol must be > 0, not {tol!r}")):
+        closed_orbit_survey(Y, [[0.5, 1.0, 0.0]], 0.01, 2.0, tol)
+
+
+@pytest.mark.parametrize("axis", [3, 5, -1, -4])
+def test_section_axis_out_of_range_raises_before_integrating(axis, monkeypatch):
+    Y = field_line_generator(solid_torus_mode(), "e")
+    _never_integrated(monkeypatch)
+    with pytest.raises(BmkitError, match=re.escape(f"axis must be in 0..2, not {axis}")):
+        poincare_section(Y, axis, 0.0, [[0.5, 1.0, 0.0]], 2.0)
+
+
+def test_seeds_outside_the_chart_are_named_as_given(monkeypatch):
+    # x2 = 7 is wrapped to 0.7168..., but the seed is reported as given
+    Y = field_line_generator(solid_torus_mode(), "e")
+    _never_integrated(monkeypatch)
+    for call in (lambda seeds: closed_orbit_survey(Y, seeds, 0.01, 2.0),
+                 lambda seeds: poincare_section(Y, 2, 0.0, seeds, 2.0)):
+        with pytest.raises(DomainError, match=re.escape("outside chart domain: [5.0, 7.0, 0.0]")):
+            call([[0.5, 1.0, 0.0], [5.0, 7.0, 0.0]])
+
+
 @pytest.mark.parametrize("s_max, step", [(1e300, 1e-2), (1e10, 1e-320)])
 def test_step_count_too_large_to_store(s_max, step):
     # rejected before anything is allocated

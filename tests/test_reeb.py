@@ -1,17 +1,19 @@
 """Reeb extraction: uniform formula vs closed forms, contracts, conservation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bmkit import (BmkitError, DegenerateInstantError, DegeneratePointError,
-                   SampleGrid, SHSPair, abc_flow, beltrami_maxwell, dx,
+                   SampleGrid, SHSPair, abc_flow, beltrami_maxwell, beltrami_nonparallel, dx,
                    euclidean_metric, hodge_star, lie_derivative, make_form,
                    metric_sharp, norm_sq_field, reeb_closed_form_beltrami,
-                   reeb_for_maxwell, reeb_from_shs, reeb_like_check,
+                   reeb_field, reeb_for_maxwell, reeb_like_check,
                    reeb_parallel_ratio, solid_torus,
-                   solid_torus_mode, t3_mode, torus3, vector_field)
+                   solid_torus_mode, t3_mode, torus3, traveling_wave, vector_field)
+from bmkit.reeb import NO_REEB_FIELD
 from bmkit.scalars import constant
 
 T3 = torus3()
@@ -24,14 +26,20 @@ def shs_pair_of(v):
     return SHSPair(hodge_star(v.metric, v.form), v.form)
 
 
+def sharp_over_norm_sq(metric, lam, pts):
+    """The closed form sharp(lambda) / |lambda|^2 at pts, the Reeb field of (star3 lambda,
+    lambda) and of (B, e), (D, h) on a Beltrami-Maxwell slice."""
+    return metric_sharp(metric, lam).evaluate(pts) / norm_sq_field(metric, lam)(pts)[:, None]
+
+
 # -- uniform formula ---------------------------------------------------------------
 
 
 def test_canonical_pair():
     # lambda = dx3, Omega = dx1 ^ dx2 -> Y = d/dx3
     pair = SHSPair(make_form(T3, 2, {(0, 1): constant(1.0)}), dx(T3, 2))
-    y = reeb_from_shs(pair, np.array([0.3, 0.4, 0.5]))
-    assert np.allclose(y, [0.0, 0.0, 1.0])
+    y = reeb_field(pair).evaluate(np.array([0.3, 0.4, 0.5]))
+    assert np.allclose(y, [[0.0, 0.0, 1.0]])
 
 
 def test_uniform_formula_covers_omega3_zero_branch():
@@ -39,9 +47,10 @@ def test_uniform_formula_covers_omega3_zero_branch():
     # the formula must still produce Y with Y^3 = 0
     v = t3_mode(1, 1.0)
     p = np.array([0.0, 0.0, 0.5 * math.pi])
-    y = reeb_from_shs(shs_pair_of(v), p)
+    Y = reeb_field(shs_pair_of(v))
+    y = Y.evaluate(p)[0]
     assert np.allclose(y, [math.cos(p[2]), math.sin(p[2]), 0.0], atol=1e-15)
-    assert y[2] == 0.0
+    assert y[2] == 0.0 and Y.components[2].is_zero
 
 
 def test_uniform_formula_omega3_nonzero_branch():
@@ -49,15 +58,23 @@ def test_uniform_formula_omega3_nonzero_branch():
     # branch: Y^a = Omega_a / sum(lambda Omega)
     v = abc_flow(1, 1, 1)
     origin = np.zeros(3)
-    y = reeb_from_shs(shs_pair_of(v), origin)
-    assert np.allclose(y, [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+    y = reeb_field(shs_pair_of(v)).evaluate(origin)
+    assert np.allclose(y, [[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]])
 
 
 def test_degenerate_point_error():
-    # lambda orthogonal to Omega's kernel direction: lambda . Omega_vec = 0
+    # lambda orthogonal to Omega's kernel direction: lambda . Omega# = 0 identically
     pair = SHSPair(make_form(T3, 2, {(0, 1): constant(1.0)}), dx(T3, 0))
-    with pytest.raises(DegeneratePointError):
-        reeb_from_shs(pair, np.zeros(3))
+    with pytest.raises(DegeneratePointError, match=re.escape(NO_REEB_FIELD)):
+        reeb_field(pair)
+    # e and B (h and D) are orthogonal: lambda . Omega# = 0 at every point, so neither
+    # pair has a Reeb field, at any instant
+    for M in (beltrami_nonparallel(), traveling_wave()):
+        for which in ("Y0", "Y1"):
+            for x0 in (0.0, 0.3, math.pi):
+                with pytest.raises(DegeneratePointError, match=re.escape(NO_REEB_FIELD)) as info:
+                    reeb_for_maxwell(M, which, x0)
+                assert info.value.margin == 0.0 and info.value.witness == [0.0, 0.0, 0.0]
 
 
 def test_shs_pair_rejects_forms_on_different_charts():
@@ -97,8 +114,8 @@ def test_oracle_equivalence_uniform_vs_closed_form():
     cases = [t3_mode(1, 1.0), t3_mode(3, 2.0), abc_flow(2, 1, 0.5)]
     for v in cases:
         rb = reeb_closed_form_beltrami(v, "normalized")
-        got = reeb_from_shs(rb.pair, PTS)
-        want = rb.Y.evaluate(PTS)
+        got = rb.Y.evaluate(PTS)
+        want = sharp_over_norm_sq(v.metric, v.form, PTS)
         assert np.max(np.abs(got - want)) < 1e-8, v.name
 
 
@@ -111,9 +128,8 @@ def test_oracle_equivalence_solid_torus_both_signs():
         v = solid_torus_mode(2.0, 1.0, sign)
         rb = reeb_closed_form_beltrami(v, "unnormalized",
                                        SampleGrid.regular(v.chart, 8))
-        got = reeb_from_shs(rb.pair, pts)
         want = rb.Y.evaluate(pts)
-        assert np.max(np.abs(got - want)) < 1e-8
+        assert np.max(np.abs(metric_sharp(v.metric, v.form).evaluate(pts) - want)) < 1e-8
         # the displayed closed form: Z^phi = sign * (k/k_c) J1(k_c r) cos(b x3) / r
         from bmkit import bessel_j
         k = math.sqrt(5.0)
@@ -160,8 +176,8 @@ def test_maxwell_reeb_uniform_formula_agreement():
     M = beltrami_maxwell(t3_mode(1, 1.0))
     for which, x0 in (("Y0", 0.7), ("Y1", 0.7), ("Y0", 2.5)):
         rb = reeb_for_maxwell(M, which, x0)
-        got = reeb_from_shs(rb.pair, PTS[:200])
-        want = rb.Y.evaluate(PTS[:200])
+        got = rb.Y.evaluate(PTS[:200])
+        want = sharp_over_norm_sq(M.metric3, rb.pair.lam, PTS[:200])
         assert np.max(np.abs(got - want)) < 1e-8
 
 
@@ -172,7 +188,7 @@ def test_unnormalized_pair_recovers_sharp_e():
     n2 = norm_sq_field(sl.metric, sl.e)
     lam = sl.e * (constant(1.0) / n2)
     pair = SHSPair(sl.B, lam)
-    got = reeb_from_shs(pair, PTS[:300])
+    got = reeb_field(pair).evaluate(PTS[:300])
     want = metric_sharp(sl.metric, sl.e).evaluate(PTS[:300])
     assert np.max(np.abs(got - want)) < 1e-8
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bmkit import (SampleGrid, abc_flow, beltrami_maxwell, beltrami_nonparallel,
                    beltrami_residual, constant_field, conservation_along,
@@ -14,7 +14,8 @@ from bmkit import (SampleGrid, abc_flow, beltrami_maxwell, beltrami_nonparallel,
                    maxwell_from_eh, maxwell_residuals, metric_sharp, parallel_check,
                    parallel_nonbeltrami, reeb_like_check, shs_check, solid_torus_mode,
                    symplectic_margin, t3_mode, torus3, traveling_wave, vector_field, wedge)
-from bmkit import NONDIMENSIONAL, SI, DegenerateInstantError, hodge_star, make_form
+from bmkit import (NONDIMENSIONAL, SI, DegenerateInstantError, DegeneratePointError,
+                   hodge_star, make_form)
 from bmkit.reeb import reeb_for_maxwell
 from bmkit.scalars import constant, wave
 
@@ -144,8 +145,8 @@ def test_window_decisions_do_not_change_with_amplitude_or_units(log_e0, constant
 
 
 def eh_decisions(M, thetas, counts=5):
-    """Decisions of `bmk verify`'s constitutive, parallel, contact and shs checks
-    at the instants x0 = theta / k, with the window amplitudes as zero scales."""
+    """Decisions of `bmk verify`'s constitutive, parallel, contact, shs and conservation
+    checks at the instants x0 = theta / k, with the window amplitudes as zero scales."""
     grid3 = SampleGrid.regular(M.chart3, counts)
     x0s = [theta / M.k for theta in thetas]
     grid4 = grid3.with_time(M.chart4, x0s)
@@ -160,6 +161,8 @@ def eh_decisions(M, thetas, counts=5):
                                            zero_scales=(amp["B"], amp["e"])).passed
         out[f"shs_dh@{theta}"] = shs_check(sl.D, sl.h, grid3,
                                            zero_scales=(amp["D"], amp["h"])).passed
+        for which, decision in conservation_decisions(M, x0, grid3, grid4).items():
+            out[f"conservation_{which.lower()}@{theta}"] = decision
     return out
 
 
@@ -169,6 +172,7 @@ EH_THETAS = (0.25 * math.pi, 0.0, 0.5 * math.pi, 0.375 * math.pi)
 
 
 @settings(max_examples=20, deadline=None)
+@example(base="t3_mode", log_a=8.0, log_b=-8.0, constants=NONDIMENSIONAL)
 @given(base=st.sampled_from(sorted(EH_BASES)),
        log_a=st.floats(min_value=-8.0, max_value=8.0),
        log_b=st.floats(min_value=-8.0, max_value=8.0),
@@ -177,13 +181,17 @@ def test_eh_decisions_do_not_change_when_e_and_h_scale_independently(base, log_a
                                                                      constants):
     # each of these checks compares a residual with a scale built from the same
     # fields, so a e and b h decide as e and h do: h = 0 at k x0 = 0 and e = 0
-    # at k x0 = pi/2 fail the slice checks that read them, whatever a and b
+    # at k x0 = pi/2 fail the slice checks that read them, and skip conservation along
+    # the Reeb field they define, whatever a and b
     M = beltrami_maxwell(EH_BASES[base], constants=constants)
     want = eh_decisions(M, EH_THETAS)
     zero, half_pi = EH_THETAS[1], EH_THETAS[2]
-    assert {name for name, passed in want.items() if not passed} == {
-        f"contact_h@{zero}", f"shs_be@{zero}", f"shs_dh@{zero}",
-        f"contact_e@{half_pi}", f"shs_be@{half_pi}", f"shs_dh@{half_pi}"}
+    assert {name for name, d in want.items() if d in (False, "SKIP")} == {
+        f"contact_h@{zero}", f"shs_be@{zero}", f"shs_dh@{zero}", f"conservation_y1@{zero}",
+        f"contact_e@{half_pi}", f"shs_be@{half_pi}", f"shs_dh@{half_pi}",
+        f"conservation_y0@{half_pi}"}
+    assert {name for name, d in want.items() if d == "SKIP"} == {
+        f"conservation_y1@{zero}", f"conservation_y0@{half_pi}"}
     scaled = maxwell_from_eh(M.name, M.params, M.metric3, 10.0 ** log_a * M.e,
                              10.0 ** log_b * M.h, M.constants, k=M.k)
     assert (scaled.chart3, scaled.chart4) == (M.chart3, M.chart4)
@@ -432,16 +440,20 @@ def test_conservation_along_reeb_fields():
     assert r1.passed and r1.max_residual < 1e-6
 
 
-def conservation_decisions(M, x0, grid):
-    """PASS / FAIL / SKIP of conservation along Y0 and Y1, as `bmk verify` decides them."""
+def conservation_decisions(M, x0, grid, window=None):
+    """PASS / FAIL / SKIP of conservation along Y0 and Y1, as `bmk verify` decides them
+    with the time window `window` (by default the verify default around x0)."""
     sl = M.at_time(x0)
     ee, eh = sl.energy_forms()
     out = {}
     for which, forms in (("Y0", [sl.e, sl.B, ee, eh]), ("Y1", [sl.h, sl.D, ee, eh])):
         try:
-            rb = reeb_for_maxwell(M, which, x0, grid)
+            rb = reeb_for_maxwell(M, which, x0, grid, window)
         except DegenerateInstantError:
             out[which] = "SKIP"
+            continue
+        except DegeneratePointError:   # the pair has no Reeb field
+            out[which] = "FAIL"
             continue
         r = conservation_along(rb.Y, forms, grid)
         tol, scales = r.tolerance["residual"], r.details["scales"]
@@ -466,13 +478,26 @@ def test_conservation_decisions_any_amplitude_and_units(e0, constants):
     # at cos(k x0) = 0 the field e vanishes: Y0 is undefined and skipped
     assert conservation_decisions(bm, 0.5 * math.pi, GRID3) == {"Y0": "SKIP", "Y1": "PASS"}
     # the non-Beltrami parallel field decides as it does at e0 = 1 in nondimensional
-    # units: e = e0 sin(x3) w vanishes on the plane x3 = 0, and h is not conserved
+    # units: e = e0 sin(x3) w vanishes on the plane x3 = 0 (at points, not at the
+    # instant), and neither e nor h is conserved
     grid = SampleGrid.regular(T3, 10)
     for x0 in (0.0, 0.25 * math.pi, 1.0):
         reference = conservation_decisions(parallel_nonbeltrami(), x0, grid)
-        assert reference == {"Y0": "SKIP", "Y1": "FAIL"}
+        assert reference == {"Y0": "FAIL", "Y1": "FAIL"}
         assert conservation_decisions(parallel_nonbeltrami(e0, constants=constants), x0,
                                       grid) == reference
+
+
+@pytest.mark.parametrize("constants", [NONDIMENSIONAL, SI], ids=["nondim", "si"])
+@pytest.mark.parametrize("e0", [1e-8, 1.0, 1e8])
+def test_conservation_fails_where_the_pair_has_no_reeb_field(e0, constants):
+    # e and B (h and D) of the circularly polarized wave are orthogonal at every point:
+    # lambda . Omega# = 0, so neither pair has a Reeb field, at any amplitude and in
+    # both unit systems (sharp(lambda) / |lambda|^2, no Reeb field here, conserves both)
+    M = beltrami_nonparallel(constants=constants)
+    M = maxwell_from_eh(M.name, M.params, M.metric3, e0 * M.e, e0 * M.h, constants)
+    for x0 in (0.0, 0.3, 0.25 * math.pi):
+        assert conservation_decisions(M, x0, GRID3) == {"Y0": "FAIL", "Y1": "FAIL"}
 
 
 def test_conservation_zero_field_exact():
