@@ -69,8 +69,8 @@ class BeltramiForm:
     @cached_property
     def _norm_sq_range(self) -> tuple[float, float]:
         """(min, max) of g^{-1}(v, v) over the scan lattice, from one plan run on first use."""
-        pts = self.chart.lattice((self.scan_n,) * self.chart.dim)
-        (norm_sq,) = Plan([norm_sq_field(self.metric, self.form)])(pts)
+        axes = self.chart.lattice((self.scan_n,) * self.chart.dim)
+        (norm_sq,) = Plan([norm_sq_field(self.metric, self.form)])(axes)
         return float(np.min(norm_sq)), float(np.max(norm_sq))
 
     @property

@@ -137,16 +137,15 @@ class Chart:
             bad = np.asarray(pts)[~ok]
             raise DomainError(f"point outside chart domain: {bad[0].tolist()}")
 
-    def lattice(self, counts) -> np.ndarray:
-        """Regular lattice, one count per axis, as a (prod(counts), dim) array.
+    def lattice(self, counts) -> list[np.ndarray]:
+        """Regular lattice, one count per axis, as columns: axis a's along dimension a.
 
         Each axis spans its window; periodic axes omit the duplicate
         endpoint.
         """
-        axes_pts = [np.linspace(*ax.window, c, endpoint=not ax.is_periodic)
-                    for ax, c in zip(self.axes, counts)]
-        mesh = np.meshgrid(*axes_pts, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return [np.linspace(*ax.window, c, endpoint=not ax.is_periodic).reshape(
+                    [c if b == a else 1 for b in range(self.dim)])
+                for a, (ax, c) in enumerate(zip(self.axes, counts))]
 
     def delta(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Coordinate difference p - q under the minimal-image convention."""

@@ -251,7 +251,7 @@ def _maxwell_runs(M: MaxwellFieldSet, requested, x0_list, args) -> list:
     require_storable(args.tgrid * len(x0_list) * grid3.n * M.chart4.dim,
                      f"window of {args.tgrid} instants per x0")
     grid4 = grid3.window(M.chart4, x0_list, args.t_window, args.tgrid)
-    amp = _amplitude_needs(M, grid4.points)   # evaluated only if a slice check runs
+    amp = _amplitude_needs(M, grid4)   # evaluated only if a slice check runs
     runs = [(None, run(M, grid4)) for c, run in WINDOW_CHECKS.items() if c in requested]
     if "beltrami" in requested:
         runs.append((None, BELTRAMI_CHECKS["beltrami"](M.base, grid3)))

@@ -35,8 +35,8 @@ import numpy as np
 
 from .charts import Chart, require_spacetime
 from .errors import ChartMismatchError, DegreeError
-from .scalars import (Plan, ScalarField, ZERO, as_table, constant, from_function, lift_spatial,
-                      periodic_in, plan_source, restrict_time, value_table)
+from .scalars import (Plan, ScalarField, ZERO, as_table, columns, constant, from_function,
+                      lift_spatial, periodic_in, plan_source, restrict_time, value_table)
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -158,7 +158,7 @@ class VectorField:
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Components at pts, shape (N, dim), from one run of the field's plan."""
         pts = self.chart.as_points(pts)
-        return as_table(self._plan(pts), pts)
+        return as_table(self._plan(columns(pts)), pts)
 
     @functools.cached_property
     def flow_wraps(self) -> bool:

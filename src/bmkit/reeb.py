@@ -9,8 +9,9 @@ sharp(v) / |v|^2 and sharp(v), and of the Maxwell pairs (B, e) and (D, h) of a s
 exists on a grid when |lambda . Omega#| > DEGENERACY_TOL |lambda| |Omega#| at every point,
 an angle that amplitude and units do not change (else DegeneratePointError at the worst
 point); a Maxwell slice whose lambda is round-off dust next to its amplitude over a time
-window raises DegenerateInstantError first.  Extracted fields report their defining
-residuals max |i_Y Omega|, max |i_Y lambda - 1| on their grid.
+window raises DegenerateInstantError first, and one whose lambda is round-off dust at a
+grid point DegeneratePointError.  Extracted fields report their defining residuals
+max |i_Y Omega|, max |i_Y lambda - 1| on their grid.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ def normalization_residuals(Y: VectorField, pair: SHSPair,
                             grid: SampleGrid) -> tuple[float, float]:
     """(max |i_Y Omega|, max |i_Y lambda - 1|) over the grid."""
     pairing = interior_product(Y, pair.lam).coefficient(())
-    (m_omega, _), (m_lam, _) = yield [_max_abs(grid.points, interior_product(Y, pair.Omega)),
-                                      _Need(grid.points, [pairing], lambda p: np.abs(p - 1.0))]
+    (m_omega, _), (m_lam, _) = yield [_max_abs(grid, interior_product(Y, pair.Omega)),
+                                      _Need(grid, [pairing], lambda p: np.abs(p - 1.0))]
     return m_omega, m_lam
 
 
@@ -122,7 +123,7 @@ def reeb_closed_form_beltrami(v: BeltramiForm, variant: str = "normalized",
     lam = v.form if variant == "normalized" else \
         v.form * (constant(1.0) / norm_sq_field(v.metric, v.form))
     pair = SHSPair(hodge_star(v.metric, v.form), lam)
-    (angle,) = yield [_Need(grid.points, _columns(pair), _angle, lowest=True)]
+    (angle,) = yield [_Need(grid, _columns(pair), _angle, lowest=True)]
     return _extracted(pair, grid, angle)
 
 
@@ -135,7 +136,8 @@ def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,
     Raises DegenerateInstantError when lambda (e for Y0, h for Y1) at x0 is
     round-off dust next to max |lambda| over window, as contact_margin decides
     (for the Beltrami-Maxwell catalog exactly at cos(k x0) = 0 resp.
-    sin(k x0) = 0); window defaults to grid.window around x0.
+    sin(k x0) = 0); window defaults to grid.window around x0.  Raises
+    DegeneratePointError where lambda is round-off dust next to max |lambda| on grid.
     """
     if which not in ("Y0", "Y1"):
         raise BmkitError("which must be 'Y0' or 'Y1'")
@@ -143,12 +145,15 @@ def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,
     grid = grid or SampleGrid.regular(sl.chart, 8)
     window = window or grid.window(M.chart4, [x0])
     lam4, pair = (M.e, SHSPair(sl.B, sl.e)) if which == "Y0" else (M.h, SHSPair(sl.D, sl.h))
-    (amp, _), (lam_max, _), angle = yield [
-        _max_abs(window.points, lam4), _max_abs(grid.points, pair.lam),
-        _Need(grid.points, _columns(pair), _angle, lowest=True)]
+    (amp, _), (lam_max, _), (lam_min, w_min), angle = yield [
+        _max_abs(window, lam4), _max_abs(grid, pair.lam), _max_abs(grid, pair.lam, lowest=True),
+        _Need(grid, _columns(pair), _angle, lowest=True)]
     if _numerically_zero(lam_max, amp):
         raise DegenerateInstantError(f"{which}: defining 1-form vanishes at x0 = {x0} (max "
                                      f"|lambda| = {lam_max:.3e}, window amplitude {amp:.3e})")
+    if angle[0] > DEGENERACY_TOL and _numerically_zero(lam_min, lam_max):
+        raise DegeneratePointError(f"{NO_REEB_FIELD} (|lambda| {lam_min:.3e} at {w_min}, "
+                                   f"max {lam_max:.3e})", w_min, lam_min / lam_max)
     return _extracted(pair, grid, angle)
 
 

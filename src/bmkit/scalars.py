@@ -21,22 +21,26 @@ through one weak table of the live ones, keyed by op and the ids of the args
 and slices are one node, and its partial cache serves every use.
 
 Every evaluation runs a :class:`Plan`, a straight-line program that returns
-the values of a list of root fields; :func:`as_table` tables them for
+the values of a list of root fields at a point set: per-axis coordinate
+columns that broadcast to its shape, whose C-order flattening is the point
+order (an (N, dim) array's :func:`columns` are the one-axis case).  A value
+has the shape of the columns its node reads.  :func:`as_table` tables them for
 :func:`value_table` (``field(pts)`` is its one-column case) and for
 ``VectorField.evaluate``, which keeps the plan of its components.  Each node
 is one step, which applies one function to one or two slots and writes one.
 A leaf's step scales a kernel step, which sums the phase and axis terms and
 applies the kernel and is shared by the leaves of one (kernel, axis terms,
 phase): a Bessel field's J0 and -c*J1 leaves run their kernel once.
-Arithmetic is that of each field alone, so every value is bitwise what its
-field gives by itself.  A run drops each value after its last reader unless
-it is a root's, so a plan holds no values between calls and is safe to share
-between threads.  :func:`plan_source` writes one run of a plan as straight-line
-source, from which ``VectorField.flow`` is generated.
+Arithmetic is that of each field alone, on the same operands in any shape, so
+every value is bitwise what its field gives by itself.  A run drops each value
+after its last reader unless it is a root's, so a plan holds no values between
+calls and is safe to share between threads.  :func:`plan_source` writes one run
+of a plan as straight-line source, from which ``VectorField.flow`` is generated.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -197,7 +201,18 @@ def value_table(fields, pts: np.ndarray) -> np.ndarray:
     A leaf kernel or a shared subtree used by several fields is evaluated
     once; each column is bitwise what calling its field alone gives.
     """
-    return as_table(Plan(fields)(pts), np.asarray(pts))
+    pts = np.asarray(pts, dtype=float)
+    return as_table(Plan(fields)(columns(pts)), pts)
+
+
+def columns(pts: np.ndarray) -> list:
+    """The point set of an (..., dim) array of points: its columns pts[..., a]."""
+    return [pts[..., a] for a in range(pts.shape[-1])]
+
+
+def points(cols) -> np.ndarray:
+    """The (..., dim) array of a point set's points, of its columns broadcast together."""
+    return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
 
 def as_table(columns, pts: np.ndarray) -> np.ndarray:
@@ -211,18 +226,20 @@ def as_table(columns, pts: np.ndarray) -> np.ndarray:
 class Plan:
     """A straight-line program for the values of several root fields.
 
-    ``plan(pts)`` is the list of their values, one per root in order: an array
-    of shape (N,), or a constant's float.  The plan holds structure only: each
-    of its ``steps`` reads one or two slots and writes one; every value lives in
-    the slots of one run, each dropped after its last reader unless a root's.
+    ``plan(cols)`` is the list of their values at the point set cols, one per root
+    in order: an array of the broadcast shape of the columns its node reads, or a
+    constant's float; an ``fn`` step reads the points (:func:`points`), made for a
+    run that has one.  The plan holds structure only: each of its ``steps`` reads
+    one or two slots and writes one; every value lives in the slots of one run,
+    each dropped after its last reader unless a root's.
     """
 
-    __slots__ = ("_slots", "steps", "_roots")
+    __slots__ = ("_slots", "steps", "_roots", "_reads")
 
     def __init__(self, fields):
-        slots: list = [None]   # the points; a constant's slot holds its float
-        steps: list = []       # (out, fn, a, b): fn(vals[a]) or fn(vals[a], vals[b])
-        done: dict = {}        # node id or kernel key -> slot
+        slots: list = [None, None]   # the points and the columns; a constant's slot holds its float
+        steps: list = []             # (out, fn, a, b): fn(vals[a]) or fn(vals[a], vals[b])
+        done: dict = {}              # node id or kernel key -> slot
         roots = [_compile(f, slots, steps, done) for f in fields]
         kept = set(roots)
         last = {slot: i for i, (_, _, a, b) in enumerate(steps) for slot in (a, b)
@@ -231,11 +248,25 @@ class Plan:
         for slot, i in last.items():
             dead[i].append(slot)
         self._slots, self._roots = slots, roots
+        masks = {0: -1}   # the axes each slot's value reads, as bits; the points read all
+        for out, fn, a, b in steps:
+            kernel = getattr(fn, "func", None) is _run_kernel
+            masks[out] = sum(1 << t[0] for t in fn.args[1]) if kernel else \
+                masks.get(a, 0) | masks.get(b, 0)
+        self._reads = collections.Counter(masks[out] for out, *_ in steps)
         self.steps = [(*st, tuple(d)) for st, d in zip(steps, dead)]
 
-    def __call__(self, pts: np.ndarray) -> list:
+    def values(self, cols) -> int:
+        """The values a run on the point set cols (columns of one rank) computes, summed over
+        its steps: each has the largest extent of the columns it reads on each dimension."""
+        shapes = [np.shape(c) for c in cols]
+        return sum(n * math.prod(map(max, zip(*(s for a, s in enumerate(shapes) if m >> a & 1))))
+                   for m, n in self._reads.items())
+
+    def __call__(self, cols) -> list:
         vals = self._slots.copy()
-        vals[0] = np.asarray(pts, dtype=float)
+        vals[0] = points(cols) if -1 in self._reads else None
+        vals[1] = cols
         for out, fn, a, b, dead in self.steps:
             vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
             for i in dead:
@@ -262,7 +293,7 @@ def _compile(node: ScalarField, slots: list, steps: list, done: dict) -> int:
         # the phase's sign is in the key: -0.0 + c*x and 0.0 + c*x differ where c*x is -0.0
         key = kernel, tuple(coeffs.items()), phase, math.copysign(1.0, phase)
         if key not in done:
-            done[key] = _step(slots, steps, _kernel_step(kernel, coeffs, phase), 0)
+            done[key] = _step(slots, steps, _kernel_step(kernel, coeffs, phase), 1)
         out = _step(slots, steps, functools.partial(operator.mul, amplitude), done[key])
     elif op == "const":
         slots.append(node.const)
@@ -276,14 +307,14 @@ def _compile(node: ScalarField, slots: list, steps: list, done: dict) -> int:
 
 
 def _kernel_step(kernel: Kernel, coeffs: dict[int, float], phase: float):
-    """pts -> kernel.value(phase + sum_a coeffs[a] * x_a); `plan_source` reads its args."""
+    """cols -> kernel.value(phase + sum_a coeffs[a] * cols[a]); `plan_source` reads its args."""
     return functools.partial(_run_kernel, kernel.value, tuple(coeffs.items()), phase)
 
 
-def _run_kernel(value: ValueFn, terms: tuple, phase: float, pts: np.ndarray) -> np.ndarray:
+def _run_kernel(value: ValueFn, terms: tuple, phase: float, cols) -> np.ndarray:
     u = phase   # summed in the order of the leaf's coefficients
     for a, c in terms:
-        u = u + c * pts[..., a]
+        u = u + c * cols[a]
     return value(u)
 
 

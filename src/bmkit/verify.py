@@ -3,9 +3,10 @@
 Every check yields the statistics it needs of some fields over a sample grid
 (max |.| and min |.| with witnesses, or a whole table), decides over their
 values, and returns a :class:`CheckReport`.  A :class:`Batch` runs checks
-together: each round, one plan per point set evaluates every non-constant
-field asked for as one column, in blocks of BLOCK_ROWS points, and a constant
-enters by its value.  A public verifier runs a batch of its own, or with
+together: each round, one plan per grid evaluates every non-constant field
+asked for as one column on the grid's axes, in blocks of BLOCK_ROWS points, and
+a constant enters by its value; each value keeps the shape of the axes its node
+reads, and is folded on it.  A public verifier runs a batch of its own, or with
 ``deferred=True`` returns its check.  Conventions:
 
 * every residual passes when ``residual <= tol * scale``, with the scale taken
@@ -25,6 +26,9 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -36,7 +40,7 @@ from .forms import (DifferentialForm, VectorField, exterior_derivative,
                     interior_product, lie_derivative,
                     spatial_exterior_derivative, time_derivative, wedge)
 from .metrics import MetricField, hodge_star, spatial_hodge
-from .scalars import Plan
+from .scalars import Plan, points
 
 TOL_RESIDUAL_ANALYTIC = 1e-10
 TOL_RESIDUAL_FD = 1e-6
@@ -50,15 +54,35 @@ T_WINDOW, TGRID = 0.35, 6   # default half-width and instants of a time window
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """A batch of chart points used for residual and margin scans."""
+    """Chart points for residual and margin scans: a point set (`scalars.Plan`) of per-axis
+    columns, ``axes``, whose ``points`` are made when first read."""
 
     chart: Chart
-    points: np.ndarray  # (N, dim)
+    axes: tuple  # one column per chart axis
     spec: dict
+
+    @functools.cached_property
+    def shape(self) -> tuple[int, ...]:
+        return np.broadcast_shapes(*(c.shape for c in self.axes))
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return math.prod(self.shape)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """The (n, dim) array of the points, in order."""
+        return points(self.axes).reshape(-1, self.chart.dim)
+
+    @functools.cached_property
+    def strides(self) -> tuple[int, ...]:
+        """The C-order row strides of the shape: a point's row is sum(index * strides)."""
+        return tuple(math.prod(self.shape[d + 1:]) for d in range(len(self.shape)))
+
+    def point(self, row: int) -> list:
+        """The coordinates of point row, read from the axes (index 0 on a broadcast one)."""
+        index = [row // s % n for s, n in zip(self.strides, self.shape)]
+        return [c.item(*[i % n for i, n in zip(index, c.shape)]) for c in self.axes]
 
     @classmethod
     def regular(cls, chart: Chart, counts) -> "SampleGrid":
@@ -73,7 +97,7 @@ class SampleGrid:
         counts *= chart.dim // len(counts)
         require_storable(np.prod(counts, dtype=float) * chart.dim,
                          f"grid of {list(counts)} points per axis")
-        return cls(chart, chart.lattice(counts),
+        return cls(chart, tuple(chart.lattice(counts)),
                    {"kind": "regular", "counts": list(counts), "chart": chart.name})
 
     def window(self, chart4: Chart, x0s, t_window: float = T_WINDOW,
@@ -84,13 +108,11 @@ class SampleGrid:
              for x0 in x0s])))
 
     def with_time(self, chart4: Chart, x0_values) -> "SampleGrid":
-        """Product of this grid with a list of x0 instants, on chart4 = spacetime(chart)."""
+        """Product of this grid with a list of x0 instants (a leading axis), on chart4."""
         require_spacetime(chart4, self.chart)
         x0_values = np.atleast_1d(np.asarray(x0_values, dtype=float))
-        blocks = [np.concatenate([np.full((self.n, 1), t), self.points], axis=1)
-                  for t in x0_values]
-        pts = np.concatenate(blocks, axis=0)
-        return SampleGrid(chart4, pts,
+        x0 = x0_values.reshape((-1,) + (1,) * len(self.shape))
+        return SampleGrid(chart4, (x0, *(c[np.newaxis] for c in self.axes)),
                           {"kind": "product_time", "base": self.spec,
                            "x0": [float(t) for t in x0_values]})
 
@@ -125,47 +147,69 @@ class CheckReport:
 
 
 class _Need:
-    """pointwise(*values of fields) over one point set, reduced to its maximum (its minimum
-    when lowest) and the first point attaining it; with no pointwise, the (N, k) table of the
-    values.  A batch folds it over blocks of rows, then sets result.
+    """pointwise(*values of fields) over a grid, reduced to its maximum (its minimum when
+    lowest) and the first point attaining it; with no pointwise, the (n, k) table of the
+    values.  A batch folds it over blocks of the grid, then sets result.
     """
 
-    def __init__(self, pts: np.ndarray, fields, pointwise=None, lowest: bool = False):
-        self.pts, self.fields, self.pointwise = pts, tuple(fields), pointwise
+    def __init__(self, grid: SampleGrid, fields, pointwise=None, lowest: bool = False):
+        self.grid, self.fields, self.pointwise = grid, tuple(fields), pointwise
         self.extreme, self.result = np.argmin if lowest else np.argmax, None
         # (extreme, row) per block, or the table filled block by block
-        self.blocks = [] if pointwise else np.empty((len(pts), len(self.fields)))
+        self.blocks = [] if pointwise else np.empty(grid.shape + (len(self.fields),))
 
-    def add(self, cols, rows: slice):
-        """Fold in cols, the values of the fields (or constants) at pts[rows]."""
+    def add(self, cols, block: tuple, start: int):
+        """Fold in cols, the fields' values (or constants) on grid block block from row start."""
         if self.pointwise is None:
+            table = self.blocks[block]
             for j, c in enumerate(cols):
-                self.blocks[rows, j] = c
+                table[..., j] = c
         else:
             vals = np.asarray(self.pointwise(*cols))
             i = int(self.extreme(vals))
-            self.blocks.append((vals.flat[i], rows.start + i))
+            value, row = vals.flat[i], start
+            # a value has the shape of the columns it read: a broadcast axis takes index 0
+            for n, stride in zip(reversed(vals.shape), reversed(self.grid.strides)) if i else ():
+                i, k = divmod(i, n)
+                row += k * stride
+            self.blocks.append((value, row))
 
     def finish(self):
         if self.pointwise is None:
-            self.result = self.blocks
+            self.result = self.blocks.reshape(self.grid.n, len(self.fields))
             return
         # the first block attaining the extreme holds the first point attaining it
         value, row = self.blocks[int(self.extreme([v for v, _ in self.blocks]))]
-        self.result = float(value), self.pts[row].tolist()
+        self.result = float(value), self.grid.point(row)
 
 
-def _max_abs(pts: np.ndarray, f) -> _Need:
-    """max |coefficient| of a form, or |component| of a vector field, over pts."""
+def _max_abs(grid: SampleGrid, f, lowest: bool = False) -> _Need:
+    """max (min when lowest) over grid of max |coefficient| of a form or vector field."""
     fields = f.components if isinstance(f, VectorField) else f.coeffs.values()
-    return _Need(pts, fields, lambda *c: functools.reduce(np.maximum, map(np.abs, c or [0.0])))
+    return _Need(grid, fields, lambda *c: functools.reduce(np.maximum, map(np.abs, c or [0.0])),
+                 lowest)
+
+
+def _blocks(grid: SampleGrid):
+    """(index, first row) of each block of grid: C-order slabs of at most BLOCK_ROWS points
+    (so row ranges), a range of dimension j, the first whose trailing dimensions fit."""
+    shape, strides = grid.shape, grid.strides
+    j = len(shape) - 1
+    while j > 0 and strides[j - 1] <= BLOCK_ROWS:
+        j -= 1
+    m = max(1, BLOCK_ROWS // strides[j])
+    for lead in itertools.product(*map(range, shape[:j])):
+        for s in range(0, shape[j], m):
+            yield ((*(slice(i, i + 1) for i in lead), slice(s, s + m)),
+                   sum(map(operator.mul, lead, strides)) + s * strides[j])
 
 
 class Batch:
-    """Runs checks together; ``counts`` totals its plans, their columns, points and steps."""
+    """Runs checks together; ``counts`` totals its plans, their columns, points, steps and
+    values."""
 
     def __init__(self):
-        self.counts = collections.Counter(plans=0, columns=0, points=0, steps=0)
+        self.counts = collections.Counter(plans=0, columns=0, points=0, steps=0, values=0)
 
     def run(self, checks) -> list:
         """Each check's result, or the BmkitError it raised, in order.  A check is a generator
@@ -185,25 +229,32 @@ class Batch:
         return out
 
     def evaluate(self, needs) -> None:
-        """Set each need's result: one plan per point set, with one column per non-constant
-        field (equal fields share one), run in blocks of BLOCK_ROWS points; a constant by value."""
+        """Set each need's result: one plan per grid, with one column per non-constant field
+        (equal fields share one), run on the grid's axes sliced to each block; a constant by
+        value.  Values keep the shape of the axes their node reads, and are folded on it."""
         groups: dict = {}
         for need in needs:
             if need.result is None:   # a need that several checks yield runs once
-                groups.setdefault(id(need.pts), {})[id(need)] = need
+                groups.setdefault(id(need.grid), {})[id(need)] = need
         for group in groups.values():
             group = list(group.values())
-            pts = group[0].pts
+            grid = group[0].grid
             roots = {id(sf): sf for need in group for sf in need.fields if sf.const is None}
             plan = Plan(roots.values())
             if roots:
-                self.counts.update(plans=1, columns=len(roots), points=len(pts),
+                self.counts.update(plans=1, columns=len(roots), points=grid.n,
                                    steps=len(plan.steps))
-            for start in range(0, len(pts), BLOCK_ROWS):
-                rows = slice(start, start + BLOCK_ROWS)
-                values = dict(zip(roots, plan(pts[rows])))
+            sizes: dict = {}   # block shapes -> the values a run computes on them
+            for block, start in _blocks(grid):
+                cols = [c[tuple(k if n > 1 else slice(None) for k, n in zip(block, c.shape))]
+                        for c in grid.axes]
+                shapes = tuple(c.shape for c in cols)
+                if shapes not in sizes:
+                    sizes[shapes] = plan.values(cols)
+                self.counts["values"] += sizes[shapes]
+                values = dict(zip(roots, plan(cols)))
                 for need in group:
-                    need.add([values.get(id(sf), sf.const) for sf in need.fields], rows)
+                    need.add([values.get(id(sf), sf.const) for sf in need.fields], block, start)
             for need in group:
                 need.finish()
 
@@ -231,10 +282,10 @@ def _mode_tol(*forms: DifferentialForm) -> tuple[str, float]:
     return "fd", TOL_RESIDUAL_FD
 
 
-def _amplitude_needs(M: MaxwellFieldSet, pts: np.ndarray) -> dict:
-    """The needs of max |coefficient| of e, h, B and D over pts, from which the maxwell and
+def _amplitude_needs(M: MaxwellFieldSet, grid4: SampleGrid) -> dict:
+    """The needs of max |coefficient| of e, h, B and D over grid4, from which the maxwell and
     constitutive scales derive; each of those checks yields them with its own needs."""
-    return {name: _max_abs(pts, getattr(M, name)) for name in ("e", "h", "B", "D")}
+    return {name: _max_abs(grid4, getattr(M, name)) for name in ("e", "h", "B", "D")}
 
 
 # -- checks -------------------------------------------------------------------
@@ -247,11 +298,10 @@ def beltrami_residual(v: DifferentialForm, k: float, g: MetricField,
     if g.chart.dim != 3 or g.signature != "riemannian":
         raise DegreeError("beltrami_residual needs a 3-d Riemannian metric")
     mode, tol = _mode_tol(v)
-    pts = grid.points
     resid = hodge_star(g, exterior_derivative(v)) - float(k) * v
     div = hodge_star(g, exterior_derivative(hodge_star(g, v)))
     (max_res, witness), (max_div, _), (v_max, _) = yield [
-        _max_abs(pts, resid), _max_abs(pts, div), _max_abs(pts, v)]
+        _max_abs(grid, resid), _max_abs(grid, div), _max_abs(grid, v)]
     scale = abs(float(k)) * v_max
     return CheckReport(
         "beltrami", max_res <= tol * scale, max_res, None,
@@ -271,8 +321,7 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     require_spacetime(grid4.chart, M.chart3)
     c0 = M.c0
     mode, tol = _mode_tol(M.e, M.h, M.B, M.D)
-    pts = grid4.points
-    amp_needs = _amplitude_needs(M, pts)
+    amp_needs = _amplitude_needs(M, grid4)
 
     faraday = spatial_exterior_derivative(M.e) + c0 * time_derivative(M.B)
     gauss_b = spatial_exterior_derivative(M.B)
@@ -292,12 +341,12 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
                            ("gauss_electric", gauss_d, lambda d, p: d - p)))):
         for name, form, join in pieces:
             agree[name4] += [
-                _Need(pts, [form4.coefficient(idx),
+                _Need(grid4, [form4.coefficient(idx),
                             form.coefficient(tuple(i for i in idx if i != 0))],
                       lambda d, p, join=join: np.abs(join(d, p)))
                 for idx in form4.indices if (0 in idx) == (form.degree < form4.degree)]
-            found[name] = _max_abs(pts, form)
-        found[name4] = _max_abs(pts, form4)
+            found[name] = _max_abs(grid4, form)
+        found[name4] = _max_abs(grid4, form4)
     yield [*found.values(), *agree["dF0"], *agree["dF1"], *amp_needs.values()]
 
     amp = {name: need.result[0] for name, need in amp_needs.items()}
@@ -324,13 +373,12 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
 def constitutive_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     """|D - eps0 *3 e|, |B - mu0 *3 h|, and the 4-d check |F1 + eps0 * F0|, against
     max|D|, max|B| and max|F1| from the amplitude needs it yields (as maxwell_residuals)."""
-    pts = grid4.points
-    amp_needs = _amplitude_needs(M, pts)
+    amp_needs = _amplitude_needs(M, grid4)
     r_d = M.D - M.eps0 * spatial_hodge(M.metric3, M.e)
     r_b = M.B - M.mu0 * spatial_hodge(M.metric3, M.h)
     r_4d = M.F1 + M.eps0 * hodge_star(M.metric4, M.F0)
     (m_d, w_d), (m_b, _), (m_4, _), *_ = yield [
-        _max_abs(pts, r_d), _max_abs(pts, r_b), _max_abs(pts, r_4d), *amp_needs.values()]
+        _max_abs(grid4, r_d), _max_abs(grid4, r_b), _max_abs(grid4, r_4d), *amp_needs.values()]
     amp = {name: need.result[0] for name, need in amp_needs.items()}
     scales = {"D_vs_star_e": amp["D"], "B_vs_star_h": amp["B"],
               "F1_plus_eps0_star_F0": max(amp["D"], amp["h"] * (1.0 / M.c0))}
@@ -369,14 +417,13 @@ def contact_margin(lam: DifferentialForm, grid: SampleGrid,
     chart = lam.chart
     if chart.dim != 3:
         raise DegreeError("contact_margin works on 3-d forms")
-    pts = grid.points
     dlam = exterior_derivative(lam)
     (lam_max, _), (dlam_max, _), (raw, witness) = yield [
-        _max_abs(pts, lam), _max_abs(pts, dlam),
-        _Need(pts, [wedge(lam, dlam).coefficient((0, 1, 2))], np.abs, lowest=True)]
+        _max_abs(grid, lam), _max_abs(grid, dlam),
+        _Need(grid, [wedge(lam, dlam).coefficient((0, 1, 2))], np.abs, lowest=True)]
     if _numerically_zero(lam_max, zero_scale):
         return CheckReport("contact", False, 0.0, 0.0, {"margin": TOL_MARGIN},
-                           [pts[0].tolist()], grid.spec,
+                           [grid.point(0)], grid.spec,
                            {"normalized_margin": 0.0, "degenerate_zero_form": True})
     scale = lam_max * dlam_max
     normalized = raw / scale if scale > 0 else 0.0
@@ -405,21 +452,20 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
     chart = lam.chart
     if chart.dim != 3:
         raise DegreeError("shs_check works on 3-d forms")
-    pts = grid.points
     mode, tol = _mode_tol(Omega, lam)
     dlam = exterior_derivative(lam)
     (omega_tab, dlam_tab, (omega_abs_max, _), (lam_max, _), (closure, _),
      (raw_margin, w_margin), (dlam_max, _)) = yield [
-        _Need(pts, map(Omega.coefficient, Omega.indices)),
-        _Need(pts, map(dlam.coefficient, dlam.indices)),
-        _max_abs(pts, Omega), _max_abs(pts, lam), _max_abs(pts, exterior_derivative(Omega)),
-        _Need(pts, [wedge(lam, Omega).coefficient((0, 1, 2))], np.abs, lowest=True),
-        _max_abs(pts, dlam)]
+        _Need(grid, map(Omega.coefficient, Omega.indices)),
+        _Need(grid, map(dlam.coefficient, dlam.indices)),
+        _max_abs(grid, Omega), _max_abs(grid, lam), _max_abs(grid, exterior_derivative(Omega)),
+        _Need(grid, [wedge(lam, Omega).coefficient((0, 1, 2))], np.abs, lowest=True),
+        _max_abs(grid, dlam)]
     if zero_scales is not None and (_numerically_zero(omega_abs_max, zero_scales[0])
                                     or _numerically_zero(lam_max, zero_scales[1])):
         return CheckReport("shs", False, 0.0, 0.0,
                            {"residual": tol, "margin": TOL_MARGIN},
-                           [pts[0].tolist()], grid.spec,
+                           [grid.point(0)], grid.spec,
                            {"normalized_margin": 0.0, "degenerate_zero_form": True})
 
     scale = lam_max * omega_abs_max
@@ -428,7 +474,7 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
     omega_max = np.max(np.abs(omega_tab), axis=1)
     well_posed = omega_max > 1e-8 * max(omega_abs_max, 1e-300)
     pick = np.argmax(np.abs(omega_tab), axis=1)
-    rows = np.arange(len(pts))
+    rows = np.arange(grid.n)
     with np.errstate(divide="ignore", invalid="ignore"):
         f_est = dlam_tab[rows, pick] / omega_tab[rows, pick]
     f_vals = f_est[well_posed]
@@ -469,12 +515,11 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
     chart = F.chart
     if chart.dim != 4:
         raise DegreeError("symplectic_margin works on 4-d 2-forms")
-    pts = grid4.points
     mode, tol = _mode_tol(F)
-    needs = [_max_abs(pts, exterior_derivative(F)), _max_abs(pts, F),
-             _Need(pts, [wedge(F, F).coefficient((0, 1, 2, 3))], np.abs, lowest=True)]
+    needs = [_max_abs(grid4, exterior_derivative(F)), _max_abs(grid4, F),
+             _Need(grid4, [wedge(F, F).coefficient((0, 1, 2, 3))], np.abs, lowest=True)]
     if companion is not None:
-        needs.append(_Need(pts, [wedge(*companion).coefficient(chart.spatial_axes)], np.abs,
+        needs.append(_Need(grid4, [wedge(*companion).coefficient(chart.spatial_axes)], np.abs,
                            lowest=True))
     (closure, _), (f_max, _), (raw, witness), *companion_min = yield needs
     normalized = raw / (f_max * f_max) if f_max > 0 else 0.0
@@ -495,10 +540,9 @@ def parallel_check(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     The scale has no floor, so the decision does not change when e or h is
     rescaled.
     """
-    pts = grid4.points
     mode, tol = _mode_tol(M.e, M.h)
     (e_max, _), (h_max, _), (max_res, witness) = yield [
-        _max_abs(pts, M.e), _max_abs(pts, M.h), _max_abs(pts, M.poynting())]
+        _max_abs(grid4, M.e), _max_abs(grid4, M.h), _max_abs(grid4, M.poynting())]
     scale = e_max * h_max
     return CheckReport("parallel", max_res <= tol * scale, max_res, None,
                        {"residual": tol}, [witness], grid4.spec,
@@ -520,10 +564,9 @@ def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None) -> C
     names = list(names) if names is not None else [f"form{i}" for i in range(len(forms))]
     lies = [lie_derivative(Y, f) for f in forms]
     mode, tol = _mode_tol(*lies)
-    pts = grid.points
-    (y_max, _), *maxima = yield [_max_abs(pts, f) for f in [Y, *forms, *lies]]
+    (y_max, _), *maxima = yield [_max_abs(grid, f) for f in [Y, *forms, *lies]]
     per, scales = {}, {}
-    worst = (0.0, pts[0].tolist())
+    worst = (0.0, grid.point(0))
     for name, (f_max, _), (m, w) in zip(names, maxima, maxima[len(forms):]):
         per[name] = m
         scales[name] = y_max * f_max
@@ -539,13 +582,12 @@ def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None) -> C
 def reeb_like_check(Z: VectorField, lam: DifferentialForm, grid: SampleGrid) -> CheckReport:
     """max |i_Z d lambda| and min i_Z lambda over the grid (Reeb-like conditions),
     scaled by max|Z| max|d lambda| and max|Z| max|lambda| respectively."""
-    pts = grid.points
     mode, tol = _mode_tol(lam)
     dlam = exterior_derivative(lam)
     (max_res, w_res), (min_pair, w_pair), (z_max, _), (lam_max, _), (dlam_max, _) = yield [
-        _max_abs(pts, interior_product(Z, dlam)),
-        _Need(pts, [interior_product(Z, lam).coefficient(())], np.asarray, lowest=True),
-        _max_abs(pts, Z), _max_abs(pts, lam), _max_abs(pts, dlam)]
+        _max_abs(grid, interior_product(Z, dlam)),
+        _Need(grid, [interior_product(Z, lam).coefficient(())], np.asarray, lowest=True),
+        _max_abs(grid, Z), _max_abs(grid, lam), _max_abs(grid, dlam)]
     scale = z_max * dlam_max
     margin_scale = z_max * lam_max
     normalized = min_pair / margin_scale if margin_scale > 0 else 0.0

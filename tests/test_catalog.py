@@ -102,13 +102,16 @@ def test_singularity_decision_does_not_change_with_amplitude(scale):
                          ids=["t3", "abc", "abc_singular", "solid_torus", "solid_torus_k_c_10"])
 def test_singularity_scan_is_the_whole_lattice_min_and_max(v):
     # the scan is one plan run over the whole lattice: its min and max, exactly
-    norm_sq = norm_sq_field(v.metric, v.form)(v.chart.lattice((v.scan_n,) * 3))
+    norm_sq = norm_sq_field(v.metric, v.form)(SampleGrid.regular(v.chart, v.scan_n).points)
     assert v._norm_sq_range == (float(np.min(norm_sq)), float(np.max(norm_sq)))
 
 
 @pytest.mark.parametrize("build", [lambda: t3_mode(1, 1.0), lambda: abc_flow(2, 1, 0.5),
                                    lambda: solid_torus_mode()], ids=["t3", "abc", "solid_torus"])
 def test_singularity_scan_is_one_plan_run_over_the_lattice(build, monkeypatch):
+    # one run on the lattice's axes: a column per axis, of scan_n coordinates along its own
+    # array dimension, which broadcast to the scan_n^3 lattice (the values it computed were
+    # one per lattice point when the run took the lattice's points)
     import bmkit.catalog
 
     runs = []
@@ -116,14 +119,15 @@ def test_singularity_scan_is_one_plan_run_over_the_lattice(build, monkeypatch):
     class RecordingPlan(bmkit.catalog.Plan):
         __slots__ = ()
 
-        def __call__(self, pts):
-            runs.append(len(pts))
-            return super().__call__(pts)
+        def __call__(self, cols):
+            runs.append([c.shape for c in cols])
+            return super().__call__(cols)
 
     v = build()   # a fresh form: the scan runs on the first read of nonsingular
     monkeypatch.setattr(bmkit.catalog, "Plan", RecordingPlan)
     assert v.nonsingular and v.norm_margin > 0
-    assert runs == [v.scan_n ** 3]
+    n = v.scan_n
+    assert runs == [[(n, 1, 1), (1, n, 1), (1, 1, n)]]
 
 
 def test_abc_all_zero_rejected():

@@ -172,6 +172,24 @@ def test_verify_conservation_fails_where_no_reeb_field_exists(field, constants, 
         assert c["min_margin"] <= DEGENERACY_TOL and len(c["witness"][0]) == 3
 
 
+@pytest.mark.parametrize("constants", ["nondim", "si"])
+@pytest.mark.parametrize("e0", ["1e-08", "1.0", "1e+08"])
+def test_verify_conservation_fails_where_lambda_vanishes_at_a_point(e0, constants, tmp_path):
+    # e = e0 sin(x3) w is round-off dust on the x3 = 0 grid plane: there lambda . Omega# is
+    # round-off too, whatever its angle, so the pair has no Reeb field on the grid (the
+    # field built there reached 1e16 and FAILed through its conservation residual)
+    from bmkit.reeb import DEGENERACY_TOL, NO_REEB_FIELD
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--field", f"parallel_nonbeltrami{{e0={e0}}}",
+                    "--constants", constants, "--x0", "0.3", "--checks", "conservation_y0",
+                    "--out", str(out)]) == 1
+    (c,) = json.loads(out.read_text())["checks"]
+    assert (c["pass"], c["details"], c["tolerance"]) == (
+        False, {"reason": NO_REEB_FIELD}, {"margin": DEGENERACY_TOL})
+    assert c["max_residual"] == 0.0 and c["min_margin"] <= 1e-12
+    assert len(c["witness"][0]) == 3 and c["witness"][0][2] == 0.0
+
+
 def test_verify_conservation_of_fields_scaled_apart_passes(tmp_path):
     # e = 1e-6 dx1, h = 1e6 dx1: a Reeb field exists at every point, and e is far from
     # zero next to its own amplitude, however small next to h's
@@ -186,11 +204,14 @@ def test_verify_conservation_of_fields_scaled_apart_passes(tmp_path):
 
 
 def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
-    """Equal J0/J1 leaves run bessel_j once per evaluation call.
+    """Equal J0/J1 leaves run bessel_j once per evaluation call, on the r axis alone.
 
     8 calls: J0 and J1 once each on the window, on the slice grid in each of
     its two rounds and on the singularity scan (a window of more than
-    verify.BLOCK_ROWS points runs them once per block).  It was 46 with one
+    verify.BLOCK_ROWS points runs them once per block).  Each call takes the
+    grid's r coordinates, not one per point: a leaf reads r only, and a plan
+    runs on the grid's axes, so 6 values on the grids here (24 on the scan's
+    lattice), where the window alone has 648 points.  It was 46 with one
     evaluation call per check, 134 when conservation took finite-difference
     partials on 22 stencil grids, 162 when some checks made one call per form,
     882 with one call per finite-difference partial, stencil offset and
@@ -202,7 +223,7 @@ def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
     original = bmkit.bessel.bessel_j
 
     def counting(order, z):
-        calls.append(order)
+        calls.append(np.size(z))
         return original(order, z)
 
     monkeypatch.setattr(bmkit.bessel, "bessel_j", counting)
@@ -211,7 +232,7 @@ def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
                     "--checks", "all", "--allow-degenerate", "--no-meta",
                     "--grid", "6", "--tgrid", "3", "--out", str(tmp_path / "r.json")])
     assert code == 0
-    assert 0 < len(calls) <= 8
+    assert 0 < len(calls) <= 8 and set(calls) <= {6, 24}
 
 
 def _record_plans(monkeypatch):
@@ -280,6 +301,31 @@ def test_verify_plan_steps_with_one_node_per_structure(spec, extra, code, steps,
     evaluation = json.loads(out.read_text())["meta"]["evaluation"]
     assert (evaluation["plans"], evaluation["steps"]) == (3, steps)
     assert sum(len(Plan(fields).steps) for fields, _ in built) == all_steps
+
+
+def test_verify_values_are_counted_on_the_shapes_of_the_axes_read(tmp_path, monkeypatch):
+    """meta.evaluation.values sums, over the batch's steps and blocks, the values computed:
+    a value has the shape of the grid axes its node reads, so the Bessel command of CI
+    computes 234490 values where one per step and point would be 2.8 million."""
+    import bmkit.verify
+
+    runs = []   # (steps, points) of each plan run of the batch
+
+    class RecordingPlan(bmkit.verify.Plan):
+        __slots__ = ()
+
+        def __call__(self, cols):
+            runs.append((len(self.steps), math.prod(np.broadcast_shapes(*(c.shape for c in cols)))))
+            return super().__call__(cols)
+
+    monkeypatch.setattr(bmkit.verify, "Plan", RecordingPlan)
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--checks", "all", "--grid", "10", "--tgrid", "10", "--field",
+                    "beltrami_maxwell{v=solid_torus_mode{k_c=2,beta=1,sign=minus}}",
+                    "--out", str(out)]) == 0
+    evaluation = json.loads(out.read_text())["meta"]["evaluation"]
+    assert sum(points for _, points in runs) == evaluation["points"] == 12000
+    assert 0 < evaluation["values"] <= 0.2 * sum(steps * points for steps, points in runs)
 
 
 @pytest.mark.parametrize("check", ["beltrami", "parallel"])

@@ -16,7 +16,7 @@ from bmkit import (SampleGrid, VectorField, beltrami_maxwell, exterior_derivativ
                    vector_field)
 from bmkit.bessel import J0, J1
 from bmkit.forms import _rk4_step, fd_partial
-from bmkit.scalars import (COS, ZERO, Kernel, Plan, ScalarField, constant, from_function,
+from bmkit.scalars import (COS, ZERO, Kernel, Plan, ScalarField, columns, constant, from_function,
                            leaf, lift_spatial, monomial, power_kernel, restrict_time, sin_wave,
                            value_table, wave)
 
@@ -264,6 +264,9 @@ T3 = torus3()
 # exact zeros make c*x a signed zero, where leaves of phase 0.0 and -0.0 differ under u**3
 PTS_T3 = np.vstack([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 5.5],
                     RNG.uniform(0.0, 2 * np.pi, (13, 3))])
+# a product point set (a lattice's axes, each along its own dimension) and its points
+LATTICE_SHAPE = (3, 4, 5)
+LATTICE_AXES, LATTICE = T3.lattice(LATTICE_SHAPE), SampleGrid.regular(T3, LATTICE_SHAPE).points
 NAIVE_OPS = {"add": lambda a, b: a + b, "neg": lambda a: -a,
              "mul": lambda a, b: a * b, "div": lambda a, b: a / b}
 FNS = (from_function(lambda p: np.cos(p[..., 0]) + p[..., 1] * p[..., 2]),
@@ -333,6 +336,39 @@ def test_plan_matches_naive_evaluator(roots):
         comps = (roots * 3)[:3]
         got = VectorField(T3, tuple(comps)).evaluate(PTS_T3)
         assert np.array_equal(bits(got), bits(np.column_stack([c(PTS_T3) for c in comps])))
+        # on a product point set each value has the shape of the axes its node reads, and
+        # broadcast to the lattice it is the naive value at each of its points, in order
+        for col, value in enumerate(Plan(roots)(LATTICE_AXES)):
+            want = np.broadcast_to(naive(roots[col], LATTICE), LATTICE.shape[:-1])
+            got = np.broadcast_to(value, LATTICE_SHAPE).reshape(-1)
+            assert np.array_equal(bits(got), bits(want)), col
+
+
+LAYOUT_KERNELS = {"cos": COS, **{f"u**{p}": power_kernel(p) for p in (1, 2, 3, -1, -2)},
+                  "J0": J0, "J1": J1}
+
+
+@pytest.mark.parametrize("name", LAYOUT_KERNELS)
+def test_kernel_values_do_not_depend_on_the_array_layout(name):
+    """Each value of a kernel is the same bits whatever array holds its argument: lengths
+    1-40 at several offsets, strided, as a column of a table, and as a column of a product
+    point set (extent 1 on the other dimensions), read-only broadcast too.  A plan's value
+    of a product grid keeps the shape of the axes its node reads, and is bitwise the one on
+    the grid's points only because of this."""
+    kernel = LAYOUT_KERNELS[name].value
+    base = np.random.default_rng(5).uniform(-20.0, 20.0, 130)   # J0/J1: series and quadrature
+    alone = bits(np.concatenate([kernel(base[i:i + 1]) for i in range(len(base))]))
+    table = np.column_stack([base, -base, base])
+    for n in range(1, 41):
+        for offset in (0, 1, 2, 3, 5):
+            rows = slice(offset, offset + n)
+            want = alone[rows]
+            for u in (base[rows], base[rows].copy(), table[rows, 0], table[rows, 2],
+                      base[rows].reshape(1, n, 1), base[rows].reshape(1, 1, n),
+                      np.broadcast_to(base[rows], (2, n))[1]):
+                assert np.array_equal(bits(kernel(u)).reshape(-1), want), (n, offset, u.shape)
+            strided = base[offset::3][:n]
+            assert np.array_equal(bits(kernel(strided)), alone[offset::3][:n]), (n, offset)
 
 
 def test_plan_returns_one_value_per_root_in_order():
@@ -341,7 +377,7 @@ def test_plan_returns_one_value_per_root_in_order():
     w = wave({0: 1.0, 2: -0.5}, 0.3)
     s = w * monomial(1, 2) + 1.0
     roots = [s, constant(2.5), w, s * s - w, s, ZERO, w]
-    values = Plan(roots)(PTS3)
+    values = Plan(roots)(columns(PTS3))
     assert len(values) == len(roots)
     assert [values[1], values[5]] == [2.5, 0.0]
     assert isinstance(values[1], float) and isinstance(values[5], float)
@@ -471,7 +507,7 @@ def test_slices_lifts_and_plans_leave_no_reference_cycles():
             sliced = restrict_time(f, X0)
             lifted = lift_spatial(sliced)
             plan = Plan([f, lifted, f * lifted])
-            plan(PTS4)
+            plan(columns(PTS4))
             del sliced, lifted, plan
             assert gc.collect() == 0
         M.at_time(X0).e.coefficient_table(PTS3)

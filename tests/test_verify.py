@@ -17,7 +17,7 @@ from bmkit import (SampleGrid, abc_flow, beltrami_maxwell, beltrami_nonparallel,
 from bmkit import (NONDIMENSIONAL, SI, DegenerateInstantError, DegeneratePointError,
                    hodge_star, make_form)
 from bmkit.reeb import reeb_for_maxwell
-from bmkit.scalars import constant, wave
+from bmkit.scalars import columns, constant, wave
 
 T3 = torus3()
 G3 = euclidean_metric(T3)
@@ -551,6 +551,66 @@ def test_with_time_needs_the_spacetime_of_the_grid_chart():
         maxwell_residuals(M, SampleGrid.regular(spacetime(euclidean3()), 3))
 
 
+def _one_axis(grid):
+    """The grid as the one-axis point set of its materialized points."""
+    return SampleGrid(grid.chart, tuple(columns(grid.points)), grid.spec)
+
+
+def _every_check(target, grid3, grid4, x0=0.3):
+    """Every check bmk verify runs on target, from its runner tables, and the Reeb field of
+    a Beltrami form with its residuals: each report as JSON text (floats to the bit), or
+    the error raised with its witness and margin."""
+    import bmkit.cli as cli
+    from bmkit.catalog import BeltramiForm
+    from bmkit.reeb import normalization_residuals, reeb_closed_form_beltrami
+    from bmkit.verify import Batch, _amplitude_needs
+
+    def reeb_residuals(v):
+        rb = yield from reeb_closed_form_beltrami(v, "normalized", grid3, deferred=True)
+        return (yield from normalization_residuals(rb.Y, rb.pair, grid3, deferred=True))
+
+    if isinstance(target, BeltramiForm):
+        checks = [run(target, grid3) for run in cli.BELTRAMI_CHECKS.values()]
+        checks.append(reeb_residuals(target))
+    else:
+        checks = [run(target, grid4) for run in cli.WINDOW_CHECKS.values()]
+        if target.base is not None:
+            checks.append(cli.BELTRAMI_CHECKS["beltrami"](target.base, grid3))
+        sl, amp = target.at_time(x0), _amplitude_needs(target, grid4)
+        checks += [run(target, sl, grid3, grid4, amp) for run in cli.SLICE_CHECKS.values()]
+    return [json.dumps(r.to_json_dict() if hasattr(r, "to_json_dict") else
+                       [repr(r), getattr(r, "witness", None), getattr(r, "margin", None)],
+                       sort_keys=True) for r in Batch().run(checks)]
+
+
+@pytest.mark.parametrize("spec", [
+    "t3_mode{n=2}", "abc_flow{A=2,B=1,C=0.5}", "abc_flow", "solid_torus_mode",
+    "solid_torus_mode{k_c=10,sign=plus}", "beltrami_maxwell",
+    "beltrami_maxwell{v=abc_flow{A=2,B=1,C=0.5}}", "beltrami_maxwell{v=solid_torus_mode}",
+    "beltrami_maxwell{v=solid_torus_mode{k_c=10}}", "traveling_wave",
+    "traveling_wave{profile=cos,chart=r3}", "constant_field", "constant_field{chart=t3}",
+    "parallel_nonbeltrami", "parallel_nonbeltrami{f3=cos}", "beltrami_nonparallel",
+    "beltrami_nonparallel{profile=cos}"])
+def test_reports_on_a_product_grid_equal_those_on_its_points(spec, monkeypatch):
+    """Every check's report on a product grid, whose values keep the shape of the axes
+    they read, is bitwise its report on the grid's materialized points (the one-axis
+    point set), with blocks of the default size and of 7 points; on unequal counts and
+    with a repeated instant."""
+    import bmkit.verify
+    from bmkit.cli import build_field
+
+    target = build_field(spec, NONDIMENSIONAL)
+    maxwell = hasattr(target, "chart4")
+    grid3 = SampleGrid.regular(target.chart3 if maxwell else target.chart, (5, 7, 3))
+    grid4 = grid3.with_time(target.chart4, [0.3, 0.3]) if maxwell else None
+    axes4 = grid4 and _one_axis(grid4)
+    want = _every_check(target, grid3, grid4)
+    assert _every_check(target, _one_axis(grid3), axes4) == want
+    monkeypatch.setattr(bmkit.verify, "BLOCK_ROWS", 7)
+    assert _every_check(target, grid3, grid4) == want
+    assert _every_check(target, _one_axis(grid3), axes4) == want
+
+
 # k_c = 10 takes k_c r past 8, where J0 and J1 switch to the quadrature sum
 @pytest.mark.parametrize("base", [t3_mode(1, 1.0), solid_torus_mode(), solid_torus_mode(k_c=10.0)])
 def test_reports_do_not_depend_on_the_block_size(base, monkeypatch):
@@ -575,10 +635,15 @@ def test_reports_do_not_depend_on_the_block_size(base, monkeypatch):
     whole = reports()
     monkeypatch.setattr(bmkit.verify, "BLOCK_ROWS", 7)
     assert reports() == whole
-    # every value twice, 125 rows apart: the witness is in the first copy
-    twice = SampleGrid.regular(M.chart3, 5).with_time(M.chart4, [0.3, 0.3]).points
-    need = bmkit.verify._max_abs(twice, M.e)
-    bmkit.verify.Batch().evaluate([need])
-    first = int(np.argmax(np.abs(M.e.coefficient_table(twice)).max(axis=1)))
-    assert first < 125 and need.result == (float(np.abs(M.e.coefficient_table(twice)).max()),
-                                           twice[first].tolist())
+    # every value twice, 125 rows apart: the witness is in the first copy, on the product
+    # grid (one block per instant) and on its points
+    twice = SampleGrid.regular(M.chart3, 5).with_time(M.chart4, [0.3, 0.3])
+    table = np.abs(M.e.coefficient_table(twice.points))
+    first = int(np.argmax(table.max(axis=1)))
+    for block_rows in (7, 125, 2048):
+        monkeypatch.setattr(bmkit.verify, "BLOCK_ROWS", block_rows)
+        for grid in (twice, _one_axis(twice)):
+            need = bmkit.verify._max_abs(grid, M.e)
+            bmkit.verify.Batch().evaluate([need])
+            assert first < 125 and need.result == (float(table.max()),
+                                                   twice.points[first].tolist())
