@@ -17,6 +17,7 @@ fixed config when --no-meta strips versions and timings.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -40,6 +41,8 @@ from .verify import (TGRID, T_WINDOW, Batch, CheckReport, SampleGrid, _amplitude
                      symplectic_margin)
 
 SCHEMA = "bmk-report/1"
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc mallopt parameters (malloc.h)
+HEAP_KEEP_BYTES = 1 << 20
 
 
 # -- field spec micro-syntax: name{key=value,...} ------------------------------
@@ -486,7 +489,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Have glibc serve and keep freed blocks of up to HEAP_KEEP_BYTES on its heap; once.
+
+    glibc maps each block above its mmap threshold (128 KiB at start) and gives
+    the heap top back to the kernel above its trim threshold, and it raises both
+    only when a mapped block larger than the threshold is freed. Left to that, a
+    process's thresholds are those of the largest block it happened to free, and
+    where they stay low every command maps or trims its 256 KiB value arrays and
+    faults them in again. Pinned here, the arrays of one command are reused by
+    the next. Off glibc there is no mallopt and nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, HEAP_KEEP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * HEAP_KEEP_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_heap()
     ap = build_parser()
     args = ap.parse_args(argv)
     args._t0 = time.time()

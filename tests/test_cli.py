@@ -883,3 +883,32 @@ def test_verify_reports_equal_each_verifier_run_alone(field, constants, tmp_path
     want, skipped = _alone_reports(M, [0.0, 0.7], 4, 3, 0.35)
     assert {c["check"]: c for c in report["checks"]} == want
     assert {s["check"]: s["reason"] for s in report["skipped"]} == skipped
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc and ru_minflt")
+def test_main_keeps_freed_value_arrays_on_the_heap():
+    """After `main`, a command's freed 320 KB value arrays are reused without page faults.
+
+    In a fresh process glibc maps such arrays or trims them off the heap top once
+    freed, so each round faults its pages in again.
+    """
+    code = (
+        "import resource, numpy as np\n"
+        "from bmkit.cli import main\n"
+        "main(['catalog'])\n"
+        "faults = []\n"
+        "for _ in range(20):\n"
+        "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    a = np.ones(40_000)\n"
+        "    b = a * 2.0\n"
+        "    c = a + b\n"
+        "    del a, b, c\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n"
+        "print(sum(faults[2:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(__file__), os.pardir, "src"), os.environ.get("PYTHONPATH")])))
+    env = {k: v for k, v in env.items() if not k.startswith("MALLOC_")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert int(out.split()[-1]) < 20
