@@ -90,9 +90,10 @@ def _angle(l1, l2, l3, o1, o2, o3):
 
 
 def _extracted(pair: SHSPair, grid: SampleGrid, angle) -> ReebField:
-    """The ReebField of pair on grid, unless angle, the (min _angle, point) there, is too small."""
-    margin, witness = angle
+    """The ReebField of pair on grid, unless angle, the (min _angle, row) there, is too small."""
+    margin, row = angle
     if not margin > DEGENERACY_TOL:
+        witness = grid.point(row)
         raise DegeneratePointError(f"{NO_REEB_FIELD} (angle {margin:.3e} at {witness})",
                                    witness, margin)
     return ReebField(reeb_field(pair), pair, grid)
@@ -145,15 +146,16 @@ def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,
     grid = grid or SampleGrid.regular(sl.chart, 8)
     window = window or grid.window(M.chart4, [x0])
     lam4, pair = (M.e, SHSPair(sl.B, sl.e)) if which == "Y0" else (M.h, SHSPair(sl.D, sl.h))
-    (amp, _), (lam_max, _), (lam_min, w_min), angle = yield [
+    (amp, _), (lam_max, _), (lam_min, row), angle = yield [
         _max_abs(window, lam4), _max_abs(grid, pair.lam), _max_abs(grid, pair.lam, lowest=True),
         _Need(grid, _columns(pair), _angle, lowest=True)]
     if _numerically_zero(lam_max, amp):
         raise DegenerateInstantError(f"{which}: defining 1-form vanishes at x0 = {x0} (max "
                                      f"|lambda| = {lam_max:.3e}, window amplitude {amp:.3e})")
     if angle[0] > DEGENERACY_TOL and _numerically_zero(lam_min, lam_max):
-        raise DegeneratePointError(f"{NO_REEB_FIELD} (|lambda| {lam_min:.3e} at {w_min}, "
-                                   f"max {lam_max:.3e})", w_min, lam_min / lam_max)
+        witness = grid.point(row)
+        raise DegeneratePointError(f"{NO_REEB_FIELD} (|lambda| {lam_min:.3e} at {witness}, "
+                                   f"max {lam_max:.3e})", witness, lam_min / lam_max)
     return _extracted(pair, grid, angle)
 
 

@@ -4,10 +4,13 @@ Every check yields the statistics it needs of some fields over a sample grid
 (max |.| and min |.| with witnesses, or a whole table), decides over their
 values, and returns a :class:`CheckReport`.  A :class:`Batch` runs checks
 together: each round, one plan per grid evaluates every non-constant field
-asked for as one column on the grid's axes, in blocks of BLOCK_ROWS points, and
-a constant enters by its value; each value keeps the shape of the axes its node
-reads, and is folded on it.  A public verifier runs a batch of its own, or with
-``deferred=True`` returns its check.  Conventions:
+asked for as one column on the grid's axes, in blocks of BLOCK_ROWS = 2^14 points
+(one block for a bmk verify window of 10^4 points), and a constant enters by its
+value; each value keeps the shape of the axes its node reads, and is folded on it
+to its extreme and the row of the first point attaining it.  A check reads the
+coordinates (``SampleGrid.point``) of the witnesses it reports only.  A public
+verifier runs a batch of its own, or with ``deferred=True`` returns its check.
+Conventions:
 
 * every residual passes when ``residual <= tol * scale``, with the scale taken
   from the check's inputs (|k| max|v|, max|F|, max|Y| max|form|, ...) and
@@ -48,14 +51,20 @@ TOL_CONSTITUTIVE = 1e-12
 TOL_CONSTITUTIVE_4D = 1e-10
 TOL_MARGIN = 1e-9
 TOL_AGREEMENT = 1e-8
-BLOCK_ROWS = 2048   # points per block of a batch's plan runs
+# Points per block of a batch's plan runs: 2^14, so the 10^4-point windows of bmk verify
+# run in one block, and larger grids keep bounded blocks (and peak memory).  On Bessel and
+# ABC --checks all --tgrid 10, a 2-vCPU host: at --grid 40, 2^14 takes 0.08 s / 0.15 s and
+# 48 / 50 MB peak RSS, 2^11 0.33 s / 0.37 s and 50 / 50 MB, 2^15 0.06 s / 0.14 s and
+# 48 / 59 MB; at --grid 64 (ABC), 2^14 0.51 s and 84 MB, one block 1.87 s and 270 MB.
+BLOCK_ROWS = 2 ** 14
 T_WINDOW, TGRID = 0.35, 6   # default half-width and instants of a time window
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleGrid:
     """Chart points for residual and margin scans: a point set (`scalars.Plan`) of per-axis
-    columns, ``axes``, whose ``points`` are made when first read."""
+    columns, ``axes``, whose ``points`` are made when first read.  A grid equals only itself
+    (and hashes by identity), as a batch groups needs by grid."""
 
     chart: Chart
     axes: tuple  # one column per chart axis
@@ -147,9 +156,9 @@ class CheckReport:
 
 
 class _Need:
-    """pointwise(*values of fields) over a grid, reduced to its maximum (its minimum when
-    lowest) and the first point attaining it; with no pointwise, the (n, k) table of the
-    values.  A batch folds it over blocks of the grid, then sets result.
+    """pointwise(*values of fields) over a grid, reduced to (value, row): its maximum (its
+    minimum when lowest) and the row of the first point attaining it; with no pointwise, the
+    (n, k) table of the values.  A batch folds it over blocks of the grid, then sets result.
     """
 
     def __init__(self, grid: SampleGrid, fields, pointwise=None, lowest: bool = False):
@@ -180,7 +189,7 @@ class _Need:
             return
         # the first block attaining the extreme holds the first point attaining it
         value, row = self.blocks[int(self.extreme([v for v, _ in self.blocks]))]
-        self.result = float(value), self.grid.point(row)
+        self.result = float(value), row
 
 
 def _max_abs(grid: SampleGrid, f, lowest: bool = False) -> _Need:
@@ -205,11 +214,11 @@ def _blocks(grid: SampleGrid):
 
 
 class Batch:
-    """Runs checks together; ``counts`` totals its plans, their columns, points, steps and
-    values."""
+    """Runs checks together; ``counts`` totals its plans, their runs (one per block), columns,
+    points, steps and values."""
 
     def __init__(self):
-        self.counts = collections.Counter(plans=0, columns=0, points=0, steps=0, values=0)
+        self.counts = collections.Counter(plans=0, runs=0, columns=0, points=0, steps=0, values=0)
 
     def run(self, checks) -> list:
         """Each check's result, or the BmkitError it raised, in order.  A check is a generator
@@ -251,7 +260,7 @@ class Batch:
                 shapes = tuple(c.shape for c in cols)
                 if shapes not in sizes:
                     sizes[shapes] = plan.values(cols)
-                self.counts["values"] += sizes[shapes]
+                self.counts.update(runs=int(bool(roots)), values=sizes[shapes])
                 values = dict(zip(roots, plan(cols)))
                 for need in group:
                     need.add([values.get(id(sf), sf.const) for sf in need.fields], block, start)
@@ -300,12 +309,12 @@ def beltrami_residual(v: DifferentialForm, k: float, g: MetricField,
     mode, tol = _mode_tol(v)
     resid = hodge_star(g, exterior_derivative(v)) - float(k) * v
     div = hodge_star(g, exterior_derivative(hodge_star(g, v)))
-    (max_res, witness), (max_div, _), (v_max, _) = yield [
+    (max_res, row), (max_div, _), (v_max, _) = yield [
         _max_abs(grid, resid), _max_abs(grid, div), _max_abs(grid, v)]
     scale = abs(float(k)) * v_max
     return CheckReport(
         "beltrami", max_res <= tol * scale, max_res, None,
-        {"residual": tol}, [witness], grid.spec,
+        {"residual": tol}, [grid.point(row)], grid.spec,
         {"k": float(k), "divergence_residual": max_div, "mode": mode, "scale": scale})
 
 
@@ -363,7 +372,7 @@ def maxwell_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     return CheckReport(
         "maxwell", passed, max_res, None,
         {"residual": tol, "agreement": TOL_AGREEMENT},
-        [worst[1][1]], grid4.spec,
+        [grid4.point(worst[1][1])], grid4.spec,
         {"parts": {k: v for k, (v, _) in parts.items()},
          "decomposed_vs_4d": max(agree.values()), "agreement": agree,
          "scales": scales, "mode": mode})
@@ -377,7 +386,7 @@ def constitutive_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport
     r_d = M.D - M.eps0 * spatial_hodge(M.metric3, M.e)
     r_b = M.B - M.mu0 * spatial_hodge(M.metric3, M.h)
     r_4d = M.F1 + M.eps0 * hodge_star(M.metric4, M.F0)
-    (m_d, w_d), (m_b, _), (m_4, _), *_ = yield [
+    (m_d, row), (m_b, _), (m_4, _), *_ = yield [
         _max_abs(grid4, r_d), _max_abs(grid4, r_b), _max_abs(grid4, r_4d), *amp_needs.values()]
     amp = {name: need.result[0] for name, need in amp_needs.items()}
     scales = {"D_vs_star_e": amp["D"], "B_vs_star_h": amp["B"],
@@ -386,7 +395,8 @@ def constitutive_residuals(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport
               and m_4 <= TOL_CONSTITUTIVE_4D * scales["F1_plus_eps0_star_F0"])
     return CheckReport(
         "constitutive", passed, max(m_d, m_b), None,
-        {"residual": TOL_CONSTITUTIVE, "residual_4d": TOL_CONSTITUTIVE_4D}, [w_d], grid4.spec,
+        {"residual": TOL_CONSTITUTIVE, "residual_4d": TOL_CONSTITUTIVE_4D},
+        [grid4.point(row)], grid4.spec,
         {"D_vs_star_e": m_d, "B_vs_star_h": m_b, "F1_plus_eps0_star_F0": m_4,
          "scales": scales})
 
@@ -418,7 +428,7 @@ def contact_margin(lam: DifferentialForm, grid: SampleGrid,
     if chart.dim != 3:
         raise DegreeError("contact_margin works on 3-d forms")
     dlam = exterior_derivative(lam)
-    (lam_max, _), (dlam_max, _), (raw, witness) = yield [
+    (lam_max, _), (dlam_max, _), (raw, row) = yield [
         _max_abs(grid, lam), _max_abs(grid, dlam),
         _Need(grid, [wedge(lam, dlam).coefficient((0, 1, 2))], np.abs, lowest=True)]
     if _numerically_zero(lam_max, zero_scale):
@@ -429,7 +439,7 @@ def contact_margin(lam: DifferentialForm, grid: SampleGrid,
     normalized = raw / scale if scale > 0 else 0.0
     return CheckReport(
         "contact", normalized >= TOL_MARGIN, 0.0, raw,
-        {"margin": TOL_MARGIN}, [witness], grid.spec,
+        {"margin": TOL_MARGIN}, [grid.point(row)], grid.spec,
         {"normalized_margin": normalized, "scale": scale})
 
 
@@ -455,7 +465,7 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
     mode, tol = _mode_tol(Omega, lam)
     dlam = exterior_derivative(lam)
     (omega_tab, dlam_tab, (omega_abs_max, _), (lam_max, _), (closure, _),
-     (raw_margin, w_margin), (dlam_max, _)) = yield [
+     (raw_margin, row), (dlam_max, _)) = yield [
         _Need(grid, map(Omega.coefficient, Omega.indices)),
         _Need(grid, map(dlam.coefficient, dlam.indices)),
         _max_abs(grid, Omega), _max_abs(grid, lam), _max_abs(grid, exterior_derivative(Omega)),
@@ -499,7 +509,7 @@ def shs_check(Omega: DifferentialForm, lam: DifferentialForm, grid: SampleGrid,
               and prop_resid <= tol * dlam_max and not np.any(~well_posed))
     return CheckReport("shs", passed, max(closure, prop_resid), raw_margin,
                        {"residual": tol, "margin": TOL_MARGIN},
-                       [w_margin], grid.spec, details)
+                       [grid.point(row)], grid.spec, details)
 
 
 @_check
@@ -521,7 +531,7 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
     if companion is not None:
         needs.append(_Need(grid4, [wedge(*companion).coefficient(chart.spatial_axes)], np.abs,
                            lowest=True))
-    (closure, _), (f_max, _), (raw, witness), *companion_min = yield needs
+    (closure, _), (f_max, _), (raw, row), *companion_min = yield needs
     normalized = raw / (f_max * f_max) if f_max > 0 else 0.0
     details = {"normalized_margin": normalized, "closure_residual": closure,
                "closure_scale": f_max, "mode": mode}
@@ -530,7 +540,7 @@ def symplectic_margin(F: DifferentialForm, grid4: SampleGrid,
     passed = normalized >= TOL_MARGIN and closure <= tol * f_max
     return CheckReport(f"symplectic_{label}", passed, closure, raw,
                        {"residual": tol, "margin": TOL_MARGIN},
-                       [witness], grid4.spec, details)
+                       [grid4.point(row)], grid4.spec, details)
 
 
 @_check
@@ -541,11 +551,11 @@ def parallel_check(M: MaxwellFieldSet, grid4: SampleGrid) -> CheckReport:
     rescaled.
     """
     mode, tol = _mode_tol(M.e, M.h)
-    (e_max, _), (h_max, _), (max_res, witness) = yield [
+    (e_max, _), (h_max, _), (max_res, row) = yield [
         _max_abs(grid4, M.e), _max_abs(grid4, M.h), _max_abs(grid4, M.poynting())]
     scale = e_max * h_max
     return CheckReport("parallel", max_res <= tol * scale, max_res, None,
-                       {"residual": tol}, [witness], grid4.spec,
+                       {"residual": tol}, [grid4.point(row)], grid4.spec,
                        {"mode": mode, "scale": scale})
 
 
@@ -566,7 +576,7 @@ def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None) -> C
     mode, tol = _mode_tol(*lies)
     (y_max, _), *maxima = yield [_max_abs(grid, f) for f in [Y, *forms, *lies]]
     per, scales = {}, {}
-    worst = (0.0, grid.point(0))
+    worst = (0.0, 0)
     for name, (f_max, _), (m, w) in zip(names, maxima, maxima[len(forms):]):
         per[name] = m
         scales[name] = y_max * f_max
@@ -574,7 +584,7 @@ def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None) -> C
             worst = (m, w)
     passed = all(per[name] <= tol * scales[name] for name in per)
     return CheckReport("conservation", passed, worst[0], None,
-                       {"residual": tol}, [worst[1]], grid.spec,
+                       {"residual": tol}, [grid.point(worst[1])], grid.spec,
                        {"per_form": per, "scales": scales, "mode": mode})
 
 
@@ -584,7 +594,7 @@ def reeb_like_check(Z: VectorField, lam: DifferentialForm, grid: SampleGrid) -> 
     scaled by max|Z| max|d lambda| and max|Z| max|lambda| respectively."""
     mode, tol = _mode_tol(lam)
     dlam = exterior_derivative(lam)
-    (max_res, w_res), (min_pair, w_pair), (z_max, _), (lam_max, _), (dlam_max, _) = yield [
+    (max_res, r_res), (min_pair, r_pair), (z_max, _), (lam_max, _), (dlam_max, _) = yield [
         _max_abs(grid, interior_product(Z, dlam)),
         _Need(grid, [interior_product(Z, lam).coefficient(())], np.asarray, lowest=True),
         _max_abs(grid, Z), _max_abs(grid, lam), _max_abs(grid, dlam)]
@@ -594,6 +604,6 @@ def reeb_like_check(Z: VectorField, lam: DifferentialForm, grid: SampleGrid) -> 
     passed = max_res <= tol * scale and normalized > TOL_MARGIN
     return CheckReport("reeb_like", passed, max_res, min_pair,
                        {"residual": tol, "margin": TOL_MARGIN},
-                       [w_res, w_pair], grid.spec,
+                       [grid.point(r_res), grid.point(r_pair)], grid.spec,
                        {"mode": mode, "scale": scale, "normalized_margin": normalized,
                         "margin_scale": margin_scale})

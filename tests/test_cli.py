@@ -207,8 +207,8 @@ def test_verify_bessel_field_shares_leaf_kernels(tmp_path, monkeypatch):
     """Equal J0/J1 leaves run bessel_j once per evaluation call, on the r axis alone.
 
     8 calls: J0 and J1 once each on the window, on the slice grid in each of
-    its two rounds and on the singularity scan (a window of more than
-    verify.BLOCK_ROWS points runs them once per block).  Each call takes the
+    its two rounds and on the singularity scan (a grid of more than
+    verify.BLOCK_ROWS = 2^14 points runs them once per block).  Each call takes the
     grid's r coordinates, not one per point: a leaf reads r only, and a plan
     runs on the grid's axes, so 6 values on the grids here (24 on the scan's
     lattice), where the window alone has 648 points.  It was 46 with one
@@ -290,23 +290,52 @@ def test_verify_compiles_one_plan_per_point_set_per_round(tmp_path, monkeypatch)
 ])
 def test_verify_plan_steps_with_one_node_per_structure(spec, extra, code, steps, all_steps,
                                                       tmp_path, monkeypatch):
-    """meta.evaluation counts the steps of the batch's 3 plans.  All the plans the command
-    compiles, the singularity scan's too, run 815 steps on the Bessel field and 208 on t3
-    (827 and 207 when the Reeb field was sharp(lambda) / |lambda|^2); when plans merged
-    nodes only by id, 1582 and 316."""
+    """meta.evaluation counts the steps of the batch's 3 plans, each run once on a window of
+    10^4 points or a grid of 10^3 (7 runs in blocks of 2048 points).  All the plans the
+    command compiles, the singularity scan's too, run 815 steps on the Bessel field and 208
+    on t3 (827 and 207 when the Reeb field was sharp(lambda) / |lambda|^2); when plans
+    merged nodes only by id, 1582 and 316."""
     built = _record_plans(monkeypatch)
     out = tmp_path / "r.json"
     assert run_cli(["verify", "--field", spec, "--checks", "all", "--grid", "10",
                     "--tgrid", "10", "--out", str(out), *extra]) == code
     evaluation = json.loads(out.read_text())["meta"]["evaluation"]
-    assert (evaluation["plans"], evaluation["steps"]) == (3, steps)
+    assert (evaluation["plans"], evaluation["runs"], evaluation["steps"]) == (3, 3, steps)
     assert sum(len(Plan(fields).steps) for fields, _ in built) == all_steps
+
+
+def test_verify_counts_plan_runs_per_block(tmp_path):
+    """A grid of more than verify.BLOCK_ROWS points is run in blocks: at --grid 40 --tgrid 10
+    the window's 640000 points take 40 runs and each round on the 64000-point slice grid 4,
+    so meta.evaluation reports 48 runs of 3 plans."""
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--checks", "all", "--grid", "40", "--tgrid", "10", "--field",
+                    "beltrami_maxwell{v=abc_flow{A=2,B=1,C=0.5}}", "--out", str(out)]) == 0
+    evaluation = json.loads(out.read_text())["meta"]["evaluation"]
+    assert (evaluation["plans"], evaluation["runs"]) == (3, 48)
+
+
+def test_verify_reads_the_coordinates_of_reported_witnesses_only(tmp_path, monkeypatch):
+    """A Maxwell --checks all command calls SampleGrid.point at most once per witness its
+    reports carry (87 times for 12 witnesses when every need read its witness)."""
+    from bmkit.verify import SampleGrid
+
+    rows = []
+    point = SampleGrid.point
+    monkeypatch.setattr(SampleGrid, "point", lambda self, row: rows.append(row) or point(self, row))
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--checks", "all", "--grid", "10", "--tgrid", "10", "--field",
+                    "beltrami_maxwell{v=solid_torus_mode{k_c=2,beta=1,sign=minus}}",
+                    "--no-meta", "--out", str(out)]) == 0
+    witnesses = sum(len(c["witness"]) for c in json.loads(out.read_text())["checks"])
+    assert 0 < len(rows) <= witnesses == 12
 
 
 def test_verify_values_are_counted_on_the_shapes_of_the_axes_read(tmp_path, monkeypatch):
     """meta.evaluation.values sums, over the batch's steps and blocks, the values computed:
     a value has the shape of the grid axes its node reads, so the Bessel command of CI
-    computes 234490 values where one per step and point would be 2.8 million."""
+    computes 228050 values where one per step and point would be 2.8 million (234490 in
+    blocks of 2048 points, each of which computed again the values that do not read x0)."""
     import bmkit.verify
 
     runs = []   # (steps, points) of each plan run of the batch

@@ -640,10 +640,39 @@ def test_reports_do_not_depend_on_the_block_size(base, monkeypatch):
     twice = SampleGrid.regular(M.chart3, 5).with_time(M.chart4, [0.3, 0.3])
     table = np.abs(M.e.coefficient_table(twice.points))
     first = int(np.argmax(table.max(axis=1)))
-    for block_rows in (7, 125, 2048):
+    for block_rows in (7, 125, 2048, 2 ** 14):
         monkeypatch.setattr(bmkit.verify, "BLOCK_ROWS", block_rows)
         for grid in (twice, _one_axis(twice)):
             need = bmkit.verify._max_abs(grid, M.e)
             bmkit.verify.Batch().evaluate([need])
-            assert first < 125 and need.result == (float(table.max()),
-                                                   twice.points[first].tolist())
+            value, row = need.result
+            assert first < 125 and (value, grid.point(row)) == (float(table.max()),
+                                                                twice.points[first].tolist())
+
+
+@pytest.mark.parametrize("spec", ["beltrami_maxwell{v=solid_torus_mode{k_c=10}}",
+                                  "beltrami_maxwell{v=abc_flow{A=2,B=1,C=0.5}}"])
+def test_reports_on_grids_of_several_blocks_equal_those_on_blocks_of_2048(spec, monkeypatch):
+    """A 26^3 grid spans 2 blocks of the default size, its window of two instants 4 (one
+    instant is more than a block): every check's report equals its report on blocks of
+    2048 points, witnesses, tables and errors included."""
+    import bmkit.verify
+    from bmkit.cli import build_field
+
+    M = build_field(spec, NONDIMENSIONAL)
+    grid3 = SampleGrid.regular(M.chart3, 26)
+    grid4 = grid3.with_time(M.chart4, [0.3, 1.2])
+    assert [len(list(bmkit.verify._blocks(g))) for g in (grid3, grid4)] == [2, 4]
+    want = _every_check(M, grid3, grid4)
+    monkeypatch.setattr(bmkit.verify, "BLOCK_ROWS", 2048)
+    assert _every_check(M, grid3, grid4) == want
+
+
+def test_sample_grids_equal_only_themselves():
+    """A grid equals only itself and hashes by identity, as a batch groups needs by grid;
+    so a ReebField, which holds its grid, compares too."""
+    a, b = SampleGrid.regular(T3, 3), SampleGrid.regular(T3, 3)
+    assert a == a and a != b and len({a, b, a}) == 2
+    M = beltrami_maxwell(t3_mode(1, 1.0))
+    y0 = reeb_for_maxwell(M, "Y0", 0.3, a)
+    assert y0 == reeb_for_maxwell(M, "Y0", 0.3, a) and y0 != reeb_for_maxwell(M, "Y0", 0.3, b)
