@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, scalars
 from .catalog import (CATALOG, BeltramiForm, MaxwellFieldSet, NONDIMENSIONAL,
                       SI, build_catalog_field)
 from .errors import (BmkitError, ConfigError, DegenerateInstantError, DegeneratePointError,
@@ -186,6 +186,7 @@ def _applicable_checks(target) -> tuple[str, ...]:
 
 
 def _run_verify(args) -> int:
+    made = scalars.nodes_made
     target = _build_target(args)
     applicable = _applicable_checks(target)
     requested = applicable if args.checks == ["all"] else tuple(args.checks)
@@ -237,7 +238,7 @@ def _run_verify(args) -> int:
             "n_skipped": len(skipped),
         },
     }
-    _emit(args, report, evaluation=batch.counts)
+    _emit(args, report, evaluation={**batch.counts, "nodes": scalars.nodes_made - made})
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.check}: max_residual={r.max_residual:.3e}"

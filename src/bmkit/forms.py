@@ -47,6 +47,13 @@ def increasing_indices(dim: int, degree: int) -> list[MultiIndex]:
     return list(itertools.combinations(range(dim), degree))
 
 
+@functools.cache
+def _index_set(dim: int, degree) -> frozenset:
+    """The increasing multi-indices of a degree (none unless integral) in range(dim)."""
+    return frozenset(itertools.combinations(range(dim), int(degree)) if degree % 1 == 0 else ())
+
+
+@functools.cache
 def merge_indices(left: MultiIndex, right: MultiIndex):
     """Sign and sorted union of two increasing index tuples, or None on overlap.
 
@@ -72,9 +79,9 @@ class DifferentialForm:
         if not 0 <= self.degree <= self.chart.dim:
             raise DegreeError(
                 f"degree {self.degree} out of range for dim {self.chart.dim}")
+        valid = _index_set(self.chart.dim, self.degree)
         for idx in self.coeffs:
-            if len(idx) != self.degree or any(
-                    not 0 <= a < self.chart.dim for a in idx) or list(idx) != sorted(set(idx)):
+            if idx not in valid:   # right length, in range and strictly increasing
                 raise DegreeError(f"bad multi-index {idx} for degree {self.degree}")
 
     # -- access ----------------------------------------------------------
@@ -202,7 +209,7 @@ def make_form(chart: Chart, degree: int, coeffs: dict) -> DifferentialForm:
     """Build a form, normalizing keys and dropping exact-zero coefficients."""
     clean = {}
     for idx, c in coeffs.items():
-        idx = tuple(int(a) for a in idx)
+        idx = tuple(map(int, idx))
         if not isinstance(c, ScalarField):
             c = constant(float(c))
         if not c.is_zero:

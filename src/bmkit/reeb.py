@@ -66,6 +66,9 @@ class ReebField:
     def normalization_residuals(self) -> tuple[float, float]:  # (max|i_Y Omega|, max|i_Y lam - 1|)
         return normalization_residuals(self.Y, self.pair, self.grid)
 
+    def __hash__(self) -> int:   # equal fields share Y and grid; the pair's forms hold dicts
+        return hash((self.Y, self.grid))
+
 
 def _columns(pair: SHSPair) -> list:
     """lambda's coefficients and Omega# = (Omega_23, Omega_31, Omega_12) of pair."""

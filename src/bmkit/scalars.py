@@ -15,10 +15,11 @@ chart-aware finite differences.  ``lift_spatial`` and ``restrict_time``
 rewrite the leaves (re-indexed axes; x0 folded into the phase) and rebuild
 composites through the operators, so a field sliced at x0 is the same few
 leaves as one built on the slice.  Equal structure is one node: nodes are made
-through one weak table of the live ones, keyed by op and the ids of the args
-(an fn node's arg is its function), or by the numbers of a constant or leaf
-(coefficients in order, a zero with its sign).  So equal partials, Hodge duals
-and slices are one node, and its partial cache serves every use.
+through one table of weak refs to the live ones, each holding its key: op and
+the ids of the args (an fn node's arg is its function), or the numbers of a
+constant or leaf (coefficients in order, a zero with its sign); a dead node's
+callback drops its entry only if it is still its ref.  So equal partials, Hodge
+duals and slices are one node, with one partial cache made on first use.
 
 Every evaluation runs a :class:`Plan`, a straight-line program that returns
 the values of a list of root fields at a point set: per-axis coordinate
@@ -52,7 +53,17 @@ import numpy as np
 ValueFn = Callable[[np.ndarray], np.ndarray]
 
 _OPS = {"add": operator.add, "neg": operator.neg, "mul": operator.mul, "div": operator.truediv}
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()   # key -> its live node
+_NODES: dict = {}   # key -> a _Ref to its live node
+nodes_made = 0      # the nodes _node has made in this process
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)   # the node's key in _NODES
+
+
+def _drop(ref: _Ref) -> None:   # a dead node's callback
+    if _NODES.get(ref.key) is ref:   # not replaced by a newer node of its key
+        del _NODES[ref.key]
 
 
 class Kernel(NamedTuple):
@@ -71,9 +82,8 @@ class ScalarField:
         self.op = op
         self.args = args
         self.const = const
-        self.has_partials = op in ("const", "leaf") or (
-            op in _OPS and all(a.has_partials for a in args))
-        self._partial_cache: dict[int, ScalarField] = {}
+        self.has_partials = op in ("const", "leaf") or (   # a neg's args[-1] is its args[0]
+            op in _OPS and args[0].has_partials and args[-1].has_partials)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return value_table([self], pts)[..., 0]
@@ -90,9 +100,12 @@ class ScalarField:
             return ZERO
         if not self.has_partials:
             return None
-        if axis not in self._partial_cache:
-            self._partial_cache[axis] = self._derive(axis)
-        return self._partial_cache[axis]
+        cache = getattr(self, "_partial_cache", None)
+        if cache is None:   # made on the first partial: most nodes never take one
+            cache = self._partial_cache = {}
+        if axis not in cache:
+            cache[axis] = self._derive(axis)
+        return cache[axis]
 
     def _derive(self, axis: int) -> "ScalarField":
         if self.op == "leaf":
@@ -179,8 +192,15 @@ def _coerce(x):
 
 def _node(op: str, args: tuple, const: float | None = None, key: tuple = ()) -> ScalarField:
     """The live node of op over args, keyed by key or by the ids of args (alive while it is)."""
+    global nodes_made
     key = (op, *(key or map(id, args)))
-    return _NODES.get(key) or _NODES.setdefault(key, ScalarField(op, args, const))
+    ref = _NODES.get(key)
+    node = ref and ref()   # None also for a dead node whose callback has not run yet
+    if node is None:
+        node = ScalarField(op, args, const)
+        _NODES[key] = ref = _Ref(node, _drop)
+        ref.key, nodes_made = key, nodes_made + 1
+    return node
 
 
 def constant(c: float) -> ScalarField:
@@ -301,7 +321,9 @@ def _compile(node: ScalarField, slots: list, steps: list, done: dict) -> int:
     elif op == "fn":
         out = _step(slots, steps, _fn_step(node.args[0]), 0)
     else:
-        out = _step(slots, steps, _OPS[op], *(_compile(a, slots, steps, done) for a in node.args))
+        a = _compile(node.args[0], slots, steps, done)
+        b = _compile(node.args[1], slots, steps, done) if len(node.args) == 2 else None
+        out = _step(slots, steps, _OPS[op], a, b)
     done[id(node)] = out
     return out
 

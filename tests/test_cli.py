@@ -304,6 +304,35 @@ def test_verify_plan_steps_with_one_node_per_structure(spec, extra, code, steps,
     assert sum(len(Plan(fields).steps) for fields, _ in built) == all_steps
 
 
+def test_verify_counts_the_nodes_it_makes():
+    """meta.evaluation.nodes counts the ScalarField nodes a command makes: 791 for the CI
+    Bessel command in a fresh process.  Run again in the same process it makes no more, and
+    leaves the intern table as large as the first run did."""
+    code = """if True:
+        import contextlib, gc, io, json, sys
+        from bmkit import scalars
+        from bmkit.cli import main
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main(sys.argv[1:]) == 0
+            gc.collect()
+            print(json.loads(out.getvalue())["meta"]["evaluation"]["nodes"], len(scalars._NODES))
+    """
+    src = os.path.dirname(os.path.dirname(bmkit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "verify", "--checks", "all", "--grid", "10", "--tgrid",
+         "10", "--field", "beltrami_maxwell{v=solid_torus_mode{k_c=2,beta=1,sign=minus}}",
+         "--stdout-json"], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert proc.returncode == 0, proc.stderr
+    (first, table), (second, table_again) = (map(int, line.split())
+                                             for line in proc.stdout.splitlines())
+    assert first == 791
+    assert second <= first and table_again == table
+
+
 def test_verify_counts_plan_runs_per_block(tmp_path):
     """A grid of more than verify.BLOCK_ROWS points is run in blocks: at --grid 40 --tgrid 10
     the window's 640000 points take 40 runs and each round on the 64000-point slice grid 4,

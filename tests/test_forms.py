@@ -71,6 +71,54 @@ def test_wedge_degree_overflow():
         wedge(a, a)
 
 
+def _old_index_check(idx, dim, degree):
+    """The multi-index predicate DifferentialForm checked entry by entry: right length, in
+    range and strictly increasing."""
+    return len(idx) == degree and all(0 <= a < dim for a in idx) and list(idx) == sorted(set(idx))
+
+
+@pytest.mark.parametrize("chart", [CHART, spacetime(CHART)], ids=["dim3", "dim4"])
+def test_form_index_checks_match_the_old_predicate(chart):
+    """DifferentialForm and make_form accept exactly the multi-indices of the entry-by-entry
+    predicate: every tuple of length 0..dim+1 with entries in -1..dim (unsorted and repeated
+    ones among them), as Python ints and as numpy ints, for every degree."""
+    from itertools import product
+    from bmkit.forms import DifferentialForm
+
+    dim, c = chart.dim, constant(2.0)
+    tuples = [t for n in range(dim + 2) for t in product(range(-1, dim + 1), repeat=n)]
+    for degree in range(dim + 1):
+        for idx in tuples:
+            for key in (idx, tuple(map(np.int64, idx))):
+                for build in (DifferentialForm, make_form):
+                    if _old_index_check(idx, dim, degree):
+                        assert build(chart, degree, {key: c}).coeffs == {idx: c}
+                    else:
+                        with pytest.raises(DegreeError):
+                            build(chart, degree, {key: c})
+
+
+def test_merge_indices_matches_brute_force():
+    """merge_indices (memoized) is the sorted union and the parity of the permutation that
+    sorts left + right, or None on overlap, for every pair of increasing indices in dim 4."""
+    from itertools import combinations
+    from bmkit.forms import merge_indices
+
+    increasing = [t for k in range(5) for t in combinations(range(4), k)]
+    for left in increasing:
+        for right in increasing:
+            joined = left + right
+            if len(set(joined)) < len(joined):
+                want = None
+            else:
+                order = sorted(range(len(joined)), key=joined.__getitem__)
+                swaps = sum(order[i] > order[j] for i in range(len(order))
+                            for j in range(i + 1, len(order)))
+                want = (-1.0 if swaps % 2 else 1.0), tuple(sorted(joined))
+            assert merge_indices(left, right) == want
+            assert merge_indices(left, right) == want   # again, from the memo
+
+
 def test_wedge_chart_mismatch():
     from bmkit import ChartMismatchError
     a = dx(CHART, 0)

@@ -249,3 +249,13 @@ def test_reeb_like_check_cases():
     r3 = reeb_like_check(bad, v.form, grid)
     assert not r3.passed
     assert abs(r3.min_margin) < 1e-15
+
+
+def test_reeb_fields_hash_as_they_compare():
+    """A ReebField hashes (its pair's forms hold dicts), and equal fields hash alike: the same
+    extraction on one grid twice is one set member, on another grid a second."""
+    M = beltrami_maxwell(t3_mode(1, 1.0))
+    a, b = SampleGrid.regular(T3, 3), SampleGrid.regular(T3, 3)
+    y0, again, other = (reeb_for_maxwell(M, "Y0", 0.3, g) for g in (a, a, b))
+    assert y0 == again and hash(y0) == hash(again)
+    assert len({y0, again, other}) == 2 and {y0: 1}[again] == 1

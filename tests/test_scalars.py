@@ -5,6 +5,7 @@ import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -584,3 +585,30 @@ def test_no_node_outlives_its_command(tmp_path):
     rc, before, after, collected = map(int, proc.stdout.split())
     assert rc == 0, proc.stderr
     assert after == collected == before
+
+
+def test_a_dead_nodes_callback_keeps_the_node_built_in_its_place():
+    """Drop a node and rebuild the same structure after its table entry's weak ref is cleared
+    but before that ref's callback runs: the rebuilt node takes the entry, the dead ref's
+    callback leaves it, and the table keeps serving it after a collection."""
+    from bmkit import scalars
+
+    def build():
+        return wave({0: 1.2345, 2: -0.625}, 0.1875, 3.5)   # a structure no other test makes
+
+    node = build()
+    (key,) = [k for k, ref in scalars._NODES.items() if ref() is node]
+    dead_entry, rebuilt = [], []
+
+    def rebuild(_):
+        # a callback ref made after the table's runs first, once both are cleared
+        dead_entry.append(scalars._NODES[key]() is None)
+        rebuilt.append(build())
+
+    probe = weakref.ref(node, rebuild)
+    del node
+    gc.collect()
+    assert probe() is None and dead_entry == [True]
+    assert scalars._NODES[key]() is rebuilt[0] and build() is rebuilt[0]
+    assert not hasattr(rebuilt[0], "_partial_cache")   # made on the first partial only
+    assert rebuilt[0].partial(0) is rebuilt[0].partial(0) and rebuilt[0]._partial_cache
