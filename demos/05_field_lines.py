@@ -1,11 +1,10 @@
-"""Electromagnetic field lines: tracing, closed orbits, Poincare sections.
+"""Electromagnetic field lines: tracing and closed orbits.
 
 Field lines are integral curves of the metric duals sharp(e), sharp(h) at a
 fixed instant.  On the 3-torus the frozen-direction flow of the Beltrami-
 Maxwell field closes exactly when tan(x3) is rational, with winding numbers
 reading off the slope; a survey across seeds finds those closures and
-reports "none found within budget" for incommensurate directions.  A
-Poincare section of an integrable ABC flow lands on a conserved level set.
+reports "none found within budget" for incommensurate directions.
 """
 
 import math
@@ -63,17 +62,3 @@ cf = bk.constant_field()
 Zc = bk.field_line_generator(cf, "e", 0.0)
 sv = bk.closed_orbit_survey(Zc, np.zeros((1, 3)), step=0.01, s_max=20.0, tol=1e-4)
 print("constant field on R^3:", sv.results[0].note)
-
-# ---------------------------------------------------------------------------
-# Poincare section of the integrable ABC flow (A=B=1, C=0)
-# ---------------------------------------------------------------------------
-v = bk.abc_flow(1, 1, 0)
-Zabc = bk.metric_sharp(bk.euclidean_metric(v.chart), v.form)
-seed = np.array([[0.3, 0.0, 1.3]])
-crossings = bk.poincare_section(Zabc, axis=2, value=math.pi / 2, seeds=seed,
-                                s_max=60.0, step=5e-3)[0]
-i0 = math.cos(seed[0, 2]) + math.sin(seed[0, 0])
-levels = np.cos(crossings.points[:, 2]) + np.sin(crossings.points[:, 0])
-print(f"\nABC(1,1,0) section x3 = pi/2: {len(crossings.s_values)} crossings, "
-      f"invariant cos x3 + sin x1 spread {np.max(np.abs(levels - i0)):.2e}")
-print("first crossing parameters:", [round(float(s), 4) for s in crossings.s_values[:4]])

@@ -33,9 +33,8 @@ from .verify import (CheckReport, SampleGrid, beltrami_residual,
 from .reeb import (ReebField, SHSPair, field_line_generator,
                    normalization_residuals, reeb_closed_form_beltrami,
                    reeb_field, reeb_for_maxwell, reeb_parallel_ratio)
-from .orbits import (ClosureResult, CrossingSequence, OrbitTrace, SurveyResult,
-                     closed_orbit_survey, detect_closure, integrate,
-                     integrate_batch, poincare_section, write_orbit_csv,
+from .orbits import (ClosureResult, OrbitTrace, SurveyResult, closed_orbit_survey,
+                     detect_closure, integrate, integrate_batch, write_orbit_csv,
                      write_vector_field_csv)
 from .errors import (BmkitError, ChartMismatchError, ConfigError,
                      DegenerateInstantError, DegeneratePointError, DegreeError,

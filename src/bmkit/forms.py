@@ -88,10 +88,8 @@ class DifferentialForm:
 
     def coefficient(self, idx: MultiIndex) -> ScalarField:
         idx = tuple(idx)
-        if list(idx) != sorted(set(idx)):
-            raise DegreeError(
-                f"coefficients are stored on strictly increasing multi-indices; "
-                f"got {idx}")
+        if idx not in _index_set(self.chart.dim, self.degree):
+            raise DegreeError(f"bad multi-index {idx} for degree {self.degree}")
         return self.coeffs.get(idx, ZERO)
 
     @property

@@ -4,8 +4,8 @@ Fixed-step classical RK4 keeps traces reproducible and makes the
 forward-backward reversibility and step-halving order checks exact
 statements about the integrator.  A seed outside the chart is rejected
 (DomainError) before anything is integrated.  Trajectories are integrated in
-unwrapped coordinates (a survey's and a section's from their seeds wrapped), so
-winding numbers on periodic axes fall out of plain coordinate differences.  Every RK4 step
+unwrapped coordinates (a survey's from its seeds wrapped), so winding numbers on
+periodic axes fall out of plain coordinate differences.  Every RK4 step
 (``forms._rk4_step``) runs the field's generated flow (``VectorField.flow``),
 straight-line code without the plan interpreter, which evaluates a field periodic
 on its chart (every leaf on a periodic axis a cos of an integer harmonic) at the
@@ -146,6 +146,12 @@ def _step_count(s_max: float, step: float, seeds: np.ndarray) -> int:
     return math.ceil(steps)
 
 
+def _require_tol(tol: float) -> None:
+    """A closure tolerance must be > 0 (not NaN), else no return could ever be within it."""
+    if not tol > 0:
+        raise BmkitError(f"tol must be > 0, not {tol!r}")
+
+
 def integrate(Y: VectorField, seed, step: float, n_steps: int) -> OrbitTrace:
     """Trace one field line with fixed-step RK4."""
     seed = Y.chart.as_points(seed)
@@ -187,8 +193,9 @@ def detect_closure(trace: OrbitTrace, tol: float, Y: VectorField) -> ClosureResu
     return distance < tol and parameter > 10 * step wins; its per-axis
     winding numbers certify closure on tori.  Each candidate is refined by
     at most 8 Newton steps of Y on the stationarity of the distance, each
-    re-integrating one RK4 sub-step from the candidate sample.
+    re-integrating one RK4 sub-step from the candidate sample.  tol must be > 0.
     """
+    _require_tol(tol)
     if trace.n_samples < MIN_STEPS:
         raise BmkitError(f"detect_closure needs at least {MIN_STEPS} samples")
     chart = trace.chart
@@ -384,8 +391,7 @@ def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
     n_steps = _step_count(s_max, step, pts)
     if n_steps < MIN_STEPS:
         raise BmkitError(f"s_max / step = {n_steps} RK4 steps; a survey needs {MIN_STEPS} or more")
-    if not tol > 0:
-        raise BmkitError(f"tol must be > 0, not {tol!r}")
+    _require_tol(tol)
     chart.require_inside(pts)
     traces = _traces(Y, pts, step, *integrate_batch(Y, chart.wrap(pts), step, n_steps))
     results = [detect_closure(trace, tol, Y) if trace.n_samples >= MIN_STEPS else
@@ -395,74 +401,6 @@ def closed_orbit_survey(Y: VectorField, seeds, step: float, s_max: float,
     return SurveyResult(pts, results, traces,
                         {"step": step, "s_max": s_max, "tol": tol,
                          "n_seeds": int(len(pts))}, Y.flow_wraps, 4 * Y.flow.ops + 13)
-
-
-# -- Poincare sections ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossingSequence:
-    """Ordered crossings of one trajectory through a coordinate plane."""
-
-    seed: np.ndarray
-    s_values: np.ndarray
-    points: np.ndarray  # wrapped crossing points, (m, dim)
-    directions: np.ndarray  # +1 / -1
-    transversality: np.ndarray  # |Y . normal| at each crossing
-    warnings: list[str]
-
-
-def poincare_section(Y: VectorField, axis: int, value: float, seeds,
-                     s_max: float, step: float = 1e-2) -> list[CrossingSequence]:
-    """Crossings of trajectories through the plane x_axis = value.
-
-    A crossing is a change of side between consecutive samples, where a
-    sample on the plane counts with the x_axis >= value side; a sample on
-    the plane is thus one crossing at its own parameter.  Crossing
-    parameters come from linear interpolation sharpened by one secant step;
-    each crossing records its direction and |Y^axis| there.  Tangential
-    crossings (|Y^axis| < 1e-8) are kept but flagged.  Each seed is integrated from its wrap
-    and reported as given; axis must be one of the chart's, every seed inside it.
-    """
-    chart = Y.chart
-    pts = chart.as_points(getattr(seeds, "points", seeds))
-    if axis not in range(chart.dim):
-        raise BmkitError(f"axis must be in 0..{chart.dim - 1}, not {axis!r}")
-    chart.require_inside(pts)
-    samples, lengths, _ = integrate_batch(Y, chart.wrap(pts), step, _step_count(s_max, step, pts))
-    ax = chart.axes[axis]
-    span = ax.period if ax.is_periodic else math.inf
-    out = []
-    for k, seed in enumerate(pts):
-        traj = samples[:int(lengths[k]), k, :]
-        u = ax.minimal_image(traj[:, axis] - value)
-        side = u >= 0
-        cross = np.where((side[:-1] != side[1:])
-                         & (np.abs(u[1:] - u[:-1]) < 0.45 * span))[0]
-        s_list, x_list, dir_list, trans_list, warns = [], [], [], [], []
-        for i in cross:
-            s1, f1 = step * i, u[i]
-            f2 = u[i + 1]
-            s_lin = s1 + step * f1 / (f1 - f2)
-            x_lin = _rk4_advance(Y.flow, traj[i][None, :], s_lin - s1, step)[0]
-            f_lin = float(ax.minimal_image(x_lin[axis] - value))
-            if f_lin != f1:
-                s_ref = s_lin - f_lin * (s_lin - s1) / (f_lin - f1)
-            else:
-                s_ref = s_lin
-            x_ref = _rk4_advance(Y.flow, traj[i][None, :], s_ref - s1, step)[0]
-            y_axis = float(Y.evaluate(chart.wrap(x_ref[None, :]))[0, axis])
-            if abs(y_axis) < 1e-8:
-                warns.append(f"tangential crossing at s = {s_ref:.6g}")
-            s_list.append(s_ref)
-            x_list.append(chart.wrap(x_ref))
-            dir_list.append(1.0 if f2 > f1 else -1.0)
-            trans_list.append(abs(y_axis))
-        out.append(CrossingSequence(
-            seed, np.array(s_list),
-            np.array(x_list) if x_list else np.zeros((0, chart.dim)),
-            np.array(dir_list), np.array(trans_list), warns))
-    return out
 
 
 # -- export ---------------------------------------------------------------------

@@ -81,13 +81,18 @@ def _old_index_check(idx, dim, degree):
 def test_form_index_checks_match_the_old_predicate(chart):
     """DifferentialForm and make_form accept exactly the multi-indices of the entry-by-entry
     predicate: every tuple of length 0..dim+1 with entries in -1..dim (unsorted and repeated
-    ones among them), as Python ints and as numpy ints, for every degree."""
+    ones among them), as Python ints and as numpy ints, for every degree.  coefficient answers
+    exactly those, with the stored field or ZERO, and raises DegreeError on every other."""
     from itertools import product
     from bmkit.forms import DifferentialForm
+    from bmkit.scalars import ZERO
 
     dim, c = chart.dim, constant(2.0)
     tuples = [t for n in range(dim + 2) for t in product(range(-1, dim + 1), repeat=n)]
     for degree in range(dim + 1):
+        held = {idx: constant(1.0 + k) for k, idx in enumerate(
+            t for t in tuples if _old_index_check(t, dim, degree)) if k % 2 == 0}
+        form = make_form(chart, degree, held)
         for idx in tuples:
             for key in (idx, tuple(map(np.int64, idx))):
                 for build in (DifferentialForm, make_form):
@@ -96,6 +101,18 @@ def test_form_index_checks_match_the_old_predicate(chart):
                     else:
                         with pytest.raises(DegreeError):
                             build(chart, degree, {key: c})
+                if _old_index_check(idx, dim, degree):
+                    assert form.coefficient(key) is held.get(idx, ZERO)
+                else:
+                    with pytest.raises(DegreeError):
+                        form.coefficient(key)
+
+
+def test_coefficient_refuses_an_index_the_form_cannot_hold():
+    form = t3_mode(1, 1.0).form
+    for idx in [(7,), (0, 1), (-1,), (1, 0), (), (0, 0)]:
+        with pytest.raises(DegreeError, match=r"bad multi-index"):
+            form.coefficient(idx)
 
 
 def test_merge_indices_matches_brute_force():

@@ -1,4 +1,4 @@
-"""Field-line integration, closure detection, surveys, Poincare sections."""
+"""Field-line integration, closure detection, surveys and CSV export."""
 
 import csv
 import dataclasses
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bmkit import (BmkitError, DomainError, SampleGrid, VectorField, abc_flow,
                    beltrami_maxwell, closed_orbit_survey, detect_closure, euclidean3,
                    euclidean_metric, field_line_generator, integrate, j0_field,
-                   metric_sharp, poincare_section, solid_torus, solid_torus_mode,
+                   metric_sharp, solid_torus, solid_torus_mode,
                    t3_mode, torus3, vector_field, write_orbit_csv)
 from bmkit.catalog import CATALOG, build_catalog_field
 from bmkit.forms import _TWO, _rk4_advance, _rk4_step, fd_partial
@@ -265,17 +265,19 @@ def test_step_must_be_positive():
         integrate(const_field(R3, {0: 1.0}), [0, 0, 0], -0.1, 100)
 
 
-@pytest.mark.parametrize("call, match", [
-    (lambda Y: closed_orbit_survey(Y, [[0.0, 0.0, 0.0]], 0.0, 10.0), "step and s_max"),
-    (lambda Y: poincare_section(Y, 0, 0.0, [[0.0, 0.0, 0.0]], 10.0, step=0.0), "step and s_max"),
-    (lambda Y: poincare_section(Y, 0, 0.0, [[0.0, 0.0, 0.0]], -10.0), "step and s_max"),
-    (lambda Y: integrate(Y, [0.0, 0.0, 0.0], 0.01, -5), "n_steps >= 0"),
-    (lambda Y: integrate(Y, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 0.01, 100), "one seed, not 2"),
-], ids=["survey_step_0", "section_step_0", "section_s_max_negative", "integrate_n_steps_negative",
+@pytest.mark.parametrize("call, match, in_batch", [
+    (lambda Y: closed_orbit_survey(Y, [[0.0, 0.0, 0.0]], 0.0, 10.0), "step and s_max", False),
+    (lambda Y: closed_orbit_survey(Y, [[0.0, 0.0, 0.0]], 0.01, -10.0), "step and s_max", False),
+    (lambda Y: integrate(Y, [0.0, 0.0, 0.0], 0.01, -5), "n_steps >= 0", True),
+    (lambda Y: integrate(Y, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 0.01, 100), "one seed, not 2",
+     True),
+], ids=["survey_step_0", "survey_s_max_negative", "integrate_n_steps_negative",
         "integrate_two_seeds"])
-def test_budgets_out_of_range_raise(call, match):
+def test_budgets_out_of_range_raise(call, match, in_batch, monkeypatch):
     # each raises a BmkitError, not ZeroDivisionError, numpy's negative dimensions or a trace
-    # of the first seed alone
+    # of the first seed alone; a survey's before integrate_batch, which checks integrate's
+    if not in_batch:
+        _never_integrated(monkeypatch)
     with pytest.raises(BmkitError, match=match):
         call(const_field(T3, {0: 1.0}))
 
@@ -287,8 +289,7 @@ def test_seeds_outside_the_chart_raise_before_integrating(seed):
     seeds = [[0.5, 1.0, 2.0], seed]
     for call in (lambda: integrate(Y, seed, 0.01, 200),
                  lambda: integrate_batch(Y, seeds, 0.01, 200),
-                 lambda: closed_orbit_survey(Y, seeds, 0.01, 2.0),
-                 lambda: poincare_section(Y, 2, 0.0, seeds, 2.0)):
+                 lambda: closed_orbit_survey(Y, seeds, 0.01, 2.0)):
         with pytest.raises(DomainError, match=re.escape(f"outside chart domain: {seed}")):
             call()
 
@@ -310,29 +311,20 @@ def test_survey_tol_out_of_range_raises_before_integrating(tol, monkeypatch):
         closed_orbit_survey(Y, [[0.5, 1.0, 0.0]], 0.01, 2.0, tol)
 
 
-@pytest.mark.parametrize("axis", [3, 5, -1, -4])
-def test_section_axis_out_of_range_raises_before_integrating(axis, monkeypatch):
-    Y = field_line_generator(solid_torus_mode(), "e")
-    _never_integrated(monkeypatch)
-    with pytest.raises(BmkitError, match=re.escape(f"axis must be in 0..2, not {axis}")):
-        poincare_section(Y, axis, 0.0, [[0.5, 1.0, 0.0]], 2.0)
-
-
 def test_seeds_outside_the_chart_are_named_as_given(monkeypatch):
     # x2 = 7 is wrapped to 0.7168..., but the seed is reported as given
     Y = field_line_generator(solid_torus_mode(), "e")
     _never_integrated(monkeypatch)
-    for call in (lambda seeds: closed_orbit_survey(Y, seeds, 0.01, 2.0),
-                 lambda seeds: poincare_section(Y, 2, 0.0, seeds, 2.0)):
-        with pytest.raises(DomainError, match=re.escape("outside chart domain: [5.0, 7.0, 0.0]")):
-            call([[0.5, 1.0, 0.0], [5.0, 7.0, 0.0]])
+    with pytest.raises(DomainError, match=re.escape("outside chart domain: [5.0, 7.0, 0.0]")):
+        closed_orbit_survey(Y, [[0.5, 1.0, 0.0], [5.0, 7.0, 0.0]], 0.01, 2.0)
 
 
 @pytest.mark.parametrize("s_max, step", [(1e300, 1e-2), (1e10, 1e-320)])
-def test_step_count_too_large_to_store(s_max, step):
+def test_step_count_too_large_to_store(s_max, step, monkeypatch):
     # rejected before anything is allocated
+    _never_integrated(monkeypatch)
     with pytest.raises(BmkitError, match="cannot be stored"):
-        poincare_section(const_field(T3, {0: 1.0}), 0, 0.0, [[0.0, 0.0, 0.0]], s_max, step)
+        closed_orbit_survey(const_field(T3, {0: 1.0}), [[0.0, 0.0, 0.0]], step, s_max)
 
 
 # -- the generated flow and the RK4 step -----------------------------------------------
@@ -456,6 +448,16 @@ def test_closure_period_from_speed():
     assert res.closed
     assert abs(res.period_estimate - math.pi) < 1e-6
     assert res.winding == (0, 1, 0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-5])
+def test_detect_closure_tol_out_of_range_raises(tol):
+    # as closed_orbit_survey refuses it, on a trace that closes at tol 1e-5: no "none found"
+    Z = field_line_generator(beltrami_maxwell(t3_mode(1, 1.0)), "e", 0.0)
+    tr = integrate(Z, [0.0, 0.0, 0.0], 0.01, 700)
+    assert detect_closure(tr, 1e-5, Z).closed
+    with pytest.raises(BmkitError, match=re.escape(f"tol must be > 0, not {tol!r}")):
+        detect_closure(tr, tol, Z)
 
 
 def test_closure_needs_enough_samples():
@@ -662,88 +664,6 @@ def test_field_line_generator_of_beltrami_form_is_sharp():
     pts = SampleGrid.regular(v.chart, 5).points
     assert Z.chart == v.chart
     assert np.array_equal(Z.evaluate(pts), want.evaluate(pts))
-
-
-# -- Poincare sections -----------------------------------------------------------------
-
-
-def test_poincare_constant_vertical_field():
-    Y = const_field(T3, {2: 1.0})
-    seed = np.array([[1.0, 2.0, 0.5]])
-    out = poincare_section(Y, 2, 0.0, seed, s_max=14.0, step=0.01)[0]
-    # crossings whenever x3 passes 0 (mod 2pi): s = 2pi - 0.5 + 2pi k
-    want = [2 * math.pi - 0.5, 4 * math.pi - 0.5]
-    assert len(out.s_values) == 2
-    assert np.allclose(out.s_values, want, atol=1e-8)
-    assert np.allclose(out.points[:, :2], [[1.0, 2.0], [1.0, 2.0]])
-    assert np.all(out.directions == 1.0)
-    assert np.all(out.transversality == 1.0)
-
-
-def test_poincare_no_crossing_when_frozen():
-    # the torus-mode flow freezes x3, so it never meets another x3 plane
-    Z = vector_field(T3, {0: wave({2: 1}), 1: sin_wave({2: 1})})
-    out = poincare_section(Z, 2, math.pi / 4, np.array([[0.0, 0.0, 0.0]]),
-                           s_max=20.0, step=0.01)[0]
-    assert len(out.s_values) == 0
-
-
-@pytest.mark.parametrize("sign, seed_x1", [(1.0, 0.25), (-1.0, 0.75)])
-def test_poincare_sample_on_the_plane_is_one_crossing(sign, seed_x1):
-    # step 0.125 puts the sample at s = 0.25 exactly on x1 = 0.5; it counts
-    # with the x1 >= 0.5 side, so the crossing is found once, at that sample
-    Y = const_field(T3, {0: sign})
-    out = poincare_section(Y, 0, 0.5, np.array([[seed_x1, 1.0, 2.0]]),
-                           s_max=0.5, step=0.125)[0]
-    assert out.s_values.tolist() == [0.25]
-    assert out.directions.tolist() == [sign]
-    assert out.points[:, 0].tolist() == [0.5]
-    off = poincare_section(Y, 0, 0.5, np.array([[seed_x1 - 0.01 * sign, 1.0, 2.0]]),
-                           s_max=0.5, step=0.125)[0]
-    assert np.allclose(off.s_values, [0.26])
-
-
-def test_poincare_tangential_crossing_kept_and_flagged():
-    Y = const_field(T3, {0: 1e-9, 1: 1.0})
-    out = poincare_section(Y, 0, 0.5, np.array([[0.5 - 5.05e-10, 0.0, 0.0]]),
-                           s_max=1.0)[0]
-    assert len(out.s_values) == 1
-    assert abs(out.s_values[0] - 0.505) < 1e-6
-    assert out.transversality.tolist() == [1e-9]
-    assert out.warnings == [f"tangential crossing at s = {out.s_values[0]:.6g}"]
-
-
-@pytest.mark.parametrize("m", [0, 1e3, 1e9, 1e17])
-def test_poincare_integrates_from_the_seed_wrapped(m):
-    # whole periods away the seed is integrated from its wrap, and reported as given
-    Y = field_line_generator(beltrami_maxwell(t3_mode(1, 1.0)), "e", 0.0)
-    seed = np.array([[0.7 + TWO_PI * m, 1.3, 0.0]])
-    (got,), (want,) = (poincare_section(Y, 0, 1.0, s, 20.0) for s in (seed, T3.wrap(seed)))
-    assert len(want.s_values) >= 3   # the line crosses x1 = 1 once a period, 2pi
-    assert got.seed.tobytes() == seed[0].tobytes()
-    for a in ("s_values", "points", "directions", "transversality"):
-        assert getattr(got, a).tobytes() == getattr(want, a).tobytes()
-    assert got.warnings == want.warnings
-
-
-def test_poincare_abc_level_set_and_golden_run():
-    # A = B = 1, C = 0 flow conserves I = cos x3 + sin x1; every crossing of
-    # x3 = pi/2 must satisfy sin(x1) = I(seed).  The first crossings of a
-    # verified run are frozen as a regression fixture.
-    v = abc_flow(1, 1, 0)
-    Z = metric_sharp(euclidean_metric(T3), v.form)
-    seed = np.array([0.3, 0.0, 1.3])
-    out = poincare_section(Z, 2, math.pi / 2, seed[None, :],
-                           s_max=40.0, step=5e-3)[0]
-    i0 = math.cos(seed[2]) + math.sin(seed[0])
-    levels = np.cos(out.points[:, 2]) + np.sin(out.points[:, 0])
-    assert len(out.s_values) >= 4
-    assert np.max(np.abs(levels - i0)) < 1e-10
-    golden_s = [0.3015795772, 2.3560215552, 11.0537267669, 13.1081687455]
-    golden_x1 = [0.5980343179, 2.5435583372, 0.5980343189, 2.5435583389]
-    assert np.allclose(out.s_values[:4], golden_s, atol=1e-6)
-    assert np.allclose(out.points[:4, 0], golden_x1, atol=1e-6)
-    assert out.directions[:4].tolist() == [1.0, -1.0, 1.0, -1.0]
 
 
 # -- CSV export --------------------------------------------------------------------------
