@@ -81,10 +81,3 @@ bn = bk.beltrami_nonparallel()
 g4bn = bk.SampleGrid.regular(bn.chart3, 6).with_time(bn.chart4, [0.0, 0.9])
 print("  Beltrami-but-not-parallel field: max |e^h| =",
       bk.parallel_check(bn, g4bn).max_residual, "(nonzero Poynting form)")
-
-# amplitude dynamics of the shared profile
-pairs = bk.amplitude_ode(1.0, 1.0, 1.0, 1.0, 0.0, np.linspace(0, 2 * np.pi, 9))
-sol = bk.amplitude_closed_form(1.0, 1.0, 1.0, 1.0, 0.0)
-drift = max(abs(p.energy() - pairs[0].energy()) for p in pairs)
-err = max(abs(p.f_e - sol(p.x0).f_e) for p in pairs)
-print(f"\namplitude system: RK4 vs closed form {err:.2e}, invariant drift {drift:.2e}")

@@ -87,10 +87,3 @@ try:
 except bk.DegeneratePointError as exc:
     print(f"beltrami_nonparallel Y0: refused, min |lambda . Omega#| / (|lambda| |Omega#|) "
           f"= {exc.margin:.1e}")
-
-# Reeb-like relaxation: any positive rescaling of sharp(v) qualifies
-v = bk.t3_mode(1, 2.0)
-Z = bk.metric_sharp(bk.euclidean_metric(v.chart), v.form)
-r = bk.reeb_like_check(Z, v.form, grid3)
-print(f"\nReeb-like check for sharp(v): max|i_Z d lambda| = {r.max_residual:.1e}, "
-      f"min i_Z lambda = {r.min_margin:.3f} (= c^2)")

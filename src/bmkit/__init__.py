@@ -19,17 +19,16 @@ from .metrics import (MetricField, euclidean_metric, hodge_star,
                       lorentzian_product, metric_sharp, norm_sq_field,
                       solid_torus_metric, spatial_hodge)
 from .bessel import bessel_j, j0_field, j1_field
-from .catalog import (CATALOG, AmplitudePair, BeltramiForm, CatalogEntry,
-                      Constants, MaxwellFieldSet, MaxwellSlice,
-                      NONDIMENSIONAL, SI, abc_flow, amplitude_closed_form,
-                      amplitude_ode, beltrami_maxwell, beltrami_nonparallel,
+from .catalog import (CATALOG, BeltramiForm, CatalogEntry, Constants,
+                      MaxwellFieldSet, MaxwellSlice, NONDIMENSIONAL, SI,
+                      abc_flow, beltrami_maxwell, beltrami_nonparallel,
                       build_catalog_field, constant_field, maxwell_from_eh,
                       parallel_nonbeltrami, solid_torus_mode, t3_mode,
                       traveling_wave)
 from .verify import (CheckReport, SampleGrid, beltrami_residual,
                      conservation_along, constitutive_residuals,
                      contact_margin, maxwell_residuals, parallel_check,
-                     reeb_like_check, shs_check, symplectic_margin)
+                     shs_check, symplectic_margin)
 from .reeb import (ReebField, SHSPair, field_line_generator,
                    normalization_residuals, reeb_closed_form_beltrami,
                    reeb_field, reeb_for_maxwell, reeb_parallel_ratio)

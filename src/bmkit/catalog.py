@@ -29,7 +29,7 @@ import numpy as np
 from .bessel import j0_field, j1_field
 from .charts import Chart, euclidean3, solid_torus, spacetime, torus3
 from .errors import BmkitError, ConfigError, SingularFieldError
-from .forms import DifferentialForm, _rk4_advance, dx, lift_form, make_form, restrict_form, wedge
+from .forms import DifferentialForm, dx, lift_form, make_form, restrict_form, wedge
 from .metrics import (MetricField, euclidean_metric, lorentzian_product,
                       norm_sq_field, solid_torus_metric, spatial_hodge)
 from .scalars import Plan, constant, monomial, sin_wave, wave
@@ -377,68 +377,6 @@ def beltrami_nonparallel(profile: str = "sin",
     h = make_form(chart4, 1, {(1,): amp * fp, (2,): -amp * f})
     return maxwell_from_eh("beltrami_nonparallel", {"profile": profile},
                            metric3, e, h, constants)
-
-
-# -- amplitude dynamics -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AmplitudePair:
-    """Amplitudes (f_e, f_h) of an e || h Beltrami-Maxwell field at one instant."""
-
-    f_e: float
-    f_h: float
-    x0: float
-
-    def energy(self, eps0: float = 1.0, mu0: float = 1.0) -> float:
-        """The conserved quadratic (eps0 f_e^2 + mu0 f_h^2) / 2."""
-        return 0.5 * (eps0 * self.f_e ** 2 + mu0 * self.f_h ** 2)
-
-
-def amplitude_closed_form(k: float, eps0: float, mu0: float,
-                          f_e0: float, f_h0: float) -> Callable[[float], AmplitudePair]:
-    """Trigonometric solution of d f_e/dx0 = (k/eps0) f_h, d f_h/dx0 = -(k/mu0) f_e."""
-    omega = abs(k) / math.sqrt(eps0 * mu0)
-
-    def sol(x0: float) -> AmplitudePair:
-        cw, sw = math.cos(omega * x0), math.sin(omega * x0)
-        fe = f_e0 * cw + (k / (eps0 * omega)) * f_h0 * sw
-        fh = f_h0 * cw - (k / (mu0 * omega)) * f_e0 * sw
-        return AmplitudePair(fe, fh, x0)
-
-    return sol
-
-
-def amplitude_ode(k: float, eps0: float, mu0: float, f_e0: float, f_h0: float,
-                  x0_grid) -> list[AmplitudePair]:
-    """RK4 solution of the amplitude system, sampled at the given x0 values.
-
-    Compare against :func:`amplitude_closed_form`; the quadratic invariant
-    (eps0 f_e^2 + mu0 f_h^2)/2 is conserved by the system.
-    """
-    if k == 0:
-        raise BmkitError("amplitude_ode needs k != 0")
-    grid = [float(x) for x in x0_grid]
-    if not grid:
-        raise BmkitError("amplitude_ode needs a non-empty x0 grid")
-
-    def rhs(y):
-        return np.array([(k / eps0) * y[1], -(k / mu0) * y[0]])
-
-    omega = abs(k) / math.sqrt(eps0 * mu0)
-    h_max = (2.0 * math.pi / omega) / 1024.0
-    out = []
-    y = np.array([f_e0, f_h0], dtype=float)
-    x = grid[0]
-    # integrate from the first grid point through the rest, in order
-    if len(grid) > 1 and any(g2 < g1 for g1, g2 in zip(grid, grid[1:])):
-        raise BmkitError("x0 grid must be non-decreasing")
-    out.append(AmplitudePair(y[0], y[1], x))
-    for target in grid[1:]:
-        y = _rk4_advance(rhs, y, target - x, h_max)
-        x = target
-        out.append(AmplitudePair(float(y[0]), float(y[1]), x))
-    return out
 
 
 # -- catalog registry ---------------------------------------------------------

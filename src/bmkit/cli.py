@@ -174,7 +174,7 @@ def _along_reeb(M, which, sl, grid3, grid4):
 def _parse_counts(text: str) -> list[int]:
     """The comma-separated counts of a grid flag; SampleGrid.regular checks them."""
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
+        return [int(p) for p in text.split(",")]
     except ValueError:
         raise ConfigError(f"bad grid spec {text!r}")
 
@@ -391,7 +391,7 @@ def _emit(args, report: dict, **meta) -> None:
         report["meta"] = {
             "bmkit": __version__,
             "numpy": np.__version__,
-            "elapsed_s": round(time.time() - args._t0, 3),
+            "elapsed_s": round(time.perf_counter() - args._t0, 3),
             **meta,
         }
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -514,7 +514,7 @@ def main(argv=None) -> int:
     _keep_heap()
     ap = build_parser()
     args = ap.parse_args(argv)
-    args._t0 = time.time()
+    args._t0 = time.perf_counter()
     try:
         return args.func(args)
     except BmkitError as exc:

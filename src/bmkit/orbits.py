@@ -61,10 +61,6 @@ class OrbitTrace:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    def winding(self) -> np.ndarray:
-        """Net winding numbers of the full trace, per axis."""
-        return self.chart.winding(self.samples[-1], self.samples[0])
-
 
 @dataclass(frozen=True)
 class ClosureResult:

@@ -39,8 +39,7 @@ import numpy as np
 from .catalog import MaxwellFieldSet
 from .charts import Chart, require_spacetime
 from .errors import BmkitError, DegreeError, require_storable
-from .forms import (DifferentialForm, VectorField, exterior_derivative,
-                    interior_product, lie_derivative,
+from .forms import (DifferentialForm, VectorField, exterior_derivative, lie_derivative,
                     spatial_exterior_derivative, time_derivative, wedge)
 from .metrics import MetricField, hodge_star, spatial_hodge
 from .scalars import Plan, points
@@ -586,24 +585,3 @@ def conservation_along(Y: VectorField, forms, grid: SampleGrid, names=None) -> C
     return CheckReport("conservation", passed, worst[0], None,
                        {"residual": tol}, [grid.point(worst[1])], grid.spec,
                        {"per_form": per, "scales": scales, "mode": mode})
-
-
-@_check
-def reeb_like_check(Z: VectorField, lam: DifferentialForm, grid: SampleGrid) -> CheckReport:
-    """max |i_Z d lambda| and min i_Z lambda over the grid (Reeb-like conditions),
-    scaled by max|Z| max|d lambda| and max|Z| max|lambda| respectively."""
-    mode, tol = _mode_tol(lam)
-    dlam = exterior_derivative(lam)
-    (max_res, r_res), (min_pair, r_pair), (z_max, _), (lam_max, _), (dlam_max, _) = yield [
-        _max_abs(grid, interior_product(Z, dlam)),
-        _Need(grid, [interior_product(Z, lam).coefficient(())], np.asarray, lowest=True),
-        _max_abs(grid, Z), _max_abs(grid, lam), _max_abs(grid, dlam)]
-    scale = z_max * dlam_max
-    margin_scale = z_max * lam_max
-    normalized = min_pair / margin_scale if margin_scale > 0 else 0.0
-    passed = max_res <= tol * scale and normalized > TOL_MARGIN
-    return CheckReport("reeb_like", passed, max_res, min_pair,
-                       {"residual": tol, "margin": TOL_MARGIN},
-                       [grid.point(r_res), grid.point(r_pair)], grid.spec,
-                       {"mode": mode, "scale": scale, "normalized_margin": normalized,
-                        "margin_scale": margin_scale})

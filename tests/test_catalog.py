@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from bmkit import (CATALOG, BmkitError, ConfigError,
-                   SingularFieldError, abc_flow, amplitude_closed_form,
-                   amplitude_ode, beltrami_maxwell, beltrami_nonparallel,
+                   SingularFieldError, abc_flow, beltrami_maxwell, beltrami_nonparallel,
                    build_catalog_field, constant_field, euclidean_metric,
                    exterior_derivative, hodge_star, parallel_nonbeltrami,
                    solid_torus_mode, t3_mode, torus3, traveling_wave, wedge)
@@ -341,97 +340,6 @@ def test_energy_forms_vacuo_identity():
     sl0 = M.at_time(0.0)
     _, eh0 = sl0.energy_forms()
     assert eh0.max_abs(PTS) < 1e-30
-
-
-# -- amplitude dynamics -----------------------------------------------------------------
-
-
-def test_amplitude_ode_matches_closed_form():
-    k, eps0, mu0 = 1.0, 1.0, 1.0
-    grid = np.linspace(0.0, 2 * math.pi, 41)
-    pairs = amplitude_ode(k, eps0, mu0, 1.0, 0.0, grid)
-    sol = amplitude_closed_form(k, eps0, mu0, 1.0, 0.0)
-    for p in pairs:
-        q = sol(p.x0)
-        assert abs(p.f_e - q.f_e) < 1e-10
-        assert abs(p.f_h - q.f_h) < 1e-10
-        # with eps0 = mu0 = 1 and f_h0 = 0: f_e = cos(k x0), f_h = -sin(k x0)
-        assert abs(q.f_e - math.cos(k * p.x0)) < 1e-14
-        assert abs(q.f_h + math.sin(k * p.x0)) < 1e-14
-
-
-def test_amplitude_invariant_drift():
-    pairs = amplitude_ode(2.0, 3.0, 0.5, 1.0, 0.7, np.linspace(0, math.pi, 64))
-    e0 = pairs[0].energy(3.0, 0.5)
-    drift = max(abs(p.energy(3.0, 0.5) - e0) for p in pairs)
-    assert drift < 1e-10
-
-
-def test_amplitude_sign_flip_symmetry():
-    grid = np.linspace(0.0, 3.0, 20)
-    plus = amplitude_ode(1.5, 2.0, 1.0, 0.8, 0.3, grid)
-    minus = amplitude_ode(-1.5, 2.0, 1.0, 0.8, -0.3, grid)
-    for p, m in zip(plus, minus):
-        assert abs(p.f_e - m.f_e) < 1e-12
-        assert abs(p.f_h + m.f_h) < 1e-12
-
-
-def _amplitude_ode_reference(k, eps0, mu0, f_e0, f_h0, grid):
-    """(f_e, f_h) at each x0 of grid: RK4 in ceil(|span| / h_max) equal sub-steps per span."""
-    from bmkit.forms import _rk4_step
-
-    def rhs(y):
-        return np.array([(k / eps0) * y[1], -(k / mu0) * y[0]])
-
-    h_max = (2.0 * math.pi / (abs(k) / math.sqrt(eps0 * mu0))) / 1024.0
-    y = np.array([f_e0, f_h0], dtype=float)
-    out = [(y[0], y[1], grid[0])]
-    for x, target in zip(grid, grid[1:]):
-        span = target - x
-        n = max(1, int(math.ceil(abs(span) / h_max)))
-        for _ in range(n):
-            y = _rk4_step(rhs, y, span / n)
-        out.append((float(y[0]), float(y[1]), target))
-    return out
-
-
-@pytest.mark.parametrize("k, eps0, mu0, f_e0, f_h0, x_unit", [
-    (1.0, 1.0, 1.0, 1.0, 0.0, 1.0),
-    (-1.5, 2.0, 1.0, 0.8, -0.3, 1.0),
-    (3.0, 8.8541878128e-12, 1.25663706212e-6, 0.2, 1e-4, 1e-9),   # SI: period ~2e-9
-])
-def test_amplitude_ode_matches_sub_step_reference_bitwise(k, eps0, mu0, f_e0, f_h0, x_unit):
-    grid = [x * x_unit for x in (0.0, 1e-3, 0.1, 0.35, 1.0, 2.5, 2.5001, 7.0)]
-    got = [(p.f_e, p.f_h, p.x0) for p in amplitude_ode(k, eps0, mu0, f_e0, f_h0, grid)]
-    assert got == _amplitude_ode_reference(k, eps0, mu0, f_e0, f_h0, grid)
-
-
-@pytest.mark.parametrize("k, eps0, mu0, f_e0, f_h0, x_unit, want", [
-    (1.0, 1.0, 1.0, 1.0, 0.0, 1.0,
-     [("0x1.e0f575d0e13bfp-1", "-0x1.5f209a5380a6ap-2"),
-      ("-0x1.9a2f7ef8322cfp-1", "-0x1.326af0dd2fb8ep-1"),
-      ("0x1.81ff79ee07e00p-1", "-0x1.50608c2647f84p-1")]),
-    (-1.5, 2.0, 1.0, 0.8, -0.3, 1.0,
-     [("0x1.a519522d54903p-1", "0x1.0bfdacb1a4098p-3"),
-      ("-0x1.364e0620c499cp-1", "0x1.981dda06836b8p-1"),
-      ("0x1.0d43ea0adaa1cp-1", "0x1.cebdd2564dbf1p-1")]),
-    (3.0, 8.8541878128e-12, 1.25663706212e-6, 0.2, 1e-4, 1e-9,
-     [("0x1.9d5c8e7b03a0ep-3", "-0x1.2294fbf5b9e57p-14"),
-      ("-0x1.8964907a7c86ap-4", "-0x1.f36ac18a04a4ep-12"),
-      ("0x1.9a877d6dc8d36p-3", "0x1.87a98a105ea58p-14")]),
-])
-def test_amplitude_ode_values_are_pinned_bitwise(k, eps0, mu0, f_e0, f_h0, x_unit, want):
-    # the generic RK4 step comes from the template of the generated one: its bits stay put
-    grid = [x * x_unit for x in (0.0, 0.35, 2.5, 7.0)]
-    pairs = amplitude_ode(k, eps0, mu0, f_e0, f_h0, grid)[1:]
-    assert [(p.f_e.hex(), p.f_h.hex()) for p in pairs] == want
-
-
-def test_amplitude_ode_validation():
-    with pytest.raises(BmkitError):
-        amplitude_ode(0.0, 1.0, 1.0, 1.0, 0.0, [0.0, 1.0])
-    with pytest.raises(BmkitError):
-        amplitude_ode(1.0, 1.0, 1.0, 1.0, 0.0, [])
 
 
 # -- registry -----------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """CLI contract: exit codes, report schema, determinism, CSV outputs."""
 
 import csv
+import itertools
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -581,6 +583,9 @@ def test_unknown_flag_usage_error():
     # time windows over 2^63 bytes (the second alone fits in linspace): rejected first
     ["verify", "--tgrid", "99999999999999999999"],
     ["verify", "--tgrid", "300000000000000000"],
+    # an empty count is a bad grid spec, not a count left out
+    ["verify", "--grid", "6,,6,6"],
+    ["survey", "--seed-grid", "3,3,3,"],
 ])
 def test_bad_numeric_flag_exit_2(args, capsys):
     argv = args[:1] + ["--field", "constant_field"] + args[1:]
@@ -607,6 +612,16 @@ def test_stdout_silent_by_default(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "maxwell" in captured.err
+
+
+def test_elapsed_time_ignores_a_wall_clock_that_steps_back(monkeypatch, tmp_path):
+    # each read of the wall clock is an hour before the last, as after an NTP step
+    clock = itertools.count(1e9, -3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--field", "traveling_wave", "--checks", "maxwell",
+                    "--grid", "5", "--tgrid", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["elapsed_s"] >= 0
 
 
 def test_stdout_json_flag(capsys):

@@ -54,7 +54,7 @@ def test_frozen_direction_torus_winding():
     n = int(round(2 * math.pi / 1e-3))
     tr = integrate(Z, [0.0, 0.0, 0.0], 1e-3, n)
     assert np.allclose(tr.samples[:, 2], 0.0)
-    assert tr.winding().tolist() == [1, 0, 0]
+    assert tr.chart.winding(tr.samples[-1], tr.samples[0]).tolist() == [1, 0, 0]
     # frozen direction makes the flow linear, so RK4 is exact: x1 = s
     assert abs(tr.samples[-1, 0] - n * 1e-3) < 1e-12
 

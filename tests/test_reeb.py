@@ -10,9 +10,8 @@ from bmkit import (BmkitError, DegenerateInstantError, DegeneratePointError,
                    SampleGrid, SHSPair, abc_flow, beltrami_maxwell, beltrami_nonparallel, dx,
                    euclidean_metric, hodge_star, lie_derivative, make_form,
                    metric_sharp, norm_sq_field, reeb_closed_form_beltrami,
-                   reeb_field, reeb_for_maxwell, reeb_like_check,
-                   reeb_parallel_ratio, solid_torus,
-                   solid_torus_mode, t3_mode, torus3, traveling_wave, vector_field)
+                   reeb_field, reeb_for_maxwell, reeb_parallel_ratio, solid_torus,
+                   solid_torus_mode, t3_mode, torus3, traveling_wave)
 from bmkit.reeb import NO_REEB_FIELD
 from bmkit.scalars import constant
 
@@ -233,22 +232,6 @@ def test_reeb_preserves_structure():
         rb = reeb_closed_form_beltrami(v, "normalized")
         assert lie_derivative(rb.Y, rb.pair.lam).max_abs(grid.points) < 1e-6
         assert lie_derivative(rb.Y, rb.pair.Omega).max_abs(grid.points) < 1e-6
-
-
-def test_reeb_like_check_cases():
-    grid = SampleGrid.regular(T3, 7)
-    v = t3_mode(1, 2.0)
-    Z = metric_sharp(G3, v.form)
-    r = reeb_like_check(Z, v.form, grid)
-    assert r.passed
-    assert abs(r.min_margin - 4.0) < 1e-12  # i_Z v = c^2
-    r2 = reeb_like_check(2.0 * Z, v.form, grid)
-    assert r2.passed and abs(r2.min_margin - 8.0) < 1e-12
-    # d/dx3 against the mode fails: i_Z lambda = 0
-    bad = vector_field(T3, {2: constant(1.0)})
-    r3 = reeb_like_check(bad, v.form, grid)
-    assert not r3.passed
-    assert abs(r3.min_margin) < 1e-15
 
 
 def test_reeb_fields_hash_as_they_compare():

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from bmkit import (SampleGrid, abc_flow, beltrami_maxwell, beltrami_nonparallel,
                    beltrami_residual, constant_field, conservation_along,
                    constitutive_residuals, contact_margin, dx, euclidean_metric,
-                   maxwell_from_eh, maxwell_residuals, metric_sharp, parallel_check,
-                   parallel_nonbeltrami, reeb_like_check, shs_check, solid_torus_mode,
+                   maxwell_from_eh, maxwell_residuals, parallel_check,
+                   parallel_nonbeltrami, shs_check, solid_torus_mode,
                    symplectic_margin, t3_mode, torus3, traveling_wave, vector_field, wedge)
 from bmkit import (NONDIMENSIONAL, SI, DegenerateInstantError, DegeneratePointError,
                    hodge_star, make_form)
@@ -401,25 +401,6 @@ def test_parallel_check_beltrami_maxwell_any_amplitude(e0):
     r = parallel_check(M, grid4_for(M, [0.2, 0.9]))
     assert r.passed
     assert 0.5 * e0 * e0 < r.details["scale"] <= e0 * e0   # max|e| * max|h|, no floor
-
-
-# -- reeb_like -----------------------------------------------------------------------------
-
-
-def test_reeb_like_tiny_sharp_passes_and_tiny_tilted_field_fails():
-    # sharp(v) is Reeb-like for v at any positive scale; adding d/dx3 keeps the
-    # pairing positive but makes i_Z d lambda nonzero, which fails at any scale
-    v = t3_mode(1, 2.0)
-    Z = metric_sharp(G3, v.form)
-    tilted = vector_field(T3, {0: Z.components[0], 1: Z.components[1], 2: constant(1.0)})
-    for scale in (1.0, 1e-12):
-        r = reeb_like_check(scale * Z, v.form, GRID3)
-        assert r.passed
-        assert r.details["normalized_margin"] == pytest.approx(1.0)
-        bad = reeb_like_check(scale * tilted, v.form, GRID3)
-        assert not bad.passed
-        assert bad.details["normalized_margin"] > 0.1
-        assert bad.max_residual > bad.tolerance["residual"] * bad.details["scale"]
 
 
 # -- conservation -------------------------------------------------------------------------
