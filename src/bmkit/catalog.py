@@ -338,6 +338,8 @@ def parallel_nonbeltrami(e0: float = 1.0, k: float = 1.0, f3: str = "sin",
     The Poynting form vanishes identically, yet star3 d(e) is nowhere
     proportional to e, so these are not Beltrami-Maxwell fields.
     """
+    if not e0 > 0:
+        raise BmkitError("parallel_nonbeltrami needs e0 > 0")
     if k == 0:
         raise BmkitError("parallel_nonbeltrami needs k != 0")
     if f3 not in _PROFILES:

@@ -297,8 +297,6 @@ def _parse_seeds(args, chart):
         rows = []
         for block in args.seeds.split(";"):
             block = block.strip()
-            if not block:
-                continue
             try:
                 row = [float(x) for x in block.split(",")]
             except ValueError:
@@ -309,8 +307,6 @@ def _parse_seeds(args, chart):
                 raise ConfigError(
                     f"seed {block!r} has {len(row)} coordinates, chart needs {chart.dim}")
             rows.append(row)
-        if not rows:
-            raise ConfigError("empty seed list")
         return np.array(rows)
     return SampleGrid.regular(chart, _parse_counts(args.seed_grid)).points
 

@@ -654,6 +654,10 @@ def test_trace_malformed_seeds_exit_2():
     assert run_cli(["trace", "--field", "constant_field",
                     "--seeds", "0,0,0;nope,1,2"]) == 2
     assert run_cli(["trace", "--field", "constant_field", "--seeds", "0,0"]) == 2
+    # an empty piece is malformed, not skipped
+    assert run_cli(["survey", "--field", "t3_mode", "--seeds", "0,0,0;;0.5,0,0;",
+                    "--s-max", "10"]) == 2
+    assert run_cli(["survey", "--field", "t3_mode", "--seeds", "0,0,0;", "--s-max", "10"]) == 2
 
 
 @pytest.mark.parametrize("command", ["survey", "trace"])
@@ -851,6 +855,9 @@ def test_reeb_degenerate_instant_exit_2():
     (["reeb", "--field", "beltrami_nonparallel", "--which", "y0", "--x0", "0.3", "--grid", "4"],
      r"error: lambda \. Omega# vanishes: \(Omega, lambda\) has no Reeb field "
      r"\(angle 0\.000e\+00 at \[0\.0, 0\.0, 0\.0\]\)"),
+    # a BmkitError of a parameter: an all-zero field is rejected, not checked vacuously
+    (["verify", "--field", "parallel_nonbeltrami{e0=0}"],
+     r"error: parallel_nonbeltrami: parallel_nonbeltrami needs e0 > 0"),
 ])
 def test_errors_exit_2_with_one_stderr_line(argv, line, tmp_path, capsys):
     out = tmp_path / "never.csv"

@@ -6,11 +6,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from bmkit import (DegreeError, dx, euclidean_metric,
-                   hodge_star, lorentzian_product,
+from bmkit import (DegreeError, dx, euclidean3, euclidean_metric,
+                   hodge_star, interior_product, lorentzian_product,
                    make_form, metric_sharp, norm_sq_field, scalar_form, solid_torus,
                    solid_torus_metric, spacetime, spatial_hodge, t3_mode,
-                   torus3, wedge)
+                   torus3, vector_field, wedge, zero_form)
 from bmkit.scalars import constant, monomial
 
 RNG = np.random.default_rng(3)
@@ -86,6 +86,43 @@ def test_solid_torus_involution():
             twice = hodge_star(GST, hodge_star(GST, a))
             diff = (twice - a).max_abs(PTS_ST)
             assert diff < 1e-12, (k, idx)
+
+
+# -- the definitional Hodge dual ------------------------------------------------------
+
+
+def definitional_star(g, axes, a):
+    """sum_I a_I i_{sharp dx^{ik}} ... i_{sharp dx^{i1}} vol, vol = sqrt|g| dx^{axes}."""
+    vol = make_form(g.chart, len(axes), {axes: g.sqrt_det})
+    out = zero_form(g.chart, len(axes) - a.degree)
+    for idx, c in a.coeffs.items():
+        dual = vol
+        for i in idx:
+            dual = interior_product(vector_field(g.chart, {i: g.inv_diag[i]}), dual)
+        out = out + c * dual
+    return out
+
+
+SPATIAL_METRICS = [euclidean_metric(T3), euclidean_metric(euclidean3()), GST]
+
+
+@pytest.mark.parametrize("g3", SPATIAL_METRICS, ids=lambda g: g.chart.name)
+def test_hodge_is_the_definitional_contraction_node_for_node(g3):
+    # every basis k-form, k = 0..dim, and one form with all of them, on g3, its
+    # Lorentzian product and (spatial_hodge) the spatial axes of that product: each
+    # coefficient is the very node the contraction builds (interning makes `is` bitwise)
+    g4 = lorentzian_product(g3, spacetime(g3.chart))
+    cases = [(g3, hodge_star, (0, 1, 2)), (g4, hodge_star, (0, 1, 2, 3)),
+             (g4, lambda g, a: spatial_hodge(g3, a), (1, 2, 3))]
+    for g, star, axes in cases:
+        for k in range(len(axes) + 1):
+            basis = list(combinations(axes, k))
+            coeff = {idx: monomial(0, n + 1, 0.5 + n) for n, idx in enumerate(basis)}
+            forms = [make_form(g.chart, k, {idx: c}) for idx, c in coeff.items()]
+            for a in forms + [make_form(g.chart, k, coeff)]:
+                got, want = star(g, a), definitional_star(g, axes, a)
+                assert (got.degree, list(got.coeffs)) == (want.degree, list(want.coeffs))
+                assert all(got.coeffs[idx] is c for idx, c in want.coeffs.items()), k
 
 
 # -- Lorentzian -------------------------------------------------------------------
