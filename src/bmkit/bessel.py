@@ -96,8 +96,9 @@ def bessel_j(order: int, z) -> np.ndarray | float:
 
 
 def _j1_derivative(coeffs, phase, amplitude, c):
-    # c (J0(u) - J1(u)/u) with c/u = 1/(u/c), which is 1/x_axis for u = c x_axis; adding
-    # (-a J1(u))/(u/c), bitwise the subtraction, keeps this leaf (a cycle) out of its partial
+    # c (J0(u) - J1(u)/u) with c/u = 1/(u/c), which is 1/x_axis for u = c x_axis, as the sum
+    # with (-a J1(u))/(u/c), bitwise the subtraction; leaves keep no partials, so the -a J1
+    # leaf, whose partial reads this leaf again, is no reference cycle
     u_over_c = leaf(power_kernel(1), {a: b / c for a, b in coeffs.items()}, phase / c)
     return leaf(J0, coeffs, phase, amplitude * c) + leaf(J1, coeffs, phase, -amplitude) / u_over_c
 

@@ -460,7 +460,8 @@ def build_catalog_field(name: str, params: dict | None = None,
     except (TypeError, BmkitError) as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(f"{name}: {exc}") from exc
+        msg = str(exc)
+        raise ConfigError(msg if msg.startswith(f"{name} ") else f"{name}: {msg}") from exc
 
 
 def _coerce_param(name, pname, ptype, raw, constants):

@@ -1,9 +1,10 @@
 """Coordinate charts: axis descriptors, periodic wrapping, minimal images, lattices.
 
-A chart is a box of coordinates, each axis either periodic (circle of given
-period) or an interval (possibly unbounded).  Charts carry no metric; see
-``bmkit.metrics`` for that.  Spacetime charts put the time coordinate x0
-first, so spatial axes of a 4-d chart are 1..3.  Charts compare by value, and
+A chart is a box of coordinates, each axis either periodic (a circle of length
+2pi, ``TWO_PI``) or an interval (possibly unbounded).  An axis is data only: the
+chart holds every circle rule (wrap, minimal image, winding, window).  Charts
+carry no metric (see ``bmkit.metrics``).  Spacetime charts put the time coordinate
+x0 first, so spatial axes of a 4-d chart are 1..3.  Charts compare by value, and
 chart4 is the spacetime of chart3 exactly when chart4 == spacetime(chart3).
 """
 
@@ -22,49 +23,27 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One coordinate axis: ``periodic`` with a period or an ``interval``."""
+    """One coordinate axis: ``periodic`` (a circle of length 2pi) or an ``interval``."""
 
     label: str
     kind: str  # "periodic" | "interval"
-    period: float = 0.0
     lo: float = -math.inf
     hi: float = math.inf
 
     def __post_init__(self):
-        if self.kind == "periodic":
-            if not self.period > 0.0:
-                raise BmkitError(f"axis {self.label!r}: period must be > 0")
-        elif self.kind == "interval":
+        if self.kind == "interval":
             if not self.lo < self.hi:
                 raise BmkitError(f"axis {self.label!r}: need lo < hi")
-        else:
+        elif self.kind != "periodic":
             raise BmkitError(f"axis {self.label!r}: unknown kind {self.kind!r}")
 
     @property
     def is_periodic(self) -> bool:
         return self.kind == "periodic"
 
-    def fd_scale(self) -> float:
-        """Finite-difference step scale: period / 2pi on circles, 1 elsewhere."""
-        return self.period / TWO_PI if self.is_periodic else 1.0
 
-    def minimal_image(self, u):
-        """Coordinate difference u reduced to [-period/2, period/2) on a circle."""
-        if not self.is_periodic:
-            return u
-        return (u + 0.5 * self.period) % self.period - 0.5 * self.period
-
-    @property
-    def window(self) -> tuple[float, float]:
-        """Default sampling window: the period, or the interval with [0, 2pi] ends."""
-        if self.is_periodic:
-            return 0.0, self.period
-        return (self.lo if math.isfinite(self.lo) else 0.0,
-                self.hi if math.isfinite(self.hi) else TWO_PI)
-
-
-def periodic_axis(label: str, period: float = TWO_PI) -> AxisSpec:
-    return AxisSpec(label, "periodic", period=float(period))
+def periodic_axis(label: str) -> AxisSpec:
+    return AxisSpec(label, "periodic")
 
 
 def interval_axis(label: str, lo: float = -math.inf, hi: float = math.inf) -> AxisSpec:
@@ -110,16 +89,14 @@ class Chart:
         return pts
 
     @functools.cached_property
-    def _wrap_args(self) -> tuple[np.ndarray, np.ndarray]:
-        """(periods, periodic mask) per axis; an interval axis has period 1, masked out."""
-        return (np.array([ax.period if ax.is_periodic else 1.0 for ax in self.axes]),
-                np.array([ax.is_periodic for ax in self.axes]))
+    def _wrap_args(self) -> np.ndarray:
+        """The periodic mask per axis."""
+        return np.array([ax.is_periodic for ax in self.axes])
 
     def wrap(self, pts: np.ndarray) -> np.ndarray:
-        """Map periodic coordinates into their fundamental domain [0, period)."""
-        periods, periodic = self._wrap_args
+        """Map periodic coordinates into their fundamental domain [0, 2pi)."""
         out = np.array(pts, dtype=float, copy=True)
-        np.remainder(out, periods, out=out, where=periodic)
+        np.remainder(out, TWO_PI, out=out, where=self._wrap_args)
         return out
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -137,22 +114,29 @@ class Chart:
             bad = np.asarray(pts)[~ok]
             raise DomainError(f"point outside chart domain: {bad[0].tolist()}")
 
+    def window(self, axis: int) -> tuple[float, float]:
+        """An axis's default sampling window: (0, 2pi), or its interval with [0, 2pi] ends."""
+        ax = self.axes[axis]
+        if ax.is_periodic:
+            return 0.0, TWO_PI
+        return (ax.lo if math.isfinite(ax.lo) else 0.0, ax.hi if math.isfinite(ax.hi) else TWO_PI)
+
     def lattice(self, counts) -> list[np.ndarray]:
         """Regular lattice, one count per axis, as columns: axis a's along dimension a.
 
         Each axis spans its window; periodic axes omit the duplicate
         endpoint.
         """
-        return [np.linspace(*ax.window, c, endpoint=not ax.is_periodic).reshape(
+        return [np.linspace(*self.window(a), c, endpoint=not ax.is_periodic).reshape(
                     [c if b == a else 1 for b in range(self.dim)])
                 for a, (ax, c) in enumerate(zip(self.axes, counts))]
 
     def delta(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Coordinate difference p - q under the minimal-image convention."""
+        """Coordinate difference p - q, each circle's reduced to [-pi, pi) (minimal image)."""
         d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
         for i, ax in enumerate(self.axes):
             if ax.is_periodic:
-                d[..., i] = ax.minimal_image(d[..., i])
+                d[..., i] = (d[..., i] + math.pi) % TWO_PI - math.pi
         return d
 
     def distance(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -165,7 +149,7 @@ class Chart:
         w = np.zeros(d.shape, dtype=int)
         for i, ax in enumerate(self.axes):
             if ax.is_periodic:
-                w[..., i] = np.rint(d[..., i] / ax.period).astype(int)
+                w[..., i] = np.rint(d[..., i] / TWO_PI).astype(int)
         return w
 
 
@@ -173,7 +157,7 @@ class Chart:
 
 
 def torus3() -> Chart:
-    """Flat 3-torus chart "T3" with periods 2pi."""
+    """Flat 3-torus chart "T3", three circles."""
     return Chart("T3", tuple(periodic_axis(f"x{i}") for i in (1, 2, 3)))
 
 
@@ -198,8 +182,8 @@ def solid_torus(a: float = 1.0, r_min: float | None = None) -> Chart:
         "D2xS1",
         (
             interval_axis("r", r_min, a),
-            periodic_axis("phi", TWO_PI),
-            periodic_axis("x3", TWO_PI),
+            periodic_axis("phi"),
+            periodic_axis("x3"),
         ),
     )
 

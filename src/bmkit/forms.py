@@ -14,8 +14,7 @@ Exterior derivatives use a coefficient's analytic partials, and fall back
 to 4th-order finite differences only for a coefficient that has none (one
 reading an ``fn`` node); no option forces them.  The stencils wrap
 periodic axes and switch to one-sided stencils within two steps of interval
-endpoints.  The step is fixed: 1e-4 * period / 2pi on a circle and 1e-4 on
-an interval (``DEFAULT_FD_STEP`` times ``AxisSpec.fd_scale``).  A
+endpoints.  The step is fixed: ``DEFAULT_FD_STEP``, 1e-4, on every axis.  A
 finite-difference partial (:func:`fd_partial`) is an ``fn`` node that
 evaluates its field once per stencil grid.
 On spacetime charts the derivative splits as d = d_spatial + dx0 ^ d/dx0;
@@ -168,16 +167,16 @@ class VectorField:
     @functools.cached_property
     def flow_wraps(self) -> bool:
         """False when the field is periodic on its chart (`scalars.periodic_in`)."""
-        periods = {a: ax.period for a, ax in enumerate(self.chart.axes) if ax.is_periodic}
-        return not periodic_in(self.components, periods)
+        return not periodic_in(self.components,
+                               {a for a, ax in enumerate(self.chart.axes) if ax.is_periodic})
 
     @functools.cached_property
     def flow(self):
         """p -> the field at p, shape (N, dim), for p an (N, dim) float array (unchecked).
 
         The flow in unwrapped coordinates: a field periodic on its chart (every leaf
-        that reads a periodic axis a cos leaf whose coefficient times period / 2pi
-        is an integer) is evaluated at p itself, any other field at p wrapped.
+        that reads a periodic axis a cos leaf with an integer coefficient there) is
+        evaluated at p itself, any other field at p wrapped.
         Straight-line source, bitwise ``evaluate``: the wrap if the flow wraps, the plan's
         lines (`scalars.plan_source`) and `as_table`'s columns.  ``flow.ops`` counts them.
         """
@@ -288,13 +287,12 @@ _BACKWARD = tuple((-o, -w) for o, w in _FORWARD)
 def fd_partial(chart: Chart, sf: ScalarField, axis: int) -> ScalarField:
     """Finite-difference d(sf)/dx_axis as a numeric-only ScalarField (an ``fn`` node).
 
-    The step is DEFAULT_FD_STEP scaled by the axis (period / 2pi on a circle).
-    Periodic axes wrap stencil points; within 2h of a finite interval
-    endpoint the stencil clamps to the one-sided 4th-order formula.
+    The step is DEFAULT_FD_STEP, 1e-4, on every axis.  Periodic axes wrap stencil
+    points; within 2h of a finite interval endpoint the stencil clamps to the
+    one-sided 4th-order formula.
     Points outside the chart domain raise DomainError.
     """
-    ax = chart.axes[axis]
-    h = DEFAULT_FD_STEP * ax.fd_scale()
+    ax, h = chart.axes[axis], DEFAULT_FD_STEP
 
     def stencil_sum(pts, stencil):
         total = np.zeros(pts.shape[:-1])

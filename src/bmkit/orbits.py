@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import Chart
+from .charts import TWO_PI, Chart
 from .errors import BmkitError, require_storable
 from .forms import VectorField, _rk4_advance, _rk4_step
 
@@ -408,8 +408,7 @@ def write_orbit_csv(trace: OrbitTrace, path: str) -> None:
     wrapped = chart.wrap(trace.samples)
     periodic = [i for i, ax in enumerate(chart.axes) if ax.is_periodic]
     displacement = trace.samples - trace.samples[0]
-    wraps = {i: np.floor(displacement[:, i] / chart.axes[i].period).astype(int)
-             for i in periodic}
+    wraps = {i: np.floor(displacement[:, i] / TWO_PI).astype(int) for i in periodic}
     header = ["s"] + list(chart.labels) + [f"wind_{chart.labels[i]}" for i in periodic]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

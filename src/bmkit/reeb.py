@@ -162,13 +162,12 @@ def reeb_for_maxwell(M: MaxwellFieldSet, which: str = "Y0", x0: float = 0.0,
     return _extracted(pair, grid, angle)
 
 
-def reeb_parallel_ratio(M: MaxwellFieldSet, x0: float,
-                        grid: SampleGrid | None = None) -> float:
-    """max componentwise |Y1 - (f_e / f_h) Y0| on the slice (both must exist)."""
+def reeb_parallel_ratio(M: MaxwellFieldSet, x0: float) -> float:
+    """max componentwise |Y1 - (f_e / f_h) Y0| on the slice's 8^3 grid (both must exist)."""
     if M.f_e is None or M.f_h is None:
         raise BmkitError("field set does not expose amplitude profiles")
-    y0 = reeb_for_maxwell(M, "Y0", x0, grid)
-    y1 = reeb_for_maxwell(M, "Y1", x0, grid)
+    y0 = reeb_for_maxwell(M, "Y0", x0)
+    y1 = reeb_for_maxwell(M, "Y1", x0)
     ratio = M.f_e(x0) / M.f_h(x0)
     diff = y1.Y.evaluate(y0.grid.points) - ratio * y0.Y.evaluate(y0.grid.points)
     return float(np.max(np.abs(diff)))

@@ -19,7 +19,7 @@ through one table of weak refs to the live ones, each holding its key: op and
 the ids of the args (an fn node's arg is its function), or the numbers of a
 constant or leaf (coefficients in order, a zero with its sign); a dead node's
 callback drops its entry only if it is still its ref.  So equal partials, Hodge
-duals and slices are one node, with one partial cache made on first use.
+duals and slices are one node; a composite, not a leaf, caches its partials.
 
 Every evaluation runs a :class:`Plan`, a straight-line program that returns
 the values of a list of root fields at a point set: per-axis coordinate
@@ -100,6 +100,8 @@ class ScalarField:
             return ZERO
         if not self.has_partials:
             return None
+        if self.op == "leaf":   # uncached: a J1 leaf and its partial's -J1 leaf read each other
+            return self._derive(axis)
         cache = getattr(self, "_partial_cache", None)
         if cache is None:   # made on the first partial: most nodes never take one
             cache = self._partial_cache = {}
@@ -442,18 +444,17 @@ def coordinate(axis: int) -> ScalarField:
     return monomial(axis, 1, 1.0)
 
 
-def periodic_in(fields, periods: dict[int, float]) -> bool:
-    """True when each field is periodic in every axis a of periods, with period periods[a].
+def periodic_in(fields, axes) -> bool:
+    """True when each field is 2pi-periodic in every axis of axes.
 
     That is read off the leaves: every leaf that reads such an axis is a cos leaf
-    whose coefficient times (period / 2pi) is an exact integer, and no fn node is reached.
+    whose coefficient there is an exact integer, and no fn node is reached.
     """
     stack, seen = list(fields), set()
     while stack:
         node = stack.pop()
         if node.op == "fn" or node.op == "leaf" and any(
-                a in periods and not (node.args[0] is COS
-                                      and (c * (periods[a] / (2.0 * math.pi))).is_integer())
+                a in axes and not (node.args[0] is COS and c.is_integer())
                 for a, c in node.args[1].items()):
             return False
         if node.op in _OPS and id(node) not in seen:

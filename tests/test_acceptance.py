@@ -58,7 +58,7 @@ def random_points(chart, n, seed):
     cols = []
     for ax in chart.axes:
         if ax.is_periodic:
-            cols.append(rng.uniform(0, ax.period, n))
+            cols.append(rng.uniform(0, 2 * math.pi, n))
         elif math.isfinite(ax.lo):
             cols.append(rng.uniform(ax.lo, ax.hi, n))
         else:

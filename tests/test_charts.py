@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bmkit import (BmkitError, euclidean3, interval_axis, periodic_axis,
-                   solid_torus, spacetime, torus3)
+from bmkit import BmkitError, euclidean3, interval_axis, solid_torus, spacetime, torus3
 from bmkit.charts import AxisSpec
 
 
 def test_axis_validation():
-    with pytest.raises(BmkitError):
-        periodic_axis("x", 0.0)
     with pytest.raises(BmkitError):
         interval_axis("r", 2.0, 1.0)
     with pytest.raises(BmkitError):
@@ -64,8 +61,24 @@ def _wrap_per_axis(chart, pts):
     out = np.array(pts, dtype=float, copy=True)
     for i, ax in enumerate(chart.axes):
         if ax.is_periodic:
-            out[..., i] %= ax.period
+            out[..., i] %= 2 * math.pi
     return out
+
+
+def _delta_per_axis(chart, d):
+    """Reference: each periodic axis's difference reduced to [-pi, pi) on its own."""
+    out = np.array(d, dtype=float, copy=True)
+    for i, ax in enumerate(chart.axes):
+        if ax.is_periodic:
+            out[..., i] = (out[..., i] + math.pi) % (2 * math.pi) - math.pi
+    return out
+
+
+def _winding_per_axis(chart, d):
+    """Reference: rint(d / 2pi) on each periodic axis, 0 on each interval axis."""
+    return np.stack([np.rint(d[..., i] / (2 * math.pi)).astype(int) if ax.is_periodic
+                     else np.zeros(d.shape[:-1], dtype=int)
+                     for i, ax in enumerate(chart.axes)], axis=-1)
 
 
 @pytest.mark.parametrize("chart", [torus3(), solid_torus(), euclidean3(), spacetime(torus3())],
@@ -88,6 +101,12 @@ def test_wrap_is_bitwise_the_per_axis_remainder(chart):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()   # bitwise: the sign of -0.0 included
         assert got is not pts
+        for q in (np.zeros_like(pts), 0.5 * pts):
+            d = pts - q
+            got, want = chart.delta(pts, q), _delta_per_axis(chart, d)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            got, want = chart.winding(pts, q), _winding_per_axis(chart, d)
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_r3_chart_unbounded():

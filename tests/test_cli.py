@@ -855,9 +855,12 @@ def test_reeb_degenerate_instant_exit_2():
     (["reeb", "--field", "beltrami_nonparallel", "--which", "y0", "--x0", "0.3", "--grid", "4"],
      r"error: lambda \. Omega# vanishes: \(Omega, lambda\) has no Reeb field "
      r"\(angle 0\.000e\+00 at \[0\.0, 0\.0, 0\.0\]\)"),
-    # a BmkitError of a parameter: an all-zero field is rejected, not checked vacuously
+    # a BmkitError of a parameter: an all-zero field is rejected, not checked vacuously;
+    # a message that starts with the entry's name is not prefixed with it again
     (["verify", "--field", "parallel_nonbeltrami{e0=0}"],
-     r"error: parallel_nonbeltrami: parallel_nonbeltrami needs e0 > 0"),
+     r"error: parallel_nonbeltrami needs e0 > 0"),
+    (["verify", "--field", "beltrami_maxwell{e0=0}"], r"error: beltrami_maxwell needs e0 > 0"),
+    (["verify", "--field", "t3_mode{n=0}"], r"error: t3_mode needs n >= 1"),
 ])
 def test_errors_exit_2_with_one_stderr_line(argv, line, tmp_path, capsys):
     out = tmp_path / "never.csv"

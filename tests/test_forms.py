@@ -327,7 +327,7 @@ _BACKWARD = tuple((-o, -w) for o, w in _FORWARD)
 def per_node_fd(chart, sf, axis, base_step=1e-4):
     """The FD partial evaluated node by node, each stencil offset in its own call."""
     ax = chart.axes[axis]
-    h = base_step * ax.fd_scale()
+    h = base_step
 
     def stencil_eval(pts, stencil):
         total = np.zeros(pts.shape[:-1])

@@ -610,5 +610,24 @@ def test_a_dead_nodes_callback_keeps_the_node_built_in_its_place():
     gc.collect()
     assert probe() is None and dead_entry == [True]
     assert scalars._NODES[key]() is rebuilt[0] and build() is rebuilt[0]
-    assert not hasattr(rebuilt[0], "_partial_cache")   # made on the first partial only
-    assert rebuilt[0].partial(0) is rebuilt[0].partial(0) and rebuilt[0]._partial_cache
+    composite = -rebuilt[0]   # a leaf keeps no partials; a composite node does
+    assert not hasattr(composite, "_partial_cache")   # made on the first partial only
+    assert composite.partial(0) is composite.partial(0) and composite._partial_cache
+
+
+def test_partials_of_a_j1_leaf_leave_no_reference_cycle():
+    """A J1 leaf's partial reads a -J1 leaf whose partial reads the J1 leaf again; with
+    the collector off, reference counting alone frees the leaf and its higher partials."""
+    from bmkit import scalars
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(scalars._NODES)
+        j1 = j1_field(0, 1.8125)   # a structure no other test makes: no live node caches it
+        second = j1.partial(0).partial(0)
+        third = second.partial(0)
+        del j1, second, third
+        after = len(scalars._NODES)
+    finally:
+        gc.enable()
+    assert after == before
