@@ -19,6 +19,7 @@ finite-difference accuracy.  Conventions:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -91,6 +92,18 @@ class BeltramiForm:
                 f"(min norm^2 = {self.norm_margin:.3e})")
 
 
+def _one_of(what: str, value, choices):
+    """value if it is a key of choices, else a ConfigError naming what and the keys."""
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{what}: expected one of {list(choices)}, got {value!r}")
+    return value
+
+
+# the choice sets of the builders' str parameters, which the registry reads too
+_SIGNS = {"minus": -1.0, "plus": 1.0}
+_CHARTS = {"t3": torus3, "r3": euclidean3}
+
+
 def t3_mode(n: int = 1, c: float = 1.0) -> BeltramiForm:
     """Constant-norm eigenmode on the flat 3-torus.
 
@@ -137,14 +150,12 @@ def solid_torus_mode(k_c: float = 2.0, beta: float = 1.0, sign: str = "minus",
     k = sqrt(beta^2 + k_c^2).  Components are stored on the coordinate
     coframe, so the dphi coefficient carries an explicit factor r.
     """
+    s = _SIGNS[_one_of("solid_torus_mode.sign", sign, _SIGNS)]
     if not k_c > 0:
         raise BmkitError("solid_torus_mode needs k_c > 0")
-    if sign not in ("minus", "plus"):
-        raise BmkitError("sign must be 'minus' or 'plus'")
     chart = solid_torus(a=a)
     metric = solid_torus_metric(chart)
     k = math.sqrt(beta * beta + k_c * k_c)
-    s = -1.0 if sign == "minus" else 1.0
     form = make_form(chart, 1, {
         (0,): (beta / k_c) * j1_field(0, k_c) * sin_wave({2: beta}),
         (1,): (s * k / k_c) * j1_field(0, k_c) * wave({2: beta}) * monomial(0, 1),
@@ -301,12 +312,10 @@ def traveling_wave(profile: str = "sin", constants: Constants = NONDIMENSIONAL,
 
     F0 = f dx1 ^ d(x3 - x0) is Maxwell but nowhere symplectic (F0 ^ F0 = 0).
     """
-    if profile not in _PROFILES:
-        raise ConfigError("traveling_wave profile must be 'sin' or 'cos'")
-    chart3 = torus3() if chart == "t3" else euclidean3()
+    make_f, _ = _PROFILES[_one_of("traveling_wave.profile", profile, _PROFILES)]
+    chart3 = _CHARTS[_one_of("traveling_wave.chart", chart, _CHARTS)]()
     chart4 = spacetime(chart3)
     metric3 = euclidean_metric(chart3)
-    make_f, _ = _PROFILES[profile]
     f = make_f({0: -1.0, 3: 1.0})
     e = make_form(chart4, 1, {(1,): f})
     h = make_form(chart4, 1, {(2,): (1.0 / (constants.c0 * constants.mu0)) * f})
@@ -318,9 +327,9 @@ def constant_field(e0: float = 1.0, h0: float = 1.0,
                    constants: Constants = NONDIMENSIONAL,
                    chart: str = "r3") -> MaxwellFieldSet:
     """Time-independent uniform field along dx1 (straight, non-closed field lines)."""
+    chart3 = _CHARTS[_one_of("constant_field.chart", chart, _CHARTS)]()
     if not (e0 > 0 and h0 > 0):
         raise BmkitError("constant_field needs e0, h0 > 0")
-    chart3 = euclidean3() if chart == "r3" else torus3()
     chart4 = spacetime(chart3)
     metric3 = euclidean_metric(chart3)
     e = make_form(chart4, 1, {(1,): constant(e0)})
@@ -338,16 +347,14 @@ def parallel_nonbeltrami(e0: float = 1.0, k: float = 1.0, f3: str = "sin",
     The Poynting form vanishes identically, yet star3 d(e) is nowhere
     proportional to e, so these are not Beltrami-Maxwell fields.
     """
+    make_f, make_fp = _PROFILES[_one_of("parallel_nonbeltrami.f3", f3, _PROFILES)]
     if not e0 > 0:
         raise BmkitError("parallel_nonbeltrami needs e0 > 0")
     if k == 0:
         raise BmkitError("parallel_nonbeltrami needs k != 0")
-    if f3 not in _PROFILES:
-        raise ConfigError("f3 must be 'sin' or 'cos'")
     chart3 = torus3()
     chart4 = spacetime(chart3)
     metric3 = euclidean_metric(chart3)
-    make_f, make_fp = _PROFILES[f3]
     prof, dprof = make_f({3: k}), make_fp({3: k}, 0.0, k)
     f01 = wave({0: k})                        # cos(k x0)
     f02 = wave({0: k}, 0.5 * math.pi)         # -sin(k x0)
@@ -367,12 +374,10 @@ def beltrami_nonparallel(profile: str = "sin",
     Both spatial profiles satisfy star3 d(.) = (.), and the Poynting form
     e ^ h = -(f^2 + f'^2) dx1 ^ dx2 / c0 mu0 never vanishes.
     """
-    if profile not in _PROFILES:
-        raise ConfigError("beltrami_nonparallel profile must be 'sin' or 'cos'")
+    make_f, make_fp = _PROFILES[_one_of("beltrami_nonparallel.profile", profile, _PROFILES)]
     chart3 = torus3()
     chart4 = spacetime(chart3)
     metric3 = euclidean_metric(chart3)
-    make_f, make_fp = _PROFILES[profile]
     f, fp = make_f({0: 1.0, 3: 1.0}), make_fp({0: 1.0, 3: 1.0})
     amp = 1.0 / (constants.c0 * constants.mu0)
     e = make_form(chart4, 1, {(1,): f, (2,): fp})
@@ -397,50 +402,50 @@ class CatalogEntry:
 CATALOG: dict[str, CatalogEntry] = {}
 
 
-def _register(name, kind, builder, params, identity, summary):
-    CATALOG[name] = CatalogEntry(name, kind, builder, params, identity, summary)
+def _register(builder, identity, summary, **declared):
+    """Enter builder under its name with the int, float and str parameters of its signature.
+
+    A str parameter is a choice among declared[name], listed default first; any other is
+    declared as (type, default).  A builder that takes constants is a Maxwell entry.
+    """
+    params, kind = {}, "beltrami"
+    for p in inspect.signature(builder).parameters.values():
+        if p.name == "constants":
+            kind = "maxwell"
+        elif p.annotation in ("int", "float"):
+            params[p.name] = (p.annotation, p.default)
+        elif p.annotation == "str":
+            choices = sorted(declared[p.name], key=lambda c: c != p.default)
+            params[p.name] = ("choice:" + ",".join(choices), p.default)
+        else:
+            params[p.name] = declared[p.name]
+    CATALOG[builder.__name__] = CatalogEntry(builder.__name__, kind, builder, params,
+                                             identity, summary)
 
 
-_register("t3_mode", "beltrami", t3_mode,
-          {"n": ("int", 1), "c": ("float", 1.0)},
-          "*3 dv = -n v", "constant-norm torus eigenmode")
-_register("abc_flow", "beltrami", abc_flow,
-          {"A": ("float", 1.0), "B": ("float", 1.0), "C": ("float", 1.0)},
-          "*3 dv = v", "Arnold-Beltrami-Childress flow")
-_register("solid_torus_mode", "beltrami", solid_torus_mode,
-          {"k_c": ("float", 2.0), "beta": ("float", 1.0),
-           "sign": ("choice:minus,plus", "minus"), "a": ("float", 1.0)},
-          "*3 dv = -/+ sqrt(beta^2 + k_c^2) v", "Bessel mode on the solid torus")
-_register("beltrami_maxwell", "maxwell", beltrami_maxwell,
-          {"v": ("beltrami", "t3_mode{n=1,c=1}"), "e0": ("float", 1.0)},
-          "e = e0 cos(k x0) v, h = (e0/c0 mu0) sin(k x0) v",
-          "time-dependent e || h Beltrami-Maxwell field")
-_register("traveling_wave", "maxwell", traveling_wave,
-          {"profile": ("choice:sin,cos", "sin"), "chart": ("choice:t3,r3", "t3")},
-          "F0 = f dx1 ^ d(x3 - x0), F0 ^ F0 = 0",
-          "traveling plane wave (Maxwell, not symplectic)")
-_register("constant_field", "maxwell", constant_field,
-          {"e0": ("float", 1.0), "h0": ("float", 1.0),
-           "chart": ("choice:r3,t3", "r3")},
-          "e = e0 dx1, h = h0 dx1 (d e = d h = 0)",
-          "uniform static field; straight open field lines")
-_register("parallel_nonbeltrami", "maxwell", parallel_nonbeltrami,
-          {"e0": ("float", 1.0), "k": ("float", 1.0),
-           "f3": ("choice:sin,cos", "sin")},
-          "e ^ h = 0 with *3 de never proportional to e",
-          "parallel fields that are not Beltrami-Maxwell")
-_register("beltrami_nonparallel", "maxwell", beltrami_nonparallel,
-          {"profile": ("choice:sin,cos", "sin")},
-          "*3 d(e) = e, *3 d(h) = h, e ^ h != 0",
-          "Beltrami-Maxwell fields that are nowhere parallel")
+_register(t3_mode, "*3 dv = -n v", "constant-norm torus eigenmode")
+_register(abc_flow, "*3 dv = v", "Arnold-Beltrami-Childress flow")
+_register(solid_torus_mode, "*3 dv = -/+ sqrt(beta^2 + k_c^2) v",
+          "Bessel mode on the solid torus", sign=_SIGNS)
+_register(beltrami_maxwell, "e = e0 cos(k x0) v, h = (e0/c0 mu0) sin(k x0) v",
+          "time-dependent e || h Beltrami-Maxwell field", v=("beltrami", "t3_mode{n=1,c=1}"))
+_register(traveling_wave, "F0 = f dx1 ^ d(x3 - x0), F0 ^ F0 = 0",
+          "traveling plane wave (Maxwell, not symplectic)", profile=_PROFILES, chart=_CHARTS)
+_register(constant_field, "e = e0 dx1, h = h0 dx1 (d e = d h = 0)",
+          "uniform static field; straight open field lines", chart=_CHARTS)
+_register(parallel_nonbeltrami, "e ^ h = 0 with *3 de never proportional to e",
+          "parallel fields that are not Beltrami-Maxwell", f3=_PROFILES)
+_register(beltrami_nonparallel, "*3 d(e) = e, *3 d(h) = h, e ^ h != 0",
+          "Beltrami-Maxwell fields that are nowhere parallel", profile=_PROFILES)
 
 
 def build_catalog_field(name: str, params: dict | None = None,
                         constants: Constants = NONDIMENSIONAL):
     """Instantiate a catalog entry from a name and a parameter map.
 
-    Nested entries (the ``v`` of beltrami_maxwell) may be given as
-    (name, params) tuples or already-built BeltramiForm objects.
+    A value may be a spec word, converted by its parameter's type.  Nested entries (the
+    ``v`` of beltrami_maxwell) may be given as (name, params) tuples or already-built
+    BeltramiForm objects.
     """
     if name not in CATALOG:
         raise ConfigError(f"unknown catalog entry {name!r}; "
@@ -465,27 +470,25 @@ def build_catalog_field(name: str, params: dict | None = None,
 
 
 def _coerce_param(name, pname, ptype, raw, constants):
+    """raw, a value or a spec word, as parameter pname of entry name, converted by its type."""
     if ptype == "int":
+        value = raw
         try:
-            value = int(raw)
-            if isinstance(raw, str) or value == raw:  # 2.0 is 2; 1.7 is not
-                return value
+            if isinstance(raw, str):  # an integer literal converts exactly
+                value = int(raw) if raw.lstrip("+-").isdigit() else float(raw)
+            if int(value) == value:  # 2.0 and 1e3 are integers; 1.7 is not
+                return int(value)
         except (TypeError, ValueError, OverflowError):
             pass
         raise ConfigError(f"{name}.{pname}: expected an integer, got {raw!r}")
     if ptype == "float":
         try:
             value = float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             value = math.nan
         if not math.isfinite(value):
             raise ConfigError(f"{name}.{pname}: expected a finite number, got {raw!r}")
         return value
-    if ptype.startswith("choice:"):
-        choices = ptype.split(":", 1)[1].split(",")
-        if str(raw) not in choices:
-            raise ConfigError(f"{name}.{pname}: expected one of {choices}, got {raw!r}")
-        return str(raw)
     if ptype == "beltrami":
         if isinstance(raw, BeltramiForm):
             return raw
@@ -497,4 +500,4 @@ def _coerce_param(name, pname, ptype, raw, constants):
                 raise ConfigError(f"{name}.{pname}: {raw[0]} is not a Beltrami form")
             return sub
         raise ConfigError(f"{name}.{pname}: expected a Beltrami form spec")
-    raise ConfigError(f"{name}.{pname}: unhandled parameter type {ptype}")
+    return raw  # a choice, which the builder checks

@@ -29,8 +29,7 @@ import numpy as np
 from . import __version__, scalars
 from .catalog import (CATALOG, BeltramiForm, MaxwellFieldSet, NONDIMENSIONAL,
                       SI, build_catalog_field)
-from .errors import (BmkitError, ConfigError, DegenerateInstantError, DegeneratePointError,
-                     require_storable)
+from .errors import BmkitError, ConfigError, DegenerateInstantError, DegeneratePointError
 from .metrics import hodge_star
 from .orbits import MIN_STEPS, closed_orbit_survey, write_orbit_csv, write_vector_field_csv
 from .reeb import (DEGENERACY_TOL, NO_REEB_FIELD, field_line_generator,
@@ -49,7 +48,7 @@ HEAP_KEEP_BYTES = 1 << 20
 
 
 def parse_field_spec(text: str):
-    """Parse ``name{key=value,...}`` with nested specs; returns (name, params)."""
+    """Parse ``name{key=value,...}`` into (name, params), each value a word or a nested spec."""
     text = text.strip()
     spec, pos = _parse_spec(text, 0)
     if pos != len(text):
@@ -81,27 +80,16 @@ def _parse_spec(text, pos):
             if pos >= len(text) or text[pos] != "=":
                 raise ConfigError(f"expected '=' after {key!r} in {text!r}")
             pos += 1
+            if key in params:
+                raise ConfigError(f"repeated key {key!r} in field spec {text!r}")
             word, after = _parse_word(text, pos)
             if after < len(text) and text[after] == "{":
-                value, pos = _parse_spec(text, pos)
+                params[key], pos = _parse_spec(text, pos)
             else:
-                value, pos = _coerce_value(word), after
-            params[key] = value
+                params[key], pos = word, after
             if pos < len(text) and text[pos] == ",":
                 pos += 1
     return (name, params), pos
-
-
-def _coerce_value(word: str):
-    try:
-        return int(word)
-    except ValueError:
-        pass
-    try:
-        return float(word)
-    except ValueError:
-        pass
-    return word
 
 
 def build_field(spec_text: str, constants):
@@ -252,8 +240,6 @@ def _run_verify(args) -> int:
 def _maxwell_runs(M: MaxwellFieldSet, requested, x0_list, args) -> list:
     """(report name or None, check) for the window, base form and slice checks requested."""
     grid3 = SampleGrid.regular(M.chart3, _parse_counts(args.grid))
-    require_storable(args.tgrid * len(x0_list) * grid3.n * M.chart4.dim,
-                     f"window of {args.tgrid} instants per x0")
     grid4 = grid3.window(M.chart4, x0_list, args.t_window, args.tgrid)
     amp = _amplitude_needs(M, grid4)   # evaluated only if a slice check runs
     runs = [(None, run(M, grid4)) for c, run in WINDOW_CHECKS.items() if c in requested]

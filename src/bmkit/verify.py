@@ -111,6 +111,8 @@ class SampleGrid:
     def window(self, chart4: Chart, x0s, t_window: float = T_WINDOW,
                tgrid: int = TGRID) -> "SampleGrid":
         """with_time over tgrid instants spanning x0 +- t_window for each x0 in x0s (one: x0)."""
+        require_storable(tgrid * len(x0s) * self.n * chart4.dim,
+                         f"window of {tgrid} instants per x0")
         return self.with_time(chart4, np.unique(np.concatenate(
             [np.linspace(x0 - t_window, x0 + t_window, tgrid) if tgrid > 1 else [x0]
              for x0 in x0s])))

@@ -1,6 +1,7 @@
 """Catalog constructors against hand-computed and closed-form oracle values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -370,3 +371,24 @@ def test_build_catalog_field_errors():
         build_catalog_field("t3_mode", {"n": "many"})
     with pytest.raises(ConfigError):
         build_catalog_field("solid_torus_mode", {"sign": "up"})
+
+
+@pytest.mark.parametrize("builder,pname,bad", [
+    (constant_field, "chart", "t3x"), (traveling_wave, "chart", "bogus"),
+    (traveling_wave, "profile", "tan"), (solid_torus_mode, "sign", "up"),
+    (parallel_nonbeltrami, "f3", "exp"), (beltrami_nonparallel, "profile", "exp"),
+    (constant_field, "chart", ["t3"]),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_builders_reject_unknown_choices(builder, pname, bad):
+    # the library builders check their choices themselves, as the registry's callers see
+    message = re.escape(f"{builder.__name__}.{pname}: expected one of")
+    with pytest.raises(ConfigError, match=message):
+        builder(**{pname: bad})
+    with pytest.raises(ConfigError, match=message):
+        build_catalog_field(builder.__name__, {pname: bad})
+
+
+def test_chart_choices_build_their_chart():
+    for chart, name in (("t3", "T3"), ("r3", "R3")):
+        assert constant_field(chart=chart).chart3.name == name
+        assert traveling_wave(chart=chart).chart3.name == name

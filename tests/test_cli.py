@@ -15,6 +15,7 @@ import pytest
 
 import bmkit
 from bmkit import NONDIMENSIONAL, field_line_generator, integrate, write_orbit_csv
+from bmkit.catalog import build_catalog_field
 from bmkit.cli import build_field, main, parse_field_spec
 from bmkit.errors import ConfigError
 from bmkit.scalars import Plan
@@ -32,20 +33,20 @@ def run_cli(args):
 def test_parse_field_spec_flat():
     name, params = parse_field_spec("t3_mode{n=2,c=1.5}")
     assert name == "t3_mode"
-    assert params == {"n": 2, "c": 1.5}
+    assert params == {"n": "2", "c": "1.5"}
 
 
 def test_parse_field_spec_nested():
     name, params = parse_field_spec(BM_SPEC)
     assert name == "beltrami_maxwell"
-    assert params["e0"] == 1
-    assert params["v"] == ("t3_mode", {"n": 1, "c": 1})
+    assert params["e0"] == "1"
+    assert params["v"] == ("t3_mode", {"n": "1", "c": "1"})
 
 
 def test_parse_field_spec_words_and_bare_name():
     assert parse_field_spec("traveling_wave") == ("traveling_wave", {})
     _, params = parse_field_spec("solid_torus_mode{sign=plus,k_c=2}")
-    assert params == {"sign": "plus", "k_c": 2}
+    assert params == {"sign": "plus", "k_c": "2"}
 
 
 @pytest.mark.parametrize("bad", ["t3_mode{n=1", "t3_mode{n}", "t3_mode{=1}",
@@ -53,6 +54,43 @@ def test_parse_field_spec_words_and_bare_name():
 def test_parse_field_spec_errors(bad):
     with pytest.raises(ConfigError):
         parse_field_spec(bad)
+
+
+@pytest.mark.parametrize("spec", ["t3_mode{n=2,n=1}", "beltrami_maxwell{v=t3_mode{c=1,c=2}}",
+                                  "beltrami_maxwell{v=t3_mode,v=abc_flow}"])
+def test_repeated_spec_key_is_an_error(spec, capsys):
+    key = re.findall(r"[{,](\w+)=", spec)[-1]
+    with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
+        parse_field_spec(spec)
+    assert run_cli(["verify", "--field", spec, "--checks", "beltrami"]) == 2
+    assert f"repeated key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word,n", [("2", 2), ("2.0", 2), ("1e3", 1000),
+                                    ("9007199254740993", 9007199254740993)])
+def test_int_param_words_accepted_alike(word, n):
+    # the CLI's spec words and the library's values convert in one place, the catalog
+    cli_n = build_field(f"t3_mode{{n={word}}}", NONDIMENSIONAL).params["n"]
+    lib_n = build_catalog_field("t3_mode", {"n": word}).params["n"]
+    assert type(cli_n) is type(lib_n) is int and cli_n == lib_n == n
+
+
+@pytest.mark.parametrize("word", ["1.7", "2.5e-1", "inf", "x"])
+def test_int_param_words_rejected_alike(word, capsys):
+    with pytest.raises(ConfigError, match="t3_mode.n: expected an integer"):
+        build_catalog_field("t3_mode", {"n": word})
+    assert run_cli(["verify", "--field", f"t3_mode{{n={word}}}", "--checks", "beltrami"]) == 2
+    assert f"t3_mode.n: expected an integer, got '{word}'" in capsys.readouterr().err
+
+
+def test_catalog_defaults_round_trip_through_specs(capsys):
+    # a spec written from `bmk catalog --json` defaults builds the entry at its defaults
+    assert run_cli(["catalog", "--json"]) == 0
+    for entry in json.loads(capsys.readouterr().out)["catalog"]:
+        spec = entry["name"] + "{" + ",".join(
+            f"{p}={d['default']}" for p, d in entry["params"].items()) + "}"
+        built = build_field(spec, NONDIMENSIONAL)
+        assert built.params == build_catalog_field(entry["name"]).params, spec
 
 
 # -- catalog ------------------------------------------------------------------------

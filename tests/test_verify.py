@@ -520,6 +520,17 @@ def test_sample_grid_validation():
             SampleGrid.regular(T3, counts)
 
 
+def test_window_over_2_63_bytes_is_rejected_before_allocation(capsys):
+    from bmkit import BmkitError, spacetime
+    from bmkit.cli import main
+    message = "window of 100000000000000000 instants per x0 cannot be stored"
+    with pytest.raises(BmkitError, match=message):
+        SampleGrid.regular(T3, 4).window(spacetime(T3), [0.0], tgrid=10 ** 17)
+    assert main(["verify", "--field", "beltrami_maxwell", "--grid", "4",
+                 "--tgrid", str(10 ** 17)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_with_time_needs_the_spacetime_of_the_grid_chart():
     from bmkit import ChartMismatchError, euclidean3, spacetime
     grid = SampleGrid.regular(T3, 3)
