@@ -19,6 +19,7 @@ finite-difference accuracy.  Conventions:
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -50,6 +51,54 @@ class Constants:
 
 NONDIMENSIONAL = Constants()
 SI = Constants(eps0=8.8541878128e-12, mu0=1.25663706212e-6)
+
+
+# -- catalog registry ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    name: str
+    kind: str  # "beltrami" | "maxwell"
+    builder: Callable
+    params: dict[str, tuple[str, object]]  # name -> (type, default)
+    identity: str
+    summary: str
+
+
+CATALOG: dict[str, CatalogEntry] = {}
+
+
+def _register(identity, summary, **declared):
+    """Enter the decorated builder under its name, wrapped to convert each argument given.
+
+    Its signature gives each parameter's type and default.  declared[name] gives a str
+    parameter's choices (listed default first) and any other non-numeric one's (type,
+    default).  A builder that takes constants is a Maxwell entry.
+    """
+    def register(builder):
+        name, signature = builder.__name__, inspect.signature(builder)
+        params, kind = {}, "beltrami"
+        for p in signature.parameters.values():
+            if p.name == "constants":
+                kind = "maxwell"
+            elif p.annotation == "str":
+                choices = sorted(declared[p.name], key=lambda c: c != p.default)
+                params[p.name] = ("choice:" + ",".join(choices), p.default)
+            else:
+                params[p.name] = declared.get(p.name, (p.annotation, p.default))
+        # what _coerce_param converts by: "int", "float", "beltrami" or a choice's map
+        types = {p: declared[p] if t.startswith("choice:") else t for p, (t, _) in params.items()}
+
+        @functools.wraps(builder)
+        def converted(*args, **kwargs):
+            given = signature.bind(*args, **kwargs).arguments
+            return builder(**{p: _coerce_param(name, p, types[p], raw) if p in types else raw
+                              for p, raw in given.items()})
+
+        CATALOG[name] = CatalogEntry(name, kind, converted, params, identity, summary)
+        return converted
+    return register
 
 
 # -- Beltrami forms ----------------------------------------------------------
@@ -92,25 +141,18 @@ class BeltramiForm:
                 f"(min norm^2 = {self.norm_margin:.3e})")
 
 
-def _one_of(what: str, value, choices):
-    """value if it is a key of choices, else a ConfigError naming what and the keys."""
-    if not (isinstance(value, str) and value in choices):
-        raise ConfigError(f"{what}: expected one of {list(choices)}, got {value!r}")
-    return value
-
-
-# the choice sets of the builders' str parameters, which the registry reads too
+# the choice sets of the builders' str parameters, which the registry checks
 _SIGNS = {"minus": -1.0, "plus": 1.0}
 _CHARTS = {"t3": torus3, "r3": euclidean3}
 
 
+@_register("*3 dv = -n v", "constant-norm torus eigenmode")
 def t3_mode(n: int = 1, c: float = 1.0) -> BeltramiForm:
     """Constant-norm eigenmode on the flat 3-torus.
 
     v = c (cos(n x3) dx1 + sin(n x3) dx2), with star3 d v = -n v and
     g^{-1}(v, v) = c^2 everywhere.
     """
-    n = int(n)
     if n < 1:
         raise BmkitError("t3_mode needs n >= 1")
     if not c > 0:
@@ -124,6 +166,7 @@ def t3_mode(n: int = 1, c: float = 1.0) -> BeltramiForm:
                         euclidean_metric(chart), 32)
 
 
+@_register("*3 dv = v", "Arnold-Beltrami-Childress flow")
 def abc_flow(A: float = 1.0, B: float = 1.0, C: float = 1.0) -> BeltramiForm:
     """Arnold-Beltrami-Childress 1-form on the flat 3-torus; star3 d v = v.
 
@@ -142,6 +185,8 @@ def abc_flow(A: float = 1.0, B: float = 1.0, C: float = 1.0) -> BeltramiForm:
                         euclidean_metric(chart), 32)
 
 
+@_register("*3 dv = -/+ sqrt(beta^2 + k_c^2) v", "Bessel mode on the solid torus",
+           sign=_SIGNS)
 def solid_torus_mode(k_c: float = 2.0, beta: float = 1.0, sign: str = "minus",
                      a: float = 1.0) -> BeltramiForm:
     """Bessel cavity mode on the solid torus D^2 x S^1.
@@ -150,7 +195,7 @@ def solid_torus_mode(k_c: float = 2.0, beta: float = 1.0, sign: str = "minus",
     k = sqrt(beta^2 + k_c^2).  Components are stored on the coordinate
     coframe, so the dphi coefficient carries an explicit factor r.
     """
-    s = _SIGNS[_one_of("solid_torus_mode.sign", sign, _SIGNS)]
+    s = _SIGNS[sign]
     if not k_c > 0:
         raise BmkitError("solid_torus_mode needs k_c > 0")
     chart = solid_torus(a=a)
@@ -161,8 +206,7 @@ def solid_torus_mode(k_c: float = 2.0, beta: float = 1.0, sign: str = "minus",
         (1,): (s * k / k_c) * j1_field(0, k_c) * wave({2: beta}) * monomial(0, 1),
         (2,): j0_field(0, k_c) * wave({2: beta}),
     })
-    return BeltramiForm("solid_torus_mode",
-                        {"k_c": k_c, "beta": beta, "sign": sign, "a": a},
+    return BeltramiForm("solid_torus_mode", {"k_c": k_c, "beta": beta, "sign": sign, "a": a},
                         form, s * k, chart, metric, 24)
 
 
@@ -269,6 +313,8 @@ def maxwell_from_eh(name: str, params: dict, metric3: MetricField,
                            e, h, B, D, F0, F1, constants, **extra)
 
 
+@_register("e = e0 cos(k x0) v, h = (e0/c0 mu0) sin(k x0) v",
+           "time-dependent e || h Beltrami-Maxwell field", v=("beltrami", "t3_mode{n=1,c=1}"))
 def beltrami_maxwell(v: BeltramiForm | None = None, e0: float = 1.0,
                      constants: Constants = NONDIMENSIONAL) -> MaxwellFieldSet:
     """Parallel (e || h) Beltrami-Maxwell field generated by one Beltrami form.
@@ -306,14 +352,16 @@ _PROFILES = {"sin": (sin_wave, wave),
              "cos": (wave, lambda c, phase=0.0, amplitude=1.0: sin_wave(c, phase, -amplitude))}
 
 
+@_register("F0 = f dx1 ^ d(x3 - x0), F0 ^ F0 = 0",
+           "traveling plane wave (Maxwell, not symplectic)", profile=_PROFILES, chart=_CHARTS)
 def traveling_wave(profile: str = "sin", constants: Constants = NONDIMENSIONAL,
                    chart: str = "t3") -> MaxwellFieldSet:
     """Plane traveling wave along x3: e = f(x3 - x0) dx1, h = f(x3 - x0) dx2 / c0 mu0.
 
     F0 = f dx1 ^ d(x3 - x0) is Maxwell but nowhere symplectic (F0 ^ F0 = 0).
     """
-    make_f, _ = _PROFILES[_one_of("traveling_wave.profile", profile, _PROFILES)]
-    chart3 = _CHARTS[_one_of("traveling_wave.chart", chart, _CHARTS)]()
+    make_f, _ = _PROFILES[profile]
+    chart3 = _CHARTS[chart]()
     chart4 = spacetime(chart3)
     metric3 = euclidean_metric(chart3)
     f = make_f({0: -1.0, 3: 1.0})
@@ -323,11 +371,13 @@ def traveling_wave(profile: str = "sin", constants: Constants = NONDIMENSIONAL,
                            metric3, e, h, constants)
 
 
+@_register("e = e0 dx1, h = h0 dx1 (d e = d h = 0)",
+           "uniform static field; straight open field lines", chart=_CHARTS)
 def constant_field(e0: float = 1.0, h0: float = 1.0,
                    constants: Constants = NONDIMENSIONAL,
                    chart: str = "r3") -> MaxwellFieldSet:
     """Time-independent uniform field along dx1 (straight, non-closed field lines)."""
-    chart3 = _CHARTS[_one_of("constant_field.chart", chart, _CHARTS)]()
+    chart3 = _CHARTS[chart]()
     if not (e0 > 0 and h0 > 0):
         raise BmkitError("constant_field needs e0, h0 > 0")
     chart4 = spacetime(chart3)
@@ -338,6 +388,8 @@ def constant_field(e0: float = 1.0, h0: float = 1.0,
                            metric3, e, h, constants)
 
 
+@_register("e ^ h = 0 with *3 de never proportional to e",
+           "parallel fields that are not Beltrami-Maxwell", f3=_PROFILES)
 def parallel_nonbeltrami(e0: float = 1.0, k: float = 1.0, f3: str = "sin",
                          constants: Constants = NONDIMENSIONAL) -> MaxwellFieldSet:
     """e || h Maxwell fields whose shared profile is not a Beltrami form.
@@ -347,7 +399,7 @@ def parallel_nonbeltrami(e0: float = 1.0, k: float = 1.0, f3: str = "sin",
     The Poynting form vanishes identically, yet star3 d(e) is nowhere
     proportional to e, so these are not Beltrami-Maxwell fields.
     """
-    make_f, make_fp = _PROFILES[_one_of("parallel_nonbeltrami.f3", f3, _PROFILES)]
+    make_f, make_fp = _PROFILES[f3]
     if not e0 > 0:
         raise BmkitError("parallel_nonbeltrami needs e0 > 0")
     if k == 0:
@@ -365,6 +417,8 @@ def parallel_nonbeltrami(e0: float = 1.0, k: float = 1.0, f3: str = "sin",
                            metric3, e, h, constants)
 
 
+@_register("*3 d(e) = e, *3 d(h) = h, e ^ h != 0",
+           "Beltrami-Maxwell fields that are nowhere parallel", profile=_PROFILES)
 def beltrami_nonparallel(profile: str = "sin",
                          constants: Constants = NONDIMENSIONAL) -> MaxwellFieldSet:
     """Circularly polarized wave: e and h each rotational Beltrami, never parallel.
@@ -374,7 +428,7 @@ def beltrami_nonparallel(profile: str = "sin",
     Both spatial profiles satisfy star3 d(.) = (.), and the Poynting form
     e ^ h = -(f^2 + f'^2) dx1 ^ dx2 / c0 mu0 never vanishes.
     """
-    make_f, make_fp = _PROFILES[_one_of("beltrami_nonparallel.profile", profile, _PROFILES)]
+    make_f, make_fp = _PROFILES[profile]
     chart3 = torus3()
     chart4 = spacetime(chart3)
     metric3 = euclidean_metric(chart3)
@@ -386,80 +440,24 @@ def beltrami_nonparallel(profile: str = "sin",
                            metric3, e, h, constants)
 
 
-# -- catalog registry ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    kind: str  # "beltrami" | "maxwell"
-    builder: Callable
-    params: dict[str, tuple[str, object]]  # name -> (type, default)
-    identity: str
-    summary: str
-
-
-CATALOG: dict[str, CatalogEntry] = {}
-
-
-def _register(builder, identity, summary, **declared):
-    """Enter builder under its name with the int, float and str parameters of its signature.
-
-    A str parameter is a choice among declared[name], listed default first; any other is
-    declared as (type, default).  A builder that takes constants is a Maxwell entry.
-    """
-    params, kind = {}, "beltrami"
-    for p in inspect.signature(builder).parameters.values():
-        if p.name == "constants":
-            kind = "maxwell"
-        elif p.annotation in ("int", "float"):
-            params[p.name] = (p.annotation, p.default)
-        elif p.annotation == "str":
-            choices = sorted(declared[p.name], key=lambda c: c != p.default)
-            params[p.name] = ("choice:" + ",".join(choices), p.default)
-        else:
-            params[p.name] = declared[p.name]
-    CATALOG[builder.__name__] = CatalogEntry(builder.__name__, kind, builder, params,
-                                             identity, summary)
-
-
-_register(t3_mode, "*3 dv = -n v", "constant-norm torus eigenmode")
-_register(abc_flow, "*3 dv = v", "Arnold-Beltrami-Childress flow")
-_register(solid_torus_mode, "*3 dv = -/+ sqrt(beta^2 + k_c^2) v",
-          "Bessel mode on the solid torus", sign=_SIGNS)
-_register(beltrami_maxwell, "e = e0 cos(k x0) v, h = (e0/c0 mu0) sin(k x0) v",
-          "time-dependent e || h Beltrami-Maxwell field", v=("beltrami", "t3_mode{n=1,c=1}"))
-_register(traveling_wave, "F0 = f dx1 ^ d(x3 - x0), F0 ^ F0 = 0",
-          "traveling plane wave (Maxwell, not symplectic)", profile=_PROFILES, chart=_CHARTS)
-_register(constant_field, "e = e0 dx1, h = h0 dx1 (d e = d h = 0)",
-          "uniform static field; straight open field lines", chart=_CHARTS)
-_register(parallel_nonbeltrami, "e ^ h = 0 with *3 de never proportional to e",
-          "parallel fields that are not Beltrami-Maxwell", f3=_PROFILES)
-_register(beltrami_nonparallel, "*3 d(e) = e, *3 d(h) = h, e ^ h != 0",
-          "Beltrami-Maxwell fields that are nowhere parallel", profile=_PROFILES)
+# -- fields from specs -------------------------------------------------------
 
 
 def build_catalog_field(name: str, params: dict | None = None,
                         constants: Constants = NONDIMENSIONAL):
-    """Instantiate a catalog entry from a name and a parameter map.
+    """Instantiate a catalog entry from a name and a parameter map, converted as in a call.
 
-    A value may be a spec word, converted by its parameter's type.  Nested entries (the
-    ``v`` of beltrami_maxwell) may be given as (name, params) tuples or already-built
-    BeltramiForm objects.
+    A value may be a spec word; the ``v`` of beltrami_maxwell may be a catalog name, a
+    (name, params) tuple or an already-built BeltramiForm.
     """
     if name not in CATALOG:
-        raise ConfigError(f"unknown catalog entry {name!r}; "
-                          f"known: {', '.join(sorted(CATALOG))}")
+        raise ConfigError(f"unknown catalog entry {name!r}; known: {', '.join(sorted(CATALOG))}")
     entry = CATALOG[name]
-    params = dict(params or {})
-    kwargs = {}
-    for pname, raw in params.items():
-        if pname not in entry.params:
-            raise ConfigError(f"{name}: unknown parameter {pname!r}")
-        ptype, _ = entry.params[pname]
-        kwargs[pname] = _coerce_param(name, pname, ptype, raw, constants)
+    kwargs = dict(params or {})
+    if "constants" in kwargs:   # set by the constants argument only
+        raise ConfigError(f"{name}: unknown parameter 'constants'")
     if entry.kind == "maxwell":
-        kwargs.setdefault("constants", constants)
+        kwargs["constants"] = constants
     try:
         return entry.builder(**kwargs)
     except (TypeError, BmkitError) as exc:
@@ -469,8 +467,12 @@ def build_catalog_field(name: str, params: dict | None = None,
         raise ConfigError(msg if msg.startswith(f"{name} ") else f"{name}: {msg}") from exc
 
 
-def _coerce_param(name, pname, ptype, raw, constants):
-    """raw, a value or a spec word, as parameter pname of entry name, converted by its type."""
+def _coerce_param(name, pname, ptype, raw):
+    """raw, a value or a spec word, as parameter pname of entry name, converted by ptype."""
+    if isinstance(ptype, dict):
+        if isinstance(raw, str) and raw in ptype:
+            return raw
+        raise ConfigError(f"{name}.{pname}: expected one of {list(ptype)}, got {raw!r}")
     if ptype == "int":
         value = raw
         try:
@@ -489,15 +491,13 @@ def _coerce_param(name, pname, ptype, raw, constants):
         if not math.isfinite(value):
             raise ConfigError(f"{name}.{pname}: expected a finite number, got {raw!r}")
         return value
-    if ptype == "beltrami":
-        if isinstance(raw, BeltramiForm):
-            return raw
-        if isinstance(raw, str):  # a bare catalog name, as at top level
-            raw = (raw, {})
-        if isinstance(raw, tuple) and len(raw) == 2:
-            sub = build_catalog_field(raw[0], raw[1], constants)
-            if not isinstance(sub, BeltramiForm):
-                raise ConfigError(f"{name}.{pname}: {raw[0]} is not a Beltrami form")
-            return sub
-        raise ConfigError(f"{name}.{pname}: expected a Beltrami form spec")
-    return raw  # a choice, which the builder checks
+    if raw is None or isinstance(raw, BeltramiForm):  # "beltrami": None is v's default
+        return raw
+    if isinstance(raw, str):  # a bare catalog name, as at top level
+        raw = (raw, {})
+    if isinstance(raw, tuple) and len(raw) == 2:
+        sub = build_catalog_field(*raw)
+        if not isinstance(sub, BeltramiForm):
+            raise ConfigError(f"{name}.{pname}: {raw[0]} is not a Beltrami form")
+        return sub
+    raise ConfigError(f"{name}.{pname}: expected a Beltrami form spec")

@@ -100,9 +100,9 @@ class Chart:
         return out
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean mask: inside all interval-axis bounds (periodic always true)."""
+        """Boolean mask: finite, and inside all interval-axis bounds (periodic always true)."""
         pts = np.asarray(pts, dtype=float)
-        ok = np.ones(pts.shape[:-1], dtype=bool)
+        ok = np.isfinite(pts).all(axis=-1)
         for i, ax in enumerate(self.axes):
             if not ax.is_periodic:
                 ok &= (pts[..., i] >= ax.lo) & (pts[..., i] <= ax.hi)

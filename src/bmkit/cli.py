@@ -287,8 +287,6 @@ def _parse_seeds(args, chart):
                 row = [float(x) for x in block.split(",")]
             except ValueError:
                 raise ConfigError(f"malformed seed {block!r}")
-            if not all(map(math.isfinite, row)):
-                raise ConfigError(f"seed {block!r} has a non-finite coordinate")
             if len(row) != chart.dim:
                 raise ConfigError(
                     f"seed {block!r} has {len(row)} coordinates, chart needs {chart.dim}")
@@ -350,13 +348,15 @@ def _run_reeb(args) -> int:
     beltrami = isinstance(target, BeltramiForm)
     grid = SampleGrid.regular(target.chart if beltrami else target.chart3,
                               _parse_counts(args.grid))
-    if beltrami:
-        variant = "normalized" if args.which in ("y", "y0", "y1") else "unnormalized"
-        rb = reeb_closed_form_beltrami(target, variant, grid)
-    elif args.which in ("y0", "y1"):
-        rb = reeb_for_maxwell(target, args.which.upper(), args.x0, grid)
+    which = args.which or ("y" if beltrami else "y0")
+    if beltrami and which in ("y", "z"):
+        rb = reeb_closed_form_beltrami(target, "normalized" if which == "y" else "unnormalized",
+                                       grid)
+    elif not beltrami and which in ("y0", "y1"):
+        rb = reeb_for_maxwell(target, which.upper(), args.x0, grid)
     else:
-        raise ConfigError("for Maxwell fields --which must be y0 or y1")
+        raise ConfigError("for Beltrami forms --which must be y or z" if beltrami
+                          else "for Maxwell fields --which must be y0 or y1")
     write_vector_field_csv(rb.Y, grid.points, args.out)
     r_omega, r_lam = rb.normalization_residuals
     print(f"wrote {args.out}; residuals: |i_Y Omega| <= {r_omega:.3e}, "
@@ -444,8 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reeb", help="sample a Reeb field to CSV")
     p.add_argument("--field", required=True)
-    p.add_argument("--which", choices=("y0", "y1", "y", "z"), default="y0",
-                   help="y0/y1 for Maxwell sets; y (normalized) or z for Beltrami forms")
+    p.add_argument("--which", choices=("y0", "y1", "y", "z"),
+                   help="y0 (default) or y1 for Maxwell sets; "
+                        "y (normalized, default) or z for Beltrami forms")
     p.add_argument("--x0", type=_FINITE, default=0.0)
     p.add_argument("--grid", default="6")
     _add_common(p, out_default="reeb.csv")
@@ -499,7 +500,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         return args.func(args)
-    except BmkitError as exc:
+    except (BmkitError, MemoryError) as exc:   # an allocation failure is a usage error too
         kind = "degenerate instant: " if isinstance(exc, DegenerateInstantError) else ""
         print(f"error: {kind}{exc}", file=sys.stderr)
         return 2

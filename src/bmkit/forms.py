@@ -152,9 +152,6 @@ class VectorField:
         if len(self.components) != self.chart.dim:
             raise DegreeError("component count != chart dimension")
 
-    def component(self, axis: int) -> ScalarField:
-        return self.components[axis]
-
     @functools.cached_property
     def _plan(self) -> Plan:
         return Plan(self.components)
@@ -190,13 +187,6 @@ class VectorField:
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, tuple(-c for c in self.components))
-
-    def __mul__(self, s) -> "VectorField":
-        if not isinstance(s, ScalarField):
-            s = constant(float(s))
-        return VectorField(self.chart, tuple(s * c for c in self.components))
-
-    __rmul__ = __mul__
 
 
 # -- constructors ---------------------------------------------------------

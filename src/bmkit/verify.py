@@ -111,6 +111,9 @@ class SampleGrid:
     def window(self, chart4: Chart, x0s, t_window: float = T_WINDOW,
                tgrid: int = TGRID) -> "SampleGrid":
         """with_time over tgrid instants spanning x0 +- t_window for each x0 in x0s (one: x0)."""
+        if not (tgrid >= 1 and len(x0s) and np.all(np.isfinite(x0s)) and 0 <= t_window < math.inf):
+            raise BmkitError(f"a window needs tgrid >= 1, finite x0s (at least one) and a finite "
+                             f"t_window >= 0, not {tgrid!r}, {list(x0s)!r} and {t_window!r}")
         require_storable(tgrid * len(x0s) * self.n * chart4.dim,
                          f"window of {tgrid} instants per x0")
         return self.with_time(chart4, np.unique(np.concatenate(

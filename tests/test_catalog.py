@@ -360,6 +360,10 @@ def test_build_catalog_field_nested():
                             {"v": ("t3_mode", {"n": 2, "c": 1.0}), "e0": 1.5})
     assert M.k == 2.0
     assert M.params["v.n"] == 2
+    # v may be a form already built, as the docstring promises, and None is its default
+    M = build_catalog_field("beltrami_maxwell", {"v": t3_mode(2)})
+    assert M.k == 2.0 and M.params["v.n"] == 2
+    assert beltrami_maxwell(None).params == beltrami_maxwell().params
 
 
 def test_build_catalog_field_errors():
@@ -371,6 +375,13 @@ def test_build_catalog_field_errors():
         build_catalog_field("t3_mode", {"n": "many"})
     with pytest.raises(ConfigError):
         build_catalog_field("solid_torus_mode", {"sign": "up"})
+    # constants comes from its own argument only, and v must build a Beltrami form
+    for params, message in (
+            ({"constants": "si"}, ": unknown parameter 'constants'"),
+            ({"v": ("constant_field", {})}, ".v: constant_field is not a Beltrami form"),
+            ({"v": 5}, ".v: expected a Beltrami form spec")):
+        with pytest.raises(ConfigError, match=re.escape("beltrami_maxwell" + message)):
+            build_catalog_field("beltrami_maxwell", params)
 
 
 @pytest.mark.parametrize("builder,pname,bad", [
@@ -378,14 +389,25 @@ def test_build_catalog_field_errors():
     (traveling_wave, "profile", "tan"), (solid_torus_mode, "sign", "up"),
     (parallel_nonbeltrami, "f3", "exp"), (beltrami_nonparallel, "profile", "exp"),
     (constant_field, "chart", ["t3"]),
+    (t3_mode, "n", 2.5), (t3_mode, "n", "x"), (abc_flow, "A", math.nan), (abc_flow, "A", "x"),
+    (solid_torus_mode, "beta", math.inf), (parallel_nonbeltrami, "k", math.nan),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_builders_reject_unknown_choices(builder, pname, bad):
-    # the library builders check their choices themselves, as the registry's callers see
-    message = re.escape(f"{builder.__name__}.{pname}: expected one of")
-    with pytest.raises(ConfigError, match=message):
+    # a library call converts its arguments as a spec does, so both raise one ConfigError
+    ptype = CATALOG[builder.__name__].params[pname][0]
+    expected = {"int": "an integer", "float": "a finite number"}.get(ptype, "one of")
+    message = re.escape(f"{builder.__name__}.{pname}: expected {expected}")
+    with pytest.raises(ConfigError, match=message) as call:
         builder(**{pname: bad})
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError) as spec:
         build_catalog_field(builder.__name__, {pname: bad})
+    assert str(call.value) == str(spec.value)
+
+
+def test_library_calls_convert_integral_values_exactly():
+    # 2.0 is the integer 2, as in a spec; an integer above 2^53 keeps every digit
+    assert type(t3_mode(n=2.0).params["n"]) is int and t3_mode(n=2.0).params["n"] == 2
+    assert t3_mode(n=9007199254740993).params["n"] == 9007199254740993
 
 
 def test_chart_choices_build_their_chart():

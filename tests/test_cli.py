@@ -870,6 +870,30 @@ def test_reeb_residuals_are_those_of_the_written_grid(spec, which, grid, tmp_pat
                    f"|i_Y lambda - 1| <= {r_lam:.3e}\n")
 
 
+@pytest.mark.parametrize("spec, default", [("t3_mode", "y"), (BM_SPEC, "y0")])
+def test_reeb_which_defaults_by_target_kind(spec, default, tmp_path, capsys):
+    runs = []
+    for which in ([], ["--which", default]):
+        out = tmp_path / f"reeb{len(runs)}.csv"
+        assert run_cli(["reeb", "--field", spec, *which, "--x0", "0.3", "--grid", "4",
+                        "--out", str(out)]) == 0
+        runs.append((out.read_bytes(), capsys.readouterr().err.replace(str(out), "OUT")))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("spec, which, line", [
+    ("t3_mode", "y0", "error: for Beltrami forms --which must be y or z"),
+    ("t3_mode", "y1", "error: for Beltrami forms --which must be y or z"),
+    (BM_SPEC, "y", "error: for Maxwell fields --which must be y0 or y1"),
+    (BM_SPEC, "z", "error: for Maxwell fields --which must be y0 or y1"),
+])
+def test_reeb_which_of_the_other_target_kind_exits_2(spec, which, line, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert run_cli(["reeb", "--field", spec, "--which", which, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
 def test_reeb_degenerate_instant_exit_2():
     assert run_cli(["reeb", "--field", BM_SPEC, "--which", "y0",
                     "--x0", str(0.5 * math.pi), "--out", "/tmp/never.csv"]) == 2
@@ -899,6 +923,10 @@ def test_reeb_degenerate_instant_exit_2():
      r"error: parallel_nonbeltrami needs e0 > 0"),
     (["verify", "--field", "beltrami_maxwell{e0=0}"], r"error: beltrami_maxwell needs e0 > 0"),
     (["verify", "--field", "t3_mode{n=0}"], r"error: t3_mode needs n >= 1"),
+    # a MemoryError: numpy refuses the 7 PiB of 10^15 instants before it allocates any
+    (["verify", "--field", "beltrami_maxwell", "--grid", "4", "--tgrid", "1000000000000000"],
+     r"error: Unable to allocate 7\.11 PiB for an array with shape \(1000000000000000,\) "
+     r"and data type float64"),
 ])
 def test_errors_exit_2_with_one_stderr_line(argv, line, tmp_path, capsys):
     out = tmp_path / "never.csv"

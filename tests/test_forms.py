@@ -305,6 +305,18 @@ def test_flow_pullback_rejects_a_cartan_formula_missing_a_term(term):
     assert "t3 v under abc" in _flow_pullback_misses(term)
 
 
+def test_lie_derivative_of_a_function_is_its_directional_derivative():
+    # L_X f = X . grad f; f = 1.5 cos(theta), theta = x1 + 2 x2 + 0.3, X = (sin x2, cos x3, 0.7)
+    X = vector_field(CHART, {0: sin_wave({1: 1}), 1: wave({2: 1}), 2: constant(0.7)})
+    f = scalar_form(CHART, wave({0: 1, 1: 2}, 0.3, 1.5))
+    out = lie_derivative(X, f)
+    assert out.degree == 0
+    x1, x2, x3 = PTS.T
+    sin_theta = np.sin(x1 + 2 * x2 + 0.3)
+    want = np.sin(x2) * (-1.5 * sin_theta) + np.cos(x3) * (-3.0 * sin_theta)
+    assert np.allclose(out.coefficient(())(PTS), want, atol=1e-12)
+
+
 def test_lie_derivative_top_degree():
     # L_X (vol) = d(i_X vol); exercised on a 3-form over the 3-torus
     X = vector_field(CHART, {0: sin_wave({1: 1})})

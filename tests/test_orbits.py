@@ -317,6 +317,26 @@ def test_seeds_outside_the_chart_are_named_as_given(monkeypatch):
     _never_integrated(monkeypatch)
     with pytest.raises(DomainError, match=re.escape("outside chart domain: [5.0, 7.0, 0.0]")):
         closed_orbit_survey(Y, [[0.5, 1.0, 0.0], [5.0, 7.0, 0.0]], 0.01, 2.0)
+    # a non-finite coordinate is outside on every axis, a circle's too: named before any step
+    import bmkit.orbits
+    Y = field_line_generator(t3_mode(), "e")
+    non_finite = ([math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf])
+    for seed in non_finite:
+        with pytest.raises(DomainError, match=re.escape(f"outside chart domain: {seed}")):
+            closed_orbit_survey(Y, [[0.0, 0.0, 0.0], seed], 0.01, 2.0)
+    monkeypatch.undo()   # integrate checks its seed in integrate_batch, before its first step
+    monkeypatch.setattr(bmkit.orbits, "_rk4_step", lambda *args: pytest.fail("stepped"))
+    for seed in non_finite:
+        with pytest.raises(DomainError, match=re.escape(f"outside chart domain: {seed}")):
+            integrate(Y, seed, 0.01, 10)
+
+
+def test_a_state_that_turns_non_finite_exits_the_domain():
+    # dx1/ds = x1^2 from 1e200 overflows in the first step; R3 is unbounded, yet inf is not in it
+    Y = vector_field(R3, {0: monomial(0, 2)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = integrate(Y, [1e200, 0.0, 0.0], 1.0, 5)
+    assert trace.status == "exited_domain" and trace.n_samples == 1
 
 
 @pytest.mark.parametrize("s_max, step", [(1e300, 1e-2), (1e10, 1e-320)])

@@ -529,6 +529,13 @@ def test_window_over_2_63_bytes_is_rejected_before_allocation(capsys):
     assert main(["verify", "--field", "beltrami_maxwell", "--grid", "4",
                  "--tgrid", str(10 ** 17)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    # a window of no instant, no x0 or a non-finite or negative half-width is rejected too
+    grid = SampleGrid.regular(T3, 4)
+    for x0s, t_window, tgrid in (([0.0], 0.1, 0), ([0.0], 0.1, -3), ([], 0.1, 4),
+                                 ([math.nan], 0.1, 4), ([0.0, math.inf], 0.1, 4),
+                                 ([0.0], -0.1, 4), ([0.0], math.inf, 4), ([0.0], math.nan, 4)):
+        with pytest.raises(BmkitError, match="a window needs tgrid >= 1"):
+            grid.window(spacetime(T3), x0s, t_window, tgrid)
 
 
 def test_with_time_needs_the_spacetime_of_the_grid_chart():
